@@ -34,8 +34,7 @@ DEFAULTS: dict = {
               "grad_clip_norm": 1.0, "batch_size": 8, "macro_steps": 1000,
               "rng_seed": 14},
     "eval": {"cutoffs": [8, 50, 100], "holdout_fraction": 0.1, "rng_seed": 15,
-             "item_prompt": "masked", "max_eval_users": None,
-             "max_positions_per_user": None},
+             "max_eval_users": None, "max_positions_per_user": None},
     "transform": {"view": None, "strip_sessions": False,
                   "strip_attributes": None},
 }

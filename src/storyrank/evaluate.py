@@ -12,14 +12,14 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import grammar
 from .prompts import TaskKind
 from .stories import SearchEvent, Surface, UserStory, WatchEvent
-from .vocab import CatalogIndex, Vocabulary, tokenize
+from .vocab import Vocabulary, tokenize
 
 
 class EvalError(ValueError):
@@ -31,7 +31,6 @@ class EvalConfig:
     cutoffs: tuple[int, ...] = (8, 50, 100)
     holdout_fraction: float = 0.1
     rng_seed: int = 0
-    item_prompt: str = "masked"  # or "contextual"
     max_eval_users: int | None = None
     max_positions_per_user: int | None = None
 
@@ -41,8 +40,6 @@ class EvalConfig:
             raise EvalError("cutoffs must be positive and sorted")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise EvalError("holdout_fraction must be in (0, 1)")
-        if self.item_prompt not in ("masked", "contextual"):
-            raise EvalError("item_prompt must be masked or contextual")
 
 
 @dataclass(frozen=True)
@@ -171,13 +168,13 @@ def rank_of_target(row: np.ndarray, candidates: np.ndarray, target: int) -> int:
 
 # --- scorers -------------------------------------------------------------------
 
-def eval_head(kind: TaskKind, context: dict, item_prompt: str) -> str:
+def eval_head(kind: TaskKind, context: dict) -> str:
     hour = context["hour"]
-    if kind in (TaskKind.ITEM_MASKED, TaskKind.ITEM_CONTEXTUAL):
-        if item_prompt == "contextual":
-            return (f"<|watch|> hour={hour} <|surface={context['surface']}|>"
-                    f"<|carousel({context['carousel']})|>")
+    if kind == TaskKind.ITEM_MASKED:
         return f"<|watch|> hour={hour} <|surface=home|><|carousel(MASK)|>"
+    if kind == TaskKind.ITEM_CONTEXTUAL:
+        return (f"<|watch|> hour={hour} <|surface={context['surface']}|>"
+                f"<|carousel({context['carousel']})|>")
     if kind == TaskKind.CAROUSEL:
         return f"<|watch|> hour={hour} <|surface={context['surface']}|>"
     if kind == TaskKind.SEARCH:
@@ -198,10 +195,10 @@ class ModelScorer:
         self.batch_size = batch_size
 
     def _prompt_ids(self, pos: EligiblePosition, kind: TaskKind,
-                    vocabulary: Vocabulary, item_prompt: str) -> list[int]:
+                    vocabulary: Vocabulary) -> list[int]:
         ctx_len = self.model.config.context_length
         story = pos.prefix_story
-        head = eval_head(kind, pos.context, item_prompt)
+        head = eval_head(kind, pos.context)
         while True:
             stripped = grammar.apply_transform(story, **self.transform)
             text = grammar.serialize(stripped, validate=False) + " " + head
@@ -226,7 +223,7 @@ class ModelScorer:
             ids = np.zeros((len(chunk), ctx), dtype=np.int64)
             slots = []
             for r, pos in enumerate(chunk):
-                seq = self._prompt_ids(pos, kind, vocabulary, cfg.item_prompt)
+                seq = self._prompt_ids(pos, kind, vocabulary)
                 ids[r, :len(seq)] = seq
                 slots.append(len(seq) - 1)
             logits = self.model.forward(ids)

@@ -10,22 +10,19 @@ One story serializes to one line of text:
 single-space field separation and no trailing whitespace). The surface,
 carousel, and item tokens of a watch are concatenated without spaces.
 
-The grammar stores only relative time fields (session elapsed hours, day of
-week, per-event hour), so `parse` reconstructs absolute timestamps relative
-to a caller-supplied epoch; equality after a round trip is defined on the
-serialized fields, which `story_signature` extracts.
+`parse` is the field-level inverse of `serialize`: it checks the grammar and
+returns the serialized fields, the same value `story_signature` extracts from
+a story. The grammar stores only relative time fields (session elapsed hours,
+day of week, per-event hour), so absolute timestamps are not recovered.
 
 See GRAMMAR.md for the full production list.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .stories import (
-    SESSION_GAP_SECONDS,
-    SESSION_SPAN_SECONDS,
     AttributeHeader,
-    CarouselRef,
     EMPTY_CAROUSEL,
     Event,
     ItemRef,
@@ -36,7 +33,6 @@ from .stories import (
     ValidationError,
     WatchEvent,
     day_of_week,
-    hour_of_day,
     validate_story,
 )
 
@@ -44,9 +40,6 @@ BEGIN_SESSIONS = "<|begin_sessions|>"
 SESSION_MARKER = "<|session|>"
 WATCH_MARKER = "<|watch|>"
 SEARCH_MARKER = "<|search|>"
-
-# Monday 1970-01-05 00:00 UTC; a Monday anchor makes day-of-week arithmetic plain.
-DEFAULT_EPOCH = 4 * 86400
 
 VIEWS = ("item", "carousel", "search")
 ATTRIBUTE_SUBSETS = ("all", "profile", "location")
@@ -116,29 +109,6 @@ def serialize(story: UserStory, *, validate: bool = True) -> str:
 
 # --- parsing ----------------------------------------------------------------
 
-@dataclass
-class _WatchProto:
-    hour: int
-    surface: Surface
-    carousel_id: str
-    item_id: str | None
-    title: str | None
-    duration_minutes: int | None
-
-
-@dataclass
-class _SearchProto:
-    hour: int
-    query: str
-
-
-@dataclass
-class _SessionProto:
-    elapsed_hours: int
-    day_of_week: int
-    events: list
-
-
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -206,29 +176,32 @@ def _parse_header(sc: _Scanner) -> list[tuple[str, str]]:
     return pairs
 
 
-def _parse_watch(sc: _Scanner, partial_ok: bool) -> _WatchProto:
+# Parsed clauses take the shape `story_signature` gives them: a watch is
+# ("watch", hour, surface, carousel_id, item_id, title, duration_minutes), a
+# search ("search", hour, query); fields a prompt-mode partial watch stops
+# before are None.
+
+def _parse_watch(sc: _Scanner, partial_ok: bool) -> tuple:
     sc.literal(WATCH_MARKER + " hour=", "watch clause")
     hour = sc.integer("hour", 0, 23)
     if sc.eof() and partial_ok:
-        return _WatchProto(hour, Surface.HOME, "", None, None, None)
+        return ("watch", hour, None, None, None, None, None)
     sc.literal(" <|surface=", "'<|surface=' after watch hour")
     surface_pos = sc.pos
-    surface_name = sc.until("|>", "surface token")
+    surface = sc.until("|>", "surface token")
     try:
-        surface = Surface(surface_name)
+        Surface(surface)
     except ValueError:
-        sc.fail(f"unknown surface {surface_name!r}", surface_pos)
+        sc.fail(f"unknown surface {surface!r}", surface_pos)
     if sc.eof() and partial_ok:
-        return _WatchProto(hour, surface, "", None, None, None)
+        return ("watch", hour, surface, None, None, None, None)
     sc.literal("<|carousel(", "'<|carousel(' after surface token")
     carousel_id = sc.until(")|>", "carousel token")
     if "(" in carousel_id:
         sc.fail("carousel id without '('")
-    if sc.eof() and partial_ok:
-        return _WatchProto(hour, surface, carousel_id, None, None, None)
-    if not sc.peek("<|id("):
+    if (sc.eof() and partial_ok) or not sc.peek("<|id("):
         # itemless watch: the carousel-view grammar drops item and duration
-        return _WatchProto(hour, surface, carousel_id, None, None, None)
+        return ("watch", hour, surface, carousel_id, None, None, None)
     sc.literal("<|id(")
     item_pos = sc.pos
     item_id = sc.until("|", "item id")
@@ -239,13 +212,13 @@ def _parse_watch(sc: _Scanner, partial_ok: bool) -> _WatchProto:
         sc.literal(" ")
         duration = sc.integer("duration", 0, 10**9)
         sc.literal("m", "'m' after watch duration")
-        return _WatchProto(hour, surface, carousel_id, item_id, title, duration)
+        return ("watch", hour, surface, carousel_id, item_id, title, duration)
     if partial_ok:
-        return _WatchProto(hour, surface, carousel_id, item_id, title, None)
+        return ("watch", hour, surface, carousel_id, item_id, title, None)
     sc.fail("' {minutes}m' duration after item token")
 
 
-def _parse_search(sc: _Scanner) -> _SearchProto:
+def _parse_search(sc: _Scanner) -> tuple:
     sc.literal(SEARCH_MARKER + " hour=", "search clause")
     hour = sc.integer("hour", 0, 23)
     sc.literal(" ", "space before query text")
@@ -260,13 +233,13 @@ def _parse_search(sc: _Scanner) -> _SearchProto:
         sc.pos = nxt - 1
     if not query:
         sc.fail("non-empty query text")
-    return _SearchProto(hour, query)
+    return ("search", hour, query)
 
 
-def _scan(text: str, *, partial_ok: bool) -> tuple[list[tuple[str, str]], bool, list[_SessionProto]]:
+def _scan(text: str, *, partial_ok: bool) -> tuple:
     sc = _Scanner(text)
     pairs = _parse_header(sc)
-    sessions: list[_SessionProto] = []
+    sessions: list[tuple[tuple, list]] = []
     sessionless = False
     while not sc.eof():
         sc.literal(" ", "single space between clauses")
@@ -277,249 +250,50 @@ def _scan(text: str, *, partial_ok: bool) -> tuple[list[tuple[str, str]], bool, 
             elapsed = sc.integer("elapsed hours", 0, 10**9)
             sc.literal("h day=", "'h day=' in session clause")
             dow = sc.integer("day of week", 0, 6)
-            sessions.append(_SessionProto(elapsed, dow, []))
+            sessions.append(((elapsed, dow), []))
         elif sc.peek(WATCH_MARKER) or sc.peek(SEARCH_MARKER):
             if not sessions:
                 sessionless = True
-                sessions.append(_SessionProto(0, 0, []))
+                sessions.append(((None, None), []))
             if sc.peek(WATCH_MARKER):
-                sessions[-1].events.append(_parse_watch(sc, partial_ok))
+                sessions[-1][1].append(_parse_watch(sc, partial_ok))
             else:
-                sessions[-1].events.append(_parse_search(sc))
+                sessions[-1][1].append(_parse_search(sc))
         else:
             sc.fail("session, watch, or search clause")
-    return pairs, sessionless, sessions
+    return (tuple(pairs), sessionless,
+            *((clause, tuple(events)) for clause, events in sessions))
 
 
-# --- timestamp reconstruction ----------------------------------------------
-#
-# Grammar text carries only (elapsed, day, hour) fields. Reconstruction picks
-# canonical absolute timestamps consistent with those fields. Within a
-# session, each event is placed as late as its hour window and the session
-# rules allow; maximizing the running activity end keeps every gap that was
-# feasible in the original story feasible here too. For text produced by
-# `serialize` from a rule-abiding story this yields a rule-abiding story; for
-# arbitrary hand-written text placement is best-effort and `validate_story`
-# reports any residual inconsistency. The serialized fields themselves are
-# preserved exactly either way.
+def parse(text: str, catalog=None) -> tuple:
+    """Parse grammar text back into its serialized fields.
 
-def _hour_window(after: int, hour: int) -> tuple[int, int]:
-    """Earliest [start, end] window with hour-of-day == hour and end >= after."""
-    day = after // 86400
-    start = day * 86400 + hour * 3600
-    if start + 3599 < after:
-        start += 86400
-    return start, start + 3599
-
-
-def _latest_dow_hour_in(lo: int, hi: int, hour: int | None, dow: int | None) -> int | None:
-    """Latest t in [lo, hi] with the given hour-of-day and day-of-week, if any."""
-    day = hi // 86400
-    while day * 86400 + (0 if hour is None else hour * 3600) + 3599 >= lo - 86400:
-        if dow is None or (day + 3) % 7 == dow:
-            if hour is None:
-                t = min(hi, (day + 1) * 86400 - 1)
-                if t >= max(lo, day * 86400):
-                    return t
-            else:
-                ws = day * 86400 + hour * 3600
-                t = min(hi, ws + 3599)
-                if t >= max(lo, ws):
-                    return t
-        day -= 1
-        if day < 0:
-            break
-    return None
-
-
-def _region_offsets(elapsed: int) -> tuple[int, int]:
-    """Allowed (start - previous_activity_end) range for the stated elapsed
-    field. elapsed == 1 excludes the exact 3600s boundary, which would
-    re-segment as a single session."""
-    lo = 3601 if elapsed == 1 else elapsed * 3600
-    return lo, (elapsed + 1) * 3600 - 1
-
-
-def _place_session_start(prev_end: int | None, elapsed: int, dow: int | None,
-                         first_hour: int | None, epoch: int,
-                         best_effort: bool) -> int | None:
-    if prev_end is None:
-        day = epoch // 86400
-        if epoch % 86400:
-            day += 1
-        for _ in range(8):
-            if dow is None or (day + 3) % 7 == dow:
-                return day * 86400 + (first_hour or 0) * 3600 + 3599
-            day += 1
-        return day * 86400
-    lo_off, hi_off = _region_offsets(elapsed)
-    t = _latest_dow_hour_in(prev_end + lo_off, prev_end + hi_off, first_hour, dow)
-    if t is not None or not best_effort:
-        return t
-    # Infeasible for the stated fields; walk forward to the first matching
-    # (hour, dow) slot so the story still materializes.
-    probe = prev_end + lo_off
-    for _ in range(8 * 24):
-        ws, we = _hour_window(probe, first_hour or 0)
-        if dow is None or day_of_week(ws) == dow:
-            return we
-        probe = we + 1
-    return prev_end + lo_off
-
-
-def _build_session(proto: _SessionProto, start: int, span_cap: bool) -> Session:
-    events: list[Event] = []
-    t_prev: int | None = None
-    act_end: int | None = None
-    session_start = start
-    for ev in proto.events:
-        if t_prev is None:
-            t = start
-        else:
-            ws, we = _hour_window(t_prev, ev.hour)
-            upper = min(we, act_end + SESSION_GAP_SECONDS)
-            if span_cap:
-                upper = min(upper, session_start + SESSION_SPAN_SECONDS)
-            lower = max(ws, t_prev)
-            t = upper if upper >= lower else lower
-        if isinstance(ev, _SearchProto):
-            events.append(SearchEvent(t, ev.hour, ev.query))
-        else:
-            item = None if ev.item_id is None else ItemRef(ev.item_id, ev.title or "")
-            events.append(WatchEvent(t, ev.hour, ev.surface,
-                                     CarouselRef(ev.carousel_id), item,
-                                     ev.duration_minutes))
-        act_end = events[-1].end_time if act_end is None \
-            else max(act_end, events[-1].end_time)
-        t_prev = t
-    return Session(start_time=session_start, elapsed_hours=proto.elapsed_hours,
-                   day_of_week=proto.day_of_week, events=tuple(events))
-
-
-def _session_slide_slack(sess: Session) -> int:
-    """How far the session can shift earlier with every event staying inside
-    its hour window (and an empty session staying inside its day)."""
-    if not sess.events:
-        return sess.start_time % 86400
-    slack = 3599
-    for e in sess.events:
-        window_start = (e.timestamp // 86400) * 86400 + e.hour * 3600
-        slack = min(slack, e.timestamp - window_start)
-    return max(0, slack)
-
-
-def _shift_session(sess: Session, shift: int) -> Session:
-    events = tuple(
-        replace(e, timestamp=e.timestamp - shift) for e in sess.events)
-    return replace(sess, start_time=sess.start_time - shift, events=events)
-
-
-def _find_slide(prev_end: int, lo_off: int, hi_off: int, hour: int | None,
-                dow: int | None, slide_max: int) -> int | None:
-    """Smallest earlier-shift of the previous block that lets the next
-    session start land in an (hour, dow) window at the stated elapsed."""
-    wlen = 3600 if hour is not None else 86400
-    day = (prev_end - slide_max + lo_off) // 86400 - 1
-    last_day = (prev_end + hi_off) // 86400 + 1
-    while day <= last_day:
-        w0 = day * 86400 + (hour or 0) * 3600
-        if dow is None or day_of_week(w0) == dow:
-            s_min = max(0, prev_end + lo_off - (w0 + wlen - 1))
-            s_max = min(slide_max, prev_end + hi_off - w0)
-            if s_min <= s_max:
-                return s_min
-        day += 1
-    return None
-
-
-def _available_slide(slacks: list[int], gaps: list[int | None]) -> int:
-    """Largest uniform earlier-shift applicable to some suffix block of the
-    placed sessions. A block bounded on the left by a non-sliding session is
-    limited by that boundary gap staying at or above its elapsed region."""
-    avail = 0
-    for slack, gap in zip(slacks, gaps):
-        avail = slack if gap is None else min(slack, max(gap, avail))
-    return avail
-
-
-def _execute_slide(sessions, slacks, gaps, shift: int) -> None:
-    i = len(sessions) - 1
-    while i >= 0:
-        sessions[i] = _shift_session(sessions[i], shift)
-        slacks[i] -= shift
-        if gaps[i] is None:
-            break
-        if shift <= gaps[i]:
-            gaps[i] -= shift
-            break
-        i -= 1  # gap to the left neighbour too tight: it slides too
-
-
-def _reconstruct(pairs, sessionless, protos, epoch, user_id) -> UserStory:
-    sessions: list[Session] = []
-    slacks: list[int] = []
-    gaps: list[int | None] = []
-    prev_end = lambda: max(s.end_time for s in sessions)
-    for proto in protos:
-        first_hour = proto.events[0].hour if proto.events else None
-        dow = None if sessionless else proto.day_of_week
-        prev = prev_end() if sessions else None
-        start = _place_session_start(prev, proto.elapsed_hours, dow,
-                                     first_hour, epoch, best_effort=False)
-        if start is None:
-            # The greedy-late placement of earlier sessions left no room for
-            # this session's (elapsed, hour, day) fields; slide a suffix of
-            # the placed blocks earlier within their hour-window slack.
-            lo_off, hi_off = _region_offsets(proto.elapsed_hours)
-            shift = _find_slide(prev, lo_off, hi_off, first_hour, dow,
-                                _available_slide(slacks, gaps))
-            if shift:
-                _execute_slide(sessions, slacks, gaps, shift)
-                prev = prev_end()
-                start = _place_session_start(prev, proto.elapsed_hours, dow,
-                                             first_hour, epoch, best_effort=False)
-        if start is None:
-            start = _place_session_start(prev, proto.elapsed_hours, dow,
-                                         first_hour, epoch, best_effort=True)
-        sess = _build_session(proto, start, span_cap=not sessionless)
-        if sessionless:
-            sess = replace(sess, day_of_week=day_of_week(sess.start_time))
-        gaps.append(None if prev is None else
-                    sess.start_time - prev - _region_offsets(proto.elapsed_hours)[0])
-        sessions.append(sess)
-        slacks.append(_session_slide_slack(sess))
-    return UserStory(user_id=user_id, attributes=AttributeHeader(tuple(pairs)),
-                     sessions=tuple(sessions), sessionless=sessionless)
-
-
-def parse(text: str, catalog=None, *, epoch: int = DEFAULT_EPOCH,
-          user_id: str = "parsed") -> UserStory:
-    """Parse grammar text back into a UserStory.
-
-    The first grammar violation raises ParseError with a byte offset and a
-    description of what was expected. When `catalog` (a vocab.CatalogIndex)
-    is given, embedded item titles are checked against it; items absent from
-    the catalog are tolerated as-is.
+    Returns the value `story_signature` gives for the story the text came
+    from. The first grammar violation raises ParseError with a byte offset
+    and a description of what was expected. When `catalog` (a
+    vocab.CatalogIndex) is given, embedded item titles are checked against
+    it; items absent from the catalog are tolerated as-is.
     """
-    pairs, sessionless, protos = _scan(text, partial_ok=False)
+    fields = _scan(text, partial_ok=False)
     if catalog is not None:
         titles = {item.item_id: item.title for item in catalog.items}
-        for proto in protos:
-            for ev in proto.events:
-                if isinstance(ev, _WatchProto) and ev.item_id is not None:
-                    expected = titles.get(ev.item_id)
-                    if expected is not None and expected != ev.title:
-                        raise ValidationError(
-                            f"title mismatch for item {ev.item_id!r}: "
-                            f"story has {ev.title!r}, catalog has {expected!r}")
-    return _reconstruct(pairs, sessionless, protos, epoch, user_id)
+        for _, events in fields[2:]:
+            for event in events:
+                if event[0] != "watch":
+                    continue
+                item_id, title = event[4:6]
+                expected = titles.get(item_id)
+                if expected is not None and expected != title:
+                    raise ValidationError(
+                        f"title mismatch for item {item_id!r}: "
+                        f"story has {title!r}, catalog has {expected!r}")
+    return fields
 
 
-def parse_prompt(text: str, *, epoch: int = DEFAULT_EPOCH) -> UserStory:
+def parse_prompt(text: str) -> tuple:
     """Parse prompt-mode text: a trailing partial watch head and a missing
-    duration are accepted. The returned story carries the completed clauses."""
-    pairs, sessionless, protos = _scan(text, partial_ok=True)
-    return _reconstruct(pairs, sessionless, protos, epoch, "prompt")
+    duration are accepted. Returns the fields as `parse` does."""
+    return _scan(text, partial_ok=True)
 
 
 def story_signature(story: UserStory):
@@ -544,7 +318,16 @@ def story_signature(story: UserStory):
 
 # --- task views and ablation transforms -------------------------------------
 
-def _strip_view_story(story: UserStory, view: str) -> UserStory:
+def strip_view(story: UserStory, view: str) -> UserStory:
+    """Reduce a story to one task's conventional inputs.
+
+    item: drop search events, blank carousels (surfaces kept).
+    carousel: drop search events, drop item and duration fields.
+    search: keep search events and search-surface watches only.
+    Session structure and the attribute header are preserved in all views.
+    """
+    if view not in VIEWS:
+        raise ValueError(f"unknown view {view!r}; expected one of {VIEWS}")
     sessions = []
     for sess in story.sessions:
         events: list[Event] = []
@@ -563,26 +346,8 @@ def _strip_view_story(story: UserStory, view: str) -> UserStory:
     return replace(story, sessions=tuple(sessions))
 
 
-def strip_view(story_or_text, view: str):
-    """Reduce a story to one task's conventional inputs.
-
-    item: drop search events, blank carousels (surfaces kept).
-    carousel: drop search events, drop item and duration fields.
-    search: keep search events and search-surface watches only.
-    Session structure and the attribute header are preserved in all views.
-    """
-    if view not in VIEWS:
-        raise ValueError(f"unknown view {view!r}; expected one of {VIEWS}")
-    if isinstance(story_or_text, str):
-        return serialize(_strip_view_story(parse(story_or_text), view), validate=False)
-    return _strip_view_story(story_or_text, view)
-
-
-def strip_sessions(story_or_text):
+def strip_sessions(story: UserStory) -> UserStory:
     """Remove session clauses: a flat event stream (elapsed/day fields dropped)."""
-    if isinstance(story_or_text, str):
-        return serialize(strip_sessions(parse(story_or_text)), validate=False)
-    story = story_or_text
     events = tuple(story.events())
     if events:
         container = Session(start_time=events[0].timestamp, elapsed_hours=0,
@@ -594,14 +359,11 @@ def strip_sessions(story_or_text):
     return replace(story, sessions=sessions, sessionless=True)
 
 
-def strip_attributes(story_or_text, which: str):
+def strip_attributes(story: UserStory, which: str) -> UserStory:
     """Remove an attribute subset from the header: all, profile, or location."""
     if which not in ATTRIBUTE_SUBSETS:
         raise ValueError(f"unknown attribute subset {which!r}; "
                          f"expected one of {ATTRIBUTE_SUBSETS}")
-    if isinstance(story_or_text, str):
-        return serialize(strip_attributes(parse(story_or_text), which), validate=False)
-    story = story_or_text
     if which == "all":
         pairs: tuple[tuple[str, str], ...] = ()
     elif which == "location":

@@ -16,35 +16,45 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
 
 from .prompts import TaskKind, make_prompt, rank_batch
 from .stories import story_from_dict
 from .vocab import CLASS_ITEM, Vocabulary
 
 
-@dataclass
 class LatencyHistogram:
-    samples_us: list[int] = field(default_factory=list)
+    """Latency samples kept as a value -> count map: memory grows with the
+    number of distinct values, not with the number of requests, and the
+    percentiles stay exact nearest-rank."""
+
+    def __init__(self, samples=()):
+        self.counts = Counter(samples)
+
+    @property
+    def n(self) -> int:
+        return self.counts.total()
 
     def add(self, sample_us: int) -> None:
-        self.samples_us.append(sample_us)
+        self.counts[sample_us] += 1
 
     def percentile(self, q: float) -> int:
         """Nearest-rank percentile over the recorded samples."""
-        if not self.samples_us:
+        if not self.counts:
             raise ValueError("no latency samples recorded")
-        ordered = sorted(self.samples_us)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        rank = max(1, math.ceil(q / 100.0 * self.n))
+        for value in sorted(self.counts):
+            rank -= self.counts[value]
+            if rank <= 0:
+                return value
 
     def summary(self) -> dict:
-        return {
-            "n": len(self.samples_us),
-            "p50_us": self.percentile(50),
-            "p95_us": self.percentile(95),
-            "p99_us": self.percentile(99),
-        }
+        """Sample count and p50/p95/p99; the percentiles are None when no
+        request was served."""
+        out = {"n": self.n}
+        for q in (50, 95, 99):
+            out[f"p{q}_us"] = self.percentile(q) if self.counts else None
+        return out
 
 
 def score_request(request: dict, model, vocabulary: Vocabulary) -> dict:
@@ -63,7 +73,15 @@ def _score_batch(requests: list[dict], model, vocabulary: Vocabulary) -> list[di
     meta = []
     responses: dict[int, dict] = {}
     for i, request in enumerate(requests):
+        request_id = request.get("id") if isinstance(request, dict) else None
         try:
+            if not isinstance(request, dict):
+                raise ValueError("request must be a JSON object, got "
+                                 f"{type(request).__name__}")
+            top_k = request.get("top_k", 10)
+            if type(top_k) is not int or top_k < 0:
+                raise ValueError(
+                    f"top_k must be a non-negative integer, got {top_k!r}")
             story = story_from_dict(request["story"])
             kind = TaskKind(request["task"])
             context = dict(request.get("context", {}))
@@ -73,13 +91,12 @@ def _score_batch(requests: list[dict], model, vocabulary: Vocabulary) -> list[di
                 now = events[-1].timestamp if events else 0
             prompts.append(make_prompt(story, int(now), kind, context,
                                        vocabulary, model.config.context_length))
-            meta.append((i, request, kind))
+            meta.append((i, request_id, kind, top_k))
         except Exception as exc:
-            responses[i] = {"id": request.get("id"), "error": str(exc)}
+            responses[i] = {"id": request_id, "error": str(exc)}
     if prompts:
         ranked_lists = rank_batch(prompts, model)
-        for (i, request, kind), ranked in zip(meta, ranked_lists):
-            top_k = int(request.get("top_k", 10))
+        for (i, request_id, kind, top_k), ranked in zip(meta, ranked_lists):
             candidates = []
             for token_id, logit in ranked.top(top_k):
                 if vocabulary.classes[token_id] == CLASS_ITEM:
@@ -88,7 +105,7 @@ def _score_batch(requests: list[dict], model, vocabulary: Vocabulary) -> list[di
                     ext = vocabulary.carousel_id_of_token.get(token_id, "")
                 candidates.append({"id": ext, "token_id": token_id,
                                    "logit": logit})
-            responses[i] = {"id": request.get("id"), "task": kind.value,
+            responses[i] = {"id": request_id, "task": kind.value,
                             "model_step": model.step, "candidates": candidates}
     return [responses[i] for i in range(len(requests))]
 

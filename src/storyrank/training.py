@@ -6,7 +6,7 @@ import time
 import numpy as np
 
 from .corpus import MaskingConfig, MixtureConfig, sample_mixture
-from .model import AdamState, Model, TrainConfig, backward_and_step, cross_entropy
+from .model import AdamState, Model, TrainConfig, backward_and_step
 
 
 def make_batch(sequences, dtype=np.float32, pad_to: int | None = None):
@@ -56,18 +56,3 @@ def train(model: Model, opt: AdamState, story_examples, catalog_examples,
                     f"({metrics['elapsed_s']}s)")
     return history
 
-
-def held_out_loss(model: Model, examples, batch_size: int = 16) -> float:
-    """Mean next-token cross entropy over fixed examples (no masking)."""
-    total_nll = 0.0
-    total_weight = 0.0
-    for i in range(0, len(examples), batch_size):
-        chunk = [ex.token_ids for ex in examples[i:i + batch_size]]
-        inputs, targets, weights = make_batch(chunk, dtype=model.config.np_dtype)
-        logits = model.forward(inputs)
-        loss = cross_entropy(logits, targets, weights)
-        total_nll += loss * weights.sum()
-        total_weight += weights.sum()
-    if total_weight == 0:
-        raise ValueError("no prediction targets in held-out examples")
-    return float(total_nll / total_weight)

@@ -5,7 +5,9 @@ catalog items.
 Domain tokens are single vocabulary entries regardless of their surface
 length; tokenization longest-matches them anchored on '<|', so an item like
 <|id(SYN201|The Lantern at Exit 13)|> always costs exactly one token and one
-forward pass can score the whole catalog off the next-token logits.
+forward pass can score the whole catalog off the next-token logits. The spans
+between domain tokens are byte coded, then merged by the learned pair ranks;
+merge learning takes its byte spans from the same domain scan.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from . import _kernels
 from .stories import CarouselRef, ItemRef
 
 CLASS_BYTE = "byte"
@@ -118,12 +119,6 @@ class Vocabulary:
     def carousel_token_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.carousel_id_of_token))
 
-    def is_class(self, token_id: int, cls: str) -> bool:
-        return self.classes[token_id] == cls
-
-    def form_text(self, token_id: int) -> str:
-        return self.forms[token_id].decode("utf-8", "backslashreplace")
-
     def vocab_hash(self) -> str:
         h = hashlib.sha256()
         for line in _token_lines(self):
@@ -161,28 +156,23 @@ def _finish(vocab: Vocabulary) -> Vocabulary:
     return vocab
 
 
-def _plain_segments(data: bytes, domain: dict, lengths: tuple) -> list[bytes]:
-    """Byte spans of `data` lying outside domain tokens (for merge learning)."""
-    segments = []
-    pos = 0
-    n = len(data)
-    while pos < n:
-        anchor = data.find(b"<|", pos)
-        if anchor < 0:
-            anchor = n
-        if anchor > pos:
-            segments.append(data[pos:anchor])
-        pos = anchor
-        if pos >= n:
-            break
-        for length in lengths:
-            if pos + length <= n and data[pos:pos + length] in domain:
-                pos += length
-                break
-        else:
-            raise TokenizeError(f"unknown domain token span at byte {pos} "
-                                "in merge training text")
-    return segments
+def _byte_runs(text: str, domain_forms) -> list[bytes]:
+    """Byte spans of `text` between domain tokens (merge-learning input): the
+    merge-free encoding with every domain form mapped to id N_BYTES, split at
+    those ids."""
+    domain = dict.fromkeys(domain_forms, N_BYTES)
+    lengths = tuple(sorted({len(f) for f in domain}, reverse=True))
+    runs: list[bytes] = []
+    run: list[int] = []
+    for tid in _encode_text(text.encode("utf-8"), domain, lengths, {}):
+        if tid < N_BYTES:
+            run.append(tid)
+        elif run:
+            runs.append(bytes(run))
+            run = []
+    if run:
+        runs.append(bytes(run))
+    return runs
 
 
 def _learn_merges(segments: list[bytes], n_merges: int,
@@ -256,10 +246,8 @@ def build_vocabulary(catalog: CatalogIndex, merges: int = 0,
     if merges > 0:
         if merge_training_text is None:
             raise VocabularyError("merges > 0 requires merge_training_text")
-        domain_forms = {form.encode(): None for _, form in domain_entries}
-        lengths = tuple(sorted({len(f) for f in domain_forms}, reverse=True))
-        segments = _plain_segments(merge_training_text.encode(), domain_forms, lengths)
         existing = {form.encode() for _, form in domain_entries}
+        segments = _byte_runs(merge_training_text, existing)
         pairs, expansions = _learn_merges(segments, merges, existing)
         merge_pairs = tuple(pairs)
         for exp in expansions:
@@ -273,17 +261,85 @@ def build_vocabulary(catalog: CatalogIndex, merges: int = 0,
     return _finish(Vocabulary(tuple(classes), tuple(forms), merge_pairs))
 
 
+def _bpe_encode(ids: list[int], ranks: dict) -> list[int]:
+    """Apply learned merges to a byte-id sequence.
+
+    ranks maps (left_id, right_id) -> (rank, merged_id); the lowest rank is
+    merged first, all occurrences left to right, until no pair applies.
+    """
+    if not ranks or len(ids) < 2:
+        return ids
+    while True:
+        best_rank = -1
+        best_new = -1
+        best_a = best_b = -1
+        for i in range(len(ids) - 1):
+            entry = ranks.get((ids[i], ids[i + 1]))
+            if entry is not None and (best_rank < 0 or entry[0] < best_rank):
+                best_rank, best_new = entry
+                best_a, best_b = ids[i], ids[i + 1]
+        if best_rank < 0:
+            return ids
+        out = []
+        i = 0
+        n = len(ids)
+        while i < n:
+            if i + 1 < n and ids[i] == best_a and ids[i + 1] == best_b:
+                out.append(best_new)
+                i += 2
+            else:
+                out.append(ids[i])
+                i += 1
+        ids = out
+
+
+def _encode_text(data: bytes, domain: dict, lengths: tuple, ranks: dict) -> list[int]:
+    """Tokenize UTF-8 bytes: longest-match domain tokens anchored on '<|',
+    byte/merge encoding for everything in between.
+
+    domain maps surface-form bytes -> token id; lengths is the descending
+    tuple of distinct surface-form lengths. Raises TokenizeError on a '<|...'
+    span that matches no domain token.
+    """
+    out: list[int] = []
+    pos = 0
+    n = len(data)
+    while pos < n:
+        anchor = data.find(b"<|", pos)
+        if anchor < 0:
+            anchor = n
+        if anchor > pos:
+            out.extend(_bpe_encode(list(data[pos:anchor]), ranks))
+            pos = anchor
+        if pos >= n:
+            break
+        matched = -1
+        for length in lengths:
+            if pos + length > n:
+                continue
+            tid = domain.get(data[pos:pos + length])
+            if tid is not None:
+                matched = length
+                out.append(tid)
+                break
+        if matched < 0:
+            close = data.find(b"|>", pos + 2)
+            span = data[pos:close + 2 if close >= 0 else min(n, pos + 40)]
+            raise TokenizeError(
+                f"unknown domain token span {span.decode('utf-8', 'replace')!r} "
+                f"at byte {pos}")
+        pos += matched
+    return out
+
+
 def tokenize(text: str, vocabulary: Vocabulary) -> list[int]:
     """Encode text; domain tokens longest-match, the rest is byte/merge coded.
 
     A '<|...|>' span matching no domain token is a hard error: catalog drift
     must be handled upstream with map_unknown_items, never silently here.
     """
-    try:
-        return _kernels.encode_text(text.encode("utf-8"), vocabulary.domain_to_id,
-                                    vocabulary._lengths, vocabulary._merge_ranks)
-    except ValueError as exc:
-        raise TokenizeError(str(exc)) from None
+    return _encode_text(text.encode("utf-8"), vocabulary.domain_to_id,
+                        vocabulary._lengths, vocabulary._merge_ranks)
 
 
 def detokenize(token_ids, vocabulary: Vocabulary) -> str:

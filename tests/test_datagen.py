@@ -26,16 +26,14 @@ def test_generated_stories_validate(small_world):
 
 
 def test_generated_stories_roundtrip_through_grammar(small_world):
-    # round-trip equality is on the serialized fields; reconstructed
-    # timestamps are canonical stand-ins, not part of the contract
+    # round-trip equality is on the serialized fields; the text carries no
+    # absolute timestamps
     _, (catalog, stories, _) = small_world
     vocab = build_vocabulary(catalog)
     for story in stories[:60]:
         text = serialize(story)
         assert detokenize(tokenize(text, vocab), vocab) == text
-        back = parse(text, catalog)
-        assert story_signature(back) == story_signature(story)
-        assert serialize(back, validate=False) == text
+        assert parse(text, catalog) == story_signature(story)
 
 
 def test_search_flows_type_prefixes_of_the_watched_title(small_world):

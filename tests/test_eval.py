@@ -266,14 +266,31 @@ def test_view_transform_strips_model_input_not_positions(sample_vocab):
     scorer = ModelScorer(model, name="item_view", transform={"view": "item"})
     story = make_sample_story()
     positions = eligible_positions(story, TaskKind.SEARCH, sample_vocab)
-    ids = scorer._prompt_ids(positions[0], TaskKind.SEARCH, sample_vocab,
-                             "masked")
+    ids = scorer._prompt_ids(positions[0], TaskKind.SEARCH, sample_vocab)
     text = detokenize(ids, sample_vocab)
     assert "<|search|>" not in text.rsplit("<|watch|>", 1)[0]
     assert text.endswith("<|surface=search|><|carousel()|>")
     rows = evaluate([scorer], [story], [TaskKind.SEARCH],
                     EvalConfig(cutoffs=(8,)), sample_vocab)
     assert rows[0]["n_positions"] == 1
+
+
+def test_item_task_kind_picks_the_prompt_head(sample_vocab):
+    cfg = ModelConfig(vocab_size=sample_vocab.size, context_length=128,
+                      layers=1, heads=2, model_dim=16, dtype="float64")
+    scorer = ModelScorer(init_model(cfg, seed=1))
+    story = make_sample_story()
+    for pos in eligible_positions(story, TaskKind.ITEM_CONTEXTUAL, sample_vocab):
+        text = detokenize(scorer._prompt_ids(pos, TaskKind.ITEM_CONTEXTUAL,
+                                             sample_vocab), sample_vocab)
+        assert text.endswith(
+            f" <|watch|> hour={pos.context['hour']} "
+            f"<|surface={pos.context['surface']}|>"
+            f"<|carousel({pos.context['carousel']})|>")
+    pos = eligible_positions(story, TaskKind.ITEM_MASKED, sample_vocab)[0]
+    text = detokenize(scorer._prompt_ids(pos, TaskKind.ITEM_MASKED, sample_vocab),
+                      sample_vocab)
+    assert text.endswith("<|surface=home|><|carousel(MASK)|>")
 
 
 def test_empty_kind_reports_explicitly(sample_vocab):

@@ -17,7 +17,6 @@ from storyrank.grammar import (
 from storyrank.stories import (
     AttributeHeader,
     EMPTY_CAROUSEL,
-    SearchEvent,
     Surface,
     UserStory,
     ValidationError,
@@ -63,25 +62,19 @@ def test_serialize_rejects_invalid_story():
 
 def test_roundtrip_on_sample_journey():
     story = make_sample_story()
-    text = serialize(story)
-    back = parse(text)
-    assert story_signature(back) == story_signature(story)
-    assert serialize(back, validate=False) == text
-    assert validate_story(back) == []
+    assert parse(serialize(story)) == story_signature(story)
 
 
-def test_parse_reconstructs_consistent_times_for_gap_bridging_watches():
+def test_gap_bridging_watches_roundtrip():
     # hour jumps inside one session are only feasible because watch duration
-    # extends activity; reconstruction must keep that feasible.
+    # extends activity
     events = [
         watch(SUNDAY + 3 * 3600 + 3500, Surface.HOME, EMPTY_CAROUSEL, LANTERN, 30),
         watch(SUNDAY + 5 * 3600 + 1200, Surface.HOME, EMPTY_CAROUSEL, LANTERN, 5),
     ]
     story = UserStory("u", AttributeHeader(), segment_sessions(events))
     assert validate_story(story) == []
-    back = parse(serialize(story))
-    assert validate_story(back) == []
-    assert story_signature(back) == story_signature(story)
+    assert parse(serialize(story)) == story_signature(story)
 
 
 def test_unknown_surface_reports_offset_and_expectation():
@@ -129,7 +122,8 @@ def test_attribute_values_with_spaces_roundtrip():
         attributes=AttributeHeader((("device", "smart tv"), ("country", "US"))))
     text = serialize(story)
     assert text.startswith("device=smart tv country=US <|begin_sessions|>")
-    assert parse(text).attributes.pairs == (("device", "smart tv"), ("country", "US"))
+    assert parse(text) == story_signature(story)
+    assert parse(text)[0] == (("device", "smart tv"), ("country", "US"))
 
 
 # --- task views -------------------------------------------------------------
@@ -143,7 +137,7 @@ def test_search_view_on_sample_journey():
     assert events[2].surface == Surface.SEARCH
     assert len(view.sessions) == 2  # structure preserved, second now empty
     assert view.sessions[1].events == ()
-    text = strip_view(SAMPLE_TEXT, "search")
+    text = serialize(view, validate=False)
     assert text.count("<|search|>") == 2
     assert text.count("<|watch|>") == 1
     assert text.count("<|session|>") == 2
@@ -160,9 +154,8 @@ def test_item_view_blanks_carousels_and_drops_searches():
 
 
 def test_carousel_view_drops_item_information():
-    text = strip_view(SAMPLE_TEXT, "carousel")
+    text = serialize(strip_view(make_sample_story(), "carousel"), validate=False)
     assert "<|id(" not in text
-    assert "m " not in text.replace("m ", "", 0) or True
     assert "87m" not in text and "50m" not in text
     assert "<|carousel(after_dark_detours)|>" in text
     assert "<|search|>" not in text
@@ -180,47 +173,48 @@ def test_view_events_come_from_the_original():
 
 @pytest.mark.parametrize("view", ["item", "carousel", "search"])
 def test_views_are_idempotent(view):
-    text = serialize(make_sample_story())
-    once = strip_view(text, view)
+    once = strip_view(make_sample_story(), view)
     assert strip_view(once, view) == once
 
 
 def test_unknown_view_rejected():
     with pytest.raises(ValueError, match="unknown view"):
-        strip_view(SAMPLE_TEXT, "queries")
+        strip_view(make_sample_story(), "queries")
 
 
 # --- session stripping ------------------------------------------------------
 
 def test_strip_sessions_yields_flat_stream():
-    text = strip_sessions(SAMPLE_TEXT)
+    story = make_sample_story()
+    flat = strip_sessions(story)
+    text = serialize(flat, validate=False)
     assert "<|session|>" not in text
     assert "elapsed=" not in text and "day=" not in text
     assert text.count("<|watch|>") == 3
     assert text.count("<|search|>") == 2
     # event order preserved
-    story = make_sample_story()
-    flat = strip_sessions(story)
     assert [e.hour for s in flat.sessions for e in s.events] == \
         [e.hour for s in story.sessions for e in s.events]
 
 
 def test_strip_sessions_on_zero_session_story_keeps_header():
     story = UserStory("u", AttributeHeader((("country", "US"),)), ())
-    assert strip_sessions(serialize(story)) == "country=US <|begin_sessions|>"
+    assert serialize(strip_sessions(story), validate=False) == \
+        "country=US <|begin_sessions|>"
 
 
 def test_sessionless_text_roundtrips():
-    text = strip_sessions(SAMPLE_TEXT)
-    back = parse(text)
-    assert back.sessionless
-    assert serialize(back, validate=False) == text
+    flat = strip_sessions(make_sample_story())
+    back = parse(serialize(flat, validate=False))
+    assert back[1]  # sessionless
+    assert back == story_signature(flat)
 
 
 def test_strip_sessions_token_budget(sample_vocab):
     from storyrank.vocab import tokenize
     full = tokenize(SAMPLE_TEXT, sample_vocab)
-    flat = tokenize(strip_sessions(SAMPLE_TEXT), sample_vocab)
+    flat = tokenize(serialize(strip_sessions(make_sample_story()), validate=False),
+                    sample_vocab)
     # decrease equals the exact tokenized footprint of each removed clause
     removed = sum(len(tokenize(" <|session|> elapsed={}h day={}".format(e, d),
                                sample_vocab))
@@ -231,9 +225,9 @@ def test_strip_sessions_token_budget(sample_vocab):
 # --- attribute stripping ----------------------------------------------------
 
 def test_strip_attributes_all_leaves_empty_header():
-    text = strip_attributes(SAMPLE_TEXT, "all")
+    text = serialize(strip_attributes(make_sample_story(), "all"), validate=False)
     assert text.startswith("<|begin_sessions|>")
-    assert parse(text).attributes.pairs == ()
+    assert parse(text)[0] == ()
 
 
 def test_strip_attributes_location_removes_location_class_keys():
@@ -245,13 +239,13 @@ def test_strip_attributes_location_removes_location_class_keys():
 
 def test_strip_attributes_roundtrips():
     for which in ("all", "profile", "location"):
-        text = strip_attributes(SAMPLE_TEXT, which)
-        assert serialize(parse(text), validate=False) == text
+        story = strip_attributes(make_sample_story(), which)
+        assert parse(serialize(story, validate=False)) == story_signature(story)
 
 
 def test_strip_attributes_unknown_subset():
     with pytest.raises(ValueError, match="unknown attribute subset"):
-        strip_attributes(SAMPLE_TEXT, "weather")
+        strip_attributes(make_sample_story(), "weather")
 
 
 # --- prompt-mode parsing ----------------------------------------------------
@@ -268,7 +262,9 @@ def test_prompt_heads_reparse(head):
 def test_prompt_with_candidate_and_no_duration_reparses():
     text = (SAMPLE_TEXT + " <|watch|> hour=4 <|surface=home|><|carousel(MASK)|>"
             "<|id(SYN302|Fog on Marigold Pier)|>")
-    parse_prompt(text)
+    last_clause, last_events = parse_prompt(text)[-1]
+    assert last_events[-1] == ("watch", 4, "home", "MASK", "SYN302",
+                               "Fog on Marigold Pier", None)
 
 
 def test_strict_parse_rejects_partial_watch():
@@ -305,17 +301,13 @@ def random_story(draw):
 @given(random_story())
 @settings(max_examples=150, deadline=None)
 def test_random_stories_roundtrip_exactly(story):
-    # the round-trip contract is on serialized fields (timestamps are
-    # reconstructed canonically and are not part of equality)
-    text = serialize(story)
-    back = parse(text)
-    assert story_signature(back) == story_signature(story)
-    assert serialize(back, validate=False) == text
+    # the round-trip contract is on serialized fields (the text carries no
+    # absolute timestamps)
+    assert parse(serialize(story)) == story_signature(story)
 
 
-def test_tight_elapsed_chain_reconstructs_valid_times():
-    # regression: a 3601s gap (elapsed=1) used to be unreachable after the
-    # greedy-late placement of the previous session; the slide pass fixes it
+def test_tight_elapsed_chain_roundtrips():
+    # a 3601s gap (elapsed=1) sits right at the session-split boundary
     events = [
         watch(SUNDAY, Surface.HOME, EMPTY_CAROUSEL, LANTERN, 0),
         watch(SUNDAY + 3601, Surface.HOME, EMPTY_CAROUSEL, LANTERN, 0),
@@ -324,6 +316,4 @@ def test_tight_elapsed_chain_reconstructs_valid_times():
     ]
     story = UserStory("u", AttributeHeader(), segment_sessions(events))
     assert len(story.sessions) == 3
-    back = parse(serialize(story))
-    assert story_signature(back) == story_signature(story)
-    assert validate_story(back) == []
+    assert parse(serialize(story)) == story_signature(story)

@@ -38,11 +38,21 @@ def test_histogram_needs_samples():
         LatencyHistogram().percentile(50)
 
 
+def test_histogram_stores_one_entry_per_distinct_value():
+    hist = LatencyHistogram([3.5, 1.25, 3.5])
+    assert [hist.percentile(q) for q in (0, 50, 100)] == [1.25, 3.5, 3.5]
+    for _ in range(10_000):
+        hist.add(7)
+    assert len(hist.counts) == 3
+    assert hist.n == 10_003
+    assert hist.percentile(100) == 7
+
+
 def test_thousand_sequential_requests_histogram(served_model, sample_vocab):
     lines = [json.dumps(_request(i)) for i in range(1000)]
     out = []
     hist = serve_lines(lines, served_model, sample_vocab, out.append)
-    assert len(hist.samples_us) == 1000
+    assert hist.n == 1000
     responses = [json.loads(l) for l in out]
     assert json.loads(out[-1]).get("summary", {}).get("n") == 1000
     body = [r for r in responses if "candidates" in r]
@@ -116,3 +126,48 @@ def test_response_ids_are_catalog_ids(served_model, sample_vocab):
                              served_model, sample_vocab)
     ids = [c["id"] for c in response["candidates"]]
     assert set(ids) <= set(sample_vocab.carousel_token_of_id)
+
+
+def _serve(lines, model, vocab):
+    """Serve `lines`; check one reply per line plus a final summary, and
+    return the replies."""
+    out = []
+    serve_lines(lines, model, vocab, out.append)
+    records = [json.loads(l) for l in out]
+    assert len(records) == len(lines) + 1
+    assert records[-1]["summary"]["n"] == len(lines)
+    return records[:-1]
+
+
+def test_empty_request_stream_reports_empty_summary(served_model, sample_vocab):
+    out = []
+    hist = serve_lines([], served_model, sample_vocab, out.append)
+    assert hist.n == 0
+    assert [json.loads(l) for l in out] == [
+        {"summary": {"n": 0, "p50_us": None, "p95_us": None, "p99_us": None}}]
+
+
+def test_non_object_request_gets_error_and_loop_continues(served_model,
+                                                          sample_vocab):
+    lines = ["[1,2,3]", json.dumps(_request(1)), "7", json.dumps(_request(3))]
+    replies = _serve(lines, served_model, sample_vocab)
+    assert "JSON object" in replies[0]["error"] and replies[0]["id"] is None
+    assert "JSON object" in replies[2]["error"]
+    assert [r["id"] for r in replies[1::2]] == [1, 3]
+    assert all(len(r["candidates"]) == 5 for r in replies[1::2])
+
+
+@pytest.mark.parametrize("top_k", ["abc", 2.5, True, None])
+def test_non_integer_top_k_gets_error_and_loop_continues(served_model,
+                                                         sample_vocab, top_k):
+    lines = [json.dumps(_request(0, top_k=top_k)), json.dumps(_request(1))]
+    replies = _serve(lines, served_model, sample_vocab)
+    assert replies[0]["id"] == 0 and "top_k" in replies[0]["error"]
+    assert len(replies[1]["candidates"]) == 5
+
+
+def test_negative_top_k_is_rejected(served_model, sample_vocab):
+    lines = [json.dumps(_request(0, top_k=-1)), json.dumps(_request(1, top_k=0))]
+    replies = _serve(lines, served_model, sample_vocab)
+    assert replies[0]["id"] == 0 and "top_k" in replies[0]["error"]
+    assert replies[1]["candidates"] == []

@@ -10,6 +10,7 @@ from storyrank.vocab import (
     CatalogIndex,
     TokenizeError,
     VocabularyError,
+    _byte_runs,
     build_vocabulary,
     detokenize,
     map_unknown_items,
@@ -161,6 +162,18 @@ def test_merges_learned_and_applied():
     assert detokenize(ids_merged, merged) == text
     again = build_vocabulary(catalog, merges=16, merge_training_text=text)
     assert again.merge_pairs == merged.merge_pairs
+
+
+def test_merge_learning_sees_only_spans_between_domain_tokens():
+    text = "ab <|id(A1|Fog Pier)|><|carousel(top_picks)|> cd<|session|>"
+    assert _byte_runs(text, build_vocabulary(small_catalog()).domain_to_id) == \
+        [b"ab ", b" cd"]
+
+
+def test_unknown_span_in_merge_text_is_named():
+    text = "fog pier <|id(A1|Fog Pier)|> fog <|id(SYN999|Ghost Title)|> pier"
+    with pytest.raises(TokenizeError, match=r"<\|id\(SYN999\|Ghost Title\)\|>"):
+        build_vocabulary(small_catalog(), merges=4, merge_training_text=text)
 
 
 def test_merges_require_training_text():
