@@ -5,6 +5,11 @@ Eligible positions are defined on the untouched eval story; a scorer's view
 transform (task-specific variants, session ablation) strips only the input
 it gets to see. Every method therefore ranks the same candidate universe at
 the same positions, and the records flow through one aggregation path.
+
+The model is scored through the serving code in `prompts`: the same task
+heads, the same session trimming, the same padded batch forward and the same
+candidate sets and tie-break (`rank_candidates`), which the reference scorers
+use too. Offline metrics therefore measure the ranking that `serve` returns.
 """
 from __future__ import annotations
 
@@ -17,9 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import grammar
-from .prompts import TaskKind
+from .prompts import TaskKind, TaskPrompt, candidate_set, rank_batch, \
+    rank_candidates, trim_story_to_context
 from .stories import SearchEvent, Surface, UserStory, WatchEvent
-from .vocab import Vocabulary, tokenize
+from .vocab import Vocabulary
 
 
 class EvalError(ValueError):
@@ -156,32 +162,7 @@ def ndcg_at_k(records, k: int) -> float:
     return total / len(records)
 
 
-def rank_of_target(row: np.ndarray, candidates: np.ndarray, target: int) -> int:
-    """1-based rank of the target among candidates under descending logit,
-    ties broken by ascending token id."""
-    lt = row[target]
-    cand_logits = row[candidates]
-    higher = int((cand_logits > lt).sum())
-    tied_before = int(((cand_logits == lt) & (candidates < target)).sum())
-    return 1 + higher + tied_before
-
-
 # --- scorers -------------------------------------------------------------------
-
-def eval_head(kind: TaskKind, context: dict) -> str:
-    hour = context["hour"]
-    if kind == TaskKind.ITEM_MASKED:
-        return f"<|watch|> hour={hour} <|surface=home|><|carousel(MASK)|>"
-    if kind == TaskKind.ITEM_CONTEXTUAL:
-        return (f"<|watch|> hour={hour} <|surface={context['surface']}|>"
-                f"<|carousel({context['carousel']})|>")
-    if kind == TaskKind.CAROUSEL:
-        return f"<|watch|> hour={hour} <|surface={context['surface']}|>"
-    if kind == TaskKind.SEARCH:
-        # queries are already in the prefix history; the head reopens the watch
-        return f"<|watch|> hour={hour} <|surface=search|><|carousel()|>"
-    raise EvalError(f"no evaluation head for kind {kind!r}")
-
 
 class ModelScorer:
     """Ranks positions with the language model; `transform` strips the story
@@ -194,42 +175,29 @@ class ModelScorer:
         self.transform = transform or {}
         self.batch_size = batch_size
 
-    def _prompt_ids(self, pos: EligiblePosition, kind: TaskKind,
-                    vocabulary: Vocabulary) -> list[int]:
-        ctx_len = self.model.config.context_length
-        story = pos.prefix_story
-        head = eval_head(kind, pos.context)
-        while True:
-            stripped = grammar.apply_transform(story, **self.transform)
-            text = grammar.serialize(stripped, validate=False) + " " + head
-            ids = tokenize(text, vocabulary)
-            if len(ids) <= ctx_len:
-                return ids
-            if not story.sessions:
-                raise EvalError(f"prompt head exceeds context length {ctx_len}")
-            story = replace(story, sessions=story.sessions[1:])
+    def prompt(self, pos: EligiblePosition, kind: TaskKind,
+               vocabulary: Vocabulary) -> TaskPrompt:
+        """The served prompt for one position, built from this scorer's view
+        of the prefix story."""
+        if kind == TaskKind.SEARCH:
+            # the queries are already in the prefix; reopening the watch with
+            # the contextual head gives <|surface=search|><|carousel()|>
+            kind = TaskKind.ITEM_CONTEXTUAL
+        return trim_story_to_context(
+            pos.prefix_story,
+            lambda s: grammar.serialize(
+                grammar.apply_transform(s, **self.transform), validate=False),
+            kind, pos.context, vocabulary, self.model.config.context_length)
 
     def target_ranks(self, positions, kind: TaskKind, vocabulary: Vocabulary,
                      cfg: EvalConfig) -> list[int]:
-        candidates = np.asarray(
-            vocabulary.item_token_ids
-            if kind in (TaskKind.ITEM_MASKED, TaskKind.ITEM_CONTEXTUAL,
-                        TaskKind.SEARCH)
-            else vocabulary.carousel_token_ids)
         ranks = []
-        ctx = self.model.config.context_length
         for lo in range(0, len(positions), self.batch_size):
             chunk = positions[lo:lo + self.batch_size]
-            ids = np.zeros((len(chunk), ctx), dtype=np.int64)
-            slots = []
-            for r, pos in enumerate(chunk):
-                seq = self._prompt_ids(pos, kind, vocabulary)
-                ids[r, :len(seq)] = seq
-                slots.append(len(seq) - 1)
-            logits = self.model.forward(ids)
-            for r, pos in enumerate(chunk):
-                ranks.append(rank_of_target(logits[r, slots[r]], candidates,
-                                            pos.target_token))
+            ranked = rank_batch([self.prompt(p, kind, vocabulary)
+                                 for p in chunk], self.model)
+            ranks.extend(r.rank_of(p.target_token)
+                         for p, r in zip(chunk, ranked))
         return ranks
 
 
@@ -242,16 +210,11 @@ class StaticScorer:
 
     def target_ranks(self, positions, kind: TaskKind, vocabulary: Vocabulary,
                      cfg: EvalConfig) -> list[int]:
-        candidates = np.asarray(
-            vocabulary.item_token_ids
-            if kind in (TaskKind.ITEM_MASKED, TaskKind.ITEM_CONTEXTUAL,
-                        TaskKind.SEARCH)
-            else vocabulary.carousel_token_ids)
         row = np.zeros(vocabulary.size)
         for tid, score in self.token_scores.items():
             row[tid] = score
-        return [rank_of_target(row, candidates, pos.target_token)
-                for pos in positions]
+        ranked = rank_candidates(row, candidate_set(kind, vocabulary))
+        return [ranked.rank_of(pos.target_token) for pos in positions]
 
 
 def popularity_scorer(train_stories, vocabulary: Vocabulary) -> StaticScorer:
@@ -327,13 +290,6 @@ class BM25Index:
                 out[i] += idf * tf * (self.k1 + 1.0) / (tf + norm)
         return out
 
-    def rank_items(self, query: str) -> list[tuple[str, float]]:
-        """All documents, best first; ties break by ascending item_id (the
-        doc list is already id-sorted, so the sort is stable on it)."""
-        scored = self.scores(query)
-        order = sorted(range(len(scored)), key=lambda i: (-scored[i], self.doc_ids[i]))
-        return [(self.doc_ids[i], scored[i]) for i in order]
-
 
 class Bm25Scorer:
     def __init__(self, index: BM25Index, name: str = "bm25"):
@@ -344,7 +300,7 @@ class Bm25Scorer:
                      cfg: EvalConfig) -> list[int]:
         if kind != TaskKind.SEARCH:
             raise EvalError("BM25 scores search positions only")
-        candidates = np.asarray(vocabulary.item_token_ids)
+        candidates = candidate_set(kind, vocabulary)
         ranks = []
         for pos in positions:
             row = np.zeros(vocabulary.size)
@@ -353,7 +309,8 @@ class Bm25Scorer:
                 tid = vocabulary.item_token_to_id.get(item_id)
                 if tid is not None:
                     row[tid] = score
-            ranks.append(rank_of_target(row, candidates, pos.target_token))
+            ranks.append(rank_candidates(row, candidates)
+                         .rank_of(pos.target_token))
         return ranks
 
 

@@ -9,18 +9,21 @@ appended head differs:
   search           <|search|> hour=H QUERY <|watch|> hour=H <|surface=search|><|carousel()|>
 
 The next-token logits at the head's final position score every candidate
-token at once; ranking never decodes and never runs a second pass.
+token at once; ranking never decodes and never runs a second pass. Offline
+evaluation builds and ranks its model prompts with these same functions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from . import grammar
 from .stories import SESSION_GAP_SECONDS, SESSION_SPAN_SECONDS, Surface, \
-    UserStory, day_of_week, hour_of_day
+    UserStory, _check_carousel_id, _check_query, day_of_week, hour_of_day, \
+    validate_story
 from .vocab import Vocabulary, tokenize
 
 
@@ -85,13 +88,25 @@ def extend_story_for_now(story: UserStory, now: int) -> str:
     return text + " " + grammar.session_clause(elapsed, day_of_week(now))
 
 
+def _checked_text(field: str, value, check) -> str:
+    """`value` if it is a string that passes the stored-story rule `check`."""
+    msg = check(value) if isinstance(value, str) else "must be a string"
+    if msg is not None:
+        raise PromptError(f"context {field}: {msg}")
+    return value
+
+
 def head_text(kind: TaskKind, context: dict) -> str:
     """The task head appended after the story prefix. `context` carries hour
-    plus the kind's required fields (query; surface/carousel)."""
+    plus the kind's required fields (query; surface/carousel), each held to
+    the same rules as the stored story field it stands in for."""
     try:
         hour = context["hour"]
     except KeyError:
         raise PromptError("context requires 'hour'") from None
+    if type(hour) is not int or not 0 <= hour <= 23:
+        raise PromptError(f"context hour must be an integer in 0..23, "
+                          f"got {hour!r}")
     if kind == TaskKind.ITEM_MASKED:
         return f"<|watch|> hour={hour} <|surface=home|><|carousel(MASK)|>"
     if kind == TaskKind.ITEM_CONTEXTUAL:
@@ -99,15 +114,18 @@ def head_text(kind: TaskKind, context: dict) -> str:
         if missing:
             raise PromptError(f"item_contextual context requires {missing}")
         surface = Surface(context["surface"])
+        carousel = _checked_text("carousel", context["carousel"],
+                                 _check_carousel_id)
         return (f"<|watch|> hour={hour} "
-                f"<|surface={surface.value}|><|carousel({context['carousel']})|>")
+                f"<|surface={surface.value}|><|carousel({carousel})|>")
     if kind == TaskKind.CAROUSEL:
         surface = Surface(context.get("surface", "home"))
         return f"<|watch|> hour={hour} <|surface={surface.value}|>"
     if kind == TaskKind.SEARCH:
-        if "query" not in context or not context["query"]:
-            raise PromptError("search context requires a non-empty 'query'")
-        return (f"<|search|> hour={hour} {context['query']} "
+        if "query" not in context:
+            raise PromptError("search context requires a 'query'")
+        query = _checked_text("query", context["query"], _check_query)
+        return (f"<|search|> hour={hour} {query} "
                 f"<|watch|> hour={hour} <|surface=search|><|carousel()|>")
     raise PromptError(f"unknown task kind {kind!r}")
 
@@ -120,25 +138,21 @@ def candidate_set(kind: TaskKind, vocabulary: Vocabulary) -> tuple[int, ...]:
     return cands
 
 
-def build_prompt(prefix_text: str, kind: TaskKind, context: dict,
-                 vocabulary: Vocabulary) -> TaskPrompt:
-    text = prefix_text + " " + head_text(kind, context)
-    ids = tokenize(text, vocabulary)
-    return TaskPrompt(token_ids=tuple(ids), target_slot=len(ids) - 1,
-                      candidate_set=candidate_set(kind, vocabulary), kind=kind)
-
-
-def trim_story_to_context(story: UserStory, now: int, kind: TaskKind,
+def trim_story_to_context(story: UserStory,
+                          render: Callable[[UserStory], str], kind: TaskKind,
                           context: dict, vocabulary: Vocabulary,
                           context_length: int) -> TaskPrompt:
     """Build a prompt that fits the model context, dropping whole oldest
-    sessions (never splitting an event) until it does."""
+    sessions (never splitting an event) until it does. `render(story)` gives
+    the prefix text the task head is appended to."""
+    head = head_text(kind, context)
     current = story
     while True:
-        prompt = build_prompt(extend_story_for_now(current, now), kind,
-                              context, vocabulary)
-        if len(prompt.token_ids) <= context_length:
-            return prompt
+        ids = tokenize(render(current) + " " + head, vocabulary)
+        if len(ids) <= context_length:
+            return TaskPrompt(token_ids=tuple(ids), target_slot=len(ids) - 1,
+                              candidate_set=candidate_set(kind, vocabulary),
+                              kind=kind)
         if not current.sessions:
             raise PromptError(
                 f"prompt head alone exceeds context length {context_length}")
@@ -147,23 +161,27 @@ def trim_story_to_context(story: UserStory, now: int, kind: TaskKind,
 
 def make_prompt(story: UserStory, now: int, kind: TaskKind, context: dict,
                 vocabulary: Vocabulary, context_length: int) -> TaskPrompt:
+    """Serve's prompt for a request story at time `now`. The story is held to
+    the stored-story rules first (item-less watches allowed), while it is
+    still whole: a trimmed story's first session no longer starts at
+    elapsed=0."""
+    violations = validate_story(story, itemless_ok=True)
+    if violations:
+        raise PromptError("invalid story: "
+                          + "; ".join(str(v) for v in violations[:3]))
     ctx = dict(context)
     ctx.setdefault("hour", hour_of_day(now))
-    return trim_story_to_context(story, now, kind, ctx, vocabulary,
-                                 context_length)
+    return trim_story_to_context(story, lambda s: extend_story_for_now(s, now),
+                                 kind, ctx, vocabulary, context_length)
 
 
-def rank_rows(logit_rows: np.ndarray, prompts: list[TaskPrompt]) -> list[RankedList]:
-    """Order each prompt's candidates by its logit row (shared by the single
-    and batched paths; conceptually non-candidates are masked to -inf)."""
-    out = []
-    for row, prompt in zip(logit_rows, prompts):
-        cands = np.asarray(prompt.candidate_set)
-        logits = row[cands]
-        order = np.lexsort((cands, -logits))
-        out.append(RankedList(tuple(
-            (int(cands[i]), float(logits[i])) for i in order)))
-    return out
+def rank_candidates(row: np.ndarray, candidates) -> RankedList:
+    """Order candidate token ids by their value in one logit (or score) row;
+    every ranking, served or evaluated, goes through this tie-break."""
+    cands = np.asarray(candidates)
+    logits = row[cands]
+    order = np.lexsort((cands, -logits))
+    return RankedList(tuple((int(cands[i]), float(logits[i])) for i in order))
 
 
 def rank(prompt: TaskPrompt, model) -> RankedList:
@@ -172,7 +190,7 @@ def rank(prompt: TaskPrompt, model) -> RankedList:
         raise PromptError("candidate token outside the model vocabulary; "
                           "map unknown items upstream")
     logits = model.forward(np.asarray(prompt.token_ids))
-    return rank_rows(logits[prompt.target_slot][None, :], [prompt])[0]
+    return rank_candidates(logits[prompt.target_slot], prompt.candidate_set)
 
 
 def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
@@ -188,5 +206,5 @@ def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
                               f"exceeds context length {ctx}")
         ids[r, :len(prompt.token_ids)] = prompt.token_ids
     logits = model.forward(ids)
-    rows = np.stack([logits[r, p.target_slot] for r, p in enumerate(prompts)])
-    return rank_rows(rows, prompts)
+    return [rank_candidates(logits[r, p.target_slot], p.candidate_set)
+            for r, p in enumerate(prompts)]

@@ -19,13 +19,12 @@ from storyrank.evaluate import (
     hit_rate_at_k,
     ndcg_at_k,
     popularity_scorer,
-    rank_of_target,
     read_metrics,
     split_users,
     write_metrics,
 )
 from storyrank.model import ModelConfig, init_model
-from storyrank.prompts import TaskKind
+from storyrank.prompts import TaskKind, rank_candidates
 from storyrank.stories import AttributeHeader, ItemRef, UserStory, search, \
     segment_sessions, watch, Surface, EMPTY_CAROUSEL
 from storyrank.vocab import detokenize
@@ -158,7 +157,7 @@ def test_aggregation_matches_brute_force_oracle():
                                         replace=False))
         scores = np.round(rng.standard_normal(600), 2)  # coarse: forces ties
         target = int(rng.choice(candidates))
-        got = rank_of_target(scores, candidates, target)
+        got = rank_candidates(scores, candidates).rank_of(target)
         # brute force: materialize the full ordering, find the target
         ordering = sorted(candidates, key=lambda t: (-scores[t], t))
         assert got == ordering.index(target) + 1
@@ -181,21 +180,19 @@ def test_bm25_hand_computed_fixture(bm25_fixture):
     tf1 = 1 * 2.2 / (1 + 1.2 * (0.25 + 0.75 * 2 / (7 / 3)))
     tf2 = 2 * 2.2 / (2 + 1.2 * (0.25 + 0.75 * 3 / (7 / 3)))
     expected = {"doc1": idf * tf1, "doc2": idf * tf2, "doc3": 0.0}
-    ranked = bm25_fixture.rank_items("fog")
-    assert [d for d, _ in ranked] == ["doc2", "doc1", "doc3"]
-    for doc, score in ranked:
-        assert score == pytest.approx(expected[doc], rel=1e-9)
+    scores = dict(zip(bm25_fixture.doc_ids, bm25_fixture.scores("fog")))
+    assert scores == pytest.approx(expected, rel=1e-9)
+    assert scores["doc2"] > scores["doc1"] > scores["doc3"]
 
 
 def test_bm25_absent_terms_score_zero(bm25_fixture):
-    assert all(s == 0.0 for _, s in bm25_fixture.rank_items("zeppelin"))
-    # all-zero scores rank by ascending item id
-    assert [d for d, _ in bm25_fixture.rank_items("zeppelin")] == \
-        ["doc1", "doc2", "doc3"]
+    assert bm25_fixture.scores("zeppelin") == [0.0, 0.0, 0.0]
 
 
 def test_bm25_query_normalization(bm25_fixture):
-    assert bm25_fixture.rank_items("FOG!  pier?")[0][0] == "doc1"
+    normalized = bm25_fixture.scores("FOG!  pier?")
+    assert normalized == bm25_fixture.scores("fog pier")
+    assert normalized[0] == max(normalized) > normalized[1]  # doc1 matches both
 
 
 def test_bm25_empty_catalog_rejected():
@@ -266,8 +263,8 @@ def test_view_transform_strips_model_input_not_positions(sample_vocab):
     scorer = ModelScorer(model, name="item_view", transform={"view": "item"})
     story = make_sample_story()
     positions = eligible_positions(story, TaskKind.SEARCH, sample_vocab)
-    ids = scorer._prompt_ids(positions[0], TaskKind.SEARCH, sample_vocab)
-    text = detokenize(ids, sample_vocab)
+    prompt = scorer.prompt(positions[0], TaskKind.SEARCH, sample_vocab)
+    text = detokenize(prompt.token_ids, sample_vocab)
     assert "<|search|>" not in text.rsplit("<|watch|>", 1)[0]
     assert text.endswith("<|surface=search|><|carousel()|>")
     rows = evaluate([scorer], [story], [TaskKind.SEARCH],
@@ -281,15 +278,15 @@ def test_item_task_kind_picks_the_prompt_head(sample_vocab):
     scorer = ModelScorer(init_model(cfg, seed=1))
     story = make_sample_story()
     for pos in eligible_positions(story, TaskKind.ITEM_CONTEXTUAL, sample_vocab):
-        text = detokenize(scorer._prompt_ids(pos, TaskKind.ITEM_CONTEXTUAL,
-                                             sample_vocab), sample_vocab)
+        text = detokenize(scorer.prompt(pos, TaskKind.ITEM_CONTEXTUAL,
+                                        sample_vocab).token_ids, sample_vocab)
         assert text.endswith(
             f" <|watch|> hour={pos.context['hour']} "
             f"<|surface={pos.context['surface']}|>"
             f"<|carousel({pos.context['carousel']})|>")
     pos = eligible_positions(story, TaskKind.ITEM_MASKED, sample_vocab)[0]
-    text = detokenize(scorer._prompt_ids(pos, TaskKind.ITEM_MASKED, sample_vocab),
-                      sample_vocab)
+    text = detokenize(scorer.prompt(pos, TaskKind.ITEM_MASKED,
+                                    sample_vocab).token_ids, sample_vocab)
     assert text.endswith("<|surface=home|><|carousel(MASK)|>")
 
 

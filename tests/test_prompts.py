@@ -7,8 +7,8 @@ from storyrank.prompts import (
     PromptError,
     RankedList,
     TaskKind,
-    build_prompt,
     extend_story_for_now,
+    head_text,
     make_prompt,
     rank,
     rank_batch,
@@ -74,9 +74,8 @@ def test_twelve_hour_span_forces_new_session():
 
 def test_search_head_form(sample_vocab):
     story = make_sample_story()
-    prompt_text = extend_story_for_now(story, last_event_time(story) + 1800)
-    prompt = build_prompt(prompt_text, TaskKind.SEARCH,
-                          {"hour": 23, "query": "fog"}, sample_vocab)
+    prompt = make_prompt(story, last_event_time(story) + 1800, TaskKind.SEARCH,
+                         {"hour": 23, "query": "fog"}, sample_vocab, 256)
     from storyrank.vocab import detokenize
     text = detokenize(prompt.token_ids, sample_vocab)
     assert text.endswith("<|search|> hour=23 fog "
@@ -86,8 +85,9 @@ def test_search_head_form(sample_vocab):
 
 
 def test_carousel_head_ends_at_surface(sample_vocab):
-    prompt = build_prompt(serialize(make_sample_story()), TaskKind.CAROUSEL,
-                          {"hour": 9, "surface": "home"}, sample_vocab)
+    story = make_sample_story()
+    prompt = make_prompt(story, last_event_time(story) + 1800, TaskKind.CAROUSEL,
+                         {"hour": 9, "surface": "home"}, sample_vocab, 256)
     from storyrank.vocab import detokenize
     assert detokenize(prompt.token_ids, sample_vocab).endswith(
         "<|watch|> hour=9 <|surface=home|>")
@@ -106,13 +106,11 @@ def test_masked_item_head_on_empty_story(sample_vocab):
                     "<|watch|> hour=4 <|surface=home|><|carousel(MASK)|>")
 
 
-def test_contextual_head_requires_fields(sample_vocab):
+def test_contextual_head_requires_fields():
     with pytest.raises(PromptError, match="carousel"):
-        build_prompt(serialize(make_sample_story()), TaskKind.ITEM_CONTEXTUAL,
-                     {"hour": 4, "surface": "home"}, sample_vocab)
+        head_text(TaskKind.ITEM_CONTEXTUAL, {"hour": 4, "surface": "home"})
     with pytest.raises(PromptError, match="query"):
-        build_prompt(serialize(make_sample_story()), TaskKind.SEARCH,
-                     {"hour": 4}, sample_vocab)
+        head_text(TaskKind.SEARCH, {"hour": 4})
 
 
 @pytest.mark.parametrize("kind,context", [

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storyrank.model import ModelConfig, init_model
 from storyrank.serve import LatencyHistogram, score_request, serve_lines
@@ -128,15 +130,24 @@ def test_response_ids_are_catalog_ids(served_model, sample_vocab):
     assert set(ids) <= set(sample_vocab.carousel_token_of_id)
 
 
-def _serve(lines, model, vocab):
+def _serve(lines, model, vocab, **kw):
     """Serve `lines`; check one reply per line plus a final summary, and
     return the replies."""
     out = []
-    serve_lines(lines, model, vocab, out.append)
+    serve_lines(lines, model, vocab, out.append, **kw)
     records = [json.loads(l) for l in out]
     assert len(records) == len(lines) + 1
     assert records[-1]["summary"]["n"] == len(lines)
     return records[:-1]
+
+
+def _alone(request, model, vocab):
+    """`score_request` on one request, shaped like a served reply."""
+    return json.loads(json.dumps(score_request(request, model, vocab)))
+
+
+def _without_latency(reply):
+    return {k: v for k, v in reply.items() if k != "latency_us"}
 
 
 def test_empty_request_stream_reports_empty_summary(served_model, sample_vocab):
@@ -171,3 +182,81 @@ def test_negative_top_k_is_rejected(served_model, sample_vocab):
     replies = _serve(lines, served_model, sample_vocab)
     assert replies[0]["id"] == 0 and "top_k" in replies[0]["error"]
     assert replies[1]["candidates"] == []
+
+
+SPLICED_CAROUSEL = ("after_dark_detours)|><|id(SYN201|The Lantern at Exit 13)|>"
+                    "<|carousel(after_dark_detours")
+
+
+@pytest.mark.parametrize("task, context, event_field, expect", [
+    pytest.param("search", {"query": "<|watch|>"}, None, "query",
+                 id="reserved-query"),
+    pytest.param("search", {"query": "fog  "}, None, "query",
+                 id="trailing-spaces-query"),
+    pytest.param("item_masked", {"hour": 99}, None, "hour", id="hour-99"),
+    pytest.param("item_masked", {"hour": "3 <|search|> hour=3 lantern"}, None,
+                 "hour", id="spliced-hour"),
+    pytest.param("item_contextual",
+                 {"surface": "home", "carousel": SPLICED_CAROUSEL}, None,
+                 "carousel", id="spliced-carousel"),
+    pytest.param("item_masked", {}, ("query", "<|watch|>"), "invalid story",
+                 id="story-reserved-query"),
+    pytest.param("item_masked", {}, ("hour", 77), "hour 77",
+                 id="story-hour-77"),
+])
+def test_request_fields_held_to_story_rules(served_model, sample_vocab, task,
+                                            context, event_field, expect):
+    bad = _request(0, task=task, context=context)
+    if event_field is not None:
+        name, value = event_field
+        bad["story"]["sessions"][0]["events"][0][name] = value  # a search event
+    good = _request(1, task=task, context={"surface": "home",
+                                           "carousel": "after_dark_detours",
+                                           "query": "fog"})
+    replies = _serve([json.dumps(bad), json.dumps(good)], served_model,
+                     sample_vocab, batch_window_ms=200.0)
+    assert replies[0]["id"] == 0 and "candidates" not in replies[0]
+    assert expect in replies[0]["error"]
+    assert _without_latency(replies[1]) == _alone(good, served_model,
+                                                  sample_vocab)
+
+
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 30),
+    st.floats(allow_nan=False, width=32), st.text(max_size=8),
+    st.sampled_from(["<|watch|>", "fog  ", " fog", "lantern", "home", "search",
+                     "after_dark_detours", SPLICED_CAROUSEL,
+                     "3 <|search|> hour=3 lantern"]))
+
+
+@st.composite
+def _fuzzed_request_line(draw):
+    request = _request(draw(st.integers(0, 9)), task=draw(st.sampled_from(
+        ["item_masked", "item_contextual", "carousel", "search", "bogus"])))
+    request["context"] = draw(st.dictionaries(
+        st.sampled_from(["hour", "query", "surface", "carousel"]),
+        _FUZZ_VALUES, max_size=4))
+    if draw(st.booleans()):
+        request["top_k"] = draw(_FUZZ_VALUES)
+    for _ in range(draw(st.integers(0, 2))):
+        session = request["story"]["sessions"][draw(st.integers(0, 1))]
+        session["events"][0][draw(st.sampled_from(
+            ["hour", "query", "carousel", "surface", "timestamp"]))] = \
+            draw(_FUZZ_VALUES)
+    return json.dumps(request)
+
+
+@given(st.lists(st.one_of(_fuzzed_request_line(), st.text(max_size=16)),
+                max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_requests_get_one_reply_each(served_model, sample_vocab, lines):
+    good = _request(99)
+    replies = _serve([*lines, json.dumps(good)], served_model, sample_vocab,
+                     batch_window_ms=200.0)
+    for line, reply in zip(lines, replies):
+        assert ("error" in reply) != ("candidates" in reply)
+        if "candidates" in reply:
+            assert _without_latency(reply) == _alone(json.loads(line),
+                                                     served_model, sample_vocab)
+    assert _without_latency(replies[-1]) == _alone(good, served_model,
+                                                   sample_vocab)
