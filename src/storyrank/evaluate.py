@@ -183,11 +183,21 @@ class ModelScorer:
             # the queries are already in the prefix; reopening the watch with
             # the contextual head gives <|surface=search|><|carousel()|>
             kind = TaskKind.ITEM_CONTEXTUAL
-        return trim_story_to_context(
-            pos.prefix_story,
-            lambda s: grammar.serialize(
-                grammar.apply_transform(s, **self.transform), validate=False),
-            kind, pos.context, vocabulary, self.model.config.context_length)
+        return trim_story_to_context(pos.prefix_story, self._render, kind,
+                                     pos.context, vocabulary,
+                                     self.model.config.context_length)
+
+    def _render(self, story: UserStory) -> tuple[str, tuple[str, ...], str]:
+        """This scorer's view of `story` in the pieces trimming works on.
+        Session stripping renders the story sessionless instead of merging
+        its sessions: the text is the same and each session keeps its own
+        piece, so trimming drops the same events."""
+        transform = dict(self.transform)
+        flat = transform.pop("drop_sessions", False)
+        story = grammar.apply_transform(story, **transform)
+        if flat:
+            story = replace(story, sessionless=True)
+        return (*grammar.serialize_parts(story), "")
 
     def target_ranks(self, positions, kind: TaskKind, vocabulary: Vocabulary,
                      cfg: EvalConfig) -> list[int]:

@@ -89,6 +89,21 @@ def header_clauses(attributes: AttributeHeader) -> list[str]:
     return [f"{k}={v}" for k, v in attributes.pairs]
 
 
+def serialize_parts(story: UserStory) -> tuple[str, tuple[str, ...]]:
+    """The story's text in pieces: the lead (header clauses and the
+    begin-sessions marker) and one text per session, "" for a session that
+    renders nothing. Every non-empty session text starts with a '<|' marker,
+    so the pieces tokenize independently (GRAMMAR.md, "Concatenation")."""
+    lead = " ".join(header_clauses(story.attributes) + [BEGIN_SESSIONS])
+    texts = []
+    for sess in story.sessions:
+        clauses = [] if story.sessionless else \
+            [session_clause(sess.elapsed_hours, sess.day_of_week)]
+        clauses.extend(event_clause(event) for event in sess.events)
+        texts.append(" ".join(clauses))
+    return lead, tuple(texts)
+
+
 def serialize(story: UserStory, *, validate: bool = True) -> str:
     """Render a story as one line of grammar text (deterministic, byte-exact)."""
     if validate:
@@ -97,14 +112,8 @@ def serialize(story: UserStory, *, validate: bool = True) -> str:
             raise ValidationError(
                 "cannot serialize invalid story: "
                 + "; ".join(str(v) for v in violations[:3]))
-    clauses = header_clauses(story.attributes)
-    clauses.append(BEGIN_SESSIONS)
-    for sess in story.sessions:
-        if not story.sessionless:
-            clauses.append(session_clause(sess.elapsed_hours, sess.day_of_week))
-        for event in sess.events:
-            clauses.append(event_clause(event))
-    return " ".join(clauses)
+    lead, texts = serialize_parts(story)
+    return " ".join([lead] + [t for t in texts if t])
 
 
 # --- parsing ----------------------------------------------------------------

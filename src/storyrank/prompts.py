@@ -8,6 +8,15 @@ appended head differs:
   carousel         <|watch|> hour=H <|surface=S|>
   search           <|search|> hour=H QUERY <|watch|> hour=H <|surface=search|><|carousel()|>
 
+A prompt keeps the newest whole sessions of the story that fit the model
+context, never splitting an event. The prefix is rendered in pieces (the
+lead, one text per session, and a tail that opens a new session when the
+viewer is no longer active), each tokenized once; sessions are kept newest
+first while the sum of their token counts fits beside the lead, tail and
+head. Tokenizing the pieces apart gives the ids of the joined text (see
+GRAMMAR.md, "Concatenation"). When not even the newest session fits, the
+story is rendered again with no sessions, since its tail then differs.
+
 The next-token logits at the head's final position score every candidate
 token at once; ranking never decodes and never runs a second pass. Offline
 evaluation builds and ranks its model prompts with these same functions.
@@ -65,27 +74,34 @@ class RankedList:
         return None
 
 
-def extend_story_for_now(story: UserStory, now: int) -> str:
-    """Serialize the story and open the prompt position for time `now`:
-    continue the active session when the viewer is still active (within one
-    hour of the last activity and under the 12h span), otherwise append a
+def session_tail(story: UserStory, now: int) -> str:
+    """The clause that opens the prompt position at time `now`: "" when the
+    viewer is still active in the last session (within one hour of the last
+    activity and under the 12h span) or the story is sessionless, otherwise a
     fresh session clause computed from `now`."""
     events = list(story.events())
     if events and now < events[-1].timestamp:
         raise PromptError(f"now={now} is before the last story event "
                           f"({events[-1].timestamp})")
-    text = grammar.serialize(story, validate=False)
-    if story.sessionless or not story.sessions:
-        if not events and not story.sessionless:
-            return text + " " + grammar.session_clause(0, day_of_week(now))
-        return text
+    if story.sessionless:
+        return ""
+    if not story.sessions:
+        return grammar.session_clause(0, day_of_week(now))
     last = story.sessions[-1]
     gap = now - last.end_time
     span = now - last.start_time
     if gap <= SESSION_GAP_SECONDS and span <= SESSION_SPAN_SECONDS:
-        return text
+        return ""
     elapsed = max(0, gap // SESSION_GAP_SECONDS)
-    return text + " " + grammar.session_clause(elapsed, day_of_week(now))
+    return grammar.session_clause(elapsed, day_of_week(now))
+
+
+def extend_story_for_now(story: UserStory, now: int) -> str:
+    """The serve prompt's prefix text: the serialized story, then the
+    `session_tail` for `now` when there is one."""
+    tail = session_tail(story, now)
+    text = grammar.serialize(story, validate=False)
+    return f"{text} {tail}" if tail else text
 
 
 def _checked_text(field: str, value, check) -> str:
@@ -116,10 +132,16 @@ def head_text(kind: TaskKind, context: dict) -> str:
         surface = Surface(context["surface"])
         carousel = _checked_text("carousel", context["carousel"],
                                  _check_carousel_id)
+        if surface == Surface.SEARCH and carousel:
+            raise PromptError("context carousel must be empty on the search "
+                              f"surface, got {carousel!r}")
         return (f"<|watch|> hour={hour} "
                 f"<|surface={surface.value}|><|carousel({carousel})|>")
     if kind == TaskKind.CAROUSEL:
         surface = Surface(context.get("surface", "home"))
+        if surface == Surface.SEARCH:
+            raise PromptError("no carousel to rank on the search surface: it "
+                              "shows only the empty carousel")
         return f"<|watch|> hour={hour} <|surface={surface.value}|>"
     if kind == TaskKind.SEARCH:
         if "query" not in context:
@@ -138,25 +160,44 @@ def candidate_set(kind: TaskKind, vocabulary: Vocabulary) -> tuple[int, ...]:
     return cands
 
 
-def trim_story_to_context(story: UserStory,
-                          render: Callable[[UserStory], str], kind: TaskKind,
+Render = Callable[[UserStory], tuple[str, tuple[str, ...], str]]
+
+
+def trim_story_to_context(story: UserStory, render: Render, kind: TaskKind,
                           context: dict, vocabulary: Vocabulary,
                           context_length: int) -> TaskPrompt:
-    """Build a prompt that fits the model context, dropping whole oldest
-    sessions (never splitting an event) until it does. `render(story)` gives
-    the prefix text the task head is appended to."""
+    """Build a prompt that fits the model context from the newest whole
+    sessions (never splitting an event). `render(story)` gives the prefix in
+    pieces, `(lead, session_texts, tail)`, whose single-space join is the
+    text the task head is appended to. Each piece is tokenized once and the
+    sessions are kept newest first while their token counts fit."""
     head = head_text(kind, context)
-    current = story
-    while True:
-        ids = tokenize(render(current) + " " + head, vocabulary)
-        if len(ids) <= context_length:
-            return TaskPrompt(token_ids=tuple(ids), target_slot=len(ids) - 1,
-                              candidate_set=candidate_set(kind, vocabulary),
-                              kind=kind)
-        if not current.sessions:
-            raise PromptError(
-                f"prompt head alone exceeds context length {context_length}")
-        current = replace(current, sessions=current.sessions[1:])
+
+    def ends(lead: str, tail: str) -> tuple[list[int], list[int]]:
+        return (tokenize(lead + " ", vocabulary),
+                tokenize(f"{tail} {head}" if tail else head, vocabulary))
+
+    lead, texts, tail = render(story)
+    lead_ids, end_ids = ends(lead, tail)
+    budget = context_length - len(lead_ids) - len(end_ids)
+    kept: list[list[int]] = []
+    for text in reversed(texts):
+        ids = tokenize(text + " ", vocabulary) if text else []
+        if len(ids) > budget:
+            break
+        kept.append(ids)
+        budget -= len(ids)
+    if texts and not kept:
+        # with no session left the tail differs (a session clause at elapsed 0)
+        lead, _, tail = render(replace(story, sessions=()))
+        lead_ids, end_ids = ends(lead, tail)
+        budget = context_length - len(lead_ids) - len(end_ids)
+    if budget < 0:
+        raise PromptError(
+            f"prompt head alone exceeds context length {context_length}")
+    ids = lead_ids + [t for piece in reversed(kept) for t in piece] + end_ids
+    return TaskPrompt(token_ids=tuple(ids), target_slot=len(ids) - 1,
+                      candidate_set=candidate_set(kind, vocabulary), kind=kind)
 
 
 def make_prompt(story: UserStory, now: int, kind: TaskKind, context: dict,
@@ -171,8 +212,9 @@ def make_prompt(story: UserStory, now: int, kind: TaskKind, context: dict,
                           + "; ".join(str(v) for v in violations[:3]))
     ctx = dict(context)
     ctx.setdefault("hour", hour_of_day(now))
-    return trim_story_to_context(story, lambda s: extend_story_for_now(s, now),
-                                 kind, ctx, vocabulary, context_length)
+    return trim_story_to_context(
+        story, lambda s: (*grammar.serialize_parts(s), session_tail(s, now)),
+        kind, ctx, vocabulary, context_length)
 
 
 def rank_candidates(row: np.ndarray, candidates) -> RankedList:

@@ -114,7 +114,9 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
                 batch_window_ms: float = 0.0, max_batch: int = 32,
                 clock=time.perf_counter_ns) -> LatencyHistogram:
     """Drive the serve loop from an iterable of request lines (stdio, a
-    socket reader, or a test). Returns the latency histogram; its summary is
+    socket reader, or a test). Each reply's latency runs from the moment the
+    reader took its line to the reply's write, so time in the queue and the
+    batching window counts. Returns the latency histogram; its summary is
     also written as a final record."""
     histogram = LatencyHistogram()
     feed = queue.Queue(maxsize=1024)
@@ -122,7 +124,7 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
 
     def reader():
         for line in lines:
-            feed.put(line)
+            feed.put((clock(), line))
         feed.put(done)
 
     thread = threading.Thread(target=reader, daemon=True)
@@ -133,10 +135,10 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
         item = feed.get()
         if item is done:
             break
-        batch_lines = [item]
+        batch = [item]
         if batch_window_ms > 0:
             deadline = time.perf_counter() + batch_window_ms / 1000.0
-            while len(batch_lines) < max_batch:
+            while len(batch) < max_batch:
                 remaining = deadline - time.perf_counter()
                 try:
                     nxt = feed.get(timeout=max(0.0, remaining))
@@ -145,11 +147,10 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
                 if nxt is done:
                     finished = True
                     break
-                batch_lines.append(nxt)
-        started = clock()
+                batch.append(nxt)
         responses: dict[int, dict] = {}
         valid: list[tuple[int, dict]] = []
-        for i, raw in enumerate(batch_lines):
+        for i, (_, raw) in enumerate(batch):
             raw = raw.strip()
             try:
                 if not raw:
@@ -161,8 +162,8 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
             for (i, _), response in zip(valid, _score_batch(
                     [r for _, r in valid], model, vocabulary)):
                 responses[i] = response
-        latency_us = int(max(1, (clock() - started) // 1000))
-        for i in range(len(batch_lines)):
+        for i, (arrived, _) in enumerate(batch):
+            latency_us = int(max(1, (clock() - arrived) // 1000))
             write(json.dumps(dict(responses[i], latency_us=latency_us),
                              sort_keys=True) + "\n")
             histogram.add(latency_us)

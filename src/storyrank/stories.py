@@ -220,6 +220,9 @@ def _check_item_id(item_id: str) -> str | None:
     for bad in ("|", ")", "\n"):
         if bad in item_id:
             return f"item_id contains reserved character {bad!r}"
+    if item_id.endswith("<"):
+        # the '|' that follows in the item token would open a '<|' anchor
+        return "item_id ends with '<'"
     return None
 
 

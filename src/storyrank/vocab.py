@@ -134,6 +134,13 @@ def _finish(vocab: Vocabulary) -> Vocabulary:
             if form in vocab.domain_to_id:
                 raise VocabularyError(
                     f"duplicate surface form {form.decode('utf-8', 'replace')!r}")
+            # tokenizing a story piece by piece relies on this (GRAMMAR.md,
+            # "Concatenation"): a match never runs into the next '<|' anchor
+            if not (form.startswith(b"<|") and form.endswith(b"|>")) \
+                    or b"<|" in form[1:]:
+                raise VocabularyError(
+                    f"domain form {form.decode('utf-8', 'replace')!r} must "
+                    "start with '<|', end with '|>' and hold no other '<|'")
             vocab.domain_to_id[form] = tid
             text = form.decode("utf-8")
             if cls == CLASS_MARKER:

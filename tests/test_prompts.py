@@ -1,22 +1,35 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from storyrank.grammar import parse_prompt, serialize
+from storyrank.evaluate import ModelScorer, eligible_positions
+from storyrank.grammar import apply_transform, parse_prompt, serialize, \
+    session_clause, strip_sessions
 from storyrank.model import ModelConfig, init_model
 from storyrank.prompts import (
     PromptError,
     RankedList,
     TaskKind,
+    TaskPrompt,
+    candidate_set,
     extend_story_for_now,
     head_text,
     make_prompt,
     rank,
     rank_batch,
 )
-from storyrank.stories import AttributeHeader, UserStory, search, segment_sessions
-from storyrank.vocab import CLASS_CAROUSEL, CLASS_ITEM
+from storyrank.stories import SESSION_GAP_SECONDS, SESSION_SPAN_SECONDS, \
+    AttributeHeader, EMPTY_CAROUSEL, Surface, UserStory, day_of_week, \
+    hour_of_day, search, segment_sessions, watch
+from storyrank.vocab import CLASS_CAROUSEL, CLASS_ITEM, build_vocabulary, \
+    tokenize
 
-from conftest import SUNDAY, make_sample_story
+from conftest import SAMPLE_CAROUSELS, SAMPLE_ITEMS, SAMPLE_TEXT, SUNDAY, \
+    make_sample_story
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +266,147 @@ def test_candidate_beyond_vocab_rejected(sample_vocab, toy_model):
                             heads=2, model_dim=16, dtype="float64")
     with pytest.raises(PromptError, match="vocabulary"):
         rank(prompt, init_model(small_cfg))
+
+
+# --- oracle: the whole-text trimming loop -------------------------------------
+
+def whole_text_trim(story, render_text, kind, context, vocabulary,
+                    context_length):
+    """Trimming as it was before prompts were built from pieces: drop one
+    oldest session at a time, re-rendering and re-tokenizing the whole
+    prefix after each drop."""
+    head = head_text(kind, context)
+    current = story
+    while True:
+        ids = tokenize(render_text(current) + " " + head, vocabulary)
+        if len(ids) <= context_length:
+            return TaskPrompt(token_ids=tuple(ids), target_slot=len(ids) - 1,
+                              candidate_set=candidate_set(kind, vocabulary),
+                              kind=kind)
+        if not current.sessions:
+            raise PromptError(
+                f"prompt head alone exceeds context length {context_length}")
+        current = replace(current, sessions=current.sessions[1:])
+
+
+def whole_text_for_now(story, now):
+    """Serve's prefix text for `now` as one string, rendered as before."""
+    events = list(story.events())
+    if events and now < events[-1].timestamp:
+        raise PromptError(f"now={now} is before the last story event "
+                          f"({events[-1].timestamp})")
+    text = serialize(story, validate=False)
+    if story.sessionless or not story.sessions:
+        if not events and not story.sessionless:
+            return text + " " + session_clause(0, day_of_week(now))
+        return text
+    last = story.sessions[-1]
+    gap = now - last.end_time
+    span = now - last.start_time
+    if gap <= SESSION_GAP_SECONDS and span <= SESSION_SPAN_SECONDS:
+        return text
+    elapsed = max(0, gap // SESSION_GAP_SECONDS)
+    return text + " " + session_clause(elapsed, day_of_week(now))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except PromptError as exc:
+        return f"PromptError: {exc}"
+
+
+@pytest.fixture(scope="module")
+def merged_vocab(sample_catalog):
+    vocab = build_vocabulary(sample_catalog, merges=48,
+                             merge_training_text="\n".join([SAMPLE_TEXT] * 3))
+    assert len(vocab.merge_pairs) == 48
+    return vocab
+
+
+# context lengths from "the head alone does not fit" up to the desk config
+CONTEXT_LENGTHS = [12, 20, 32, 48, 64, 128, 256]
+TRANSFORMS = [{}, {"view": "item"}, {"view": "carousel"}, {"view": "search"},
+              {"drop_attributes": "all"}, {"drop_attributes": "profile"},
+              {"drop_attributes": "location"}, {"drop_sessions": True},
+              {"view": "search", "drop_sessions": True}]
+QUERIES = ["fog", "lan", "lantern", "static motel"]
+
+
+@st.composite
+def journeys(draw, min_events=0):
+    """A valid story: events with gaps from seconds to two days, so it spans
+    zero to many sessions."""
+    t = SUNDAY + draw(st.integers(0, 86400))
+    events = []
+    for _ in range(draw(st.integers(min_events, 24))):
+        t += draw(st.sampled_from([0, 60, 1800, 4000, 6 * 3600, 20 * 3600,
+                                   48 * 3600]))
+        if draw(st.booleans()):
+            events.append(search(t, draw(st.sampled_from(QUERIES))))
+        else:
+            surface = draw(st.sampled_from(list(Surface)))
+            carousel = EMPTY_CAROUSEL if surface == Surface.SEARCH \
+                else draw(st.sampled_from(SAMPLE_CAROUSELS))
+            events.append(watch(t, surface, carousel,
+                                draw(st.sampled_from(SAMPLE_ITEMS)),
+                                draw(st.integers(0, 120))))
+    attrs = AttributeHeader(draw(st.sampled_from(
+        [(), (("country", "US"),),
+         (("country", "BR"), ("device", "mobile"), ("city", "Porto Alegre"))])))
+    return UserStory("u", attrs, segment_sessions(events) if events else ())
+
+
+@given(story=journeys(), kind=st.sampled_from(list(TaskKind)),
+       offset=st.sampled_from([-60, 0, 1800, 3660, 13 * 3600, 40 * 3600]),
+       hour=st.one_of(st.none(), st.integers(0, 23)),
+       surface=st.sampled_from(["home", "browse", "autoplay", "search"]),
+       carousel=st.sampled_from(SAMPLE_CAROUSELS),
+       query=st.sampled_from(QUERIES), flat=st.booleans(),
+       merged=st.booleans(), context_length=st.sampled_from(CONTEXT_LENGTHS))
+@settings(max_examples=300, deadline=None)
+def test_serve_prompt_equals_whole_text_oracle(sample_vocab, merged_vocab,
+                                               story, kind, offset, hour,
+                                               surface, carousel, query, flat,
+                                               merged, context_length):
+    vocab = merged_vocab if merged else sample_vocab
+    if flat:
+        story = strip_sessions(story)
+    events = list(story.events())
+    now = (events[-1].timestamp if events else SUNDAY) + offset
+    context = {"query": query, "surface": surface,
+               "carousel": "" if surface == "search" else carousel.carousel_id}
+    if kind == TaskKind.CAROUSEL and surface == "search":
+        context["surface"] = "home"
+    if hour is not None:
+        context["hour"] = hour
+    got = _outcome(lambda: make_prompt(story, now, kind, context, vocab,
+                                       context_length))
+    context.setdefault("hour", hour_of_day(now))
+    want = _outcome(lambda: whole_text_trim(
+        story, lambda s: whole_text_for_now(s, now), kind, context, vocab,
+        context_length))
+    assert got == want
+
+
+@given(story=journeys(min_events=1), kind=st.sampled_from(list(TaskKind)),
+       pick=st.integers(0, 1000), transform=st.sampled_from(TRANSFORMS),
+       merged=st.booleans(), context_length=st.sampled_from(CONTEXT_LENGTHS))
+@settings(max_examples=300, deadline=None)
+def test_eval_prompt_equals_whole_text_oracle(sample_vocab, merged_vocab,
+                                              story, kind, pick, transform,
+                                              merged, context_length):
+    vocab = merged_vocab if merged else sample_vocab
+    positions = eligible_positions(story, kind, vocab)
+    assume(positions)
+    pos = positions[pick % len(positions)]
+    model = SimpleNamespace(config=SimpleNamespace(
+        context_length=context_length))
+    scorer = ModelScorer(model, transform=transform)
+    got = _outcome(lambda: scorer.prompt(pos, kind, vocab))
+    head_kind = TaskKind.ITEM_CONTEXTUAL if kind == TaskKind.SEARCH else kind
+    want = _outcome(lambda: whole_text_trim(
+        pos.prefix_story,
+        lambda s: serialize(apply_transform(s, **transform), validate=False),
+        head_kind, pos.context, vocab, context_length))
+    assert got == want

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -150,6 +151,21 @@ def _without_latency(reply):
     return {k: v for k, v in reply.items() if k != "latency_us"}
 
 
+def test_latency_runs_from_arrival(served_model, sample_vocab):
+    def paced():
+        yield json.dumps(_request(0))
+        time.sleep(0.05)
+        yield json.dumps(_request(1))
+
+    out = []
+    serve_lines(paced(), served_model, sample_vocab, out.append,
+                batch_window_ms=200.0)
+    first, second, summary = [json.loads(l) for l in out]
+    # the first request waited in the batching window for the second
+    assert first["id"] == 0 and first["latency_us"] >= 50_000
+    assert second["id"] == 1 and summary["summary"]["n"] == 2
+
+
 def test_empty_request_stream_reports_empty_summary(served_model, sample_vocab):
     out = []
     hist = serve_lines([], served_model, sample_vocab, out.append)
@@ -203,6 +219,11 @@ SPLICED_CAROUSEL = ("after_dark_detours)|><|id(SYN201|The Lantern at Exit 13)|>"
                  id="story-reserved-query"),
     pytest.param("item_masked", {}, ("hour", 77), "hour 77",
                  id="story-hour-77"),
+    pytest.param("item_contextual",
+                 {"surface": "search", "carousel": "after_dark_detours"}, None,
+                 "carousel must be empty", id="carousel-on-search-surface"),
+    pytest.param("carousel", {"surface": "search"}, None, "search surface",
+                 id="carousel-task-on-search-surface"),
 ])
 def test_request_fields_held_to_story_rules(served_model, sample_vocab, task,
                                             context, event_field, expect):

@@ -141,6 +141,9 @@ def _swap_event(story, si, ei, new_event):
     (lambda s: _swap_event(s, 0, 2, dataclasses.replace(
         s.sessions[0].events[2], item=ItemRef("SYN|201", "x"))),
      "reserved"),
+    (lambda s: _swap_event(s, 0, 2, dataclasses.replace(
+        s.sessions[0].events[2], item=ItemRef("SYN201<", "x"))),
+     "ends with '<'"),
     (lambda s: dataclasses.replace(
         s, attributes=AttributeHeader((("country", "US"), ("country", "CA")))),
      "duplicate attribute key"),

@@ -134,6 +134,21 @@ def test_vocab_file_roundtrip(tmp_path, sample_vocab):
     assert loaded.item_token_ids == sample_vocab.item_token_ids
 
 
+@pytest.mark.parametrize("bad_form", [
+    "<|id(A1|Fog <|Pier)|>",  # '<|' inside a title
+    "<|id(A1<|Fog Pier)|>",   # an item id ending in '<' meets the separator
+    "<|id(A1|Fog Pier)",      # no closing '|>'
+])
+def test_vocab_file_with_inner_anchor_rejected(tmp_path, bad_form):
+    path = tmp_path / "vocab.tsv"
+    write_vocab(path, build_vocabulary(small_catalog()))
+    text = path.read_text()
+    assert "<|id(A1|Fog Pier)|>" in text
+    path.write_text(text.replace("<|id(A1|Fog Pier)|>", bad_form))
+    with pytest.raises(VocabularyError, match="must start with"):
+        read_vocab(path)
+
+
 def test_vocab_file_escapes_nonprintable_bytes(tmp_path, sample_vocab):
     path = tmp_path / "vocab.tsv"
     write_vocab(path, sample_vocab)
