@@ -8,7 +8,17 @@ Numerics are float32 for training and float64 for gradient-check and
 determinism work. Every matmul broadcasts per sequence (never flattening the
 batch into the GEMM M dimension), which keeps a sequence's logits bitwise
 identical whether it is scored alone or inside a batch; serving equivalence
-and the prefix-consistency tests rely on this.
+and the prefix-consistency tests rely on this. Attention runs one sequence at
+a time with its scale, mask, softmax and value mix done in place, which gives
+the same bits as whole-batch ops without batch-sized temporaries.
+
+Ranking needs the logits at one position per sequence (its slot).
+`Model.forward(ids, slots)` runs every layer but the last over all rows, as
+keys and values need them, and the last layer's query, attention row, MLP,
+final norm and output head over the slot row alone. The bit contract of slot
+mode has two levels: a slot row is bitwise independent of the batch and the
+padding around it, and equal to the full forward's row at that slot within
+float rounding (a one-row GEMM rounds differently).
 """
 from __future__ import annotations
 
@@ -118,7 +128,8 @@ def parameter_shape(name: str, cfg: ModelConfig) -> tuple[int, ...]:
 
 class Model:
     """Parameter container plus a forward-call counter (used to assert the
-    single-pass property of ranking)."""
+    single-pass property of ranking). The causal mask and the RoPE tables
+    are built once, at the full context length, and sliced per call."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
                  step: int = 0):
@@ -126,32 +137,51 @@ class Model:
         self.params = params
         self.step = step
         self.forward_calls = 0
+        ctx = config.context_length
+        self._cos, self._sin = _rope_tables(config, ctx)
+        self._future = ~np.tril(np.ones((ctx, ctx), dtype=bool))
 
     def output_matrix(self) -> np.ndarray:
         if self.config.tie_embeddings:
             return self.params["tok_emb"].T
         return self.params["w_out"]
 
-    def forward(self, token_ids) -> np.ndarray:
+    def forward(self, token_ids, slots=None) -> np.ndarray:
         """Logits for one sequence (T,) -> (T, V) or a batch (B, T) -> (B, T, V).
-        Counts as exactly one forward pass.
+        With `slots`, one position per sequence, only the logits at those
+        positions: (V,) for one sequence, (B, V) for a batch. Counts as
+        exactly one forward pass either way.
 
         Inference always right-pads to the full context length internally and
         slices the padding back off. Under causal masking the pad tokens are
         exact no-ops for real positions, while the fixed GEMM shapes keep a
         sequence's logits bitwise identical across prefix lengths and batch
-        sizes (BLAS kernel selection varies with the matrix M dimension)."""
+        sizes (BLAS kernel selection varies with the matrix M dimension).
+
+        Slot mode runs the last layer's query, attention row, MLP, final norm
+        and output head for the slot row alone (GEMM M=1 for every sequence,
+        alone or batched). Its logits are therefore bitwise independent of
+        the batch and the padding, and equal to `forward(ids)[slot]` within
+        float rounding, not bit for bit: a one-row GEMM rounds differently
+        from the full-context one."""
         self.forward_calls += 1
         ids, squeeze = _as_batch(token_ids)
         _check_ids(ids, self.config)
         t = ids.shape[1]
+        if slots is not None:
+            slots = np.asarray(slots, dtype=np.int64).reshape(-1)
+            if slots.shape != (ids.shape[0],):
+                raise ModelError(f"{slots.size} slots for {ids.shape[0]} "
+                                 "sequences")
+            if slots.min() < 0 or slots.max() >= t:
+                raise ModelError(f"slot outside the sequence length {t}")
         ctx = self.config.context_length
         if t < ctx:
             padded = np.zeros((ids.shape[0], ctx), dtype=ids.dtype)
             padded[:, :t] = ids
             ids = padded
-        logits, _ = _forward(self, ids, need_cache=False)
-        logits = logits[:, :t]
+        logits, _ = _forward(self, ids, need_cache=False, slots=slots)
+        logits = logits[:, 0] if slots is not None else logits[:, :t]
         return logits[0] if squeeze else logits
 
 
@@ -236,43 +266,79 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
-def _softmax_rows(scores):
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    return e / e.sum(axis=-1, keepdims=True)
+def _attention(q, k, v, future, scale, keep_probs: bool):
+    """Causal softmax attention, one sequence at a time: each sequence's
+    (H, M, T) scores are scaled, masked, normalized and mixed in place, so
+    no op allocates a batch-sized temporary. q (B, H, M, hd); k, v
+    (B, H, T, hd); future (B, M, T) marks the keys each query row may not
+    see. Returns the merged context (B, M, H*hd) and the probabilities
+    (B, H, M, T) when `keep_probs`, else None.
+
+    The results equal the batched ops bit for bit: numpy's stacked matmul
+    already makes one BLAS call per (sequence, head), and the element-wise
+    ops and row reductions run in the same order over the same rows."""
+    b, h, m, hd = q.shape
+    neg = np.array(-np.inf, dtype=q.dtype)
+    probs = np.empty((b, h, m, k.shape[2]), dtype=q.dtype) if keep_probs \
+        else None
+    ctx = np.empty((b, m, h, hd), dtype=q.dtype)
+    for j in range(b):
+        s = np.matmul(q[j], k[j].swapaxes(-1, -2),
+                      out=None if probs is None else probs[j])
+        np.divide(s, scale, out=s)
+        np.copyto(s, neg, where=future[j])
+        np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
+        np.exp(s, out=s)
+        np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
+        np.matmul(s, v[j], out=ctx[j].swapaxes(0, 1))
+    return ctx.reshape(b, m, h * hd), probs
 
 
-def _forward(model: Model, ids: np.ndarray, need_cache: bool):
+def _forward(model: Model, ids: np.ndarray, need_cache: bool, slots=None):
+    """Logits (B, T, V) and, when `need_cache`, the activations backward
+    needs. With `slots` (inference only) the logits are (B, 1, V) at one
+    row per sequence: the last layer computes keys and values for every
+    row and everything else for the slot row alone."""
     cfg = model.config
     p = model.params
     b, t = ids.shape
-    cos, sin = _rope_tables(cfg, t)
-    neg = np.array(-np.inf, dtype=cfg.np_dtype)
-    causal = np.tril(np.ones((t, t), dtype=bool))
+    cos, sin = model._cos[:t], model._sin[:t]
+    future = model._future[:t, :t]
+    scale = np.sqrt(np.array(cfg.head_dim, dtype=cfg.np_dtype))
 
     x = p["tok_emb"][ids]
+    q_cos, q_sin, masks = cos, sin, np.broadcast_to(future, (b, t, t))
     layer_caches = []
     for i in range(cfg.layers):
         x_in = x
         wq, wk, wv, wo = (p[f"layers.{i}.{n}"] for n in ("wq", "wk", "wv", "wo"))
         a, inv1 = _rmsnorm_fwd(x, p[f"layers.{i}.ln1"], cfg.rms_eps)
-        q = _rope_apply(_split_heads(a @ wq, cfg.heads), cos, sin)
         k = _rope_apply(_split_heads(a @ wk, cfg.heads), cos, sin)
         v = _split_heads(a @ wv, cfg.heads)
-        scores = np.matmul(q, k.swapaxes(-1, -2)) / np.sqrt(
-            np.array(cfg.head_dim, dtype=cfg.np_dtype))
-        scores = np.where(causal, scores, neg)
-        probs = _softmax_rows(scores)
-        ctx = _merge_heads(np.matmul(probs, v))
-        attn_out = ctx @ wo
-        x_mid = x + attn_out
+        if slots is not None and i == cfg.layers - 1:
+            # past the keys and values, only each sequence's slot row
+            rows = np.arange(b)
+            x, a = x[rows, slots][:, None], a[rows, slots][:, None]
+            q_cos, q_sin = cos[slots][:, None, None], sin[slots][:, None, None]
+            masks = future[slots][:, None]
+        q = _rope_apply(_split_heads(a @ wq, cfg.heads), q_cos, q_sin)
+        ctx, probs = _attention(q, k, v, masks, scale, need_cache)
+        x_mid = ctx @ wo
+        x_mid += x
 
         bnorm, inv2 = _rmsnorm_fwd(x_mid, p[f"layers.{i}.ln2"], cfg.rms_eps)
         zg = bnorm @ p[f"layers.{i}.wg"]
         zu = bnorm @ p[f"layers.{i}.wu"]
-        sig = 1.0 / (1.0 + np.exp(-zg))
-        h = zg * sig * zu
-        x = x_mid + h @ p[f"layers.{i}.wd"]
+        sig = np.exp(np.negative(zg))
+        np.add(1.0, sig, out=sig)
+        np.divide(1.0, sig, out=sig)
+        if need_cache:
+            h = zg * sig * zu
+        else:  # nothing keeps sig: gate in its buffer
+            h = np.multiply(zg, sig, out=sig)
+            h *= zu
+        x = h @ p[f"layers.{i}.wd"]
+        x += x_mid
         if need_cache:
             layer_caches.append(dict(x_in=x_in, a=a, inv1=inv1, q=q, k=k, v=v,
                                      probs=probs, ctx=ctx, x_mid=x_mid,
@@ -283,7 +349,7 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool):
     cache = None
     if need_cache:
         cache = dict(ids=ids, layers=layer_caches, x_final=x, final=final,
-                     inv_f=inv_f, cos=cos, sin=sin, causal=causal)
+                     inv_f=inv_f, cos=cos, sin=sin, future=future)
     return logits, cache
 
 
@@ -359,7 +425,7 @@ def forward_backward(model: Model, inputs, targets, weights=None):
     if not cfg.tie_embeddings:
         grads["w_out"] = dw_out
 
-    cos, sin, causal = cache["cos"], cache["sin"], cache["causal"]
+    cos, sin, future = cache["cos"], cache["sin"], cache["future"]
     scale = np.sqrt(np.array(cfg.head_dim, dtype=cfg.np_dtype))
     for i in reversed(range(cfg.layers)):
         lc = cache["layers"][i]
@@ -379,11 +445,15 @@ def forward_backward(model: Model, inputs, targets, weights=None):
         dctx, grads[f"layers.{i}.wo"] = _matmul_bwd(lc["ctx"],
                                                     p[f"layers.{i}.wo"], dx_mid)
         dctx = _split_heads(dctx, cfg.heads)
-        dprobs = np.matmul(dctx, lc["v"].swapaxes(-1, -2))
-        dv = np.matmul(lc["probs"].swapaxes(-1, -2), dctx)
         probs = lc["probs"]
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        dscores = np.where(causal, dscores, 0.0) / scale
+        dv = np.matmul(probs.swapaxes(-1, -2), dctx)
+        # softmax, mask and scale backward in place in the dprobs buffer
+        dscores = np.matmul(dctx, lc["v"].swapaxes(-1, -2))
+        np.subtract(dscores, (dscores * probs).sum(axis=-1, keepdims=True),
+                    out=dscores)
+        np.multiply(probs, dscores, out=dscores)
+        np.copyto(dscores, 0.0, where=future)
+        np.divide(dscores, scale, out=dscores)
         dq = np.matmul(dscores, lc["k"])
         dk = np.matmul(dscores.swapaxes(-1, -2), lc["q"])
         dq = _merge_heads(_rope_backward(dq, cos, sin))

@@ -18,8 +18,10 @@ GRAMMAR.md, "Concatenation"). When not even the newest session fits, the
 story is rendered again with no sessions, since its tail then differs.
 
 The next-token logits at the head's final position score every candidate
-token at once; ranking never decodes and never runs a second pass. Offline
-evaluation builds and ranks its model prompts with these same functions.
+token at once; ranking never decodes and never runs a second pass, and the
+model computes its last layer and output head for that position alone.
+Offline evaluation builds and ranks its model prompts with these same
+functions.
 """
 from __future__ import annotations
 
@@ -228,18 +230,18 @@ def rank_candidates(row: np.ndarray, candidates) -> RankedList:
 
 def rank(prompt: TaskPrompt, model) -> RankedList:
     """Score all candidates from exactly one forward pass."""
-    if max(prompt.candidate_set) >= model.config.vocab_size:
-        raise PromptError("candidate token outside the model vocabulary; "
-                          "map unknown items upstream")
-    logits = model.forward(np.asarray(prompt.token_ids))
-    return rank_candidates(logits[prompt.target_slot], prompt.candidate_set)
+    return rank_batch([prompt], model)[0]
 
 
 def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
-    """Rank many prompts in one forward pass (right-padded to the context
-    length; padding cannot alter any earlier position's logits)."""
+    """Rank many prompts in one forward pass, right-padded to the context
+    length, from the logits at each prompt's target slot only. A prompt's
+    ranking is the same bit for bit whatever else is in the batch."""
     if not prompts:
         return []
+    if max(max(p.candidate_set) for p in prompts) >= model.config.vocab_size:
+        raise PromptError("candidate token outside the model vocabulary; "
+                          "map unknown items upstream")
     ctx = model.config.context_length
     ids = np.zeros((len(prompts), ctx), dtype=np.int64)
     for r, prompt in enumerate(prompts):
@@ -247,6 +249,6 @@ def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
             raise PromptError(f"prompt of {len(prompt.token_ids)} tokens "
                               f"exceeds context length {ctx}")
         ids[r, :len(prompt.token_ids)] = prompt.token_ids
-    logits = model.forward(ids)
-    return [rank_candidates(logits[r, p.target_slot], p.candidate_set)
-            for r, p in enumerate(prompts)]
+    logits = model.forward(ids, [p.target_slot for p in prompts])
+    return [rank_candidates(row, p.candidate_set)
+            for row, p in zip(logits, prompts)]

@@ -1,12 +1,13 @@
 """Latency-instrumented serving loop over newline-delimited JSON requests.
 
 One reader, a bounded queue, one scoring context. A batching window > 0
-coalesces requests that arrive together into a single forward pass; because
-inference pads every sequence to the fixed context length, a request's
-logits are identical whether it is scored alone or inside a batch, so
+coalesces requests that arrive together into a single forward pass. Ranking
+reads each request's logits from its own slot row, which the model computes
+alone (GEMM M=1) over a prompt padded to the fixed context length, so a
+request's logits are identical whether it is scored alone or inside a batch:
 batching changes throughput, never results. The loop answers malformed
 requests with per-request errors and keeps going; shutdown emits the latency
-histogram summary.
+histogram summary with batch and error counts.
 """
 from __future__ import annotations
 
@@ -66,9 +67,11 @@ def score_request(request: dict, model, vocabulary: Vocabulary) -> dict:
     return response
 
 
-def _score_batch(requests: list[dict], model, vocabulary: Vocabulary) -> list[dict]:
+def _score_batch(requests: list[dict], model, vocabulary: Vocabulary,
+                 errors: Counter | None = None) -> list[dict]:
     """Score several parsed requests with one forward pass; requests that
-    fail prompt construction get error responses without poisoning the batch."""
+    fail prompt construction get error responses without poisoning the batch.
+    Each failure's exception class name is counted in `errors`, if given."""
     prompts = []
     meta = []
     responses: dict[int, dict] = {}
@@ -94,6 +97,8 @@ def _score_batch(requests: list[dict], model, vocabulary: Vocabulary) -> list[di
             meta.append((i, request_id, kind, top_k))
         except Exception as exc:
             responses[i] = {"id": request_id, "error": str(exc)}
+            if errors is not None:
+                errors[type(exc).__name__] += 1
     if prompts:
         ranked_lists = rank_batch(prompts, model)
         for (i, request_id, kind, top_k), ranked in zip(meta, ranked_lists):
@@ -116,9 +121,22 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
     """Drive the serve loop from an iterable of request lines (stdio, a
     socket reader, or a test). Each reply's latency runs from the moment the
     reader took its line to the reply's write, so time in the queue and the
-    batching window counts. Returns the latency histogram; its summary is
-    also written as a final record."""
+    batching window counts. Returns the latency histogram; its summary, with
+    the number of batches, a batch size -> count map and an exception class
+    name -> count map of the error replies, is also written as a final
+    record. Raises ValueError before reading any line when the vocabulary
+    has candidates the model cannot score."""
+    largest = max(vocabulary.item_token_ids + vocabulary.carousel_token_ids,
+                  default=-1)
+    if largest >= model.config.vocab_size:
+        raise ValueError(
+            f"model vocabulary of size {model.config.vocab_size} is smaller "
+            f"than the Vocabulary of size {vocabulary.size} (largest candidate "
+            f"token id {largest}); was the checkpoint trained with another "
+            "vocabulary?")
     histogram = LatencyHistogram()
+    batch_sizes: Counter = Counter()
+    errors: Counter = Counter()
     feed = queue.Queue(maxsize=1024)
     done = object()
 
@@ -148,6 +166,7 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
                     finished = True
                     break
                 batch.append(nxt)
+        batch_sizes[len(batch)] += 1
         responses: dict[int, dict] = {}
         valid: list[tuple[int, dict]] = []
         for i, (_, raw) in enumerate(batch):
@@ -158,16 +177,19 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
                 valid.append((i, json.loads(raw)))
             except Exception as exc:
                 responses[i] = {"error": f"malformed request: {exc}"}
+                errors[type(exc).__name__] += 1
         if valid:
             for (i, _), response in zip(valid, _score_batch(
-                    [r for _, r in valid], model, vocabulary)):
+                    [r for _, r in valid], model, vocabulary, errors)):
                 responses[i] = response
         for i, (arrived, _) in enumerate(batch):
             latency_us = int(max(1, (clock() - arrived) // 1000))
             write(json.dumps(dict(responses[i], latency_us=latency_us),
                              sort_keys=True) + "\n")
             histogram.add(latency_us)
-    write(json.dumps({"summary": histogram.summary()}, sort_keys=True) + "\n")
+    summary = dict(histogram.summary(), batches=batch_sizes.total(),
+                   batch_sizes=dict(batch_sizes), errors=dict(errors))
+    write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
     return histogram
 
 

@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storyrank.model import (
+    _forward,
+    _merge_heads,
+    _rmsnorm_fwd,
+    _rope_apply,
+    _rope_tables,
+    _split_heads,
     AdamState,
     Model,
     ModelConfig,
@@ -124,6 +132,113 @@ def test_prefix_consistency_exact(layers, heads):
     for t in (1, 5, 9):
         prefix = model.forward(ids[:t])
         assert np.array_equal(full[:t], prefix)
+
+
+# --- oracle: the batched attention ------------------------------------------
+#
+# The forward pass as it was before attention ran one sequence at a time: the
+# mask and RoPE tables built per call at the input length, and scale, mask
+# (np.where), softmax and value mix as whole-batch (B, H, T, T) ops.
+# Model.forward and the training forward must equal it bit for bit.
+
+def _softmax_rows(scores):
+    m = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def batched_forward(model, ids):
+    cfg = model.config
+    p = model.params
+    t = ids.shape[1]
+    cos, sin = _rope_tables(cfg, t)
+    neg = np.array(-np.inf, dtype=cfg.np_dtype)
+    causal = np.tril(np.ones((t, t), dtype=bool))
+    x = p["tok_emb"][ids]
+    for i in range(cfg.layers):
+        wq, wk, wv, wo = (p[f"layers.{i}.{n}"] for n in ("wq", "wk", "wv", "wo"))
+        a, _ = _rmsnorm_fwd(x, p[f"layers.{i}.ln1"], cfg.rms_eps)
+        q = _rope_apply(_split_heads(a @ wq, cfg.heads), cos, sin)
+        k = _rope_apply(_split_heads(a @ wk, cfg.heads), cos, sin)
+        v = _split_heads(a @ wv, cfg.heads)
+        scores = np.matmul(q, k.swapaxes(-1, -2)) / np.sqrt(
+            np.array(cfg.head_dim, dtype=cfg.np_dtype))
+        scores = np.where(causal, scores, neg)
+        x_mid = x + _merge_heads(np.matmul(_softmax_rows(scores), v)) @ wo
+        bnorm, _ = _rmsnorm_fwd(x_mid, p[f"layers.{i}.ln2"], cfg.rms_eps)
+        zg = bnorm @ p[f"layers.{i}.wg"]
+        zu = bnorm @ p[f"layers.{i}.wu"]
+        sig = 1.0 / (1.0 + np.exp(-zg))
+        x = x_mid + (zg * sig * zu) @ p[f"layers.{i}.wd"]
+    final, _ = _rmsnorm_fwd(x, p["ln_f"], cfg.rms_eps)
+    return final @ model.output_matrix()
+
+
+ORACLE_CTX = 48
+
+
+@pytest.mark.parametrize("tie", [False, True])
+@pytest.mark.parametrize("t", [1, 2, 17, ORACLE_CTX])
+@pytest.mark.parametrize("b", [1, 3, 10])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_forward_equals_batched_attention_oracle(dtype, b, t, tie):
+    model = tiny_model(layers=2, dim=32, heads=4, vocab=50, ctx=ORACLE_CTX,
+                       dtype=dtype, tie=tie)
+    ids = np.random.default_rng(b * 100 + t).integers(0, 50, size=(b, t))
+    padded = np.pad(ids, ((0, 0), (0, ORACLE_CTX - t)))
+    assert np.array_equal(model.forward(ids),
+                          batched_forward(model, padded)[:, :t])
+    # the training path (unpadded, with cache) runs the same layer code
+    logits, cache = _forward(model, ids, need_cache=True)
+    assert np.array_equal(logits, batched_forward(model, ids))
+    for layer in cache["layers"]:
+        kept = [layer[n] for n in ("probs", "sig", "zg", "zu", "h")]
+        for i, one in enumerate(kept):
+            assert not any(np.shares_memory(one, other) for other in kept[i + 1:])
+
+
+SLOT_CTX = 24
+SLOT_MODELS = {(dtype, tie): tiny_model(layers=2, dim=16, heads=2, vocab=40,
+                                        ctx=SLOT_CTX, dtype=dtype, tie=tie)
+               for dtype in ("float32", "float64") for tie in (False, True)}
+
+
+@st.composite
+def _slot_batch(draw):
+    seqs = draw(st.lists(st.lists(st.integers(0, 39), min_size=1,
+                                  max_size=SLOT_CTX), min_size=1, max_size=6))
+    width = draw(st.integers(max(map(len, seqs)), SLOT_CTX))
+    ids = np.array([seq + draw(st.lists(st.integers(0, 39),
+                                        min_size=width - len(seq),
+                                        max_size=width - len(seq)))
+                    for seq in seqs])
+    slots = [draw(st.integers(0, len(seq) - 1)) for seq in seqs]
+    return ids, slots
+
+
+@given(key=st.sampled_from(sorted(SLOT_MODELS)), batch=_slot_batch())
+@settings(max_examples=80, deadline=None)
+def test_slot_logits_are_batch_independent_and_close_to_full(key, batch):
+    model = SLOT_MODELS[key]
+    ids, slots = batch
+    before = model.forward_calls
+    rows = model.forward(ids, slots)
+    assert model.forward_calls == before + 1
+    assert rows.shape == (len(slots), 40)
+    rtol = 1e-5 if key[0] == "float32" else 1e-12
+    for row, seq, slot in zip(rows, ids, slots):
+        alone = model.forward(seq[:slot + 1], [slot])
+        assert np.array_equal(row, alone)
+        full = model.forward(seq)[slot]
+        assert np.abs(row - full).max() <= rtol * np.abs(full).max()
+
+
+def test_slots_validated():
+    model = tiny_model(ctx=8)
+    with pytest.raises(ModelError, match="slots for"):
+        model.forward([[1, 2], [3, 4]], [1])
+    with pytest.raises(ModelError, match="slot outside"):
+        model.forward([1, 2, 3], [3])
 
 
 def test_forward_input_validation():

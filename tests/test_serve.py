@@ -171,7 +171,38 @@ def test_empty_request_stream_reports_empty_summary(served_model, sample_vocab):
     hist = serve_lines([], served_model, sample_vocab, out.append)
     assert hist.n == 0
     assert [json.loads(l) for l in out] == [
-        {"summary": {"n": 0, "p50_us": None, "p95_us": None, "p99_us": None}}]
+        {"summary": {"n": 0, "p50_us": None, "p95_us": None, "p99_us": None,
+                     "batches": 0, "batch_sizes": {}, "errors": {}}}]
+
+
+def test_summary_counts_batches_and_errors_by_class(served_model,
+                                                    sample_vocab):
+    lines = [json.dumps(_request(0)), "{not json", json.dumps(_request(2)),
+             json.dumps(_request(3, task="bogus")), "", json.dumps(_request(5)),
+             json.dumps(_request(6, task="bogus")), "[1, 2", json.dumps(
+                 _request(8)), json.dumps(_request(9))]
+    out = []
+    serve_lines(lines, served_model, sample_vocab, out.append,
+                batch_window_ms=200.0, max_batch=4)
+    summary = json.loads(out[-1])["summary"]
+    assert summary["n"] == 10
+    assert summary["batches"] == 3
+    assert summary["batch_sizes"] == {"4": 2, "2": 1}
+    # two lines that are not JSON, one empty line, two unknown tasks
+    assert summary["errors"] == {"JSONDecodeError": 2, "ValueError": 3}
+    replies = [json.loads(l) for l in out[:-1]]
+    assert sum("error" in r for r in replies) == 5
+
+
+def test_model_vocabulary_smaller_than_vocabulary_is_refused(sample_vocab):
+    cfg = ModelConfig(vocab_size=sample_vocab.size - 5, context_length=192,
+                      layers=1, heads=2, model_dim=16, dtype="float64")
+    out = []
+    lines = [json.dumps(_request(0)), json.dumps(_request(1))]
+    with pytest.raises(ValueError, match=f"size {sample_vocab.size - 5}.*"
+                                         f"size {sample_vocab.size}"):
+        serve_lines(lines, init_model(cfg, seed=2), sample_vocab, out.append)
+    assert out == []
 
 
 def test_non_object_request_gets_error_and_loop_continues(served_model,
