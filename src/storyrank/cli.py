@@ -206,11 +206,9 @@ def cmd_serve(args) -> int:
                   max_batch=args.max_batch,
                   max_connections=args.max_connections)
     else:
-        histogram = serve_lines(sys.stdin, model, vocab, sys.stdout.write,
-                                batch_window_ms=args.batch_window_ms,
-                                max_batch=args.max_batch)
-        print(json.dumps({"summary": histogram.summary()}, sort_keys=True),
-              file=sys.stderr)
+        serve_lines(sys.stdin, model, vocab, sys.stdout.write,
+                    batch_window_ms=args.batch_window_ms,
+                    max_batch=args.max_batch)
     return 0
 
 

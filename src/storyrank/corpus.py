@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .vocab import CLASS_CAROUSEL, CLASS_ITEM, CLASS_SPECIAL, CLASS_SURFACE, \
+from .vocab import CLASS_CAROUSEL, CLASS_ITEM, CLASS_SURFACE, \
     CatalogIndex, Vocabulary, tokenize
 
 ORIGIN_STORY = 0
@@ -202,11 +202,11 @@ def read_examples(path, *, expect_vocab_hash: str | None = None
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise CorpusError(f"{path}: not a storyrank corpus file")
         meta = json.loads(fh.readline().decode("utf-8"))
-        if expect_vocab_hash and meta.get("vocab_hash") \
-                and meta["vocab_hash"] != expect_vocab_hash:
+        if expect_vocab_hash and meta.get("vocab_hash") != expect_vocab_hash:
             raise CorpusError(
                 f"{path}: corpus was tokenized with vocabulary "
-                f"{meta['vocab_hash']}, expected {expect_vocab_hash}")
+                f"{meta.get('vocab_hash') or '(none)'}, "
+                f"expected {expect_vocab_hash}")
         examples = []
         while True:
             head = fh.read(5)

@@ -12,7 +12,7 @@ index), so output is byte-identical regardless of generation order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

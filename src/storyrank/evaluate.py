@@ -4,7 +4,8 @@ HR@K / NDCG@K, and the BM25 and popularity reference scorers.
 Eligible positions are defined on the untouched eval story; a scorer's view
 transform (task-specific variants, session ablation) strips only the input
 it gets to see. Every method therefore ranks the same candidate universe at
-the same positions, and the records flow through one aggregation path.
+the same positions, and every method's target ranks flow through one
+aggregation path.
 
 The model is scored through the serving code in `prompts`: the same task
 heads, the same session trimming, the same padded batch forward and the same
@@ -49,18 +50,8 @@ class EvalConfig:
 
 
 @dataclass(frozen=True)
-class EvalRecord:
-    user_id: str
-    kind: str
-    position_index: int
-    target_token: int
-    rank: int
-
-
-@dataclass(frozen=True)
 class EligiblePosition:
     user_id: str
-    position_index: int
     prefix_story: UserStory  # story cut immediately before the target token
     target_token: int
     context: dict
@@ -106,16 +97,13 @@ def eligible_positions(story: UserStory, kind: TaskKind,
     the same session; the latest preceding query rides along for baselines.
     """
     out: list[EligiblePosition] = []
-    index = 0
     for si, sess in enumerate(story.sessions):
         last_query: str | None = None
         for ei, event in enumerate(sess.events):
             if isinstance(event, SearchEvent):
                 last_query = event.query
-                index += 1
                 continue
             if not isinstance(event, WatchEvent) or event.item is None:
-                index += 1
                 continue
             token = vocabulary.item_token_to_id.get(event.item.item_id)
             carousel_token = vocabulary.carousel_token_of_id.get(
@@ -127,39 +115,38 @@ def eligible_positions(story: UserStory, kind: TaskKind,
             }
             if kind in (TaskKind.ITEM_MASKED, TaskKind.ITEM_CONTEXTUAL):
                 if token is not None:
-                    out.append(EligiblePosition(story.user_id, index,
+                    out.append(EligiblePosition(story.user_id,
                                                 _prefix_story(story, si, ei),
                                                 token, context))
             elif kind == TaskKind.CAROUSEL:
                 if event.carousel.carousel_id and carousel_token is not None:
-                    out.append(EligiblePosition(story.user_id, index,
+                    out.append(EligiblePosition(story.user_id,
                                                 _prefix_story(story, si, ei),
                                                 carousel_token, context))
             elif kind == TaskKind.SEARCH:
                 if event.surface == Surface.SEARCH and last_query is not None \
                         and token is not None:
                     out.append(EligiblePosition(
-                        story.user_id, index, _prefix_story(story, si, ei),
+                        story.user_id, _prefix_story(story, si, ei),
                         token, dict(context, query=last_query)))
-            index += 1
     return out
 
 
 # --- metrics -----------------------------------------------------------------
 
-def hit_rate_at_k(records, k: int) -> float:
-    if not records:
-        raise EvalError("hit_rate_at_k over empty records")
-    return sum(1 for r in records if r.rank <= k) / len(records)
+def hit_rate_at_k(ranks, k: int) -> float:
+    if not ranks:
+        raise EvalError("hit_rate_at_k over empty ranks")
+    return sum(1 for r in ranks if r <= k) / len(ranks)
 
 
-def ndcg_at_k(records, k: int) -> float:
-    """Single relevant target per record, so ideal DCG is 1 and the record's
-    credit is 1/log2(rank+1) inside the cutoff."""
-    if not records:
-        raise EvalError("ndcg_at_k over empty records")
-    total = sum(1.0 / math.log2(r.rank + 1) for r in records if r.rank <= k)
-    return total / len(records)
+def ndcg_at_k(ranks, k: int) -> float:
+    """Single relevant target per position, so ideal DCG is 1 and the
+    position's credit is 1/log2(rank+1) inside the cutoff."""
+    if not ranks:
+        raise EvalError("ndcg_at_k over empty ranks")
+    total = sum(1.0 / math.log2(r + 1) for r in ranks if r <= k)
+    return total / len(ranks)
 
 
 # --- scorers -------------------------------------------------------------------
@@ -189,18 +176,13 @@ class ModelScorer:
 
     def _render(self, story: UserStory) -> tuple[str, tuple[str, ...], str]:
         """This scorer's view of `story` in the pieces trimming works on.
-        Session stripping renders the story sessionless instead of merging
-        its sessions: the text is the same and each session keeps its own
-        piece, so trimming drops the same events."""
-        transform = dict(self.transform)
-        flat = transform.pop("drop_sessions", False)
-        story = grammar.apply_transform(story, **transform)
-        if flat:
-            story = replace(story, sessionless=True)
+        Session stripping keeps each session as its own piece, so trimming
+        drops whole sessions of a flat story too."""
+        story = grammar.apply_transform(story, **self.transform)
         return (*grammar.serialize_parts(story), "")
 
-    def target_ranks(self, positions, kind: TaskKind, vocabulary: Vocabulary,
-                     cfg: EvalConfig) -> list[int]:
+    def target_ranks(self, positions, kind: TaskKind,
+                     vocabulary: Vocabulary) -> list[int]:
         ranks = []
         for lo in range(0, len(positions), self.batch_size):
             chunk = positions[lo:lo + self.batch_size]
@@ -218,8 +200,8 @@ class StaticScorer:
         self.name = name
         self.token_scores = token_scores
 
-    def target_ranks(self, positions, kind: TaskKind, vocabulary: Vocabulary,
-                     cfg: EvalConfig) -> list[int]:
+    def target_ranks(self, positions, kind: TaskKind,
+                     vocabulary: Vocabulary) -> list[int]:
         row = np.zeros(vocabulary.size)
         for tid, score in self.token_scores.items():
             row[tid] = score
@@ -306,8 +288,8 @@ class Bm25Scorer:
         self.index = index
         self.name = name
 
-    def target_ranks(self, positions, kind: TaskKind, vocabulary: Vocabulary,
-                     cfg: EvalConfig) -> list[int]:
+    def target_ranks(self, positions, kind: TaskKind,
+                     vocabulary: Vocabulary) -> list[int]:
         if kind != TaskKind.SEARCH:
             raise EvalError("BM25 scores search positions only")
         candidates = candidate_set(kind, vocabulary)
@@ -352,16 +334,13 @@ def evaluate(scorers, eval_stories, kinds, cfg: EvalConfig,
                                  "K": k, "hr": None, "ndcg": None,
                                  "n_positions": 0, "config_hash": config_hash})
                 continue
-            ranks = scorer.target_ranks(positions, kind, vocabulary, cfg)
-            records = [EvalRecord(p.user_id, kind.value, p.position_index,
-                                  p.target_token, r)
-                       for p, r in zip(positions, ranks)]
+            ranks = scorer.target_ranks(positions, kind, vocabulary)
             for k in cfg.cutoffs:
                 rows.append({
                     "method": scorer.name, "task": kind.value, "K": k,
-                    "hr": hit_rate_at_k(records, k),
-                    "ndcg": ndcg_at_k(records, k),
-                    "n_positions": len(records),
+                    "hr": hit_rate_at_k(ranks, k),
+                    "ndcg": ndcg_at_k(ranks, k),
+                    "n_positions": len(ranks),
                     "config_hash": config_hash,
                 })
     return rows
@@ -373,19 +352,6 @@ def write_metrics(path, rows, *, manifest_hash: str = "") -> None:
             fh.write(json.dumps({"_manifest": manifest_hash}) + "\n")
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def read_metrics(path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            if "_manifest" not in d:
-                rows.append(d)
-    return rows
 
 
 def format_table(rows) -> str:

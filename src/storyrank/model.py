@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -353,28 +353,6 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool, slots=None):
     return logits, cache
 
 
-def cross_entropy(logits, targets, weights=None):
-    """Mean next-token cross entropy. logits (..., V), integer targets
-    broadcastable to logits[..., 0]; optional 0/1 weights exclude padding."""
-    lg = np.asarray(logits)
-    v = lg.shape[-1]
-    flat = lg.reshape(-1, v)
-    tg = np.asarray(targets, dtype=np.int64).reshape(-1)
-    if flat.shape[0] != tg.shape[0]:
-        raise ModelError(f"logits rows {flat.shape[0]} != targets {tg.shape[0]}")
-    if tg.min() < 0 or tg.max() >= v:
-        raise ModelError("target id outside vocabulary")
-    w = np.ones(tg.shape[0], dtype=flat.dtype) if weights is None \
-        else np.asarray(weights, dtype=flat.dtype).reshape(-1)
-    m = flat.max(axis=-1, keepdims=True)
-    lse = (m[:, 0] + np.log(np.exp(flat - m).sum(axis=-1)))
-    nll = lse - flat[np.arange(tg.shape[0]), tg]
-    total = w.sum()
-    if total <= 0:
-        raise ModelError("all-zero loss weights")
-    return float((nll * w).sum() / total)
-
-
 def _loss_and_dlogits(logits, targets, weights, dtype):
     b, t, v = logits.shape
     flat = logits.reshape(-1, v)
@@ -612,25 +590,23 @@ def load_checkpoint(path, *, expect_vocab_hash: str | None = None
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ModelError(f"{path}: not a storyrank checkpoint")
         meta = json.loads(fh.readline().decode("utf-8"))
-        if expect_vocab_hash and meta.get("vocab_hash") \
-                and meta["vocab_hash"] != expect_vocab_hash:
+        if expect_vocab_hash and meta.get("vocab_hash") != expect_vocab_hash:
             raise ModelError(
                 f"{path}: checkpoint was trained with vocabulary "
-                f"{meta['vocab_hash']}, expected {expect_vocab_hash}")
+                f"{meta.get('vocab_hash') or '(none)'}, "
+                f"expected {expect_vocab_hash}")
         cfg = ModelConfig(**meta["config"])
         expected = {name: parameter_shape(name, cfg)
                     for name in parameter_names(cfg)}
         params: dict[str, np.ndarray] = {}
         opt: AdamState | None = None
         opt_step = 0
-        reading_opt = False
         while True:
             pos = fh.tell()
             head = fh.read(2)
             if not head:
                 break
             if len(head) == 2 and struct.unpack("<H", head)[0] == 0:
-                reading_opt = True
                 raw = fh.read(8)
                 if len(raw) < 8:
                     raise ModelError(f"{path}: truncated optimizer block")

@@ -98,14 +98,6 @@ def session_tail(story: UserStory, now: int) -> str:
     return grammar.session_clause(elapsed, day_of_week(now))
 
 
-def extend_story_for_now(story: UserStory, now: int) -> str:
-    """The serve prompt's prefix text: the serialized story, then the
-    `session_tail` for `now` when there is one."""
-    tail = session_tail(story, now)
-    text = grammar.serialize(story, validate=False)
-    return f"{text} {tail}" if tail else text
-
-
 def _checked_text(field: str, value, check) -> str:
     """`value` if it is a string that passes the stored-story rule `check`."""
     msg = check(value) if isinstance(value, str) else "must be a string"
@@ -240,8 +232,8 @@ def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
     if not prompts:
         return []
     if max(max(p.candidate_set) for p in prompts) >= model.config.vocab_size:
-        raise PromptError("candidate token outside the model vocabulary; "
-                          "map unknown items upstream")
+        raise PromptError("candidate token outside the model vocabulary: "
+                          "the model and vocabulary do not match")
     ctx = model.config.context_length
     ids = np.zeros((len(prompts), ctx), dtype=np.int64)
     for r, prompt in enumerate(prompts):

@@ -16,7 +16,7 @@ boundaries (file loading, datagen output) are expected to validate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Union
 
@@ -128,15 +128,6 @@ class Session:
 class AttributeHeader:
     pairs: tuple[tuple[str, str], ...] = ()
 
-    def keys(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.pairs)
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        for k, v in self.pairs:
-            if k == key:
-                return v
-        return default
-
 
 @dataclass(frozen=True)
 class UserStory:
@@ -144,8 +135,9 @@ class UserStory:
     attributes: AttributeHeader
     sessions: tuple[Session, ...]
     # Set by strip_sessions: the story serializes as a flat event stream with
-    # no session clauses (ablation variant). All events live in one Session
-    # container whose clause is suppressed.
+    # no session clauses (ablation variant). The sessions keep their events;
+    # only their clauses are suppressed, and validate_story skips its gap and
+    # 12h-span rules.
     sessionless: bool = False
 
     def events(self) -> Iterator[Event]:
@@ -302,8 +294,6 @@ def validate_story(story: UserStory, *, itemless_ok: bool = False) -> list[Viola
     previous_first_ts: int | None = None
     for si, sess in enumerate(story.sessions):
         spath = f"sessions[{si}]"
-        if story.sessionless and si > 0:
-            add(spath, "sessionless story must hold all events in one session container")
         if not 0 <= sess.day_of_week <= 6:
             add(spath, f"day_of_week {sess.day_of_week} outside 0..6")
         elif sess.day_of_week != day_of_week(sess.start_time):
@@ -370,9 +360,6 @@ def validate_story(story: UserStory, *, itemless_ok: bool = False) -> list[Viola
             else:
                 add(epath, f"unknown event type {type(event).__name__}")
 
-        if si > 0 and previous_end is not None and sess.start_time < previous_end \
-                and sess.events and not story.sessionless:
-            pass  # overlap with a still-playing watch is allowed; gap check covers it
         if sess.events:
             previous_first_ts = sess.events[0].timestamp
         previous_end = sess.end_time if previous_end is None \

@@ -9,15 +9,13 @@ from .corpus import MaskingConfig, MixtureConfig, sample_mixture
 from .model import AdamState, Model, TrainConfig, backward_and_step
 
 
-def make_batch(sequences, dtype=np.float32, pad_to: int | None = None):
+def make_batch(sequences, dtype=np.float32):
     """Next-token batch from variable-length id sequences: right-padded
     (inputs, targets, weights); weights zero over padding."""
     usable = [s for s in sequences if len(s) >= 2]
     if not usable:
         raise ValueError("batch has no sequence with a prediction target")
     width = max(len(s) - 1 for s in usable)
-    if pad_to is not None:
-        width = max(width, pad_to)
     b = len(usable)
     inputs = np.zeros((b, width), dtype=np.int64)
     targets = np.zeros((b, width), dtype=np.int64)

@@ -59,9 +59,6 @@ class CatalogIndex:
             dup = sorted({x for x in car_ids if car_ids.count(x) > 1})
             raise VocabularyError(f"duplicate carousel ids in catalog: {dup[:5]}")
 
-    def item_ids(self) -> set[str]:
-        return {i.item_id for i in self.items}
-
     def carousel_name(self, carousel_id: str) -> str:
         return self.carousel_names.get(carousel_id, carousel_id)
 
@@ -72,10 +69,6 @@ def item_token_form(item: ItemRef) -> str:
 
 def carousel_token_form(carousel_id: str) -> str:
     return f"<|carousel({carousel_id})|>"
-
-
-def surface_token_form(surface_value: str) -> str:
-    return f"<|surface={surface_value}|>"
 
 
 @dataclass(frozen=True)
@@ -343,47 +336,11 @@ def tokenize(text: str, vocabulary: Vocabulary) -> list[int]:
     """Encode text; domain tokens longest-match, the rest is byte/merge coded.
 
     A '<|...|>' span matching no domain token is a hard error: catalog drift
-    must be handled upstream with map_unknown_items, never silently here.
+    (an item or carousel the vocabulary was not minted with) is never mapped
+    silently here.
     """
     return _encode_text(text.encode("utf-8"), vocabulary.domain_to_id,
                         vocabulary._lengths, vocabulary._merge_ranks)
-
-
-def detokenize(token_ids, vocabulary: Vocabulary) -> str:
-    parts = []
-    for tid in token_ids:
-        if not 0 <= tid < vocabulary.size:
-            raise TokenizeError(f"token id {tid} out of range 0..{vocabulary.size - 1}")
-        parts.append(vocabulary.forms[tid])
-    return b"".join(parts).decode("utf-8")
-
-
-def map_unknown_items(token_ids, vocabulary: Vocabulary, known_catalog) -> list[int]:
-    """Replace item tokens absent from `known_catalog` with the UNK item token."""
-    known = known_catalog.item_ids() if isinstance(known_catalog, CatalogIndex) \
-        else set(known_catalog)
-    unk = vocabulary.unk_item_id
-    out = []
-    for tid in token_ids:
-        if vocabulary.classes[tid] == CLASS_ITEM \
-                and vocabulary.item_id_of_token[tid] not in known:
-            out.append(unk)
-        else:
-            out.append(tid)
-    return out
-
-
-def prefix_freedom_violations(vocabulary: Vocabulary) -> list[tuple[str, str]]:
-    """Domain-form pairs where one is a prefix of the other once the closing
-    '|>' delimiter is ignored. Structurally this list is empty; asserted in tests."""
-    stripped = sorted((form.decode("utf-8")[:-2], form.decode("utf-8"))
-                      for form in vocabulary.domain_to_id)
-    bad = []
-    for i in range(len(stripped) - 1):
-        a, b = stripped[i], stripped[i + 1]
-        if b[0].startswith(a[0]) and a[0] != b[0]:
-            bad.append((a[1], b[1]))
-    return bad
 
 
 # --- vocabulary file --------------------------------------------------------

@@ -1,11 +1,13 @@
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from storyrank.cli import main
-from storyrank.evaluate import read_metrics
 from storyrank.stories import read_stories, story_to_dict
+
+from oracles import detokenize, read_metrics
 
 
 TINY = [
@@ -78,6 +80,31 @@ def test_rank_subcommand(tmp_path, capsys):
     assert response["latency_us"] >= 1
 
 
+def test_serve_subcommand_on_stdio(tmp_path, capsys, monkeypatch):
+    d = run_pipeline(tmp_path)
+    stories = read_stories(d / "data/stories.jsonl")
+    request = {"id": 5, "story": story_to_dict(stories[0]),
+               "task": "item_masked", "top_k": 3}
+    lines = [json.dumps(request), "{not json", ""]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    capsys.readouterr()  # drain pipeline chatter
+    assert main(["serve", "--model", str(d / "model.ckpt"),
+                 "--vocab", str(d / "vocab.tsv")]) == 0
+    out, err = capsys.readouterr()
+    records = [json.loads(line) for line in out.splitlines()]
+    replies = [r for r in records if "summary" not in r]
+    summaries = [r["summary"] for r in records if "summary" in r]
+    assert len(replies) == len(lines)
+    assert replies[0]["id"] == 5 and len(replies[0]["candidates"]) == 3
+    assert all("error" in r for r in replies[1:])
+    assert len(summaries) == 1 and records[-1]["summary"] == summaries[0]
+    assert summaries[0]["n"] == 3
+    assert summaries[0]["batches"] == 3
+    assert summaries[0]["batch_sizes"] == {"1": 3}
+    assert summaries[0]["errors"] == {"JSONDecodeError": 1, "ValueError": 1}
+    assert err == ""
+
+
 def test_stage_failures_are_machine_parseable(tmp_path, capsys):
     assert main(["build-vocab", "--catalog", str(tmp_path / "missing.jsonl"),
                  "--out", str(tmp_path / "v.tsv")]) == 1
@@ -103,7 +130,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 def test_ablation_corpus_flags(tmp_path):
     d = run_pipeline(tmp_path, extra=["--set", "transform.strip_sessions=true"])
     from storyrank.corpus import read_examples
-    from storyrank.vocab import read_vocab, detokenize
+    from storyrank.vocab import read_vocab
     vocab = read_vocab(d / "vocab.tsv")
     examples, _ = read_examples(d / "corpus.bin")
     story_texts = [detokenize(e.token_ids, vocab) for e in examples

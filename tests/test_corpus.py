@@ -17,9 +17,10 @@ from storyrank.corpus import (
     truncate_ids,
     write_examples,
 )
-from storyrank.vocab import CLASS_ITEM, tokenize, detokenize
+from storyrank.vocab import CLASS_ITEM, tokenize
 
 from conftest import SAMPLE_TEXT
+from oracles import detokenize
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,16 @@ def test_record_stream_rejects_wrong_vocab(tmp_path, sample_vocab, sample_ids):
                    vocab_hash="1111111111111111")
     with pytest.raises(CorpusError, match="vocabulary"):
         read_examples(path, expect_vocab_hash="2222222222222222")
+
+
+def test_record_stream_without_vocab_hash_is_refused_when_one_is_expected(
+        tmp_path, sample_vocab):
+    path = tmp_path / "corpus.bin"
+    # no vocab_hash: the file records ""
+    write_examples(path, tokenize_stories([SAMPLE_TEXT], sample_vocab))
+    with pytest.raises(CorpusError, match=r"vocabulary \(none\), expected 1111"):
+        read_examples(path, expect_vocab_hash="1111111111111111")
+    read_examples(path)  # nothing expected, nothing checked
 
 
 def test_record_stream_truncated_file(tmp_path, sample_vocab):

@@ -7,9 +7,11 @@ from storyrank.datagen import (
     generate_world,
     world_report,
 )
-from storyrank.grammar import parse, serialize, story_signature
+from storyrank.grammar import serialize
 from storyrank.stories import SearchEvent, Surface, WatchEvent, validate_story
-from storyrank.vocab import build_vocabulary, detokenize, tokenize
+from storyrank.vocab import build_vocabulary, tokenize
+
+from oracles import detokenize, parse, story_signature
 
 
 @pytest.fixture(scope="module")

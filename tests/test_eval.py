@@ -9,7 +9,6 @@ from storyrank.evaluate import (
     EligiblePosition,
     EvalConfig,
     EvalError,
-    EvalRecord,
     ModelScorer,
     StaticScorer,
     check_split_hygiene,
@@ -19,7 +18,6 @@ from storyrank.evaluate import (
     hit_rate_at_k,
     ndcg_at_k,
     popularity_scorer,
-    read_metrics,
     split_users,
     write_metrics,
 )
@@ -27,9 +25,9 @@ from storyrank.model import ModelConfig, init_model
 from storyrank.prompts import TaskKind, rank_candidates
 from storyrank.stories import AttributeHeader, ItemRef, UserStory, search, \
     segment_sessions, watch, Surface, EMPTY_CAROUSEL
-from storyrank.vocab import detokenize
 
 from conftest import SUNDAY, make_sample_story
+from oracles import detokenize, read_metrics
 
 
 def many_users(n=1000):
@@ -103,29 +101,24 @@ def test_story_without_watches_has_no_positions(sample_vocab):
 
 # --- HR / NDCG ------------------------------------------------------------------
 
-def _records(ranks):
-    return [EvalRecord("u", "item_masked", i, 300, r)
-            for i, r in enumerate(ranks)]
-
-
 def test_hit_rate_values_from_definition():
-    records = _records([1, 9, 200])
-    assert hit_rate_at_k(records, 8) == pytest.approx(1 / 3)
-    assert hit_rate_at_k(records, 50) == pytest.approx(2 / 3)
-    assert hit_rate_at_k(records, 100) == pytest.approx(2 / 3)
+    ranks = [1, 9, 200]
+    assert hit_rate_at_k(ranks, 8) == pytest.approx(1 / 3)
+    assert hit_rate_at_k(ranks, 50) == pytest.approx(2 / 3)
+    assert hit_rate_at_k(ranks, 100) == pytest.approx(2 / 3)
 
 
 def test_all_rank_one_hits_everywhere():
-    records = _records([1, 1, 1, 1])
+    ranks = [1, 1, 1, 1]
     for k in (1, 8, 50, 100):
-        assert hit_rate_at_k(records, k) == 1.0
-        assert ndcg_at_k(records, k) == 1.0
+        assert hit_rate_at_k(ranks, k) == 1.0
+        assert ndcg_at_k(ranks, k) == 1.0
 
 
 def test_ndcg_discounts():
-    assert ndcg_at_k(_records([1]), 8) == 1.0
-    assert ndcg_at_k(_records([3]), 8) == pytest.approx(0.5)  # 1/log2(4)
-    assert ndcg_at_k(_records([51]), 50) == 0.0
+    assert ndcg_at_k([1], 8) == 1.0
+    assert ndcg_at_k([3], 8) == pytest.approx(0.5)  # 1/log2(4)
+    assert ndcg_at_k([51], 50) == 0.0
 
 
 def test_empty_records_error():
@@ -139,11 +132,10 @@ def test_metrics_monotone_and_ndcg_below_hr():
     rng = np.random.default_rng(0)
     for _ in range(100):
         ranks = rng.integers(1, 300, size=rng.integers(1, 40)).tolist()
-        records = _records(ranks)
         last_hr = 0.0
         for k in (8, 50, 100):
-            hr = hit_rate_at_k(records, k)
-            nd = ndcg_at_k(records, k)
+            hr = hit_rate_at_k(ranks, k)
+            nd = ndcg_at_k(ranks, k)
             assert hr >= last_hr
             assert nd <= hr + 1e-12
             last_hr = hr

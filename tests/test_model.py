@@ -19,13 +19,14 @@ from storyrank.model import (
     NonFiniteLossError,
     TrainConfig,
     backward_and_step,
-    cross_entropy,
     forward_backward,
     init_model,
     load_checkpoint,
     save_checkpoint,
 )
 from storyrank.training import make_batch
+
+from oracles import cross_entropy
 
 
 def tiny_model(layers=2, dim=8, heads=2, vocab=40, ctx=16, dtype="float64",
@@ -496,6 +497,15 @@ def test_checkpoint_vocab_hash_guard(tmp_path):
     save_checkpoint(path, model, vocab_hash="1111111111111111")
     with pytest.raises(ModelError, match="vocabulary"):
         load_checkpoint(path, expect_vocab_hash="2222222222222222")
+
+
+def test_checkpoint_without_vocab_hash_is_refused_when_one_is_expected(tmp_path):
+    model = tiny_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)  # no vocab_hash: the file records ""
+    with pytest.raises(ModelError, match=r"vocabulary \(none\), expected 1111"):
+        load_checkpoint(path, expect_vocab_hash="1111111111111111")
+    load_checkpoint(path)  # nothing expected, nothing checked
 
 
 def test_checkpoint_shape_mismatch_lists_tensors(tmp_path):

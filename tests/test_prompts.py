@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from storyrank.evaluate import ModelScorer, eligible_positions
-from storyrank.grammar import apply_transform, parse_prompt, serialize, \
-    session_clause, strip_sessions
+from storyrank.grammar import apply_transform, serialize, session_clause, \
+    strip_sessions
 from storyrank.model import ModelConfig, init_model
 from storyrank.prompts import (
     PromptError,
@@ -16,7 +16,6 @@ from storyrank.prompts import (
     TaskKind,
     TaskPrompt,
     candidate_set,
-    extend_story_for_now,
     head_text,
     make_prompt,
     rank,
@@ -30,6 +29,7 @@ from storyrank.vocab import CLASS_CAROUSEL, CLASS_ITEM, build_vocabulary, \
 
 from conftest import SAMPLE_CAROUSELS, SAMPLE_ITEMS, SAMPLE_TEXT, SUNDAY, \
     make_sample_story
+from oracles import detokenize, extend_story_for_now, parse_prompt
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,6 @@ def test_search_head_form(sample_vocab):
     story = make_sample_story()
     prompt = make_prompt(story, last_event_time(story) + 1800, TaskKind.SEARCH,
                          {"hour": 23, "query": "fog"}, sample_vocab, 256)
-    from storyrank.vocab import detokenize
     text = detokenize(prompt.token_ids, sample_vocab)
     assert text.endswith("<|search|> hour=23 fog "
                          "<|watch|> hour=23 <|surface=search|><|carousel()|>")
@@ -101,7 +100,6 @@ def test_carousel_head_ends_at_surface(sample_vocab):
     story = make_sample_story()
     prompt = make_prompt(story, last_event_time(story) + 1800, TaskKind.CAROUSEL,
                          {"hour": 9, "surface": "home"}, sample_vocab, 256)
-    from storyrank.vocab import detokenize
     assert detokenize(prompt.token_ids, sample_vocab).endswith(
         "<|watch|> hour=9 <|surface=home|>")
     assert prompt.candidate_set == sample_vocab.carousel_token_ids
@@ -113,7 +111,6 @@ def test_masked_item_head_on_empty_story(sample_vocab):
     story = UserStory("new", AttributeHeader((("country", "US"),)), ())
     prompt = make_prompt(story, SUNDAY + 4 * 3600, TaskKind.ITEM_MASKED, {},
                          sample_vocab, 256)
-    from storyrank.vocab import detokenize
     text = detokenize(prompt.token_ids, sample_vocab)
     assert text == ("country=US <|begin_sessions|> <|session|> elapsed=0h day=6 "
                     "<|watch|> hour=4 <|surface=home|><|carousel(MASK)|>")
@@ -136,7 +133,6 @@ def test_prompts_with_any_candidate_reparse(sample_vocab, kind, context):
     story = make_sample_story()
     now = last_event_time(story) + 3 * 3600
     prompt = make_prompt(story, now, kind, context, sample_vocab, 256)
-    from storyrank.vocab import detokenize
     text = detokenize(prompt.token_ids, sample_vocab)
     for cand in prompt.candidate_set[:3]:
         parse_prompt(text + detokenize([cand], sample_vocab))
@@ -153,7 +149,6 @@ def test_long_story_trims_whole_oldest_sessions(sample_vocab):
     now = t + 600
     prompt = make_prompt(story, now, TaskKind.ITEM_MASKED, {}, sample_vocab, 128)
     assert len(prompt.token_ids) <= 128
-    from storyrank.vocab import detokenize
     text = detokenize(prompt.token_ids, sample_vocab)
     # a whole-session suffix of the history survives
     assert text.count("<|search|>") < 40

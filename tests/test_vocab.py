@@ -12,15 +12,13 @@ from storyrank.vocab import (
     VocabularyError,
     _byte_runs,
     build_vocabulary,
-    detokenize,
-    map_unknown_items,
-    prefix_freedom_violations,
     read_vocab,
     tokenize,
     write_vocab,
 )
 
 from conftest import SAMPLE_TEXT, make_sample_story
+from oracles import detokenize, prefix_freedom_violations
 
 
 def small_catalog():
@@ -101,19 +99,6 @@ def test_title_drift_is_an_unknown_span(sample_vocab):
     drifted = SAMPLE_TEXT.replace("Violet Static Motel", "Violet Static Hotel")
     with pytest.raises(TokenizeError):
         tokenize(drifted, sample_vocab)
-
-
-def test_map_unknown_items(sample_vocab):
-    ids = tokenize(SAMPLE_TEXT, sample_vocab)
-    known = {"SYN201"}  # SYN202 retired
-    mapped = map_unknown_items(ids, sample_vocab, known)
-    assert len(mapped) == len(ids)
-    unk = sample_vocab.unk_item_id
-    replaced = [(a, b) for a, b in zip(ids, mapped) if a != b]
-    assert all(b == unk for _, b in replaced)
-    assert len(replaced) == 1  # exactly the SYN202 token
-    # identity when everything is known
-    assert map_unknown_items(ids, sample_vocab, {"SYN201", "SYN202"}) == ids
 
 
 def test_prefix_freedom(sample_vocab):
