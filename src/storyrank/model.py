@@ -13,12 +13,14 @@ a time with its scale, mask, softmax and value mix done in place, which gives
 the same bits as whole-batch ops without batch-sized temporaries.
 
 Ranking needs the logits at one position per sequence (its slot).
-`Model.forward(ids, slots)` runs every layer but the last over all rows, as
-keys and values need them, and the last layer's query, attention row, MLP,
-final norm and output head over the slot row alone. The bit contract of slot
-mode has two levels: a slot row is bitwise independent of the batch and the
-padding around it, and equal to the full forward's row at that slot within
-float rounding (a one-row GEMM rounds differently).
+`Model.forward(ids, slots)` runs each sequence over the whole 64-row tiles
+up to its slot only, since under the causal mask the slot row depends on
+no later row. Within that width it runs every layer but the last over all
+rows, as keys and values need them, and the last layer's query, attention
+row, MLP, final norm and output head over the slot row alone. The bit
+contract of slot mode has two levels: a slot row is bitwise independent of
+the batch and the padding around it, and equal to the full forward's row at
+that slot within float rounding (a one-row GEMM rounds differently).
 """
 from __future__ import annotations
 
@@ -33,6 +35,8 @@ CHECKPOINT_MAGIC = b"SRCKPT1\n"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+TILE_ROWS = 64  # slot mode runs a sequence over the whole tiles to its slot
 
 
 class ModelError(ValueError):
@@ -152,18 +156,23 @@ class Model:
         positions: (V,) for one sequence, (B, V) for a batch. Counts as
         exactly one forward pass either way.
 
-        Inference always right-pads to the full context length internally and
-        slices the padding back off. Under causal masking the pad tokens are
-        exact no-ops for real positions, while the fixed GEMM shapes keep a
-        sequence's logits bitwise identical across prefix lengths and batch
-        sizes (BLAS kernel selection varies with the matrix M dimension).
+        Without slots, inference right-pads to the full context length
+        internally and slices the padding back off. Under causal masking the
+        pad tokens are exact no-ops for real positions, while the fixed GEMM
+        shapes keep a sequence's logits bitwise identical across prefix
+        lengths and batch sizes (BLAS kernel selection varies with the
+        matrix M dimension).
 
-        Slot mode runs the last layer's query, attention row, MLP, final norm
-        and output head for the slot row alone (GEMM M=1 for every sequence,
-        alone or batched). Its logits are therefore bitwise independent of
-        the batch and the padding, and equal to `forward(ids)[slot]` within
-        float rounding, not bit for bit: a one-row GEMM rounds differently
-        from the full-context one."""
+        Slot mode runs each sequence at the width of the whole `TILE_ROWS`
+        tiles that reach its slot (capped at the context length), one
+        `_forward` per distinct width over the sequences that share it.
+        The width depends on the slot alone, and softmax rows are summed as
+        at the full context length. The last layer's query, attention row,
+        MLP, final norm and output head run for the slot row alone (GEMM M=1
+        for every sequence, alone or batched). A slot row's logits are
+        therefore bitwise independent of the batch and the padding, and
+        equal to `forward(ids)[slot]` within float rounding, not bit for
+        bit: a one-row GEMM rounds differently from the full-context one."""
         self.forward_calls += 1
         ids, squeeze = _as_batch(token_ids)
         _check_ids(ids, self.config)
@@ -180,8 +189,18 @@ class Model:
             padded = np.zeros((ids.shape[0], ctx), dtype=ids.dtype)
             padded[:, :t] = ids
             ids = padded
-        logits, _ = _forward(self, ids, need_cache=False, slots=slots)
-        logits = logits[:, 0] if slots is not None else logits[:, :t]
+        if slots is None:
+            logits, _ = _forward(self, ids, need_cache=False)
+            logits = logits[:, :t]
+        else:
+            widths = np.minimum(ctx, (slots // TILE_ROWS + 1) * TILE_ROWS)
+            logits = np.empty((ids.shape[0], self.config.vocab_size),
+                              dtype=self.config.np_dtype)
+            for width in np.unique(widths):
+                rows = np.flatnonzero(widths == width)
+                part, _ = _forward(self, ids[rows, :width], need_cache=False,
+                                   slots=slots[rows])
+                logits[rows] = part[:, 0]
         return logits[0] if squeeze else logits
 
 
@@ -266,17 +285,38 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
-def _attention(q, k, v, future, scale, keep_probs: bool):
+def _padded_row_sum(s, n):
+    """Sums over the last axis of `s`, of width w <= n, taken in the order of
+    numpy's pairwise sum over the rows zero-padded to width n. Numpy splits
+    a row longer than 128 at half its length rounded down to a multiple of
+    8, and sums shorter blocks with eight interleaved accumulators, so
+    trailing zeros leave a block's bits as they are when w is a multiple of
+    8 (or w == n)."""
+    w = s.shape[-1]
+    if w == n or n <= 128:
+        return s.sum(axis=-1, keepdims=True)
+    half = n // 2 - n // 2 % 8
+    if w <= half:
+        return _padded_row_sum(s, half)
+    return (_padded_row_sum(s[..., :half], half)
+            + _padded_row_sum(s[..., half:], n - half))
+
+
+def _attention(q, k, v, future, scale, keep_probs: bool, sum_width: int):
     """Causal softmax attention, one sequence at a time: each sequence's
     (H, M, T) scores are scaled, masked, normalized and mixed in place, so
     no op allocates a batch-sized temporary. q (B, H, M, hd); k, v
     (B, H, T, hd); future (B, M, T) marks the keys each query row may not
-    see. Returns the merged context (B, M, H*hd) and the probabilities
-    (B, H, M, T) when `keep_probs`, else None.
+    see. Each softmax row is summed as if zero-padded to `sum_width` >= T
+    (masked keys are exact zeros after the exp), so a row computed at a
+    narrower width keeps the sum of the full-width row. Returns the merged
+    context (B, M, H*hd) and the probabilities (B, H, M, T) when
+    `keep_probs`, else None.
 
-    The results equal the batched ops bit for bit: numpy's stacked matmul
-    already makes one BLAS call per (sequence, head), and the element-wise
-    ops and row reductions run in the same order over the same rows."""
+    With `sum_width` T the results equal the batched ops bit for bit:
+    numpy's stacked matmul already makes one BLAS call per (sequence,
+    head), and the element-wise ops and row reductions run in the same
+    order over the same rows."""
     b, h, m, hd = q.shape
     neg = np.array(-np.inf, dtype=q.dtype)
     probs = np.empty((b, h, m, k.shape[2]), dtype=q.dtype) if keep_probs \
@@ -289,7 +329,10 @@ def _attention(q, k, v, future, scale, keep_probs: bool):
         np.copyto(s, neg, where=future[j])
         np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
         np.exp(s, out=s)
-        np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
+        # the full-width sum stays inline: through the helper call it moved
+        # training's peak RSS by 3 MB (allocator layout)
+        np.divide(s, s.sum(axis=-1, keepdims=True) if s.shape[-1] == sum_width
+                  else _padded_row_sum(s, sum_width), out=s)
         np.matmul(s, v[j], out=ctx[j].swapaxes(0, 1))
     return ctx.reshape(b, m, h * hd), probs
 
@@ -298,10 +341,12 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool, slots=None):
     """Logits (B, T, V) and, when `need_cache`, the activations backward
     needs. With `slots` (inference only) the logits are (B, 1, V) at one
     row per sequence: the last layer computes keys and values for every
-    row and everything else for the slot row alone."""
+    row and everything else for the slot row alone, and softmax rows are
+    summed as at the full context length."""
     cfg = model.config
     p = model.params
     b, t = ids.shape
+    sum_width = t if slots is None else cfg.context_length
     cos, sin = model._cos[:t], model._sin[:t]
     future = model._future[:t, :t]
     scale = np.sqrt(np.array(cfg.head_dim, dtype=cfg.np_dtype))
@@ -322,7 +367,7 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool, slots=None):
             q_cos, q_sin = cos[slots][:, None, None], sin[slots][:, None, None]
             masks = future[slots][:, None]
         q = _rope_apply(_split_heads(a @ wq, cfg.heads), q_cos, q_sin)
-        ctx, probs = _attention(q, k, v, masks, scale, need_cache)
+        ctx, probs = _attention(q, k, v, masks, scale, need_cache, sum_width)
         x_mid = ctx @ wo
         x_mid += x
 

@@ -226,9 +226,11 @@ def rank(prompt: TaskPrompt, model) -> RankedList:
 
 
 def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
-    """Rank many prompts in one forward pass, right-padded to the context
-    length, from the logits at each prompt's target slot only. A prompt's
-    ranking is the same bit for bit whatever else is in the batch."""
+    """Rank many prompts in one forward pass from the logits at each
+    prompt's target slot only. The ids are right-padded to the context
+    length; the model runs each prompt over the 64-row tiles up to its slot
+    and skips the rest. A prompt's ranking is the same bit for bit whatever
+    else is in the batch."""
     if not prompts:
         return []
     if max(max(p.candidate_set) for p in prompts) >= model.config.vocab_size:

@@ -3,11 +3,11 @@
 One reader, a bounded queue, one scoring context. A batching window > 0
 coalesces requests that arrive together into a single forward pass. Ranking
 reads each request's logits from its own slot row, which the model computes
-alone (GEMM M=1) over a prompt padded to the fixed context length, so a
-request's logits are identical whether it is scored alone or inside a batch:
-batching changes throughput, never results. The loop answers malformed
-requests with per-request errors and keeps going; shutdown emits the latency
-histogram summary with batch and error counts.
+alone (GEMM M=1) over the whole 64-row tiles up to the slot, a width fixed
+by the slot alone, so a request's logits are identical whether it is scored
+alone or inside a batch: batching changes throughput, never results. The
+loop answers malformed requests with per-request errors and keeps going;
+shutdown emits the latency histogram summary with batch and error counts.
 """
 from __future__ import annotations
 
@@ -117,14 +117,14 @@ def _score_batch(requests: list[dict], model, vocabulary: Vocabulary,
 
 def serve_lines(lines, model, vocabulary: Vocabulary, write,
                 batch_window_ms: float = 0.0, max_batch: int = 32,
-                clock=time.perf_counter_ns) -> LatencyHistogram:
+                clock=time.perf_counter_ns) -> None:
     """Drive the serve loop from an iterable of request lines (stdio, a
     socket reader, or a test). Each reply's latency runs from the moment the
     reader took its line to the reply's write, so time in the queue and the
-    batching window counts. Returns the latency histogram; its summary, with
-    the number of batches, a batch size -> count map and an exception class
-    name -> count map of the error replies, is also written as a final
-    record. Raises ValueError before reading any line when the vocabulary
+    batching window counts. The final record written is the summary: the
+    latency histogram's percentiles, the number of batches, a batch size ->
+    count map and an exception class name -> count map of the error
+    replies. Raises ValueError before reading any line when the vocabulary
     has candidates the model cannot score."""
     largest = max(vocabulary.item_token_ids + vocabulary.carousel_token_ids,
                   default=-1)
@@ -190,7 +190,6 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
     summary = dict(histogram.summary(), batches=batch_sizes.total(),
                    batch_sizes=dict(batch_sizes), errors=dict(errors))
     write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
-    return histogram
 
 
 def serve_tcp(model, vocabulary: Vocabulary, port: int,

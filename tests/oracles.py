@@ -12,6 +12,9 @@ independent reading of it:
   per-event hour), so absolute timestamps are not recovered;
 - `detokenize` and `prefix_freedom_violations` read a vocabulary back;
 - `cross_entropy` is the loss without the fused backward of training;
+- `padded_slot_forward` is the slot-mode forward over every sequence padded
+  to the full context length, which the tiled `Model.forward` matches
+  within rounding;
 - `read_metrics` reads `eval`'s metrics file;
 - `extend_story_for_now` is serve's prompt prefix as one string.
 """
@@ -24,7 +27,7 @@ import numpy as np
 from storyrank import grammar
 from storyrank.grammar import BEGIN_SESSIONS, SEARCH_MARKER, SESSION_MARKER, \
     WATCH_MARKER
-from storyrank.model import ModelError
+from storyrank.model import ModelError, _forward
 from storyrank.prompts import session_tail
 from storyrank.stories import Surface, UserStory, ValidationError, WatchEvent
 from storyrank.vocab import TokenizeError, Vocabulary
@@ -292,6 +295,18 @@ def cross_entropy(logits, targets, weights=None):
     if total <= 0:
         raise ModelError("all-zero loss weights")
     return float((nll * w).sum() / total)
+
+
+def padded_slot_forward(model, ids, slots):
+    """Logits (B, V) at one slot per sequence of the (B, T) ids, with every
+    sequence right-padded to the context length and run over all its rows:
+    the last layer and head at the slot row alone, but no row skipped for
+    lying past the slot's tile."""
+    padded = np.zeros((len(ids), model.config.context_length), dtype=np.int64)
+    padded[:, :np.shape(ids)[1]] = ids
+    logits, _ = _forward(model, padded, need_cache=False,
+                         slots=np.asarray(slots))
+    return logits[:, 0]
 
 
 # --- evaluation ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from storyrank.model import (
     _forward,
+    _loss_and_dlogits,
     _merge_heads,
     _rmsnorm_fwd,
     _rope_apply,
@@ -26,7 +28,7 @@ from storyrank.model import (
 )
 from storyrank.training import make_batch
 
-from oracles import cross_entropy
+from oracles import cross_entropy, padded_slot_forward
 
 
 def tiny_model(layers=2, dim=8, heads=2, vocab=40, ctx=16, dtype="float64",
@@ -198,6 +200,24 @@ def test_forward_equals_batched_attention_oracle(dtype, b, t, tie):
             assert not any(np.shares_memory(one, other) for other in kept[i + 1:])
 
 
+@pytest.mark.parametrize("t", [150, 200])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_training_forward_keeps_the_plain_softmax_sum(dtype, t):
+    # past 128 keys numpy's pairwise sum splits a t-wide row differently from
+    # a context-wide one; training must keep the plain row sum
+    model = tiny_model(layers=2, dim=32, heads=4, vocab=50, ctx=256,
+                       dtype=dtype)
+    rng = np.random.default_rng(t)
+    ids = rng.integers(0, 50, size=(2, t))
+    targets = rng.integers(0, 50, size=(2, t))
+    want = batched_forward(model, ids)
+    logits, _ = _forward(model, ids, need_cache=True)
+    assert np.array_equal(logits, want)
+    loss, _ = forward_backward(model, ids, targets)
+    assert loss == _loss_and_dlogits(want, targets, np.ones(ids.shape),
+                                     model.config.np_dtype)[0]
+
+
 SLOT_CTX = 24
 SLOT_MODELS = {(dtype, tie): tiny_model(layers=2, dim=16, heads=2, vocab=40,
                                         ctx=SLOT_CTX, dtype=dtype, tie=tie)
@@ -232,6 +252,38 @@ def test_slot_logits_are_batch_independent_and_close_to_full(key, batch):
         assert np.array_equal(row, alone)
         full = model.forward(seq)[slot]
         assert np.abs(row - full).max() <= rtol * np.abs(full).max()
+
+
+DESK_SHAPE = ModelConfig(vocab_size=96, context_length=256, layers=4,
+                         heads=4, model_dim=128)
+TILE_EDGES = (63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_tiled_slot_rows_across_tile_edges(dtype):
+    model = init_model(replace(DESK_SHAPE, dtype=dtype), seed=7)
+    ctx = DESK_SHAPE.context_length
+    rng = np.random.default_rng(11)
+    # in one shuffled batch: each sequence length t with its slot at t - 1
+    # and at a random earlier row; tokens past the slot are random
+    lengths = np.repeat(TILE_EDGES, 2)
+    slots = np.where(np.arange(len(lengths)) % 2 == 0, lengths - 1,
+                     rng.integers(0, lengths))
+    order = rng.permutation(len(slots))
+    slots = slots[order]
+    ids = rng.integers(0, 96, size=(len(slots), ctx))
+    before = model.forward_calls
+    rows = model.forward(ids, slots)
+    assert model.forward_calls == before + 1
+    full = padded_slot_forward(model, ids, slots)
+    rtol = 1e-5 if dtype == "float32" else 1e-12
+    for row, seq, slot, want in zip(rows, ids, slots, full):
+        cut = seq[:slot + 1]
+        assert np.array_equal(row, model.forward(cut, [slot]))
+        assert np.array_equal(row, model.forward(
+            np.pad(cut, (0, ctx - slot - 1)), [slot]))
+        # the kernels of some BLAS builds round a narrower GEMM differently
+        assert np.abs(row - want).max() <= rtol * np.abs(want).max()
 
 
 def test_slots_validated():
