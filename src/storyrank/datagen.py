@@ -52,6 +52,8 @@ _THIRD = (
     "experiment", "confession", "expedition", "interlude", "reckoning",
     "labyrinth", "serenade", "afterglow",
 )
+# distinct titles build_catalog can draw: two-word plus three-word
+TITLE_SPACE = len(_FIRST) * len(_SECOND) * (1 + len(_THIRD))
 
 _COUNTRIES = ("US", "CA", "BR", "MX", "GB")
 _DEVICES = ("tv", "mobile", "web", "tablet")
@@ -88,6 +90,9 @@ class WorldConfig:
     def __post_init__(self):
         if self.n_items < 1 or self.n_users < 1 or self.n_carousels < 1:
             raise DatagenError("users, items, and carousels must be positive")
+        if self.n_items > TITLE_SPACE:
+            raise DatagenError(f"n_items {self.n_items} exceeds the "
+                               f"{TITLE_SPACE} distinct item titles")
         if not 1 <= self.n_genres <= min(self.n_items, len(GENRE_POOL)):
             raise DatagenError(
                 f"n_genres must be in 1..{min(self.n_items, len(GENRE_POOL))}")

@@ -17,15 +17,22 @@ Ranking needs the logits at one position per sequence (its slot).
 up to its slot only, since under the causal mask the slot row depends on
 no later row. Within that width it runs every layer but the last over all
 rows, as keys and values need them, and the last layer's query, attention
-row, MLP, final norm and output head over the slot row alone. The bit
+row, MLP, final norm and output head over the slot row alone. Each
+sequence is its own task: on a pool of one thread per usable core, with
+OpenBLAS pinned to one thread meanwhile, or in the caller when the process
+may use one core only or the BLAS thread count cannot be set. The bit
 contract of slot mode has two levels: a slot row is bitwise independent of
 the batch and the padding around it, and equal to the full forward's row at
 that slot within float rounding (a one-row GEMM rounds differently).
 """
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,16 +170,21 @@ class Model:
         lengths and batch sizes (BLAS kernel selection varies with the
         matrix M dimension).
 
-        Slot mode runs each sequence at the width of the whole `TILE_ROWS`
-        tiles that reach its slot (capped at the context length), one
-        `_forward` per distinct width over the sequences that share it.
-        The width depends on the slot alone, and softmax rows are summed as
-        at the full context length. The last layer's query, attention row,
-        MLP, final norm and output head run for the slot row alone (GEMM M=1
-        for every sequence, alone or batched). A slot row's logits are
-        therefore bitwise independent of the batch and the padding, and
-        equal to `forward(ids)[slot]` within float rounding, not bit for
-        bit: a one-row GEMM rounds differently from the full-context one."""
+        Slot mode runs each sequence as its own `_forward` task, at the
+        width of the whole `TILE_ROWS` tiles that reach its slot (capped at
+        the context length). The width depends on the slot alone, and
+        softmax rows are summed as at the full context length. The last
+        layer's query, attention row, MLP, final norm and output head run
+        for the slot row alone (GEMM M=1). The tasks run on a thread pool
+        with one worker per usable core, with OpenBLAS pinned to one thread
+        until all have finished, a lone sequence's too; on a one-core
+        process, or when the BLAS thread count cannot be set, they run in
+        the caller with BLAS as it is. A slot row's logits are therefore
+        bitwise independent of the batch and the padding, and equal to
+        `forward(ids)[slot]` within float rounding, not bit for bit: a
+        one-row GEMM rounds differently from the full-context one. While a
+        pooled forward runs, a no-slot forward or training step on another
+        thread also runs its GEMMs on one BLAS thread."""
         self.forward_calls += 1
         ids, squeeze = _as_batch(token_ids)
         _check_ids(ids, self.config)
@@ -194,14 +206,107 @@ class Model:
             logits = logits[:, :t]
         else:
             widths = np.minimum(ctx, (slots // TILE_ROWS + 1) * TILE_ROWS)
-            logits = np.empty((ids.shape[0], self.config.vocab_size),
-                              dtype=self.config.np_dtype)
-            for width in np.unique(widths):
-                rows = np.flatnonzero(widths == width)
-                part, _ = _forward(self, ids[rows, :width], need_cache=False,
-                                   slots=slots[rows])
-                logits[rows] = part[:, 0]
+            logits = np.stack(_run_tasks(
+                _slot_logits, [(self, ids[r:r + 1, :w], slots[r:r + 1])
+                               for r, w in enumerate(widths)]))
         return logits[0] if squeeze else logits
+
+
+def _slot_logits(model: Model, ids: np.ndarray, slots: np.ndarray):
+    """The (V,) logits at the slot of one sequence, ids (1, W)."""
+    logits, _ = _forward(model, ids, need_cache=False, slots=slots)
+    return logits[0, 0]
+
+
+# --- slot-task pool -------------------------------------------------------
+#
+# Softmax, RoPE, SiLU and RMSNorm are single-threaded numpy, so a serial slot
+# forward keeps one core busy; OpenBLAS threads help only its GEMMs. The pool
+# runs one sequence per task instead, with OpenBLAS on one thread so that its
+# spinning workers do not compete with the tasks.
+
+_POOL_LOCK = threading.Lock()  # one pooled run owns the BLAS thread count
+_pool = None  # (executor, get_threads, set_threads) or (), set on first use
+
+
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_threads():
+    """The get and set thread-count functions of the OpenBLAS mapped into
+    this process, or None when there is none or it exports neither pair.
+    (`openblas_set_num_threads_local` is not used: in a pthreads build it
+    changes the count for the whole process too.)"""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _slot_pool():
+    """Looked up once: a thread pool with one worker per usable core and the
+    OpenBLAS thread-count functions, or () when the process may use one
+    core only or the BLAS thread count cannot be set."""
+    global _pool
+    with _POOL_LOCK:
+        if _pool is None:
+            threads = _openblas_threads()
+            workers = len(os.sched_getaffinity(0)) if threads else 1
+            _pool = (ThreadPoolExecutor(workers, "storyrank-slot"), *threads) \
+                if workers > 1 else ()
+    return _pool
+
+
+def _forget_pool_in_child():
+    """A forked child has none of the parent's pool threads, and the lock
+    may have been held by a thread that the child does not have either."""
+    global _pool, _POOL_LOCK
+    _pool, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
+def _run_tasks(fn, tasks: list[tuple]) -> list:
+    """[fn(*task) for task in tasks], on the slot-task pool with OpenBLAS
+    pinned to one thread when the pool exists, otherwise in the caller with
+    BLAS left as it is. A single task runs on the pool too: some OpenBLAS
+    kernels (Haswell's float32 GEMM) round differently on one thread than on
+    two, so every slot row of a process runs at one thread count. The count
+    is restored after every task has finished, also when one raised; the
+    first failing task's exception reaches the caller."""
+    pool = _slot_pool()
+    if not pool:
+        return [fn(*task) for task in tasks]
+    executor, get_threads, set_threads = pool
+    with _POOL_LOCK:
+        before = get_threads()
+        set_threads(1)
+        try:
+            futures = [executor.submit(fn, *task) for task in tasks]
+            wait(futures)
+            return [future.result() for future in futures]
+        finally:
+            set_threads(before)
 
 
 def init_model(cfg: ModelConfig, seed: int = 0) -> Model:

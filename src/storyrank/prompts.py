@@ -217,7 +217,7 @@ def rank_candidates(row: np.ndarray, candidates) -> RankedList:
     cands = np.asarray(candidates)
     logits = row[cands]
     order = np.lexsort((cands, -logits))
-    return RankedList(tuple((int(cands[i]), float(logits[i])) for i in order))
+    return RankedList(tuple(zip(cands[order].tolist(), logits[order].tolist())))
 
 
 def rank(prompt: TaskPrompt, model) -> RankedList:
@@ -228,9 +228,11 @@ def rank(prompt: TaskPrompt, model) -> RankedList:
 def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
     """Rank many prompts in one forward pass from the logits at each
     prompt's target slot only. The ids are right-padded to the context
-    length; the model runs each prompt over the 64-row tiles up to its slot
-    and skips the rest. A prompt's ranking is the same bit for bit whatever
-    else is in the batch."""
+    length; the model runs each prompt as its own task, on a pool of one
+    thread per usable core with OpenBLAS pinned to one thread, over the
+    64-row tiles up to its slot, and skips the rest. A prompt's ranking is
+    the same bit for bit whatever else is in the batch. The candidates are
+    ranked here, serially, after the forward."""
     if not prompts:
         return []
     if max(max(p.candidate_set) for p in prompts) >= model.config.vocab_size:

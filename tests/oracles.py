@@ -16,7 +16,9 @@ independent reading of it:
   to the full context length, which the tiled `Model.forward` matches
   within rounding;
 - `read_metrics` reads `eval`'s metrics file;
-- `extend_story_for_now` is serve's prompt prefix as one string.
+- `extend_story_for_now` is serve's prompt prefix as one string;
+- `rank_candidates` is the candidate ranking built entry by entry, which
+  `prompts.rank_candidates` builds from whole arrays.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from storyrank import grammar
 from storyrank.grammar import BEGIN_SESSIONS, SEARCH_MARKER, SESSION_MARKER, \
     WATCH_MARKER
 from storyrank.model import ModelError, _forward
-from storyrank.prompts import session_tail
+from storyrank.prompts import RankedList, session_tail
 from storyrank.stories import Surface, UserStory, ValidationError, WatchEvent
 from storyrank.vocab import TokenizeError, Vocabulary
 
@@ -332,3 +334,12 @@ def extend_story_for_now(story: UserStory, now: int) -> str:
     tail = session_tail(story, now)
     text = grammar.serialize(story, validate=False)
     return f"{text} {tail}" if tail else text
+
+
+def rank_candidates(row: np.ndarray, candidates) -> RankedList:
+    """The ranked entries of one logit row, converted one element at a
+    time."""
+    cands = np.asarray(candidates)
+    logits = row[cands]
+    order = np.lexsort((cands, -logits))
+    return RankedList(tuple((int(cands[i]), float(logits[i])) for i in order))

@@ -149,6 +149,10 @@ def test_infeasible_configs_rejected():
         WorldConfig(n_items=5, n_genres=9)
     with pytest.raises(DatagenError):
         WorldConfig(search_before_watch_prob=1.5)
+    # beyond the title space build_catalog would draw duplicates forever
+    WorldConfig(n_items=8400)
+    with pytest.raises(DatagenError, match="8400 distinct item titles"):
+        WorldConfig(n_items=8401)
 
 
 def test_titles_unique_and_genre_assignment_total():

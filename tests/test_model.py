@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +31,7 @@ from storyrank.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from storyrank import model as model_module
 from storyrank.training import make_batch
 
 from oracles import cross_entropy, padded_slot_forward
@@ -284,6 +290,138 @@ def test_tiled_slot_rows_across_tile_edges(dtype):
             np.pad(cut, (0, ctx - slot - 1)), [slot]))
         # the kernels of some BLAS builds round a narrower GEMM differently
         assert np.abs(row - want).max() <= rtol * np.abs(want).max()
+
+
+# --- slot-task pool -----------------------------------------------------------
+#
+# A slot forward runs one task per sequence on a thread pool, with OpenBLAS
+# pinned to one thread, when the process may use more than one core;
+# otherwise the same tasks run in the caller.
+
+POOLED = len(os.sched_getaffinity(0)) > 1
+MIXED_SLOTS = (3, 70, 255, 130, 64, 200, 191)  # every tile width, shuffled
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS (get, set) thread-count functions; the count is put
+    back afterwards."""
+    threads = model_module._openblas_threads()
+    if threads is None:
+        pytest.skip("the BLAS thread count cannot be read in this process")
+    original = threads[0]()
+    yield threads
+    threads[1](original)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_pooled_slot_batch_equals_each_row_alone(dtype):
+    model = init_model(replace(DESK_SHAPE, dtype=dtype), seed=5)
+    ids = np.random.default_rng(3).integers(0, 96, size=(len(MIXED_SLOTS),
+                                                         256))
+    before = model.forward_calls
+    rows = model.forward(ids, MIXED_SLOTS)
+    assert model.forward_calls == before + 1
+    for row, seq, slot in zip(rows, ids, MIXED_SLOTS):
+        assert np.array_equal(row, model.forward(seq, [slot]))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_slot_forward_restores_the_blas_thread_count(monkeypatch,
+                                                     blas_threads, count):
+    get_threads, set_threads = blas_threads
+    real_forward = model_module._forward
+    seen = []
+
+    def recording_forward(*args, **kwargs):
+        seen.append(get_threads())
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "_forward", recording_forward)
+    model = tiny_model(ctx=SLOT_CTX)
+    set_threads(count)
+    model.forward(np.arange(3 * SLOT_CTX).reshape(3, -1) % 40, [0, 9, 23])
+    assert get_threads() == count
+    model.forward(np.arange(5), [4])
+    assert get_threads() == count
+    # pooled tasks, a lone sequence's too, run on one BLAS thread; without
+    # the pool the caller runs them with BLAS left as it is
+    assert seen == [1 if POOLED else count] * 4
+
+
+def test_failing_slot_task_reaches_the_caller_and_restores_blas(
+        monkeypatch, blas_threads):
+    get_threads, set_threads = blas_threads
+    real_forward = model_module._forward
+
+    def failing_forward(model, ids, need_cache, slots=None):
+        if slots[0] == 5:
+            raise RuntimeError("slot task failed")
+        return real_forward(model, ids, need_cache, slots)
+
+    monkeypatch.setattr(model_module, "_forward", failing_forward)
+    model = tiny_model(ctx=SLOT_CTX)
+    set_threads(2)
+    with pytest.raises(RuntimeError, match="slot task failed"):
+        model.forward(np.ones((3, 8), dtype=np.int64), [1, 5, 7])
+    assert get_threads() == 2
+
+
+def test_concurrent_slot_forwards_equal_serial_calls(blas_threads):
+    get_threads, set_threads = blas_threads
+    set_threads(2)
+    model = init_model(replace(DESK_SHAPE, dtype="float32"), seed=9)
+    rng = np.random.default_rng(4)
+    batches = [(rng.integers(0, 96, size=(b, 256)), rng.integers(0, 256, b))
+               for b in (4, 5, 1)]
+    want = [model.forward(ids, slots) for ids, slots in batches]
+    got = [[] for _ in batches]
+
+    def run(k):
+        for _ in range(3):
+            got[k].append(model.forward(*batches[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(len(batches))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for rows, expected in zip(got, want):
+        assert len(rows) == 3
+        for row in rows:
+            assert np.array_equal(row, expected)
+    assert get_threads() == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_a_slot_forward():
+    model = tiny_model(ctx=SLOT_CTX)
+    ids = np.arange(2 * SLOT_CTX).reshape(2, -1) % 40
+    want = model.forward(ids, [3, 20])  # the parent's pool exists from here
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(model.forward(ids, [3, 20]), want) \
+                else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 \
+            and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's slot forward did not finish")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_slots_validated():

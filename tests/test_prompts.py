@@ -20,6 +20,7 @@ from storyrank.prompts import (
     make_prompt,
     rank,
     rank_batch,
+    rank_candidates,
 )
 from storyrank.stories import SESSION_GAP_SECONDS, SESSION_SPAN_SECONDS, \
     AttributeHeader, EMPTY_CAROUSEL, Surface, UserStory, day_of_week, \
@@ -30,6 +31,7 @@ from storyrank.vocab import CLASS_CAROUSEL, CLASS_ITEM, build_vocabulary, \
 from conftest import SAMPLE_CAROUSELS, SAMPLE_ITEMS, SAMPLE_TEXT, SUNDAY, \
     make_sample_story
 from oracles import detokenize, extend_story_for_now, parse_prompt
+from oracles import rank_candidates as oracle_rank_candidates
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +190,23 @@ def test_equal_logits_tie_break_ascending_token_id(sample_vocab, toy_model):
         model.params["w_out"][:, tid] = 0.0  # identical logits for candidates
     ranked = rank(prompt, model)
     assert [t for t, _ in ranked.entries] == sorted(prompt.candidate_set)
+
+
+@given(dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_rank_candidates_equals_elementwise_oracle(dtype, data):
+    size = data.draw(st.integers(1, 60))
+    # a few repeated values force exact ties, signed zeros included
+    values = data.draw(st.lists(
+        st.sampled_from([-2.5, -0.0, 0.0, 0.125, 7.0])
+        | st.floats(-1e6, 1e6, width=32), min_size=size, max_size=size))
+    row = np.array(values, dtype=dtype)
+    candidates = tuple(data.draw(st.lists(st.integers(0, size - 1),
+                                          min_size=1, unique=True)))
+    got = rank_candidates(row, candidates)
+    want = oracle_rank_candidates(row, candidates)
+    assert got == want
+    assert repr(got) == repr(want)  # same types and signs of zero too
 
 
 def test_rank_is_a_single_forward_pass(sample_vocab, toy_model):
