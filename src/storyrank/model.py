@@ -13,17 +13,17 @@ a time with its scale, mask, softmax and value mix done in place, which gives
 the same bits as whole-batch ops without batch-sized temporaries.
 
 Ranking needs the logits at one position per sequence (its slot).
-`Model.forward(ids, slots)` runs each sequence over the whole 64-row tiles
-up to its slot only, since under the causal mask the slot row depends on
-no later row. Within that width it runs every layer but the last over all
-rows, as keys and values need them, and the last layer's query, attention
-row, MLP, final norm and output head over the slot row alone. Each
-sequence is its own task: on a pool of one thread per usable core, with
-OpenBLAS pinned to one thread meanwhile, or in the caller when the process
-may use one core only or the BLAS thread count cannot be set. The bit
-contract of slot mode has two levels: a slot row is bitwise independent of
-the batch and the padding around it, and equal to the full forward's row at
-that slot within float rounding (a one-row GEMM rounds differently).
+`Model.forward(ids, slots)` runs each sequence over its rows up to and
+including the slot only, since under the causal mask the slot row depends
+on no later row. It runs every layer but the last over all those rows, as
+keys and values need them, and the last layer's query, attention row, MLP,
+final norm and output head over the slot row alone. Each sequence is its
+own task: on a pool of one thread per usable core, with OpenBLAS pinned to
+one thread meanwhile, or in the caller when the process may use one core
+only or the BLAS thread count cannot be set. The bit contract of slot mode
+has two levels: a slot row is bitwise independent of the batch, the padding
+and every token past the slot, and equal to the full forward's row at that
+slot within float rounding (narrower GEMMs round differently).
 """
 from __future__ import annotations
 
@@ -42,8 +42,6 @@ CHECKPOINT_MAGIC = b"SRCKPT1\n"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-TILE_ROWS = 64  # slot mode runs a sequence over the whole tiles to its slot
 
 
 class ModelError(ValueError):
@@ -170,21 +168,20 @@ class Model:
         lengths and batch sizes (BLAS kernel selection varies with the
         matrix M dimension).
 
-        Slot mode runs each sequence as its own `_forward` task, at the
-        width of the whole `TILE_ROWS` tiles that reach its slot (capped at
-        the context length). The width depends on the slot alone, and
-        softmax rows are summed as at the full context length. The last
-        layer's query, attention row, MLP, final norm and output head run
-        for the slot row alone (GEMM M=1). The tasks run on a thread pool
-        with one worker per usable core, with OpenBLAS pinned to one thread
-        until all have finished, a lone sequence's too; on a one-core
-        process, or when the BLAS thread count cannot be set, they run in
-        the caller with BLAS as it is. A slot row's logits are therefore
-        bitwise independent of the batch and the padding, and equal to
-        `forward(ids)[slot]` within float rounding, not bit for bit: a
-        one-row GEMM rounds differently from the full-context one. While a
-        pooled forward runs, a no-slot forward or training step on another
-        thread also runs its GEMMs on one BLAS thread."""
+        Slot mode runs each sequence as its own `_forward` task over its
+        rows up to and including the slot, unpadded, so the width depends
+        on the slot alone. The last layer's query, attention row, MLP,
+        final norm and output head run for the slot row alone (GEMM M=1).
+        The tasks run on a thread pool with one worker per usable core,
+        with OpenBLAS pinned to one thread until all have finished, a lone
+        sequence's too; on a one-core process, or when the BLAS thread
+        count cannot be set, they run in the caller with BLAS as it is. A
+        slot row's logits are therefore bitwise independent of the batch,
+        the padding and every token past the slot, and equal to
+        `forward(ids)[slot]` within float rounding, not bit for bit: GEMMs
+        narrower than the context round differently. While a pooled
+        forward runs, a no-slot forward or training step on another thread
+        also runs its GEMMs on one BLAS thread."""
         self.forward_calls += 1
         ids, squeeze = _as_batch(token_ids)
         _check_ids(ids, self.config)
@@ -196,25 +193,18 @@ class Model:
                                  "sequences")
             if slots.min() < 0 or slots.max() >= t:
                 raise ModelError(f"slot outside the sequence length {t}")
-        ctx = self.config.context_length
-        if t < ctx:
-            padded = np.zeros((ids.shape[0], ctx), dtype=ids.dtype)
-            padded[:, :t] = ids
-            ids = padded
-        if slots is None:
-            logits, _ = _forward(self, ids, need_cache=False)
-            logits = logits[:, :t]
-        else:
-            widths = np.minimum(ctx, (slots // TILE_ROWS + 1) * TILE_ROWS)
             logits = np.stack(_run_tasks(
-                _slot_logits, [(self, ids[r:r + 1, :w], slots[r:r + 1])
-                               for r, w in enumerate(widths)]))
+                _slot_logits, [(self, ids[r:r + 1, :s + 1])
+                               for r, s in enumerate(slots)]))
+        else:
+            padded = np.pad(ids, ((0, 0), (0, self.config.context_length - t)))
+            logits = _forward(self, padded, need_cache=False)[0][:, :t]
         return logits[0] if squeeze else logits
 
 
-def _slot_logits(model: Model, ids: np.ndarray, slots: np.ndarray):
-    """The (V,) logits at the slot of one sequence, ids (1, W)."""
-    logits, _ = _forward(model, ids, need_cache=False, slots=slots)
+def _slot_logits(model: Model, ids: np.ndarray):
+    """The (V,) logits at the last row of one sequence, ids (1, slot + 1)."""
+    logits, _ = _forward(model, ids, need_cache=False, last_row=True)
     return logits[0, 0]
 
 
@@ -390,38 +380,18 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
-def _padded_row_sum(s, n):
-    """Sums over the last axis of `s`, of width w <= n, taken in the order of
-    numpy's pairwise sum over the rows zero-padded to width n. Numpy splits
-    a row longer than 128 at half its length rounded down to a multiple of
-    8, and sums shorter blocks with eight interleaved accumulators, so
-    trailing zeros leave a block's bits as they are when w is a multiple of
-    8 (or w == n)."""
-    w = s.shape[-1]
-    if w == n or n <= 128:
-        return s.sum(axis=-1, keepdims=True)
-    half = n // 2 - n // 2 % 8
-    if w <= half:
-        return _padded_row_sum(s, half)
-    return (_padded_row_sum(s[..., :half], half)
-            + _padded_row_sum(s[..., half:], n - half))
-
-
-def _attention(q, k, v, future, scale, keep_probs: bool, sum_width: int):
+def _attention(q, k, v, future, scale, keep_probs: bool):
     """Causal softmax attention, one sequence at a time: each sequence's
     (H, M, T) scores are scaled, masked, normalized and mixed in place, so
     no op allocates a batch-sized temporary. q (B, H, M, hd); k, v
     (B, H, T, hd); future (B, M, T) marks the keys each query row may not
-    see. Each softmax row is summed as if zero-padded to `sum_width` >= T
-    (masked keys are exact zeros after the exp), so a row computed at a
-    narrower width keeps the sum of the full-width row. Returns the merged
-    context (B, M, H*hd) and the probabilities (B, H, M, T) when
-    `keep_probs`, else None.
+    see. Returns the merged context (B, M, H*hd) and the probabilities
+    (B, H, M, T) when `keep_probs`, else None.
 
-    With `sum_width` T the results equal the batched ops bit for bit:
-    numpy's stacked matmul already makes one BLAS call per (sequence,
-    head), and the element-wise ops and row reductions run in the same
-    order over the same rows."""
+    With M = T the results equal the batched ops bit for bit: numpy's
+    stacked matmul already makes one BLAS call per (sequence, head), and
+    the element-wise ops and row reductions run in the same order over the
+    same rows."""
     b, h, m, hd = q.shape
     neg = np.array(-np.inf, dtype=q.dtype)
     probs = np.empty((b, h, m, k.shape[2]), dtype=q.dtype) if keep_probs \
@@ -434,24 +404,20 @@ def _attention(q, k, v, future, scale, keep_probs: bool, sum_width: int):
         np.copyto(s, neg, where=future[j])
         np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
         np.exp(s, out=s)
-        # the full-width sum stays inline: through the helper call it moved
-        # training's peak RSS by 3 MB (allocator layout)
-        np.divide(s, s.sum(axis=-1, keepdims=True) if s.shape[-1] == sum_width
-                  else _padded_row_sum(s, sum_width), out=s)
+        np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
         np.matmul(s, v[j], out=ctx[j].swapaxes(0, 1))
     return ctx.reshape(b, m, h * hd), probs
 
 
-def _forward(model: Model, ids: np.ndarray, need_cache: bool, slots=None):
+def _forward(model: Model, ids: np.ndarray, need_cache: bool,
+             last_row: bool = False):
     """Logits (B, T, V) and, when `need_cache`, the activations backward
-    needs. With `slots` (inference only) the logits are (B, 1, V) at one
-    row per sequence: the last layer computes keys and values for every
-    row and everything else for the slot row alone, and softmax rows are
-    summed as at the full context length."""
+    needs. With `last_row` (inference only) the logits are (B, 1, V) at the
+    last row: the last layer computes keys and values for every row and
+    everything else for the last row alone."""
     cfg = model.config
     p = model.params
     b, t = ids.shape
-    sum_width = t if slots is None else cfg.context_length
     cos, sin = model._cos[:t], model._sin[:t]
     future = model._future[:t, :t]
     scale = np.sqrt(np.array(cfg.head_dim, dtype=cfg.np_dtype))
@@ -465,14 +431,12 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool, slots=None):
         a, inv1 = _rmsnorm_fwd(x, p[f"layers.{i}.ln1"], cfg.rms_eps)
         k = _rope_apply(_split_heads(a @ wk, cfg.heads), cos, sin)
         v = _split_heads(a @ wv, cfg.heads)
-        if slots is not None and i == cfg.layers - 1:
-            # past the keys and values, only each sequence's slot row
-            rows = np.arange(b)
-            x, a = x[rows, slots][:, None], a[rows, slots][:, None]
-            q_cos, q_sin = cos[slots][:, None, None], sin[slots][:, None, None]
-            masks = future[slots][:, None]
+        if last_row and i == cfg.layers - 1:
+            # past the keys and values, only the last row
+            x, a = x[:, -1:], a[:, -1:]
+            q_cos, q_sin, masks = cos[-1:], sin[-1:], masks[:, -1:]
         q = _rope_apply(_split_heads(a @ wq, cfg.heads), q_cos, q_sin)
-        ctx, probs = _attention(q, k, v, masks, scale, need_cache, sum_width)
+        ctx, probs = _attention(q, k, v, masks, scale, need_cache)
         x_mid = ctx @ wo
         x_mid += x
 
@@ -680,13 +644,18 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
 
 
 def _read_tensor(fh):
+    start = fh.tell()
     head = fh.read(2)
     if not head:
         return None
     if len(head) < 2:
         raise ModelError("truncated checkpoint: tensor name length")
     (nlen,) = struct.unpack("<H", head)
-    name = fh.read(nlen).decode("utf-8")
+    try:
+        name = fh.read(nlen).decode("utf-8")
+    except UnicodeDecodeError:
+        raise ModelError("corrupt checkpoint: the name of the tensor at "
+                         f"byte {start} is not UTF-8") from None
     meta = fh.read(2)
     if len(meta) < 2:
         raise ModelError(f"truncated checkpoint: header of {name!r}")
@@ -697,6 +666,8 @@ def _read_tensor(fh):
         if len(raw) < 8:
             raise ModelError(f"truncated checkpoint: dims of {name!r}")
         dims.append(struct.unpack("<Q", raw)[0])
+    if code not in _DTYPE_NAMES:
+        raise ModelError(f"corrupt checkpoint: dtype code {code} of {name!r}")
     dtype = np.dtype(_DTYPE_NAMES[code])
     count = int(np.prod(dims)) if dims else 1
     payload = fh.read(count * dtype.itemsize)
@@ -768,6 +739,8 @@ def load_checkpoint(path, *, expect_vocab_hash: str | None = None
             if record is None:
                 break
             name, arr = record
+            if name.startswith("adam.") and opt is None:
+                raise ModelError(f"{path}: {name!r} before the optimizer block")
             if name.startswith("adam.m."):
                 opt.m[name[len("adam.m."):]] = arr
             elif name.startswith("adam.v."):

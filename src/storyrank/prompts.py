@@ -229,8 +229,8 @@ def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
     """Rank many prompts in one forward pass from the logits at each
     prompt's target slot only. The ids are right-padded to the context
     length; the model runs each prompt as its own task, on a pool of one
-    thread per usable core with OpenBLAS pinned to one thread, over the
-    64-row tiles up to its slot, and skips the rest. A prompt's ranking is
+    thread per usable core with OpenBLAS pinned to one thread, over its
+    rows up to the slot, and skips the rest. A prompt's ranking is
     the same bit for bit whatever else is in the batch. The candidates are
     ranked here, serially, after the forward."""
     if not prompts:

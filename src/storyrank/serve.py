@@ -3,8 +3,8 @@
 One reader, a bounded queue, one scoring context. A batching window > 0
 coalesces requests that arrive together into a single forward pass. Ranking
 reads each request's logits from its own slot row, which the model computes
-alone (GEMM M=1) over the whole 64-row tiles up to the slot, a width fixed
-by the slot alone, so a request's logits are identical whether it is scored
+alone (GEMM M=1) over the prompt's rows up to the slot, a width fixed by
+the slot alone, so a request's logits are identical whether it is scored
 alone or inside a batch: batching changes throughput, never results. The
 loop answers malformed requests with per-request errors and keeps going;
 shutdown emits the latency histogram summary with batch and error counts.

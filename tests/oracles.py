@@ -12,9 +12,9 @@ independent reading of it:
   per-event hour), so absolute timestamps are not recovered;
 - `detokenize` and `prefix_freedom_violations` read a vocabulary back;
 - `cross_entropy` is the loss without the fused backward of training;
-- `padded_slot_forward` is the slot-mode forward over every sequence padded
-  to the full context length, which the tiled `Model.forward` matches
-  within rounding;
+- `padded_slot_forward` takes each sequence's slot row from the forward
+  over every sequence padded to the full context length, which slot mode's
+  `Model.forward`, cut at each slot, matches within rounding;
 - `read_metrics` reads `eval`'s metrics file;
 - `extend_story_for_now` is serve's prompt prefix as one string;
 - `rank_candidates` is the candidate ranking built entry by entry, which
@@ -301,14 +301,12 @@ def cross_entropy(logits, targets, weights=None):
 
 def padded_slot_forward(model, ids, slots):
     """Logits (B, V) at one slot per sequence of the (B, T) ids, with every
-    sequence right-padded to the context length and run over all its rows:
-    the last layer and head at the slot row alone, but no row skipped for
-    lying past the slot's tile."""
+    sequence right-padded to the context length and run over all its rows,
+    none skipped for lying past the slot."""
     padded = np.zeros((len(ids), model.config.context_length), dtype=np.int64)
     padded[:, :np.shape(ids)[1]] = ids
-    logits, _ = _forward(model, padded, need_cache=False,
-                         slots=np.asarray(slots))
-    return logits[:, 0]
+    logits, _ = _forward(model, padded, need_cache=False)
+    return logits[np.arange(len(ids)), np.asarray(slots)]
 
 
 # --- evaluation ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import struct
 import sys
 import threading
 import time
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storyrank.model import (
+    CHECKPOINT_MAGIC,
     _forward,
     _loss_and_dlogits,
     _merge_heads,
@@ -209,8 +211,8 @@ def test_forward_equals_batched_attention_oracle(dtype, b, t, tie):
 @pytest.mark.parametrize("t", [150, 200])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_training_forward_keeps_the_plain_softmax_sum(dtype, t):
-    # past 128 keys numpy's pairwise sum splits a t-wide row differently from
-    # a context-wide one; training must keep the plain row sum
+    # past 128 keys numpy's pairwise sum splits a row in blocks; training
+    # must sum each t-wide row as the batched oracle does
     model = tiny_model(layers=2, dim=32, heads=4, vocab=50, ctx=256,
                        dtype=dtype)
     rng = np.random.default_rng(t)
@@ -262,6 +264,8 @@ def test_slot_logits_are_batch_independent_and_close_to_full(key, batch):
 
 DESK_SHAPE = ModelConfig(vocab_size=96, context_length=256, layers=4,
                          heads=4, model_dim=128)
+# slot widths at and around multiples of 64, where BLAS kernels and numpy's
+# pairwise sum change how they block a row
 TILE_EDGES = (63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256)
 
 
@@ -299,7 +303,7 @@ def test_tiled_slot_rows_across_tile_edges(dtype):
 # otherwise the same tasks run in the caller.
 
 POOLED = len(os.sched_getaffinity(0)) > 1
-MIXED_SLOTS = (3, 70, 255, 130, 64, 200, 191)  # every tile width, shuffled
+MIXED_SLOTS = (3, 70, 255, 130, 64, 200, 191)  # short to full width, shuffled
 
 
 @pytest.fixture
@@ -324,6 +328,22 @@ def test_pooled_slot_batch_equals_each_row_alone(dtype):
     assert model.forward_calls == before + 1
     for row, seq, slot in zip(rows, ids, MIXED_SLOTS):
         assert np.array_equal(row, model.forward(seq, [slot]))
+
+
+def test_slot_tasks_run_exactly_to_their_slot(monkeypatch):
+    real_forward = model_module._forward
+    seen = []
+
+    def recording_forward(model, ids, need_cache, **flags):
+        seen.append((ids.shape[1], flags.get("last_row")))
+        return real_forward(model, ids, need_cache, **flags)
+
+    monkeypatch.setattr(model_module, "_forward", recording_forward)
+    model = init_model(replace(DESK_SHAPE, layers=1), seed=5)
+    ids = np.random.default_rng(3).integers(0, 96, size=(len(MIXED_SLOTS),
+                                                         256))
+    model.forward(ids, MIXED_SLOTS)
+    assert sorted(seen) == sorted((slot + 1, True) for slot in MIXED_SLOTS)
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -354,10 +374,10 @@ def test_failing_slot_task_reaches_the_caller_and_restores_blas(
     get_threads, set_threads = blas_threads
     real_forward = model_module._forward
 
-    def failing_forward(model, ids, need_cache, slots=None):
-        if slots[0] == 5:
+    def failing_forward(model, ids, need_cache, last_row=False):
+        if ids.shape[1] == 6:  # the task of slot 5
             raise RuntimeError("slot task failed")
-        return real_forward(model, ids, need_cache, slots)
+        return real_forward(model, ids, need_cache, last_row)
 
     monkeypatch.setattr(model_module, "_forward", failing_forward)
     model = tiny_model(ctx=SLOT_CTX)
@@ -678,6 +698,32 @@ def test_truncated_checkpoint_is_a_clean_error(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 11])
     with pytest.raises(ModelError, match="truncated|mismatch"):
+        load_checkpoint(path)
+
+
+def _corrupt_first_tensor(data: bytes, what: str) -> bytes:
+    """The checkpoint bytes with the first tensor record's dtype code or
+    name damaged: records are u16 name length, name, u8 dtype code, ..."""
+    start = data.index(b"\n", len(CHECKPOINT_MAGIC)) + 1
+    (nlen,) = struct.unpack_from("<H", data, start)
+    name_at = start + 2
+    if what == "dtype":
+        return data[:name_at + nlen] + b"\x07" + data[name_at + nlen + 1:]
+    name = b"\xff" * nlen if what == "name" else b"adam.m." + b"x" * (nlen - 7)
+    return data[:name_at] + name + data[name_at + nlen:]
+
+
+@pytest.mark.parametrize("what, match", [
+    ("dtype", "dtype code 7 of 'layers.0.ln1'"),
+    ("name", r"tensor at byte \d+ is not UTF-8"),
+    ("adam", "'adam.m.xxxxx' before the optimizer block"),
+], ids=["dtype", "name", "adam"])
+def test_corrupt_checkpoint_is_a_clean_error(tmp_path, what, match):
+    model = tiny_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, AdamState.for_model(model))
+    path.write_bytes(_corrupt_first_tensor(path.read_bytes(), what))
+    with pytest.raises(ModelError, match=match):
         load_checkpoint(path)
 
 
