@@ -125,13 +125,17 @@ def cmd_train(args) -> int:
     model = init_model(cfg.model(vocab.size), seed=cfg.train().rng_seed)
     opt = AdamState.for_model(model)
     started = time.perf_counter()
-    run_training(model, opt, story_examples, catalog_examples, cfg.mixture(),
-                 cfg.masking(), vocab, cfg.train(),
-                 log_every=args.log_every)
+    history = run_training(model, opt, story_examples, catalog_examples,
+                           cfg.mixture(), cfg.masking(), vocab, cfg.train(),
+                           log_every=args.log_every)
     manifest.record("train", time.perf_counter() - started)
     save_checkpoint(args.out, model, opt if args.save_optimizer else None,
                     vocab_hash=vocab.vocab_hash(), manifest_hash=manifest.hash)
     manifest.write(Path(args.out).with_suffix(".manifest.json"))
+    with open(Path(args.out).with_suffix(".train.jsonl"), "w",
+              encoding="utf-8") as fh:
+        for record in history:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     print(f"trained {model.step} steps -> {args.out}")
     return 0
 

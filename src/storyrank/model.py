@@ -17,13 +17,16 @@ Ranking needs the logits at one position per sequence (its slot).
 including the slot only, since under the causal mask the slot row depends
 on no later row. It runs every layer but the last over all those rows, as
 keys and values need them, and the last layer's query, attention row, MLP,
-final norm and output head over the slot row alone. Each sequence is its
-own task: on a pool of one thread per usable core, with OpenBLAS pinned to
-one thread meanwhile, or in the caller when the process may use one core
-only or the BLAS thread count cannot be set. The bit contract of slot mode
-has two levels: a slot row is bitwise independent of the batch, the padding
-and every token past the slot, and equal to the full forward's row at that
-slot within float rounding (narrower GEMMs round differently).
+final norm and output head over the slot row alone. The bit contract of
+slot mode has two levels: a slot row is bitwise independent of the batch,
+the padding and every token past the slot, and equal to the full forward's
+row at that slot within float rounding (narrower GEMMs round differently).
+
+Each sequence is its own task, in slot mode and in training, where a task
+is one sequence's forward, loss and backward (`forward_backward` sums the
+gradients in row order). The tasks run on a pool of one thread per usable
+core, with OpenBLAS pinned to one thread meanwhile, or in the caller when
+the process may use one core only or the BLAS thread count cannot be set.
 """
 from __future__ import annotations
 
@@ -180,7 +183,7 @@ class Model:
         the padding and every token past the slot, and equal to
         `forward(ids)[slot]` within float rounding, not bit for bit: GEMMs
         narrower than the context round differently. While a pooled
-        forward runs, a no-slot forward or training step on another thread
+        forward or training step runs, a no-slot forward on another thread
         also runs its GEMMs on one BLAS thread."""
         self.forward_calls += 1
         ids, squeeze = _as_batch(token_ids)
@@ -211,9 +214,9 @@ def _slot_logits(model: Model, ids: np.ndarray):
 # --- slot-task pool -------------------------------------------------------
 #
 # Softmax, RoPE, SiLU and RMSNorm are single-threaded numpy, so a serial slot
-# forward keeps one core busy; OpenBLAS threads help only its GEMMs. The pool
-# runs one sequence per task instead, with OpenBLAS on one thread so that its
-# spinning workers do not compete with the tasks.
+# forward or training step keeps one core busy; OpenBLAS threads help only
+# its GEMMs. The pool runs one sequence per task instead, with OpenBLAS on one
+# thread so that its spinning workers do not compete with the tasks.
 
 _POOL_LOCK = threading.Lock()  # one pooled run owns the BLAS thread count
 _pool = None  # (executor, get_threads, set_threads) or (), set on first use
@@ -281,9 +284,10 @@ def _run_tasks(fn, tasks: list[tuple]) -> list:
     pinned to one thread when the pool exists, otherwise in the caller with
     BLAS left as it is. A single task runs on the pool too: some OpenBLAS
     kernels (Haswell's float32 GEMM) round differently on one thread than on
-    two, so every slot row of a process runs at one thread count. The count
-    is restored after every task has finished, also when one raised; the
-    first failing task's exception reaches the caller."""
+    two, so every slot row and training sequence of a process runs at one
+    thread count. The count is restored after every task has finished, also
+    when one raised; the first failing task's exception reaches the
+    caller."""
     pool = _slot_pool()
     if not pool:
         return [fn(*task) for task in tasks]
@@ -467,26 +471,10 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool,
     return logits, cache
 
 
-def _loss_and_dlogits(logits, targets, weights, dtype):
-    b, t, v = logits.shape
-    flat = logits.reshape(-1, v)
-    tg = targets.reshape(-1)
-    w = weights.reshape(-1).astype(dtype)
-    m = flat.max(axis=-1, keepdims=True)
-    e = np.exp(flat - m)
-    z = e.sum(axis=-1, keepdims=True)
-    probs = e / z
-    lse = m[:, 0] + np.log(z[:, 0])
-    nll = lse - flat[np.arange(tg.shape[0]), tg]
-    total = w.sum()
-    loss = float((nll * w).sum() / total)
-    dflat = probs * (w / total)[:, None]
-    dflat[np.arange(tg.shape[0]), tg] -= w / total
-    return loss, dflat.reshape(b, t, v)
-
-
 def _matmul_bwd(x, w, dy):
-    """y = x @ w with x (B,T,D), w (D,E): returns (dx, dw)."""
+    """y = x @ w with x (B, T, D), w (D, E), dy (B, T, E): returns dx
+    (B, T, D) and dw (D, E), contracted over B and T. Training's backward
+    runs one sequence per task, so there B = 1."""
     dw = np.tensordot(x, dy, axes=([0, 1], [0, 1]))
     dx = dy @ w.T
     return dx, dw
@@ -494,9 +482,17 @@ def _matmul_bwd(x, w, dy):
 
 def forward_backward(model: Model, inputs, targets, weights=None):
     """Loss and gradients for a padded batch. inputs/targets (B, T); weights
-    (B, T) with zeros over padding (None means everything counts)."""
+    (B, T) with zeros over padding (None means everything counts).
+
+    Each sequence is one task for `_run_tasks`, on the pool that slot
+    inference uses: its forward with cache, its weighted NLL and logit
+    gradients, scaled by the batch's total target weight, and its backward.
+    The loss sums the tasks' NLL rows in batch order, so it has the bits of
+    a loss over the whole batch at once. The gradients are summed in row
+    order 0..B-1, so reruns give the same bits; they differ from a
+    whole-batch backward's in the last bits, since each weight gradient is
+    a sum of per-sequence contractions rather than one over B*T."""
     cfg = model.config
-    p = model.params
     ids, _ = _as_batch(inputs)
     _check_ids(ids, cfg)
     tg = np.asarray(targets, dtype=np.int64)
@@ -505,10 +501,42 @@ def forward_backward(model: Model, inputs, targets, weights=None):
     w = np.ones(ids.shape, dtype=cfg.np_dtype) if weights is None \
         else np.asarray(weights).astype(cfg.np_dtype)
     model.forward_calls += 1
-    logits, cache = _forward(model, ids, need_cache=True)
     safe_tg = np.where(w > 0, tg, 0)
-    loss, dlogits = _loss_and_dlogits(logits, safe_tg, w, cfg.np_dtype)
+    total = w.reshape(-1).sum()
+    results = _run_tasks(_sequence_forward_backward,
+                         [(model, ids[r:r + 1], safe_tg[r], w[r], total)
+                          for r in range(ids.shape[0])])
+    loss = float(np.concatenate([nll for nll, _ in results]).sum() / total)
+    grads = results[0][1]
+    for _, more in results[1:]:
+        for name, g in grads.items():
+            g += more[name]
+    return loss, grads
 
+
+def _sequence_forward_backward(model: Model, ids, targets, weights, total):
+    """One sequence's training task: ids (1, T); targets and weights (T,);
+    total, the whole batch's target weight, scales its logit gradients.
+    Returns its weighted NLL per row (T,) and its gradients."""
+    logits, cache = _forward(model, ids, need_cache=True)
+    flat = logits[0]
+    rows = np.arange(targets.shape[0])
+    m = flat.max(axis=-1, keepdims=True)
+    e = np.exp(flat - m)
+    z = e.sum(axis=-1, keepdims=True)
+    nll = m[:, 0] + np.log(z[:, 0]) - flat[rows, targets]
+    scale = weights / total
+    dlogits = np.divide(e, z, out=e)
+    dlogits *= scale[:, None]
+    dlogits[rows, targets] -= scale
+    return nll * weights, _backward(model, cache, dlogits[None])
+
+
+def _backward(model: Model, cache: dict, dlogits) -> dict:
+    """Parameter gradients from `_forward`'s cache and dlogits (B, T, V)."""
+    cfg = model.config
+    p = model.params
+    ids = cache["ids"]
     grads = {name: None for name in model.params}
     w_out = model.output_matrix()
     dfinal, dw_out = _matmul_bwd(cache["final"], w_out, dlogits)
@@ -563,7 +591,7 @@ def forward_backward(model: Model, inputs, targets, weights=None):
     if cfg.tie_embeddings:
         d_emb += dw_out.T
     grads["tok_emb"] = d_emb
-    return loss, grads
+    return grads
 
 
 @dataclass

@@ -34,19 +34,24 @@ def train(model: Model, opt: AdamState, story_examples, catalog_examples,
           vocabulary, train_cfg: TrainConfig, log_every: int = 100,
           log=print) -> list[dict]:
     """Run macro_steps optimizer steps over the sampled mixture. Fully
-    deterministic given the config seeds; returns per-log-point metrics."""
+    deterministic given the config seeds; returns per-log-point metrics:
+    loss, grad_norm, lr, step, elapsed_s and the target tokens (nonzero
+    weights) per second since the start."""
     stream = sample_mixture(story_examples, catalog_examples, mixture_cfg,
                             n=train_cfg.macro_steps * train_cfg.batch_size,
                             masking=masking_cfg, vocabulary=vocabulary)
     history = []
+    tokens = 0
     started = time.perf_counter()
     for step in range(train_cfg.macro_steps):
         batch_seqs = [next(stream).token_ids for _ in range(train_cfg.batch_size)]
         batch = make_batch(batch_seqs, dtype=model.config.np_dtype)
         metrics = backward_and_step(model, opt, batch, train_cfg, batch_index=step)
+        tokens += int(np.count_nonzero(batch[2]))
         if log_every and (step + 1) % log_every == 0:
-            metrics = dict(metrics, step=step + 1,
-                           elapsed_s=round(time.perf_counter() - started, 2))
+            elapsed = time.perf_counter() - started
+            metrics = dict(metrics, step=step + 1, elapsed_s=round(elapsed, 2),
+                           tokens_per_s=round(tokens / elapsed, 1))
             history.append(metrics)
             if log:
                 log(f"step {metrics['step']}: loss {metrics['loss']:.4f} "

@@ -12,6 +12,10 @@ independent reading of it:
   per-event hour), so absolute timestamps are not recovered;
 - `detokenize` and `prefix_freedom_violations` read a vocabulary back;
 - `cross_entropy` is the loss without the fused backward of training;
+- `batched_forward_backward` (with `_loss_and_dlogits`) is the training
+  step over the whole batch at once, which `model.forward_backward`, one
+  sequence per task, matches bitwise in the loss and within rounding in
+  the gradients;
 - `padded_slot_forward` takes each sequence's slot row from the forward
   over every sequence padded to the full context length, which slot mode's
   `Model.forward`, cut at each slot, matches within rounding;
@@ -29,7 +33,8 @@ import numpy as np
 from storyrank import grammar
 from storyrank.grammar import BEGIN_SESSIONS, SEARCH_MARKER, SESSION_MARKER, \
     WATCH_MARKER
-from storyrank.model import ModelError, _forward
+from storyrank.model import Model, ModelError, _as_batch, _check_ids, _forward, \
+    _matmul_bwd, _merge_heads, _rmsnorm_bwd, _rope_backward, _split_heads
 from storyrank.prompts import RankedList, session_tail
 from storyrank.stories import Surface, UserStory, ValidationError, WatchEvent
 from storyrank.vocab import TokenizeError, Vocabulary
@@ -308,6 +313,97 @@ def padded_slot_forward(model, ids, slots):
     logits, _ = _forward(model, padded, need_cache=False)
     return logits[np.arange(len(ids)), np.asarray(slots)]
 
+
+def _loss_and_dlogits(logits, targets, weights, dtype):
+    b, t, v = logits.shape
+    flat = logits.reshape(-1, v)
+    tg = targets.reshape(-1)
+    w = weights.reshape(-1).astype(dtype)
+    m = flat.max(axis=-1, keepdims=True)
+    e = np.exp(flat - m)
+    z = e.sum(axis=-1, keepdims=True)
+    probs = e / z
+    lse = m[:, 0] + np.log(z[:, 0])
+    nll = lse - flat[np.arange(tg.shape[0]), tg]
+    total = w.sum()
+    loss = float((nll * w).sum() / total)
+    dflat = probs * (w / total)[:, None]
+    dflat[np.arange(tg.shape[0]), tg] -= w / total
+    return loss, dflat.reshape(b, t, v)
+
+
+def batched_forward_backward(model: Model, inputs, targets, weights=None):
+    """Loss and gradients for a padded batch. inputs/targets (B, T); weights
+    (B, T) with zeros over padding (None means everything counts)."""
+    cfg = model.config
+    p = model.params
+    ids, _ = _as_batch(inputs)
+    _check_ids(ids, cfg)
+    tg = np.asarray(targets, dtype=np.int64)
+    if tg.shape != ids.shape:
+        raise ModelError(f"targets shape {tg.shape} != inputs shape {ids.shape}")
+    w = np.ones(ids.shape, dtype=cfg.np_dtype) if weights is None \
+        else np.asarray(weights).astype(cfg.np_dtype)
+    model.forward_calls += 1
+    logits, cache = _forward(model, ids, need_cache=True)
+    safe_tg = np.where(w > 0, tg, 0)
+    loss, dlogits = _loss_and_dlogits(logits, safe_tg, w, cfg.np_dtype)
+
+    grads = {name: None for name in model.params}
+    w_out = model.output_matrix()
+    dfinal, dw_out = _matmul_bwd(cache["final"], w_out, dlogits)
+    dx, grads["ln_f"] = _rmsnorm_bwd(dfinal, cache["x_final"], cache["inv_f"],
+                                     p["ln_f"])
+    if not cfg.tie_embeddings:
+        grads["w_out"] = dw_out
+
+    cos, sin, future = cache["cos"], cache["sin"], cache["future"]
+    scale = np.sqrt(np.array(cfg.head_dim, dtype=cfg.np_dtype))
+    for i in reversed(range(cfg.layers)):
+        lc = cache["layers"][i]
+        wd_ = p[f"layers.{i}.wd"]
+        dh, grads[f"layers.{i}.wd"] = _matmul_bwd(lc["h"], wd_, dx)
+        zg, zu, sig = lc["zg"], lc["zu"], lc["sig"]
+        dzu = dh * zg * sig
+        dzg = dh * zu * sig * (1.0 + zg * (1.0 - sig))
+        db_u, grads[f"layers.{i}.wu"] = _matmul_bwd(lc["bnorm"],
+                                                    p[f"layers.{i}.wu"], dzu)
+        db_g, grads[f"layers.{i}.wg"] = _matmul_bwd(lc["bnorm"],
+                                                    p[f"layers.{i}.wg"], dzg)
+        dx_mid, grads[f"layers.{i}.ln2"] = _rmsnorm_bwd(
+            db_u + db_g, lc["x_mid"], lc["inv2"], p[f"layers.{i}.ln2"])
+        dx_mid = dx_mid + dx  # residual
+
+        dctx, grads[f"layers.{i}.wo"] = _matmul_bwd(lc["ctx"],
+                                                    p[f"layers.{i}.wo"], dx_mid)
+        dctx = _split_heads(dctx, cfg.heads)
+        probs = lc["probs"]
+        dv = np.matmul(probs.swapaxes(-1, -2), dctx)
+        # softmax, mask and scale backward in place in the dprobs buffer
+        dscores = np.matmul(dctx, lc["v"].swapaxes(-1, -2))
+        np.subtract(dscores, (dscores * probs).sum(axis=-1, keepdims=True),
+                    out=dscores)
+        np.multiply(probs, dscores, out=dscores)
+        np.copyto(dscores, 0.0, where=future)
+        np.divide(dscores, scale, out=dscores)
+        dq = np.matmul(dscores, lc["k"])
+        dk = np.matmul(dscores.swapaxes(-1, -2), lc["q"])
+        dq = _merge_heads(_rope_backward(dq, cos, sin))
+        dk = _merge_heads(_rope_backward(dk, cos, sin))
+        dv = _merge_heads(dv)
+        da_q, grads[f"layers.{i}.wq"] = _matmul_bwd(lc["a"], p[f"layers.{i}.wq"], dq)
+        da_k, grads[f"layers.{i}.wk"] = _matmul_bwd(lc["a"], p[f"layers.{i}.wk"], dk)
+        da_v, grads[f"layers.{i}.wv"] = _matmul_bwd(lc["a"], p[f"layers.{i}.wv"], dv)
+        dx_attn, grads[f"layers.{i}.ln1"] = _rmsnorm_bwd(
+            da_q + da_k + da_v, lc["x_in"], lc["inv1"], p[f"layers.{i}.ln1"])
+        dx = dx_mid + dx_attn  # both residual branches reach the layer input
+
+    d_emb = np.zeros_like(p["tok_emb"])
+    np.add.at(d_emb, ids.reshape(-1), dx.reshape(-1, cfg.model_dim))
+    if cfg.tie_embeddings:
+        d_emb += dw_out.T
+    grads["tok_emb"] = d_emb
+    return loss, grads
 
 # --- evaluation ---------------------------------------------------------------
 

@@ -121,6 +121,26 @@ def test_rerun_determinism(tmp_path):
         assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), rel
 
 
+def test_train_writes_its_history_as_jsonl(tmp_path):
+    d = run_pipeline(tmp_path)
+    assert (d / "model.train.jsonl").read_text(encoding="utf-8") == ""
+    assert main(["train", "--corpus", str(d / "corpus.bin"),
+                 "--vocab", str(d / "vocab.tsv"),
+                 "--out", str(d / "logged.ckpt"), "--log-every", "4",
+                 *TINY_MODEL]) == 0
+    lines = (d / "logged.train.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [r["step"] for r in records] == [4, 8, 12]
+    for r in records:
+        assert set(r) == {"step", "loss", "grad_norm", "lr", "elapsed_s",
+                          "tokens_per_s"}
+        assert r["loss"] > 0 and r["grad_norm"] > 0 and r["lr"] > 0
+        assert r["tokens_per_s"] > 0
+    assert [r["elapsed_s"] for r in records] == \
+        sorted(r["elapsed_s"] for r in records)
+    # logging does not reach the checkpoint
+    assert (d / "logged.ckpt").read_bytes() == (d / "model.ckpt").read_bytes()
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     assert main(["gen-data", "--out-dir", str(tmp_path / "x"),
                  "--set", "world.n_viewers=5"]) == 1

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from storyrank.model import (
     CHECKPOINT_MAGIC,
     _forward,
-    _loss_and_dlogits,
     _merge_heads,
     _rmsnorm_fwd,
     _rope_apply,
@@ -36,7 +35,8 @@ from storyrank.model import (
 from storyrank import model as model_module
 from storyrank.training import make_batch
 
-from oracles import cross_entropy, padded_slot_forward
+from oracles import _loss_and_dlogits, batched_forward_backward, \
+    cross_entropy, padded_slot_forward
 
 
 def tiny_model(layers=2, dim=8, heads=2, vocab=40, ctx=16, dtype="float64",
@@ -387,6 +387,58 @@ def test_failing_slot_task_reaches_the_caller_and_restores_blas(
     assert get_threads() == 2
 
 
+def _ragged_training_batch(model, b, seed=0):
+    """(inputs, targets, weights) of b rows with different target counts and
+    non-unit weights, zero over each row's padding."""
+    rng = np.random.default_rng(seed)
+    v, t = model.config.vocab_size, model.config.context_length
+    inputs = rng.integers(0, v, size=(b, t))
+    targets = rng.integers(0, v, size=(b, t))
+    weights = rng.uniform(0.5, 2.0, size=(b, t))
+    for r, n in enumerate(rng.integers(1, t + 1, size=b)):
+        weights[r, n:] = 0.0
+    return inputs, targets, weights
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_training_step_restores_the_blas_thread_count(monkeypatch,
+                                                      blas_threads, count):
+    get_threads, set_threads = blas_threads
+    real_forward = model_module._forward
+    seen = []
+
+    def recording_forward(*args, **kwargs):
+        seen.append(get_threads())
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "_forward", recording_forward)
+    model = tiny_model(ctx=SLOT_CTX)
+    set_threads(count)
+    forward_backward(model, *_ragged_training_batch(model, 3))
+    assert get_threads() == count
+    # one training task per sequence, on one BLAS thread when pooled
+    assert seen == [1 if POOLED else count] * 3
+
+
+def test_failing_training_task_reaches_the_caller_and_restores_blas(
+        monkeypatch, blas_threads):
+    get_threads, set_threads = blas_threads
+    real_forward = model_module._forward
+
+    def failing_forward(model, ids, need_cache, last_row=False):
+        if ids[0, 0] == 7:  # the task of the second sequence
+            raise RuntimeError("training task failed")
+        return real_forward(model, ids, need_cache, last_row)
+
+    monkeypatch.setattr(model_module, "_forward", failing_forward)
+    model = tiny_model(ctx=SLOT_CTX)
+    set_threads(2)
+    inputs = np.ones((3, 8), dtype=np.int64)
+    inputs[1, 0] = 7
+    with pytest.raises(RuntimeError, match="training task failed"):
+        forward_backward(model, inputs, inputs)
+    assert get_threads() == 2
+
 def test_concurrent_slot_forwards_equal_serial_calls(blas_threads):
     get_threads, set_threads = blas_threads
     set_threads(2)
@@ -540,6 +592,28 @@ def test_gradients_match_central_finite_differences():
         worst[name] = max(elementwise, normwise)
     assert max(worst.values()) < 1e-4, worst
 
+
+@pytest.mark.parametrize("tie", [False, True])
+@pytest.mark.parametrize("b", [1, 3, 8])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_pooled_training_step_equals_batched_oracle(dtype, b, tie):
+    # one task per sequence: the loss keeps the whole-batch bits; the
+    # gradients sum per sequence in row order, so they match within rounding
+    # and repeat bit for bit
+    model = tiny_model(layers=2, dim=32, heads=4, vocab=50, ctx=40,
+                       dtype=dtype, tie=tie)
+    batch = _ragged_training_batch(model, b, seed=b)
+    want_loss, want = batched_forward_backward(model, *batch)
+    loss, grads = forward_backward(model, *batch)
+    assert loss == want_loss
+    rtol = 1e-5 if dtype == "float32" else 1e-12
+    assert grads.keys() == want.keys()
+    for name, g in grads.items():
+        assert g.dtype == want[name].dtype
+        assert np.abs(g - want[name]).max() <= rtol * np.abs(want[name]).max(), name
+    _, again = forward_backward(model, *batch)
+    for name, g in grads.items():
+        assert np.array_equal(g, again[name]), name
 
 def _loss_only(model, inputs, targets, weights):
     logits, _ = __import__("storyrank.model", fromlist=["_forward"])._forward(
