@@ -5,12 +5,11 @@ MLP, untied output head by default. Forward, backward, and the Adam-style
 update are hand-written; the only dependency is numpy's matrix multiply.
 
 Numerics are float32 for training and float64 for gradient-check and
-determinism work. Every matmul broadcasts per sequence (never flattening the
-batch into the GEMM M dimension), which keeps a sequence's logits bitwise
-identical whether it is scored alone or inside a batch; serving equivalence
-and the prefix-consistency tests rely on this. Attention runs one sequence at
-a time with its scale, mask, softmax and value mix done in place, which gives
-the same bits as whole-batch ops without batch-sized temporaries.
+determinism work. `_forward` runs one sequence, ids (T,), so every GEMM's
+M dimension is that sequence's rows and never the batch's: a sequence's
+logits are bitwise identical whether it is scored alone or inside a batch,
+which serving equivalence and the prefix-consistency tests rely on. Its
+attention scales, masks, normalizes and mixes the (H, T, T) scores in place.
 
 Ranking needs the logits at one position per sequence (its slot).
 `Model.forward(ids, slots)` runs each sequence over its rows up to and
@@ -22,8 +21,9 @@ slot mode has two levels: a slot row is bitwise independent of the batch,
 the padding and every token past the slot, and equal to the full forward's
 row at that slot within float rounding (narrower GEMMs round differently).
 
-Each sequence is its own task, in slot mode and in training, where a task
-is one sequence's forward, loss and backward (`forward_backward` sums the
+Each sequence is its own task in every forward: with slots, without them
+(each row padded to the context length), and in training, where a task is
+one sequence's forward, loss and backward (`forward_backward` sums the
 gradients in row order). The tasks run on a pool of one thread per usable
 core, with OpenBLAS pinned to one thread meanwhile, or in the caller when
 the process may use one core only or the BLAS thread count cannot be set.
@@ -164,27 +164,20 @@ class Model:
         positions: (V,) for one sequence, (B, V) for a batch. Counts as
         exactly one forward pass either way.
 
-        Without slots, inference right-pads to the full context length
-        internally and slices the padding back off. Under causal masking the
-        pad tokens are exact no-ops for real positions, while the fixed GEMM
-        shapes keep a sequence's logits bitwise identical across prefix
-        lengths and batch sizes (BLAS kernel selection varies with the
-        matrix M dimension).
+        Each sequence is its own `_forward` task for `_run_tasks`, a lone
+        sequence's too. Without slots it is right-padded to the full context
+        length and the padding sliced back off: under causal masking the pad
+        tokens are exact no-ops for real positions, while the fixed GEMM
+        shapes keep its logits bitwise identical across prefix lengths (BLAS
+        kernel selection varies with the matrix M dimension).
 
-        Slot mode runs each sequence as its own `_forward` task over its
-        rows up to and including the slot, unpadded, so the width depends
-        on the slot alone. The last layer's query, attention row, MLP,
-        final norm and output head run for the slot row alone (GEMM M=1).
-        The tasks run on a thread pool with one worker per usable core,
-        with OpenBLAS pinned to one thread until all have finished, a lone
-        sequence's too; on a one-core process, or when the BLAS thread
-        count cannot be set, they run in the caller with BLAS as it is. A
-        slot row's logits are therefore bitwise independent of the batch,
-        the padding and every token past the slot, and equal to
+        Slot mode runs each sequence over its rows up to and including the
+        slot, unpadded, so the width depends on the slot alone; the last
+        layer past its keys and values runs for the slot row alone (GEMM
+        M=1). A slot row's logits are therefore bitwise independent of the
+        batch, the padding and every token past the slot, and equal to
         `forward(ids)[slot]` within float rounding, not bit for bit: GEMMs
-        narrower than the context round differently. While a pooled
-        forward or training step runs, a no-slot forward on another thread
-        also runs its GEMMs on one BLAS thread."""
+        narrower than the context round differently."""
         self.forward_calls += 1
         ids, squeeze = _as_batch(token_ids)
         _check_ids(ids, self.config)
@@ -197,23 +190,26 @@ class Model:
             if slots.min() < 0 or slots.max() >= t:
                 raise ModelError(f"slot outside the sequence length {t}")
             logits = np.stack(_run_tasks(
-                _slot_logits, [(self, ids[r:r + 1, :s + 1])
-                               for r, s in enumerate(slots)]))
+                _sequence_logits, [(self, ids[r, :s + 1], True)
+                                   for r, s in enumerate(slots)]))
         else:
             padded = np.pad(ids, ((0, 0), (0, self.config.context_length - t)))
-            logits = _forward(self, padded, need_cache=False)[0][:, :t]
+            logits = np.stack(_run_tasks(
+                _sequence_logits, [(self, row, False) for row in padded]))
+            logits = logits[:, :t]
         return logits[0] if squeeze else logits
 
 
-def _slot_logits(model: Model, ids: np.ndarray):
-    """The (V,) logits at the last row of one sequence, ids (1, slot + 1)."""
-    logits, _ = _forward(model, ids, need_cache=False, last_row=True)
-    return logits[0, 0]
+def _sequence_logits(model: Model, ids: np.ndarray, last_row: bool):
+    """One sequence's logits, ids (T,): (T, V), or with `last_row` the (V,)
+    logits at its last row."""
+    logits, _ = _forward(model, ids, need_cache=False, last_row=last_row)
+    return logits[0] if last_row else logits
 
 
-# --- slot-task pool -------------------------------------------------------
+# --- per-sequence task pool -----------------------------------------------
 #
-# Softmax, RoPE, SiLU and RMSNorm are single-threaded numpy, so a serial slot
+# Softmax, RoPE, SiLU and RMSNorm are single-threaded numpy, so a serial
 # forward or training step keeps one core busy; OpenBLAS threads help only
 # its GEMMs. The pool runs one sequence per task instead, with OpenBLAS on one
 # thread so that its spinning workers do not compete with the tasks.
@@ -254,7 +250,7 @@ def _openblas_threads():
     return None
 
 
-def _slot_pool():
+def _task_pool():
     """Looked up once: a thread pool with one worker per usable core and the
     OpenBLAS thread-count functions, or () when the process may use one
     core only or the BLAS thread count cannot be set."""
@@ -263,7 +259,7 @@ def _slot_pool():
         if _pool is None:
             threads = _openblas_threads()
             workers = len(os.sched_getaffinity(0)) if threads else 1
-            _pool = (ThreadPoolExecutor(workers, "storyrank-slot"), *threads) \
+            _pool = (ThreadPoolExecutor(workers, "storyrank-task"), *threads) \
                 if workers > 1 else ()
     return _pool
 
@@ -280,15 +276,14 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_tasks(fn, tasks: list[tuple]) -> list:
-    """[fn(*task) for task in tasks], on the slot-task pool with OpenBLAS
+    """[fn(*task) for task in tasks], on the task pool with OpenBLAS
     pinned to one thread when the pool exists, otherwise in the caller with
     BLAS left as it is. A single task runs on the pool too: some OpenBLAS
     kernels (Haswell's float32 GEMM) round differently on one thread than on
-    two, so every slot row and training sequence of a process runs at one
-    thread count. The count is restored after every task has finished, also
-    when one raised; the first failing task's exception reaches the
-    caller."""
-    pool = _slot_pool()
+    two, so every forward task of a process runs at one thread count. The
+    count is restored after every task has finished, also when one raised;
+    the first failing task's exception reaches the caller."""
+    pool = _task_pool()
     if not pool:
         return [fn(*task) for task in tasks]
     executor, get_threads, set_threads = pool
@@ -342,7 +337,7 @@ def _rmsnorm_fwd(x, gain, eps):
 
 def _rmsnorm_bwd(dy, x, inv, gain):
     xhat = x * inv
-    dgain = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    dgain = (dy * xhat).sum(axis=0)
     dxhat = dy * gain
     dx = inv * (dxhat - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True))
     return dx, dgain
@@ -358,7 +353,7 @@ def _rope_tables(cfg: ModelConfig, t: int):
 
 
 def _rope_apply(x, cos, sin):
-    # x: (B, H, T, head_dim); rotate (even, odd) pairs by the position phase
+    # x: (H, T, head_dim); rotate (even, odd) pairs by the position phase
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = even * cos - odd * sin
@@ -374,60 +369,49 @@ def _rope_backward(dy, cos, sin):
     return out
 
 
-def _split_heads(x, heads):
-    b, t, d = x.shape
-    return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+def _split_heads(x, heads):  # (T, D) -> (H, T, hd)
+    return x.reshape(len(x), heads, -1).transpose(1, 0, 2)
 
 
-def _merge_heads(x):
-    b, h, t, hd = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
+def _merge_heads(x):  # (H, T, hd) -> (T, D)
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
 
 def _attention(q, k, v, future, scale, keep_probs: bool):
-    """Causal softmax attention, one sequence at a time: each sequence's
-    (H, M, T) scores are scaled, masked, normalized and mixed in place, so
-    no op allocates a batch-sized temporary. q (B, H, M, hd); k, v
-    (B, H, T, hd); future (B, M, T) marks the keys each query row may not
-    see. Returns the merged context (B, M, H*hd) and the probabilities
-    (B, H, M, T) when `keep_probs`, else None.
-
-    With M = T the results equal the batched ops bit for bit: numpy's
-    stacked matmul already makes one BLAS call per (sequence, head), and
-    the element-wise ops and row reductions run in the same order over the
-    same rows."""
-    b, h, m, hd = q.shape
-    neg = np.array(-np.inf, dtype=q.dtype)
-    probs = np.empty((b, h, m, k.shape[2]), dtype=q.dtype) if keep_probs \
-        else None
-    ctx = np.empty((b, m, h, hd), dtype=q.dtype)
-    for j in range(b):
-        s = np.matmul(q[j], k[j].swapaxes(-1, -2),
-                      out=None if probs is None else probs[j])
-        np.divide(s, scale, out=s)
-        np.copyto(s, neg, where=future[j])
-        np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
-        np.exp(s, out=s)
-        np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
-        np.matmul(s, v[j], out=ctx[j].swapaxes(0, 1))
-    return ctx.reshape(b, m, h * hd), probs
+    """Causal softmax attention over one sequence: its (H, M, T) scores are
+    scaled, masked, normalized and mixed in place. q (H, M, hd); k, v
+    (H, T, hd); future (M, T) marks the keys each query row may not see.
+    Returns the merged context (M, H*hd) and the probabilities (H, M, T)
+    when `keep_probs`, else None. The bits equal those of whole-batch ops:
+    numpy's stacked matmul makes one BLAS call per (sequence, head) either
+    way, and the element-wise ops and row reductions see the same rows."""
+    h, m, hd = q.shape
+    s = np.matmul(q, k.swapaxes(-1, -2))
+    np.divide(s, scale, out=s)
+    np.copyto(s, -np.inf, where=future)
+    np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
+    np.exp(s, out=s)
+    np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
+    ctx = np.empty((m, h, hd), dtype=q.dtype)
+    np.matmul(s, v, out=ctx.swapaxes(0, 1))
+    return ctx.reshape(m, h * hd), s if keep_probs else None
 
 
 def _forward(model: Model, ids: np.ndarray, need_cache: bool,
              last_row: bool = False):
-    """Logits (B, T, V) and, when `need_cache`, the activations backward
-    needs. With `last_row` (inference only) the logits are (B, 1, V) at the
-    last row: the last layer computes keys and values for every row and
-    everything else for the last row alone."""
+    """One sequence's logits, ids (T,) -> (T, V), and, when `need_cache`,
+    the activations backward needs. With `last_row` (inference only) the
+    logits are (1, V) at the last row: the last layer computes keys and
+    values for every row and everything else for the last row alone."""
     cfg = model.config
     p = model.params
-    b, t = ids.shape
+    t = len(ids)
     cos, sin = model._cos[:t], model._sin[:t]
     future = model._future[:t, :t]
     scale = np.sqrt(np.array(cfg.head_dim, dtype=cfg.np_dtype))
 
     x = p["tok_emb"][ids]
-    q_cos, q_sin, masks = cos, sin, np.broadcast_to(future, (b, t, t))
+    q_cos, q_sin, mask = cos, sin, future
     layer_caches = []
     for i in range(cfg.layers):
         x_in = x
@@ -437,10 +421,10 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool,
         v = _split_heads(a @ wv, cfg.heads)
         if last_row and i == cfg.layers - 1:
             # past the keys and values, only the last row
-            x, a = x[:, -1:], a[:, -1:]
-            q_cos, q_sin, masks = cos[-1:], sin[-1:], masks[:, -1:]
+            x, a = x[-1:], a[-1:]
+            q_cos, q_sin, mask = cos[-1:], sin[-1:], future[-1:]
         q = _rope_apply(_split_heads(a @ wq, cfg.heads), q_cos, q_sin)
-        ctx, probs = _attention(q, k, v, masks, scale, need_cache)
+        ctx, probs = _attention(q, k, v, mask, scale, need_cache)
         x_mid = ctx @ wo
         x_mid += x
 
@@ -472,10 +456,9 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool,
 
 
 def _matmul_bwd(x, w, dy):
-    """y = x @ w with x (B, T, D), w (D, E), dy (B, T, E): returns dx
-    (B, T, D) and dw (D, E), contracted over B and T. Training's backward
-    runs one sequence per task, so there B = 1."""
-    dw = np.tensordot(x, dy, axes=([0, 1], [0, 1]))
+    """y = x @ w with x (T, D), w (D, E), dy (T, E): returns dx (T, D) and
+    dw (D, E), contracted over one sequence's T rows."""
+    dw = np.tensordot(x, dy, axes=(0, 0))
     dx = dy @ w.T
     return dx, dw
 
@@ -504,7 +487,7 @@ def forward_backward(model: Model, inputs, targets, weights=None):
     safe_tg = np.where(w > 0, tg, 0)
     total = w.reshape(-1).sum()
     results = _run_tasks(_sequence_forward_backward,
-                         [(model, ids[r:r + 1], safe_tg[r], w[r], total)
+                         [(model, ids[r], safe_tg[r], w[r], total)
                           for r in range(ids.shape[0])])
     loss = float(np.concatenate([nll for nll, _ in results]).sum() / total)
     grads = results[0][1]
@@ -515,28 +498,27 @@ def forward_backward(model: Model, inputs, targets, weights=None):
 
 
 def _sequence_forward_backward(model: Model, ids, targets, weights, total):
-    """One sequence's training task: ids (1, T); targets and weights (T,);
-    total, the whole batch's target weight, scales its logit gradients.
-    Returns its weighted NLL per row (T,) and its gradients."""
+    """One sequence's training task: ids, targets and weights (T,); total,
+    the whole batch's target weight, scales its logit gradients. Returns its
+    weighted NLL per row (T,) and its gradients."""
     logits, cache = _forward(model, ids, need_cache=True)
-    flat = logits[0]
     rows = np.arange(targets.shape[0])
-    m = flat.max(axis=-1, keepdims=True)
-    e = np.exp(flat - m)
+    m = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - m)
     z = e.sum(axis=-1, keepdims=True)
-    nll = m[:, 0] + np.log(z[:, 0]) - flat[rows, targets]
+    nll = m[:, 0] + np.log(z[:, 0]) - logits[rows, targets]
     scale = weights / total
     dlogits = np.divide(e, z, out=e)
     dlogits *= scale[:, None]
     dlogits[rows, targets] -= scale
-    return nll * weights, _backward(model, cache, dlogits[None])
+    return nll * weights, _backward(model, cache, dlogits)
 
 
 def _backward(model: Model, cache: dict, dlogits) -> dict:
-    """Parameter gradients from `_forward`'s cache and dlogits (B, T, V)."""
+    """One sequence's parameter gradients from `_forward`'s cache and its
+    dlogits (T, V)."""
     cfg = model.config
     p = model.params
-    ids = cache["ids"]
     grads = {name: None for name in model.params}
     w_out = model.output_matrix()
     dfinal, dw_out = _matmul_bwd(cache["final"], w_out, dlogits)
@@ -587,7 +569,7 @@ def _backward(model: Model, cache: dict, dlogits) -> dict:
         dx = dx_mid + dx_attn  # both residual branches reach the layer input
 
     d_emb = np.zeros_like(p["tok_emb"])
-    np.add.at(d_emb, ids.reshape(-1), dx.reshape(-1, cfg.model_dim))
+    np.add.at(d_emb, cache["ids"], dx)
     if cfg.tie_embeddings:
         d_emb += dw_out.T
     grads["tok_emb"] = d_emb

@@ -124,8 +124,11 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
     batching window counts. The final record written is the summary: the
     latency histogram's percentiles, the number of batches, a batch size ->
     count map and an exception class name -> count map of the error
-    replies. Raises ValueError before reading any line when the vocabulary
-    has candidates the model cannot score."""
+    replies. Lines may be `str` or UTF-8 `bytes`; a line that does not
+    decode gets its own error reply. Raises ValueError before reading any
+    line when the vocabulary has candidates the model cannot score. When
+    `lines` itself raises, the lines read before are answered, the summary
+    is written and the exception is raised again."""
     largest = max(vocabulary.item_token_ids + vocabulary.carousel_token_ids,
                   default=-1)
     if largest >= model.config.vocab_size:
@@ -139,11 +142,16 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
     errors: Counter = Counter()
     feed = queue.Queue(maxsize=1024)
     done = object()
+    failed = []
 
     def reader():
-        for line in lines:
-            feed.put((clock(), line))
-        feed.put(done)
+        try:
+            for line in lines:
+                feed.put((clock(), line))
+        except Exception as exc:
+            failed.append(exc)
+        finally:
+            feed.put(done)
 
     thread = threading.Thread(target=reader, daemon=True)
     thread.start()
@@ -170,8 +178,10 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
         responses: dict[int, dict] = {}
         valid: list[tuple[int, dict]] = []
         for i, (_, raw) in enumerate(batch):
-            raw = raw.strip()
             try:
+                if isinstance(raw, bytes):
+                    raw = raw.decode("utf-8")
+                raw = raw.strip()
                 if not raw:
                     raise ValueError("empty request line")
                 valid.append((i, json.loads(raw)))
@@ -190,25 +200,34 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
     summary = dict(histogram.summary(), batches=batch_sizes.total(),
                    batch_sizes=dict(batch_sizes), errors=dict(errors))
     write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+    if failed:
+        raise failed[0]
 
 
 def serve_tcp(model, vocabulary: Vocabulary, port: int,
               batch_window_ms: float = 0.0, max_batch: int = 32,
               max_connections: int | None = 1) -> None:
     """Accept local connections one at a time; each connection streams
-    newline-delimited requests and receives newline-delimited responses."""
+    newline-delimited requests and receives newline-delimited responses.
+    Lines are read as bytes, so a line that is not UTF-8 gets its own error
+    reply. A socket error, such as a client that resets its connection,
+    ends that connection only; the server goes on accepting."""
     server = socket.create_server(("127.0.0.1", port))
     served = 0
     try:
         while max_connections is None or served < max_connections:
             conn, _ = server.accept()
             served += 1
-            with conn, conn.makefile("r", encoding="utf-8") as reader, \
-                    conn.makefile("w", encoding="utf-8") as writer:
-                def write(text):
-                    writer.write(text)
-                    writer.flush()
-                serve_lines(reader, model, vocabulary, write,
-                            batch_window_ms=batch_window_ms, max_batch=max_batch)
+            try:
+                with conn, conn.makefile("rb") as reader, \
+                        conn.makefile("w", encoding="utf-8") as writer:
+                    def write(text):
+                        writer.write(text)
+                        writer.flush()
+                    serve_lines(reader, model, vocabulary, write,
+                                batch_window_ms=batch_window_ms,
+                                max_batch=max_batch)
+            except OSError:
+                pass  # the next connection is served as usual
     finally:
         server.close()

@@ -13,12 +13,15 @@ independent reading of it:
 - `detokenize` and `prefix_freedom_violations` read a vocabulary back;
 - `cross_entropy` is the loss without the fused backward of training;
 - `batched_forward_backward` (with `_loss_and_dlogits`) is the training
-  step over the whole batch at once, which `model.forward_backward`, one
-  sequence per task, matches bitwise in the loss and within rounding in
-  the gradients;
-- `padded_slot_forward` takes each sequence's slot row from the forward
-  over every sequence padded to the full context length, which slot mode's
-  `Model.forward`, cut at each slot, matches within rounding;
+  step with one backward over the whole batch at once, which
+  `model.forward_backward`, one sequence per task, matches bitwise in the
+  loss and within rounding in the gradients. It stacks the per-sequence
+  `_forward` caches on a batch axis and runs its backward with the batched
+  `_split_heads`, `_merge_heads`, `_matmul_bwd` and `_rmsnorm_bwd` defined
+  here (the library's versions take one sequence);
+- `padded_slot_forward` takes each sequence's slot row from its forward
+  padded to the full context length, which slot mode's `Model.forward`,
+  cut at each slot, matches within rounding;
 - `read_metrics` reads `eval`'s metrics file;
 - `extend_story_for_now` is serve's prompt prefix as one string;
 - `rank_candidates` is the candidate ranking built entry by entry, which
@@ -33,8 +36,8 @@ import numpy as np
 from storyrank import grammar
 from storyrank.grammar import BEGIN_SESSIONS, SEARCH_MARKER, SESSION_MARKER, \
     WATCH_MARKER
-from storyrank.model import Model, ModelError, _as_batch, _check_ids, _forward, \
-    _matmul_bwd, _merge_heads, _rmsnorm_bwd, _rope_backward, _split_heads
+from storyrank.model import Model, ModelError, _as_batch, _check_ids, \
+    _forward, _rope_backward
 from storyrank.prompts import RankedList, session_tail
 from storyrank.stories import Surface, UserStory, ValidationError, WatchEvent
 from storyrank.vocab import TokenizeError, Vocabulary
@@ -310,8 +313,48 @@ def padded_slot_forward(model, ids, slots):
     none skipped for lying past the slot."""
     padded = np.zeros((len(ids), model.config.context_length), dtype=np.int64)
     padded[:, :np.shape(ids)[1]] = ids
-    logits, _ = _forward(model, padded, need_cache=False)
-    return logits[np.arange(len(ids)), np.asarray(slots)]
+    return np.stack([_forward(model, row, need_cache=False)[0][slot]
+                     for row, slot in zip(padded, slots)])
+
+
+def _split_heads(x, heads):
+    b, t, d = x.shape
+    return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    b, h, t, hd = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
+
+
+def _matmul_bwd(x, w, dy):
+    """y = x @ w with x (B, T, D), w (D, E), dy (B, T, E): returns dx
+    (B, T, D) and dw (D, E), contracted over B and T."""
+    dw = np.tensordot(x, dy, axes=([0, 1], [0, 1]))
+    dx = dy @ w.T
+    return dx, dw
+
+
+def _rmsnorm_bwd(dy, x, inv, gain):
+    xhat = x * inv
+    dgain = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * gain
+    dx = inv * (dxhat - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True))
+    return dx, dgain
+
+
+def _batched_forward(model: Model, ids):
+    """Logits (B, T, V) and the per-sequence `_forward` caches stacked on a
+    leading batch axis; the RoPE tables and the mask are shared."""
+    runs = [_forward(model, row, need_cache=True) for row in ids]
+    caches = [cache for _, cache in runs]
+    cache = {name: np.stack([c[name] for c in caches])
+             for name in ("ids", "x_final", "final", "inv_f")}
+    cache["layers"] = [{name: np.stack([c["layers"][i][name] for c in caches])
+                        for name in layer}
+                       for i, layer in enumerate(caches[0]["layers"])]
+    cache.update({name: caches[0][name] for name in ("cos", "sin", "future")})
+    return np.stack([logits for logits, _ in runs]), cache
 
 
 def _loss_and_dlogits(logits, targets, weights, dtype):
@@ -345,7 +388,7 @@ def batched_forward_backward(model: Model, inputs, targets, weights=None):
     w = np.ones(ids.shape, dtype=cfg.np_dtype) if weights is None \
         else np.asarray(weights).astype(cfg.np_dtype)
     model.forward_calls += 1
-    logits, cache = _forward(model, ids, need_cache=True)
+    logits, cache = _batched_forward(model, ids)
     safe_tg = np.where(w > 0, tg, 0)
     loss, dlogits = _loss_and_dlogits(logits, safe_tg, w, cfg.np_dtype)
 

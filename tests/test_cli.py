@@ -1,5 +1,6 @@
 import io
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,33 @@ def test_serve_subcommand_on_stdio(tmp_path, capsys, monkeypatch):
     assert summaries[0]["batch_sizes"] == {"1": 3}
     assert summaries[0]["errors"] == {"JSONDecodeError": 1, "ValueError": 1}
     assert err == ""
+
+
+def test_serve_on_stdio_that_cannot_be_read_exits_1(tmp_path, capsys,
+                                                    monkeypatch):
+    d = run_pipeline(tmp_path)
+    stories = read_stories(d / "data/stories.jsonl")
+    request = {"id": 5, "story": story_to_dict(stories[0]),
+               "task": "item_masked", "top_k": 3}
+
+    def stdin():
+        yield json.dumps(request) + "\n"
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    monkeypatch.setattr("sys.stdin", stdin())
+    capsys.readouterr()  # drain pipeline chatter
+    status = []
+    thread = threading.Thread(daemon=True, target=lambda: status.append(main(
+        ["serve", "--model", str(d / "model.ckpt"),
+         "--vocab", str(d / "vocab.tsv")])))
+    thread.start()
+    thread.join(timeout=30)
+    assert status == [1], "serve did not exit 1 after its input failed"
+    out, err = capsys.readouterr()
+    reply, summary = [json.loads(line) for line in out.splitlines()]
+    assert reply["id"] == 5 and len(reply["candidates"]) == 3
+    assert summary["summary"]["n"] == 1
+    assert err.startswith("storyrank-error: UnicodeDecodeError: ")
 
 
 def test_stage_failures_are_machine_parseable(tmp_path, capsys):

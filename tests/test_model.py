@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from storyrank.model import (
     CHECKPOINT_MAGIC,
     _forward,
-    _merge_heads,
     _rmsnorm_fwd,
     _rope_apply,
     _rope_tables,
-    _split_heads,
     AdamState,
     Model,
     ModelConfig,
@@ -35,8 +33,8 @@ from storyrank.model import (
 from storyrank import model as model_module
 from storyrank.training import make_batch
 
-from oracles import _loss_and_dlogits, batched_forward_backward, \
-    cross_entropy, padded_slot_forward
+from oracles import _loss_and_dlogits, _merge_heads, _split_heads, \
+    batched_forward_backward, cross_entropy, padded_slot_forward
 
 
 def tiny_model(layers=2, dim=8, heads=2, vocab=40, ctx=16, dtype="float64",
@@ -200,12 +198,14 @@ def test_forward_equals_batched_attention_oracle(dtype, b, t, tie):
     assert np.array_equal(model.forward(ids),
                           batched_forward(model, padded)[:, :t])
     # the training path (unpadded, with cache) runs the same layer code
-    logits, cache = _forward(model, ids, need_cache=True)
-    assert np.array_equal(logits, batched_forward(model, ids))
-    for layer in cache["layers"]:
-        kept = [layer[n] for n in ("probs", "sig", "zg", "zu", "h")]
-        for i, one in enumerate(kept):
-            assert not any(np.shares_memory(one, other) for other in kept[i + 1:])
+    for seq, want in zip(ids, batched_forward(model, ids)):
+        logits, cache = _forward(model, seq, need_cache=True)
+        assert np.array_equal(logits, want)
+        for layer in cache["layers"]:
+            kept = [layer[n] for n in ("probs", "sig", "zg", "zu", "h")]
+            for i, one in enumerate(kept):
+                assert not any(np.shares_memory(one, other)
+                               for other in kept[i + 1:])
 
 
 @pytest.mark.parametrize("t", [150, 200])
@@ -219,8 +219,9 @@ def test_training_forward_keeps_the_plain_softmax_sum(dtype, t):
     ids = rng.integers(0, 50, size=(2, t))
     targets = rng.integers(0, 50, size=(2, t))
     want = batched_forward(model, ids)
-    logits, _ = _forward(model, ids, need_cache=True)
-    assert np.array_equal(logits, want)
+    for seq, row in zip(ids, want):
+        logits, _ = _forward(model, seq, need_cache=True)
+        assert np.array_equal(logits, row)
     loss, _ = forward_backward(model, ids, targets)
     assert loss == _loss_and_dlogits(want, targets, np.ones(ids.shape),
                                      model.config.np_dtype)[0]
@@ -296,9 +297,9 @@ def test_tiled_slot_rows_across_tile_edges(dtype):
         assert np.abs(row - want).max() <= rtol * np.abs(want).max()
 
 
-# --- slot-task pool -----------------------------------------------------------
+# --- per-sequence task pool ---------------------------------------------------
 #
-# A slot forward runs one task per sequence on a thread pool, with OpenBLAS
+# Every forward runs one task per sequence on a thread pool, with OpenBLAS
 # pinned to one thread, when the process may use more than one core;
 # otherwise the same tasks run in the caller.
 
@@ -335,7 +336,7 @@ def test_slot_tasks_run_exactly_to_their_slot(monkeypatch):
     seen = []
 
     def recording_forward(model, ids, need_cache, **flags):
-        seen.append((ids.shape[1], flags.get("last_row")))
+        seen.append((ids.shape[0], flags.get("last_row")))
         return real_forward(model, ids, need_cache, **flags)
 
     monkeypatch.setattr(model_module, "_forward", recording_forward)
@@ -344,6 +345,26 @@ def test_slot_tasks_run_exactly_to_their_slot(monkeypatch):
                                                          256))
     model.forward(ids, MIXED_SLOTS)
     assert sorted(seen) == sorted((slot + 1, True) for slot in MIXED_SLOTS)
+
+
+def test_no_slot_forward_runs_one_task_per_sequence(monkeypatch,
+                                                    blas_threads):
+    get_threads, set_threads = blas_threads
+    real_forward = model_module._forward
+    seen = []
+
+    def recording_forward(model, ids, need_cache, **flags):
+        seen.append((ids.shape, get_threads()))
+        return real_forward(model, ids, need_cache, **flags)
+
+    monkeypatch.setattr(model_module, "_forward", recording_forward)
+    model = tiny_model(ctx=SLOT_CTX)
+    set_threads(2)
+    assert model.forward(np.arange(15).reshape(3, 5)).shape == (3, 5, 40)
+    assert get_threads() == 2
+    # each sequence padded to the context length is its own task, on one
+    # BLAS thread when pooled
+    assert seen == [((SLOT_CTX,), 1 if POOLED else 2)] * 3
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -375,7 +396,7 @@ def test_failing_slot_task_reaches_the_caller_and_restores_blas(
     real_forward = model_module._forward
 
     def failing_forward(model, ids, need_cache, last_row=False):
-        if ids.shape[1] == 6:  # the task of slot 5
+        if ids.shape[0] == 6:  # the task of slot 5
             raise RuntimeError("slot task failed")
         return real_forward(model, ids, need_cache, last_row)
 
@@ -426,7 +447,7 @@ def test_failing_training_task_reaches_the_caller_and_restores_blas(
     real_forward = model_module._forward
 
     def failing_forward(model, ids, need_cache, last_row=False):
-        if ids[0, 0] == 7:  # the task of the second sequence
+        if ids[0] == 7:  # the task of the second sequence
             raise RuntimeError("training task failed")
         return real_forward(model, ids, need_cache, last_row)
 
@@ -616,8 +637,8 @@ def test_pooled_training_step_equals_batched_oracle(dtype, b, tie):
         assert np.array_equal(g, again[name]), name
 
 def _loss_only(model, inputs, targets, weights):
-    logits, _ = __import__("storyrank.model", fromlist=["_forward"])._forward(
-        model, np.asarray(inputs), need_cache=False)
+    logits = np.stack([_forward(model, seq, need_cache=False)[0]
+                       for seq in np.asarray(inputs)])
     return cross_entropy(logits, targets, weights)
 
 

@@ -1,4 +1,7 @@
 import json
+import socket
+import struct
+import threading
 import time
 
 import numpy as np
@@ -7,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storyrank.model import ModelConfig, init_model
-from storyrank.serve import LatencyHistogram, score_request, serve_lines
+from storyrank.serve import LatencyHistogram, score_request, serve_lines, \
+    serve_tcp
 from storyrank.stories import story_to_dict
 
 from conftest import make_sample_story
@@ -201,6 +205,92 @@ def test_model_vocabulary_smaller_than_vocabulary_is_refused(sample_vocab):
                                          f"size {sample_vocab.size}"):
         serve_lines(lines, init_model(cfg, seed=2), sample_vocab, out.append)
     assert out == []
+
+
+def test_failing_line_source_is_answered_summarized_and_raised(served_model,
+                                                               sample_vocab):
+    def broken():
+        yield json.dumps(_request(0))
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    out, raised = [], []
+
+    def run():
+        try:
+            serve_lines(broken(), served_model, sample_vocab, out.append)
+        except UnicodeDecodeError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive(), "serve_lines hangs after its source raised"
+    reply, summary = [json.loads(line) for line in out]
+    assert reply["id"] == 0 and len(reply["candidates"]) == 5
+    assert summary["summary"]["n"] == 1
+    assert len(raised) == 1
+
+
+# --- TCP clients on 127.0.0.1 ---------------------------------------------------
+
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def _connect(port: int) -> socket.socket:
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            return socket.create_connection(("127.0.0.1", port), timeout=10)
+        except ConnectionRefusedError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.02)
+
+
+def _exchange(port: int, payload: bytes) -> list[dict]:
+    """Send `payload`, close the sending side, and read the records the
+    server writes until it closes the connection."""
+    with _connect(port) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    return [json.loads(line) for line in data.decode("utf-8").splitlines()]
+
+
+def test_tcp_server_survives_bad_bytes_and_a_reset_client(served_model,
+                                                          sample_vocab):
+    port = _free_port()
+    server = threading.Thread(target=serve_tcp, daemon=True,
+                              args=(served_model, sample_vocab, port),
+                              kwargs={"max_connections": 3})
+    server.start()
+    good = [_request(0), _request(1, task="search", context={"query": "fog"})]
+    lines = [json.dumps(r).encode("utf-8") + b"\n" for r in good]
+    # a line that is not UTF-8 gets its own error reply
+    first = _exchange(port, lines[0] + b"\xff\n" + lines[1])
+    assert len(first) == 4 and first[-1]["summary"]["n"] == 3
+    assert first[-1]["summary"]["errors"] == {"UnicodeDecodeError": 1}
+    assert "malformed request" in first[1]["error"]
+    for reply, request in zip(first[::2], good):
+        assert _without_latency(reply) == _alone(request, served_model,
+                                                 sample_vocab)
+    # a client that resets its connection ends that connection only
+    reset = _connect(port)
+    reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                     struct.pack("ii", 1, 0))
+    reset.sendall(lines[0] * 3)
+    reset.close()
+    third = _exchange(port, b"".join(lines))
+    assert [_without_latency(r) for r in third[:-1]] == [
+        _alone(r, served_model, sample_vocab) for r in good]
+    assert third[-1]["summary"]["n"] == 2
+    server.join(timeout=10)
+    assert not server.is_alive()
 
 
 def test_non_object_request_gets_error_and_loop_continues(served_model,
