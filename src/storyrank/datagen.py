@@ -9,9 +9,17 @@ almost uniquely, but only if the model gets to see search events.
 
 Generation is per-user with counter-based streams keyed on (seed, user
 index), so output is byte-identical regardless of generation order.
+
+Each user's stream is consumed in one fixed order: every draw `_generate_user`
+and `_query_prefixes` make, in the order they make it, is part of the world's
+definition. A faster generator must keep that order draw for draw. So the
+per-world tables are built once by `generate_world`, which draws nothing, and
+a weighted pick is `_draw` over a CDF, the one `random()` draw that
+`Generator.choice(n, p=p)` makes, with the index it returns.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +170,31 @@ def _zipf_weights(n: int, exponent: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _cdf(p) -> list[float]:
+    """The table `Generator.choice(len(p), p=p)` searches: `_draw(rng, cdf)`
+    makes choice's one `random()` draw and returns the index it returns."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _draw(rng: np.random.Generator, cdf: list[float]) -> int:
+    return bisect.bisect_right(cdf, rng.random())
+
+
+_SURFACES = (Surface.HOME, Surface.BROWSE, Surface.AUTOPLAY)
+_SURFACE_CDF = _cdf([0.6, 0.25, 0.15])
+
+
+def _linspace(start: int, stop: int, num: int) -> list[float]:
+    """`np.linspace(start, stop, num).tolist()` for int ends, by the same
+    floating-point operations: i * step + start, then stop itself last."""
+    if num < 2:
+        return [float(start)] * num
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [float(stop)]
+
+
 def _query_prefixes(title: str, n_queries: int,
                     rng: np.random.Generator) -> list[str]:
     """Search-as-you-type states: strictly lengthening prefixes of the
@@ -175,8 +208,7 @@ def _query_prefixes(title: str, n_queries: int,
         final = first_word_end
     else:
         final = int(rng.integers(4, min(len(lowered), 12) + 1))
-    lengths = sorted({max(3, int(round(x)))
-                      for x in np.linspace(3, final, n_queries)})
+    lengths = sorted({max(3, round(x)) for x in _linspace(3, final, n_queries)})
     out = []
     for length in lengths:
         q = lowered[:length].rstrip()
@@ -185,16 +217,37 @@ def _query_prefixes(title: str, n_queries: int,
     return out
 
 
-def _generate_user(cfg: WorldConfig, user_index: int, items: list[WorldItem],
-                   carousels: list[str]) -> UserStory:
+@dataclass(frozen=True)
+class _WorldTables:
+    """What every user of one world draws from, built once per world."""
+    pools: tuple[list[WorldItem], ...]     # the items of each genre
+    pool_cdfs: tuple[list[float], ...]     # the Zipf CDF of each pool
+    genre_carousels: dict[str, list[str]]
+    global_carousels: list[str]
+
+    @classmethod
+    def build(cls, cfg: WorldConfig, items: list[WorldItem],
+              carousels: list[str]) -> "_WorldTables":
+        genres = GENRE_POOL[:cfg.n_genres]
+        # build_catalog deals the genres round robin, so no pool is empty
+        pools = tuple([it for it in items if it.genre == g] for g in genres)
+        zipf = {n: _cdf(_zipf_weights(n, cfg.zipf_exponent))
+                for n in {len(pool) for pool in pools}}
+        return cls(
+            pools=pools,
+            pool_cdfs=tuple(zipf[len(pool)] for pool in pools),
+            genre_carousels={g: [c for c in carousels if c.startswith(g + "_")]
+                             for g in genres},
+            global_carousels=[c for c in carousels
+                              if not any(c.startswith(g + "_") for g in genres)],
+        )
+
+
+def _generate_user(cfg: WorldConfig, user_index: int,
+                   tables: _WorldTables) -> UserStory:
     rng = _rng(cfg.rng_seed, 1_000_003 + user_index)
-    genres = GENRE_POOL[:cfg.n_genres]
-    by_genre = {g: [it for it in items if it.genre == g] for g in genres}
-    prefs = rng.dirichlet(np.full(cfg.n_genres, cfg.genre_sharpness))
-    genre_carousels = {g: [c for c in carousels if c.startswith(g + "_")]
-                       for g in genres}
-    global_carousels = [c for c in carousels
-                        if not any(c.startswith(g + "_") for g in genres)]
+    genre_cdf = _cdf(rng.dirichlet(np.full(cfg.n_genres, cfg.genre_sharpness)))
+    global_carousels = tables.global_carousels
 
     attributes = AttributeHeader((
         ("country", _COUNTRIES[int(rng.integers(len(_COUNTRIES)))]),
@@ -215,10 +268,8 @@ def _generate_user(cfg: WorldConfig, user_index: int, items: list[WorldItem],
             if watched and rng.random() < cfg.rewatch_prob:
                 item = watched[int(rng.integers(len(watched)))]
             else:
-                genre = genres[int(rng.choice(cfg.n_genres, p=prefs))]
-                pool = by_genre[genre] or items
-                weights = _zipf_weights(len(pool), cfg.zipf_exponent)
-                item = pool[int(rng.choice(len(pool), p=weights))]
+                genre = _draw(rng, genre_cdf)
+                item = tables.pools[genre][_draw(rng, tables.pool_cdfs[genre])]
             duration = int(rng.integers(5, 111))
             if rng.random() < cfg.search_before_watch_prob:
                 n_q = int(rng.integers(1, cfg.keystroke_prefix_depth + 1))
@@ -228,12 +279,12 @@ def _generate_user(cfg: WorldConfig, user_index: int, items: list[WorldItem],
                 events.append(watch(t, Surface.SEARCH, EMPTY_CAROUSEL,
                                     item.ref, duration))
             else:
-                surface = (Surface.HOME, Surface.BROWSE, Surface.AUTOPLAY)[
-                    int(rng.choice(3, p=[0.6, 0.25, 0.15]))]
+                surface = _SURFACES[_draw(rng, _SURFACE_CDF)]
                 if surface == Surface.AUTOPLAY:
                     carousel = EMPTY_CAROUSEL
                 else:
-                    genre_rows = genre_carousels.get(item.genre) or global_carousels
+                    genre_rows = tables.genre_carousels[item.genre] \
+                        or global_carousels
                     rows = genre_rows if rng.random() < 0.7 and genre_rows \
                         else global_carousels
                     carousel = CarouselRef(rows[int(rng.integers(len(rows)))]) \
@@ -256,8 +307,8 @@ def generate_world(cfg: WorldConfig) -> tuple[CatalogIndex, list[UserStory], dic
                         + [CarouselRef(c) for c in sorted(carousels)]),
         carousel_names={c: c.replace("_", " ") for c in carousels},
     )
-    stories = [_generate_user(cfg, i, items, carousels)
-               for i in range(cfg.n_users)]
+    tables = _WorldTables.build(cfg, items, carousels)
+    stories = [_generate_user(cfg, i, tables) for i in range(cfg.n_users)]
     genre_of = {it.ref.item_id: it.genre for it in items}
     return catalog, stories, genre_of
 

@@ -128,7 +128,9 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
     decode gets its own error reply. Raises ValueError before reading any
     line when the vocabulary has candidates the model cannot score. When
     `lines` itself raises, the lines read before are answered, the summary
-    is written and the exception is raised again."""
+    is written and the exception is raised again. When the loop itself
+    raises (a reply write to a client that reset), the queued lines are
+    dropped and the reader thread reads no further line and ends."""
     largest = max(vocabulary.item_token_ids + vocabulary.carousel_token_ids,
                   default=-1)
     if largest >= model.config.vocab_size:
@@ -143,65 +145,79 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
     feed = queue.Queue(maxsize=1024)
     done = object()
     failed = []
+    stop = threading.Event()
 
     def reader():
         try:
             for line in lines:
                 feed.put((clock(), line))
+                if stop.is_set():
+                    break
         except Exception as exc:
             failed.append(exc)
         finally:
             feed.put(done)
 
-    thread = threading.Thread(target=reader, daemon=True)
+    thread = threading.Thread(target=reader, name="storyrank-serve-reader",
+                              daemon=True)
     thread.start()
-
-    finished = False
-    while not finished:
-        item = feed.get()
-        if item is done:
-            break
-        batch = [item]
-        if batch_window_ms > 0:
-            deadline = time.perf_counter() + batch_window_ms / 1000.0
-            while len(batch) < max_batch:
-                remaining = deadline - time.perf_counter()
+    try:
+        finished = False
+        while not finished:
+            item = feed.get()
+            if item is done:
+                break
+            batch = [item]
+            if batch_window_ms > 0:
+                deadline = time.perf_counter() + batch_window_ms / 1000.0
+                while len(batch) < max_batch:
+                    remaining = deadline - time.perf_counter()
+                    try:
+                        nxt = feed.get(timeout=max(0.0, remaining))
+                    except queue.Empty:
+                        break
+                    if nxt is done:
+                        finished = True
+                        break
+                    batch.append(nxt)
+            batch_sizes[len(batch)] += 1
+            responses: dict[int, dict] = {}
+            valid: list[tuple[int, dict]] = []
+            for i, (_, raw) in enumerate(batch):
                 try:
-                    nxt = feed.get(timeout=max(0.0, remaining))
-                except queue.Empty:
-                    break
-                if nxt is done:
-                    finished = True
-                    break
-                batch.append(nxt)
-        batch_sizes[len(batch)] += 1
-        responses: dict[int, dict] = {}
-        valid: list[tuple[int, dict]] = []
-        for i, (_, raw) in enumerate(batch):
+                    if isinstance(raw, bytes):
+                        raw = raw.decode("utf-8")
+                    raw = raw.strip()
+                    if not raw:
+                        raise ValueError("empty request line")
+                    valid.append((i, json.loads(raw)))
+                except Exception as exc:
+                    responses[i] = {"error": f"malformed request: {exc}"}
+                    errors[type(exc).__name__] += 1
+            if valid:
+                for (i, _), response in zip(valid, _score_batch(
+                        [r for _, r in valid], model, vocabulary, errors)):
+                    responses[i] = response
+            for i, (arrived, _) in enumerate(batch):
+                latency_us = int(max(1, (clock() - arrived) // 1000))
+                write(json.dumps(dict(responses[i], latency_us=latency_us),
+                                 sort_keys=True) + "\n")
+                histogram.add(latency_us)
+        summary = dict(histogram.summary(), batches=batch_sizes.total(),
+                       batch_sizes=dict(batch_sizes), errors=dict(errors))
+        write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+        if failed:
+            raise failed[0]
+    finally:
+        # A reader blocked on the full queue wakes up, sees `stop` and reads
+        # no further line; after the drain it queues at most one line and
+        # `done`, so it never blocks again.
+        stop.set()
+        while True:
             try:
-                if isinstance(raw, bytes):
-                    raw = raw.decode("utf-8")
-                raw = raw.strip()
-                if not raw:
-                    raise ValueError("empty request line")
-                valid.append((i, json.loads(raw)))
-            except Exception as exc:
-                responses[i] = {"error": f"malformed request: {exc}"}
-                errors[type(exc).__name__] += 1
-        if valid:
-            for (i, _), response in zip(valid, _score_batch(
-                    [r for _, r in valid], model, vocabulary, errors)):
-                responses[i] = response
-        for i, (arrived, _) in enumerate(batch):
-            latency_us = int(max(1, (clock() - arrived) // 1000))
-            write(json.dumps(dict(responses[i], latency_us=latency_us),
-                             sort_keys=True) + "\n")
-            histogram.add(latency_us)
-    summary = dict(histogram.summary(), batches=batch_sizes.total(),
-                   batch_sizes=dict(batch_sizes), errors=dict(errors))
-    write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
-    if failed:
-        raise failed[0]
+                feed.get_nowait()
+            except queue.Empty:
+                break
 
 
 def serve_tcp(model, vocabulary: Vocabulary, port: int,

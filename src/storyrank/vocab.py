@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .stories import CarouselRef, ItemRef
@@ -177,46 +178,67 @@ def _byte_runs(text: str, domain_forms) -> list[bytes]:
 
 def _learn_merges(segments: list[bytes], n_merges: int,
                   existing_forms: set[bytes]) -> tuple[list[tuple[int, int]], list[bytes]]:
-    """Greedy pair-merge learning over byte segments; returns (pairs, expansions)."""
-    seqs = [list(seg) for seg in segments if len(seg) >= 2]
+    """Greedy pair-merge learning over byte segments; returns (pairs, expansions).
+
+    Each round merges the adjacent pair that occurs most often over all
+    segments of two or more bytes, every occurrence counted (so `aaa` holds
+    `(a, a)` twice), and at least twice. Ties go to the smallest (left, right)
+    id pair. A pair whose merged bytes are already a form (a domain form or
+    an earlier merge) is skipped, and learning stops early when no pair is
+    left. A merge replaces the pair's occurrences left to right.
+
+    Each distinct segment is counted once, weighted by how often it occurs,
+    and a merge recounts only the segments that held its pair (Sennrich et
+    al., 2016). A segment is held as a str of chr(token id), so a pair is a
+    2-character str that sorts as its id pair does, and `str.replace` makes
+    the left-to-right merge.
+    """
+    occurrences = Counter(seg.decode("latin-1") for seg in segments
+                          if len(seg) >= 2)
+    seqs = list(occurrences)
+    weights = list(occurrences.values())
+    held = [_pair_counts(seq) for seq in seqs]
+    counts: Counter = Counter()
+    # the segments each pair occurs in, or occurred in before a merge
+    holders: dict[str, set[int]] = defaultdict(set)
+    for si, pair_counts in enumerate(held):
+        for p, c in pair_counts.items():
+            counts[p] += c * weights[si]
+            holders[p].add(si)
     expansion: list[bytes] = [bytes([i]) for i in range(N_BYTES)]
     pairs: list[tuple[int, int]] = []
     taken = set(existing_forms)
     for _ in range(n_merges):
-        counts: dict[tuple[int, int], int] = {}
-        for seq in seqs:
-            for i in range(len(seq) - 1):
-                p = (seq[i], seq[i + 1])
-                counts[p] = counts.get(p, 0) + 1
-        best = None
-        for p, c in sorted(counts.items()):
-            if c < 2:
-                continue
-            merged = expansion[p[0]] + expansion[p[1]]
-            if merged in taken:
-                continue
-            if best is None or c > best[1]:
-                best = (p, c)
-        if best is None:
+        pair, best = None, 1
+        for p, c in counts.items():
+            if (c > best or (c == best and pair is not None and p < pair)) \
+                    and expansion[ord(p[0])] + expansion[ord(p[1])] not in taken:
+                pair, best = p, c
+        if pair is None:
             break
-        pair = best[0]
-        new_id = N_BYTES + len(pairs)
-        merged_form = expansion[pair[0]] + expansion[pair[1]]
-        pairs.append(pair)
+        new_id = chr(N_BYTES + len(pairs))
+        merged_form = expansion[ord(pair[0])] + expansion[ord(pair[1])]
+        pairs.append((ord(pair[0]), ord(pair[1])))
         expansion.append(merged_form)
         taken.add(merged_form)
-        for si, seq in enumerate(seqs):
-            out = []
-            i = 0
-            while i < len(seq):
-                if i + 1 < len(seq) and seq[i] == pair[0] and seq[i + 1] == pair[1]:
-                    out.append(new_id)
-                    i += 2
-                else:
-                    out.append(seq[i])
-                    i += 1
-            seqs[si] = out
+        for si in holders.pop(pair):
+            if pair not in seqs[si]:
+                continue
+            w, before = weights[si], held[si]
+            seqs[si] = seqs[si].replace(pair, new_id)
+            held[si] = after = _pair_counts(seqs[si])
+            for p, c in before.items():
+                counts[p] -= c * w
+            for p, c in after.items():
+                counts[p] += c * w
+                if p not in before:
+                    holders[p].add(si)
+        del counts[pair]
     return pairs, expansion[N_BYTES:]
+
+
+def _pair_counts(seq: str) -> Counter:
+    return Counter(map(str.__add__, seq, seq[1:]))
 
 
 def build_vocabulary(catalog: CatalogIndex, merges: int = 0,

@@ -25,7 +25,16 @@ independent reading of it:
 - `read_metrics` reads `eval`'s metrics file;
 - `extend_story_for_now` is serve's prompt prefix as one string;
 - `rank_candidates` is the candidate ranking built entry by entry, which
-  `prompts.rank_candidates` builds from whole arrays.
+  `prompts.rank_candidates` builds from whole arrays;
+- `world_stories` is `datagen.generate_world`'s stories as first written:
+  each user rebuilds the genre pools and carousel lists, a Zipf weight
+  vector per watch, and draws with `Generator.choice` and `np.linspace`.
+  The library builds those tables once per world and must consume every
+  user's stream in the same order, so the stories are equal;
+- `learn_merges` is `vocab._learn_merges` as first written: it recounts
+  every pair of every segment on each merge, where the library counts each
+  distinct segment once and recounts only the segments a merge touches.
+  Both return the same merges.
 """
 from __future__ import annotations
 
@@ -34,13 +43,17 @@ import json
 import numpy as np
 
 from storyrank import grammar
+from storyrank.datagen import GENRE_POOL, WorldConfig, WorldItem, _COUNTRIES, \
+    _DEVICES, _PLANS, _rng, build_catalog
 from storyrank.grammar import BEGIN_SESSIONS, SEARCH_MARKER, SESSION_MARKER, \
     WATCH_MARKER
 from storyrank.model import Model, ModelError, _as_batch, _check_ids, \
     _forward, _rope_backward
 from storyrank.prompts import RankedList, session_tail
-from storyrank.stories import Surface, UserStory, ValidationError, WatchEvent
-from storyrank.vocab import TokenizeError, Vocabulary
+from storyrank.stories import AttributeHeader, CarouselRef, EMPTY_CAROUSEL, \
+    Surface, UserStory, ValidationError, WatchEvent, search, \
+    segment_sessions, watch
+from storyrank.vocab import N_BYTES, TokenizeError, Vocabulary
 
 
 # --- grammar parsing --------------------------------------------------------
@@ -480,3 +493,145 @@ def rank_candidates(row: np.ndarray, candidates) -> RankedList:
     logits = row[cands]
     order = np.lexsort((cands, -logits))
     return RankedList(tuple((int(cands[i]), float(logits[i])) for i in order))
+
+
+# --- world generation and merge learning --------------------------------------
+
+def _zipf_weights(n: int, exponent: float) -> np.ndarray:
+    w = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), exponent)
+    return w / w.sum()
+
+
+def _query_prefixes(title: str, n_queries: int,
+                    rng: np.random.Generator) -> list[str]:
+    """Search-as-you-type states: strictly lengthening prefixes of the
+    lowercased title. The last state usually completes the first word, which
+    gives lexical baselines a term to match."""
+    lowered = title.lower()
+    first_word_end = lowered.find(" ")
+    if first_word_end < 0:
+        first_word_end = len(lowered)
+    if rng.random() < 0.6 or len(lowered) <= 4:
+        final = first_word_end
+    else:
+        final = int(rng.integers(4, min(len(lowered), 12) + 1))
+    lengths = sorted({max(3, int(round(x)))
+                      for x in np.linspace(3, final, n_queries)})
+    out = []
+    for length in lengths:
+        q = lowered[:length].rstrip()
+        if q and (not out or q != out[-1]):
+            out.append(q)
+    return out
+
+
+def _generate_user(cfg: WorldConfig, user_index: int, items: list[WorldItem],
+                   carousels: list[str]) -> UserStory:
+    rng = _rng(cfg.rng_seed, 1_000_003 + user_index)
+    genres = GENRE_POOL[:cfg.n_genres]
+    by_genre = {g: [it for it in items if it.genre == g] for g in genres}
+    prefs = rng.dirichlet(np.full(cfg.n_genres, cfg.genre_sharpness))
+    genre_carousels = {g: [c for c in carousels if c.startswith(g + "_")]
+                       for g in genres}
+    global_carousels = [c for c in carousels
+                        if not any(c.startswith(g + "_") for g in genres)]
+
+    attributes = AttributeHeader((
+        ("country", _COUNTRIES[int(rng.integers(len(_COUNTRIES)))]),
+        ("device", _DEVICES[int(rng.integers(len(_DEVICES)))]),
+        ("plan", _PLANS[int(rng.integers(len(_PLANS)))]),
+    ))
+
+    n_sessions = max(1, int(rng.poisson(cfg.mean_sessions_per_user)))
+    mean_watches = max(0.05, cfg.mean_watches_per_session - 1.0)
+    events = []
+    watched: list[WorldItem] = []
+    activity_end = cfg.epoch + int(rng.integers(0, 7 * 86400))
+    for _ in range(n_sessions):
+        t = activity_end + 3660 + int(rng.exponential(
+            cfg.mean_session_gap_hours * 3600))
+        n_watches = 1 + int(rng.poisson(mean_watches))
+        for _ in range(n_watches):
+            if watched and rng.random() < cfg.rewatch_prob:
+                item = watched[int(rng.integers(len(watched)))]
+            else:
+                genre = genres[int(rng.choice(cfg.n_genres, p=prefs))]
+                pool = by_genre[genre] or items
+                weights = _zipf_weights(len(pool), cfg.zipf_exponent)
+                item = pool[int(rng.choice(len(pool), p=weights))]
+            duration = int(rng.integers(5, 111))
+            if rng.random() < cfg.search_before_watch_prob:
+                n_q = int(rng.integers(1, cfg.keystroke_prefix_depth + 1))
+                for q in _query_prefixes(item.ref.title, n_q, rng):
+                    events.append(search(t, q))
+                    t += int(rng.integers(2, 15))
+                events.append(watch(t, Surface.SEARCH, EMPTY_CAROUSEL,
+                                    item.ref, duration))
+            else:
+                surface = (Surface.HOME, Surface.BROWSE, Surface.AUTOPLAY)[
+                    int(rng.choice(3, p=[0.6, 0.25, 0.15]))]
+                if surface == Surface.AUTOPLAY:
+                    carousel = EMPTY_CAROUSEL
+                else:
+                    genre_rows = genre_carousels.get(item.genre) or global_carousels
+                    rows = genre_rows if rng.random() < 0.7 and genre_rows \
+                        else global_carousels
+                    carousel = CarouselRef(rows[int(rng.integers(len(rows)))]) \
+                        if rows else EMPTY_CAROUSEL
+                events.append(watch(t, surface, carousel, item.ref, duration))
+            watched.append(item)
+            activity_end = max(activity_end, events[-1].end_time)
+            t = events[-1].timestamp + int(rng.integers(60, 2700))
+    return UserStory(user_id=f"u{user_index:06d}", attributes=attributes,
+                     sessions=segment_sessions(events))
+
+
+def world_stories(cfg: WorldConfig) -> list[UserStory]:
+    """generate_world's stories, one `_generate_user` per user."""
+    items, carousels = build_catalog(cfg)
+    return [_generate_user(cfg, i, items, carousels)
+            for i in range(cfg.n_users)]
+
+
+def learn_merges(segments: list[bytes], n_merges: int,
+                 existing_forms: set[bytes]) -> tuple[list[tuple[int, int]], list[bytes]]:
+    """Greedy pair-merge learning over byte segments; returns (pairs, expansions)."""
+    seqs = [list(seg) for seg in segments if len(seg) >= 2]
+    expansion: list[bytes] = [bytes([i]) for i in range(N_BYTES)]
+    pairs: list[tuple[int, int]] = []
+    taken = set(existing_forms)
+    for _ in range(n_merges):
+        counts: dict[tuple[int, int], int] = {}
+        for seq in seqs:
+            for i in range(len(seq) - 1):
+                p = (seq[i], seq[i + 1])
+                counts[p] = counts.get(p, 0) + 1
+        best = None
+        for p, c in sorted(counts.items()):
+            if c < 2:
+                continue
+            merged = expansion[p[0]] + expansion[p[1]]
+            if merged in taken:
+                continue
+            if best is None or c > best[1]:
+                best = (p, c)
+        if best is None:
+            break
+        pair = best[0]
+        new_id = N_BYTES + len(pairs)
+        merged_form = expansion[pair[0]] + expansion[pair[1]]
+        pairs.append(pair)
+        expansion.append(merged_form)
+        taken.add(merged_form)
+        for si, seq in enumerate(seqs):
+            out = []
+            i = 0
+            while i < len(seq):
+                if i + 1 < len(seq) and seq[i] == pair[0] and seq[i + 1] == pair[1]:
+                    out.append(new_id)
+                    i += 2
+                else:
+                    out.append(seq[i])
+                    i += 1
+            seqs[si] = out
+    return pairs, expansion[N_BYTES:]

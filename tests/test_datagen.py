@@ -1,17 +1,26 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from storyrank.datagen import (
     DatagenError,
     WorldConfig,
+    _cdf,
+    _draw,
+    _linspace,
     build_catalog,
     generate_world,
     world_report,
 )
 from storyrank.grammar import serialize
-from storyrank.stories import SearchEvent, Surface, WatchEvent, validate_story
+from storyrank.stories import SearchEvent, Surface, WatchEvent, \
+    validate_story, write_stories
 from storyrank.vocab import build_vocabulary, tokenize
 
-from oracles import detokenize, parse, story_signature
+from oracles import detokenize, parse, story_signature, world_stories
+
+DESK_WORLD = {"n_items": 400, "n_carousels": 40, "n_genres": 10}
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +172,57 @@ def test_titles_unique_and_genre_assignment_total():
     assert len(carousels) == 30
     assert {it.genre for it in items} == set(
         __import__("storyrank.datagen", fromlist=["GENRE_POOL"]).GENRE_POOL[:8])
+
+
+# --- the generator against its first version (tests/oracles.py) ------------------
+
+@pytest.mark.parametrize("overrides", [
+    dict(DESK_WORLD, n_users=40),
+    dict(DESK_WORLD, n_users=30, rng_seed=5),
+    dict(n_users=20, n_items=30, n_carousels=12, n_genres=1, rng_seed=2),
+    dict(n_users=20, n_items=1, n_carousels=1, n_genres=1, rng_seed=3),
+    # fewer carousels than genre rows: some genres fall back to no row
+    dict(n_users=20, n_items=50, n_carousels=3, n_genres=5, rng_seed=4),
+    dict(DESK_WORLD, n_users=20, rewatch_prob=0.0, rng_seed=6),
+    dict(DESK_WORLD, n_users=20, rewatch_prob=1.0, rng_seed=7),
+    dict(DESK_WORLD, n_users=20, search_before_watch_prob=0.0, rng_seed=8),
+    dict(DESK_WORLD, n_users=20, search_before_watch_prob=1.0, rng_seed=9),
+    dict(n_users=12, n_items=8000, n_carousels=60, n_genres=12, rng_seed=10),
+] + [dict(DESK_WORLD, n_users=8, search_before_watch_prob=0.8,
+          keystroke_prefix_depth=depth, rng_seed=20 + depth)
+     for depth in range(1, 9)])
+def test_world_equals_the_per_user_oracle(overrides):
+    cfg = WorldConfig(**overrides)
+    assert generate_world(cfg)[1] == world_stories(cfg)
+
+
+def test_draw_consumes_the_stream_as_choice_does():
+    probe = np.random.Generator(np.random.Philox(key=[0, 1]))
+    ours = np.random.Generator(np.random.Philox(key=[5, 6]))
+    theirs = np.random.Generator(np.random.Philox(key=[5, 6]))
+    for n in (1, 2, 3, 10, 400):
+        for _ in range(5):
+            p = probe.dirichlet(np.full(n, 0.12))
+            cdf = _cdf(p)
+            for _ in range(2000):
+                assert _draw(ours, cdf) == theirs.choice(n, p=p)
+    assert ours.random() == theirs.random()
+
+
+def test_linspace_matches_numpy_bit_for_bit():
+    # query prefixes end at 4..12 bytes; depths far beyond any config too
+    for final in range(-3, 41):
+        for num in range(65):
+            ours = [x.hex() for x in _linspace(3, final, num)]
+            assert ours == [x.hex() for x in np.linspace(3, final, num).tolist()], \
+                (final, num)
+
+
+def test_desk_world_file_is_pinned(tmp_path):
+    # recorded when the generator was first written; a change here shifts
+    # every benchmark digest and trained model downstream of gen-data
+    _, stories, _ = generate_world(WorldConfig(n_users=60, **DESK_WORLD))
+    write_stories(tmp_path / "stories.jsonl", stories)
+    digest = hashlib.sha256((tmp_path / "stories.jsonl").read_bytes()).hexdigest()
+    assert digest == \
+        "c4b7b295a977c3af9df3785e5f8ba38c2007794041b8fa6bd16b1b9ca4e5817c"

@@ -231,6 +231,32 @@ def test_failing_line_source_is_answered_summarized_and_raised(served_model,
     assert len(raised) == 1
 
 
+def test_failed_reply_write_stops_the_reader(served_model, sample_vocab):
+    # the reader fills the 1,024-line queue and blocks on it; the first
+    # reply write fails as it does for a client that reset
+    line = json.dumps(_request(0))
+    read = []
+
+    def lines():
+        for i in range(3000):
+            read.append(i)
+            yield line
+
+    def write(text):
+        raise BrokenPipeError("client went away")
+
+    before = set(threading.enumerate())
+    with pytest.raises(BrokenPipeError):
+        serve_lines(lines(), served_model, sample_vocab, write)
+    started = [t for t in set(threading.enumerate()) - before
+               if not t.name.startswith("storyrank-task")]
+    deadline = time.monotonic() + 5
+    for thread in started:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    assert [t.name for t in started if t.is_alive()] == []
+    assert len(read) < 3000, "the reader kept reading after the loop ended"
+
+
 # --- TCP clients on 127.0.0.1 ---------------------------------------------------
 
 def _free_port() -> int:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storyrank.datagen import WorldConfig, generate_world
 from storyrank.grammar import serialize
 from storyrank.stories import CarouselRef, ItemRef
 from storyrank.vocab import (
@@ -11,6 +12,7 @@ from storyrank.vocab import (
     TokenizeError,
     VocabularyError,
     _byte_runs,
+    _learn_merges,
     build_vocabulary,
     read_vocab,
     tokenize,
@@ -18,7 +20,7 @@ from storyrank.vocab import (
 )
 
 from conftest import SAMPLE_TEXT, make_sample_story
-from oracles import detokenize, prefix_freedom_violations
+from oracles import detokenize, learn_merges, prefix_freedom_violations
 
 
 def small_catalog():
@@ -179,6 +181,58 @@ def test_unknown_span_in_merge_text_is_named():
 def test_merges_require_training_text():
     with pytest.raises(VocabularyError, match="merge_training_text"):
         build_vocabulary(small_catalog(), merges=4)
+
+
+def _world_text(n_users):
+    cfg = WorldConfig(n_users=n_users, n_items=400, n_carousels=40, n_genres=10)
+    catalog, stories, _ = generate_world(cfg)
+    return catalog, "\n".join(serialize(s) for s in stories)
+
+
+# six users' text runs out of pairs seen twice after 325 merges
+@pytest.mark.parametrize("n_users, merges",
+                         [(12, 1), (12, 48), (12, 400), (6, 400)])
+def test_merges_equal_the_recounting_oracle(n_users, merges):
+    catalog, text = _world_text(n_users)
+    domain = build_vocabulary(catalog).domain_to_id
+    segments = _byte_runs(text, domain)
+    assert _learn_merges(segments, merges, set(domain)) == \
+        learn_merges(segments, merges, set(domain))
+
+
+def test_merge_ties_go_to_the_smallest_pair_and_overlaps_count():
+    # (x, y) and (a, b) both occur twice; (a, b) is the smaller pair
+    assert _learn_merges([b"xy", b"ab", b"xy", b"ab"], 1, set()) == \
+        ([(97, 98)], [b"ab"])
+    # every occurrence counts, so "aaa" holds (a, a) twice
+    assert _learn_merges([b"aaa"], 2, set()) == ([(97, 97)], [b"aa"])
+    # short spans hold no pair, and a lone pair is not merged
+    assert _learn_merges([b"", b"a", b"ab"], 4, set()) == ([], [])
+
+
+def test_merge_skips_a_form_that_is_already_taken():
+    segments = [b"abab", b"abc", b"bc"]
+    pairs, forms = _learn_merges(segments, 3, {b"ab"})
+    assert b"ab" not in forms
+    assert (pairs, forms) == learn_merges(segments, 3, {b"ab"})
+
+
+@given(st.lists(st.binary(max_size=12).map(lambda b: bytes(x % 3 + 97 for x in b)),
+                max_size=30),
+       st.integers(0, 12),
+       st.sets(st.sampled_from([b"ab", b"ba", b"aa", b"abc", b"cab", b"ccc"])))
+@settings(max_examples=300, deadline=None)
+def test_tie_heavy_merges_equal_the_oracle(segments, merges, taken):
+    assert _learn_merges(segments, merges, taken) == \
+        learn_merges(segments, merges, taken)
+
+
+def test_desk_vocabulary_is_pinned():
+    # recorded when merge learning was first written; a change here shifts
+    # every corpus, checkpoint and benchmark digest downstream of build-vocab
+    catalog, text = _world_text(60)
+    vocab = build_vocabulary(catalog, merges=48, merge_training_text=text)
+    assert vocab.vocab_hash() == "41a84eca75ea0de5"
 
 
 @given(st.text(alphabet=st.characters(blacklist_characters="<", min_codepoint=32,
