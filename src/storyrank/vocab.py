@@ -2,17 +2,23 @@
 interleaved with atomic domain tokens for markers, surfaces, carousels, and
 catalog items.
 
-Domain tokens are single vocabulary entries regardless of their surface
-length; tokenization longest-matches them anchored on '<|', so an item like
-<|id(SYN201|The Lantern at Exit 13)|> always costs exactly one token and one
-forward pass can score the whole catalog off the next-token logits. The spans
-between domain tokens are byte coded, then merged by the learned pair ranks;
-merge learning takes its byte spans from the same domain scan.
+A domain token is one vocabulary entry whatever its surface length, so an
+item like <|id(SYN201|The Lantern at Exit 13)|> costs one token and one
+forward pass scores the whole catalog off the next-token logits. One scan,
+`_split_domain`, cuts text into domain forms and the byte gaps between them;
+tokenizing merges each gap, and merge learning reads the same gaps.
+
+Merges are learned and applied by one rule: in rank order, each once, as
+`str.replace` on a gap held as a str of chr(token id). One pass ends where
+repeatedly merging the lowest-rank pair present would, because merge r joins
+ids below 256 + r: a pair that a merge creates holds its new id, so only a
+later merge can take it.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -84,10 +90,12 @@ class Vocabulary:
     item_id_of_token: dict = field(default_factory=dict, compare=False)
     carousel_id_of_token: dict = field(default_factory=dict, compare=False)
     carousel_token_of_id: dict = field(default_factory=dict, compare=False)
-    marker_ids: dict = field(default_factory=dict, compare=False)
     surface_ids: dict = field(default_factory=dict, compare=False)
-    _lengths: tuple = field(default=(), compare=False)
-    _merge_ranks: dict = field(default_factory=dict, compare=False)
+    item_token_ids: tuple[int, ...] = field(default=(), compare=False)
+    carousel_token_ids: tuple[int, ...] = field(default=(), compare=False)
+    # (pair as a str of two chr(id), chr(merged id)) in rank order
+    _merges: tuple = field(default=(), compare=False)
+    _longest: int = field(default=0, compare=False)  # longest domain form
 
     @property
     def size(self) -> int:
@@ -105,14 +113,6 @@ class Vocabulary:
     def unk_item_id(self) -> int:
         return self.domain_to_id[UNK_ITEM_FORM.encode()]
 
-    @property
-    def item_token_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.item_id_of_token))
-
-    @property
-    def carousel_token_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.carousel_id_of_token))
-
     def vocab_hash(self) -> str:
         h = hashlib.sha256()
         for line in _token_lines(self):
@@ -122,24 +122,17 @@ class Vocabulary:
 
 
 def _finish(vocab: Vocabulary) -> Vocabulary:
+    _check_base(vocab)
     for tid, (cls, form) in enumerate(zip(vocab.classes, vocab.forms)):
         if cls in (CLASS_MARKER, CLASS_SURFACE, CLASS_CAROUSEL, CLASS_ITEM,
                    CLASS_SPECIAL):
             if form in vocab.domain_to_id:
                 raise VocabularyError(
                     f"duplicate surface form {form.decode('utf-8', 'replace')!r}")
-            # tokenizing a story piece by piece relies on this (GRAMMAR.md,
-            # "Concatenation"): a match never runs into the next '<|' anchor
-            if not (form.startswith(b"<|") and form.endswith(b"|>")) \
-                    or b"<|" in form[1:]:
-                raise VocabularyError(
-                    f"domain form {form.decode('utf-8', 'replace')!r} must "
-                    "start with '<|', end with '|>' and hold no other '<|'")
+            _check_domain_form(form)
             vocab.domain_to_id[form] = tid
             text = form.decode("utf-8")
-            if cls == CLASS_MARKER:
-                vocab.marker_ids[text] = tid
-            elif cls == CLASS_SURFACE:
+            if cls == CLASS_SURFACE:
                 vocab.surface_ids[text[len("<|surface="):-2]] = tid
             elif cls == CLASS_CAROUSEL:
                 cid = text[len("<|carousel("):-3]
@@ -149,31 +142,90 @@ def _finish(vocab: Vocabulary) -> Vocabulary:
                 item_id = text[len("<|id("):].split("|", 1)[0]
                 vocab.item_id_of_token[tid] = item_id
                 vocab.item_token_to_id[item_id] = tid
-    lengths = sorted({len(f) for f in vocab.domain_to_id}, reverse=True)
-    object.__setattr__(vocab, "_lengths", tuple(lengths))
-    ranks = {pair: (rank, N_BYTES + rank)
-             for rank, pair in enumerate(vocab.merge_pairs)}
-    object.__setattr__(vocab, "_merge_ranks", ranks)
+    # token ids were added in ascending order, so these are sorted
+    object.__setattr__(vocab, "item_token_ids", tuple(vocab.item_id_of_token))
+    object.__setattr__(vocab, "carousel_token_ids",
+                       tuple(vocab.carousel_id_of_token))
+    object.__setattr__(vocab, "_merges", tuple(
+        (chr(a) + chr(b), chr(N_BYTES + r))
+        for r, (a, b) in enumerate(vocab.merge_pairs)))
+    object.__setattr__(vocab, "_longest", max(map(len, vocab.domain_to_id),
+                                              default=0))
     return vocab
 
 
+def _check_base(vocab: Vocabulary) -> None:
+    """Refuse a byte and merge block that `_bpe_encode` would misread: ids
+    0-255 are the bytes, then exactly one merge token per merge pair. Merge
+    r joins two ids below its own id 256 + r (the rank-order argument in the
+    module docstring), its form is their forms joined, and no two merges
+    share a form (so no pair is listed twice)."""
+    expected = [bytes([i]) for i in range(N_BYTES)]
+    for tid, (a, b) in enumerate(vocab.merge_pairs, N_BYTES):
+        if not (0 <= a < tid and 0 <= b < tid):
+            raise VocabularyError(
+                f"merge {tid} joins ({a}, {b}): both ids must be below {tid}")
+        expected.append(expected[a] + expected[b])
+    seen = set()
+    for tid, form in enumerate(expected):
+        cls = CLASS_BYTE if tid < N_BYTES else CLASS_MERGE
+        if vocab.classes[tid:tid + 1] != (cls,) or vocab.forms[tid:tid + 1] != (form,):
+            raise VocabularyError(f"token {tid} must be the {cls} {_escape(form)!r}")
+        if form in seen:
+            raise VocabularyError(f"merge {tid} repeats the form {_escape(form)!r}")
+        seen.add(form)
+    if vocab.classes.count(CLASS_MERGE) != len(vocab.merge_pairs):
+        raise VocabularyError(f"{len(vocab.merge_pairs)} merge pairs need as many "
+                              "merge tokens")
+
+
+def _check_domain_form(form: bytes) -> None:
+    # the domain scan relies on this (GRAMMAR.md, "Concatenation"): a form
+    # closes at a '|>' before the next '<|' anchor
+    if not (form.startswith(b"<|") and form.endswith(b"|>")) \
+            or b"<|" in form[1:]:
+        raise VocabularyError(
+            f"domain form {form.decode('utf-8', 'replace')!r} must "
+            "start with '<|', end with '|>' and hold no other '<|'")
+
+
+def _split_domain(data: bytes, domain: dict, longest: int):
+    """Yield (gap, token id) for each domain form in `data`, the gap being
+    the bytes before it, then (the bytes after the last form, None).
+
+    A form opens at a '<|' anchor and closes at a '|>' at most `longest`
+    bytes on. Those '|>' are tried from the farthest back, so the longest
+    form wins; as no form holds another '<|', none reaches past the next
+    anchor. Raises TokenizeError on an anchor that opens no form.
+    """
+    pos = 0
+    anchor = data.find(b"<|")
+    while anchor >= 0:
+        close = data.rfind(b"|>", anchor + 1, anchor + longest)
+        while close >= 0:
+            tid = domain.get(data[anchor:close + 2])
+            if tid is not None:
+                break
+            close = data.rfind(b"|>", anchor + 1, close + 1)
+        else:
+            close = data.find(b"|>", anchor + 2)
+            span = data[anchor:close + 2 if close >= 0 else anchor + 40]
+            raise TokenizeError(
+                f"unknown domain token span {span.decode('utf-8', 'replace')!r} "
+                f"at byte {anchor}")
+        yield data[pos:anchor], tid
+        pos = close + 2
+        anchor = data.find(b"<|", pos)
+    yield data[pos:], None
+
+
 def _byte_runs(text: str, domain_forms) -> list[bytes]:
-    """Byte spans of `text` between domain tokens (merge-learning input): the
-    merge-free encoding with every domain form mapped to id N_BYTES, split at
-    those ids."""
+    """The non-empty gaps between domain forms in `text` (merge-learning
+    input)."""
     domain = dict.fromkeys(domain_forms, N_BYTES)
-    lengths = tuple(sorted({len(f) for f in domain}, reverse=True))
-    runs: list[bytes] = []
-    run: list[int] = []
-    for tid in _encode_text(text.encode("utf-8"), domain, lengths, {}):
-        if tid < N_BYTES:
-            run.append(tid)
-        elif run:
-            runs.append(bytes(run))
-            run = []
-    if run:
-        runs.append(bytes(run))
-    return runs
+    return [gap for gap, _ in _split_domain(text.encode("utf-8"), domain,
+                                            max(map(len, domain), default=0))
+            if gap]
 
 
 def _learn_merges(segments: list[bytes], n_merges: int,
@@ -252,106 +304,48 @@ def build_vocabulary(catalog: CatalogIndex, merges: int = 0,
     classes: list[str] = [CLASS_BYTE] * N_BYTES
     forms: list[bytes] = [bytes([i]) for i in range(N_BYTES)]
 
-    domain_entries: list[tuple[str, str]] = []
-    for form in MARKER_FORMS:
-        domain_entries.append((CLASS_MARKER, form))
-    for form in SURFACE_FORMS:
-        domain_entries.append((CLASS_SURFACE, form))
-    domain_entries.append((CLASS_SPECIAL, MASK_CAROUSEL_FORM))
-    domain_entries.append((CLASS_SPECIAL, UNK_ITEM_FORM))
-    for carousel in sorted(catalog.carousels, key=lambda c: c.carousel_id):
-        domain_entries.append((CLASS_CAROUSEL, carousel_token_form(carousel.carousel_id)))
-    for item in sorted(catalog.items, key=lambda i: i.item_id):
-        domain_entries.append((CLASS_ITEM, item_token_form(item)))
+    domain_entries: list[tuple[str, str]] = (
+        [(CLASS_MARKER, form) for form in MARKER_FORMS]
+        + [(CLASS_SURFACE, form) for form in SURFACE_FORMS]
+        + [(CLASS_SPECIAL, MASK_CAROUSEL_FORM), (CLASS_SPECIAL, UNK_ITEM_FORM)]
+        + [(CLASS_CAROUSEL, carousel_token_form(c.carousel_id))
+           for c in sorted(catalog.carousels, key=lambda c: c.carousel_id)]
+        + [(CLASS_ITEM, item_token_form(i))
+           for i in sorted(catalog.items, key=lambda i: i.item_id)])
 
     merge_pairs: tuple[tuple[int, int], ...] = ()
     if merges > 0:
         if merge_training_text is None:
             raise VocabularyError("merges > 0 requires merge_training_text")
+        for _, form in domain_entries:  # _byte_runs scans with them before _finish
+            _check_domain_form(form.encode())
         existing = {form.encode() for _, form in domain_entries}
         segments = _byte_runs(merge_training_text, existing)
         pairs, expansions = _learn_merges(segments, merges, existing)
         merge_pairs = tuple(pairs)
-        for exp in expansions:
-            classes.append(CLASS_MERGE)
-            forms.append(exp)
+        classes += [CLASS_MERGE] * len(expansions)
+        forms += expansions
 
-    for cls, form in domain_entries:
-        classes.append(cls)
-        forms.append(form.encode())
+    classes += [cls for cls, _ in domain_entries]
+    forms += [form.encode() for _, form in domain_entries]
 
     return _finish(Vocabulary(tuple(classes), tuple(forms), merge_pairs))
 
 
-def _bpe_encode(ids: list[int], ranks: dict) -> list[int]:
-    """Apply learned merges to a byte-id sequence.
+def _bpe_encode(gap: bytes, merges: tuple) -> list[int]:
+    """Byte-code a gap and apply the learned merges: in rank order, each
+    once, as `str.replace` on the gap held as a str of chr(token id), the
+    rule `_learn_merges` learned them by.
 
-    ranks maps (left_id, right_id) -> (rank, merged_id); the lowest rank is
-    merged first, all occurrences left to right, until no pair applies.
+    One pass suffices: merge r joins ids below 256 + r, so a pair that a
+    merge creates holds its new id and only a later merge can take it, and a
+    replace leaves no occurrence of its own pair. `_check_base` refuses a
+    merge table that breaks this.
     """
-    if not ranks or len(ids) < 2:
-        return ids
-    while True:
-        best_rank = -1
-        best_new = -1
-        best_a = best_b = -1
-        for i in range(len(ids) - 1):
-            entry = ranks.get((ids[i], ids[i + 1]))
-            if entry is not None and (best_rank < 0 or entry[0] < best_rank):
-                best_rank, best_new = entry
-                best_a, best_b = ids[i], ids[i + 1]
-        if best_rank < 0:
-            return ids
-        out = []
-        i = 0
-        n = len(ids)
-        while i < n:
-            if i + 1 < n and ids[i] == best_a and ids[i + 1] == best_b:
-                out.append(best_new)
-                i += 2
-            else:
-                out.append(ids[i])
-                i += 1
-        ids = out
-
-
-def _encode_text(data: bytes, domain: dict, lengths: tuple, ranks: dict) -> list[int]:
-    """Tokenize UTF-8 bytes: longest-match domain tokens anchored on '<|',
-    byte/merge encoding for everything in between.
-
-    domain maps surface-form bytes -> token id; lengths is the descending
-    tuple of distinct surface-form lengths. Raises TokenizeError on a '<|...'
-    span that matches no domain token.
-    """
-    out: list[int] = []
-    pos = 0
-    n = len(data)
-    while pos < n:
-        anchor = data.find(b"<|", pos)
-        if anchor < 0:
-            anchor = n
-        if anchor > pos:
-            out.extend(_bpe_encode(list(data[pos:anchor]), ranks))
-            pos = anchor
-        if pos >= n:
-            break
-        matched = -1
-        for length in lengths:
-            if pos + length > n:
-                continue
-            tid = domain.get(data[pos:pos + length])
-            if tid is not None:
-                matched = length
-                out.append(tid)
-                break
-        if matched < 0:
-            close = data.find(b"|>", pos + 2)
-            span = data[pos:close + 2 if close >= 0 else min(n, pos + 40)]
-            raise TokenizeError(
-                f"unknown domain token span {span.decode('utf-8', 'replace')!r} "
-                f"at byte {pos}")
-        pos += matched
-    return out
+    seq = gap.decode("latin-1")
+    for pair, merged in merges:
+        seq = seq.replace(pair, merged)
+    return list(map(ord, seq))
 
 
 def tokenize(text: str, vocabulary: Vocabulary) -> list[int]:
@@ -361,36 +355,34 @@ def tokenize(text: str, vocabulary: Vocabulary) -> list[int]:
     (an item or carousel the vocabulary was not minted with) is never mapped
     silently here.
     """
-    return _encode_text(text.encode("utf-8"), vocabulary.domain_to_id,
-                        vocabulary._lengths, vocabulary._merge_ranks)
+    out: list[int] = []
+    for gap, tid in _split_domain(text.encode("utf-8"), vocabulary.domain_to_id,
+                                  vocabulary._longest):
+        if gap:
+            out += _bpe_encode(gap, vocabulary._merges)
+        if tid is not None:
+            out.append(tid)
+    return out
 
 
 # --- vocabulary file --------------------------------------------------------
 
 _PRINTABLE = set(range(0x20, 0x7F)) - {ord("\\")}
+_ESCAPE = re.compile(r"\\x([0-9a-fA-F]{2})")
 
 
 def _escape(form: bytes) -> str:
-    out = []
-    for b in form:
-        if b in _PRINTABLE:
-            out.append(chr(b))
-        else:
-            out.append(f"\\x{b:02x}")
-    return "".join(out)
+    return "".join(chr(b) if b in _PRINTABLE else f"\\x{b:02x}" for b in form)
 
 
-def _unescape(text: str) -> bytes:
-    out = bytearray()
-    i = 0
-    while i < len(text):
-        if text[i] == "\\" and i + 3 < len(text) + 1 and text[i + 1] == "x":
-            out.append(int(text[i + 2:i + 4], 16))
-            i += 4
-        else:
-            out.append(ord(text[i]))
-            i += 1
-    return bytes(out)
+def _unescape(text: str) -> bytes | None:
+    """The bytes of an escaped form, or None when a backslash opens no
+    `\\xNN` escape."""
+    parts = _ESCAPE.split(text)  # literal, hex digits, literal, ...
+    if any("\\" in literal for literal in parts[::2]):
+        return None
+    parts[1::2] = [chr(int(digits, 16)) for digits in parts[1::2]]
+    return "".join(parts).encode("latin-1")
 
 
 def _token_lines(vocabulary: Vocabulary):
@@ -414,7 +406,7 @@ def read_vocab(path) -> Vocabulary:
     forms: list[bytes] = []
     merge_pairs: list[tuple[int, int]] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -426,8 +418,12 @@ def read_vocab(path) -> Vocabulary:
             if int(tid_s) != len(classes):
                 raise VocabularyError(
                     f"non-contiguous token id {tid_s} at position {len(classes)}")
+            form = _unescape(escaped)
+            if form is None:
+                raise VocabularyError(
+                    f"line {lineno}: malformed \\x escape in {escaped!r}")
             classes.append(cls)
-            forms.append(_unescape(escaped))
+            forms.append(form)
     vocab = Vocabulary(tuple(classes), tuple(forms), tuple(merge_pairs))
     return _finish(vocab)
 

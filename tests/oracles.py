@@ -11,6 +11,11 @@ independent reading of it:
   stores only relative time fields (session elapsed hours, day of week,
   per-event hour), so absolute timestamps are not recovered;
 - `detokenize` and `prefix_freedom_violations` read a vocabulary back;
+- `rescan_tokenize` (with `encode_text`, `bpe_encode` and `byte_runs`) is
+  `vocab.tokenize` as first written: it probes every distinct domain-form
+  length at each '<|' and, after each merge, rescans the ids for the
+  lowest-rank pair. The library closes each form at a '|>' and applies the
+  merges once each in rank order. Both give the same ids and errors;
 - `cross_entropy` is the loss without the fused backward of training;
 - `batched_forward_backward` (with `_loss_and_dlogits`) is the training
   step with one backward over the whole batch at once, which
@@ -294,6 +299,106 @@ def prefix_freedom_violations(vocabulary: Vocabulary) -> list[tuple[str, str]]:
         if b[0].startswith(a[0]) and a[0] != b[0]:
             bad.append((a[1], b[1]))
     return bad
+
+
+def encode_text(data: bytes, domain: dict, lengths: tuple, ranks: dict) -> list[int]:
+    """Tokenize UTF-8 bytes: longest-match domain tokens anchored on '<|',
+    byte/merge encoding for everything in between.
+
+    domain maps surface-form bytes -> token id; lengths is the descending
+    tuple of distinct surface-form lengths. Raises TokenizeError on a '<|...'
+    span that matches no domain token.
+    """
+    out: list[int] = []
+    pos = 0
+    n = len(data)
+    while pos < n:
+        anchor = data.find(b"<|", pos)
+        if anchor < 0:
+            anchor = n
+        if anchor > pos:
+            out.extend(bpe_encode(list(data[pos:anchor]), ranks))
+            pos = anchor
+        if pos >= n:
+            break
+        matched = -1
+        for length in lengths:
+            if pos + length > n:
+                continue
+            tid = domain.get(data[pos:pos + length])
+            if tid is not None:
+                matched = length
+                out.append(tid)
+                break
+        if matched < 0:
+            close = data.find(b"|>", pos + 2)
+            span = data[pos:close + 2 if close >= 0 else min(n, pos + 40)]
+            raise TokenizeError(
+                f"unknown domain token span {span.decode('utf-8', 'replace')!r} "
+                f"at byte {pos}")
+        pos += matched
+    return out
+
+
+def bpe_encode(ids: list[int], ranks: dict) -> list[int]:
+    """Apply learned merges to a byte-id sequence.
+
+    ranks maps (left_id, right_id) -> (rank, merged_id); the lowest rank is
+    merged first, all occurrences left to right, until no pair applies.
+    """
+    if not ranks or len(ids) < 2:
+        return ids
+    while True:
+        best_rank = -1
+        best_new = -1
+        best_a = best_b = -1
+        for i in range(len(ids) - 1):
+            entry = ranks.get((ids[i], ids[i + 1]))
+            if entry is not None and (best_rank < 0 or entry[0] < best_rank):
+                best_rank, best_new = entry
+                best_a, best_b = ids[i], ids[i + 1]
+        if best_rank < 0:
+            return ids
+        out = []
+        i = 0
+        n = len(ids)
+        while i < n:
+            if i + 1 < n and ids[i] == best_a and ids[i + 1] == best_b:
+                out.append(best_new)
+                i += 2
+            else:
+                out.append(ids[i])
+                i += 1
+        ids = out
+
+
+def byte_runs(text: str, domain_forms) -> list[bytes]:
+    """Byte spans of `text` between domain tokens (merge-learning input): the
+    merge-free encoding with every domain form mapped to id N_BYTES, split at
+    those ids."""
+    domain = dict.fromkeys(domain_forms, N_BYTES)
+    lengths = tuple(sorted({len(f) for f in domain}, reverse=True))
+    runs: list[bytes] = []
+    run: list[int] = []
+    for tid in encode_text(text.encode("utf-8"), domain, lengths, {}):
+        if tid < N_BYTES:
+            run.append(tid)
+        elif run:
+            runs.append(bytes(run))
+            run = []
+    if run:
+        runs.append(bytes(run))
+    return runs
+
+
+def rescan_tokenize(text: str, vocabulary: Vocabulary) -> list[int]:
+    """`vocab.tokenize` as first written: `encode_text` with the lookups
+    `Vocabulary` once kept, the distinct domain-form lengths and the merge
+    ranks."""
+    lengths = tuple(sorted({len(f) for f in vocabulary.domain_to_id}, reverse=True))
+    ranks = {pair: (rank, N_BYTES + rank)
+             for rank, pair in enumerate(vocabulary.merge_pairs)}
+    return encode_text(text.encode("utf-8"), vocabulary.domain_to_id, lengths, ranks)
 
 
 # --- model --------------------------------------------------------------------

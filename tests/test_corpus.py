@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -17,7 +19,9 @@ from storyrank.corpus import (
     truncate_ids,
     write_examples,
 )
-from storyrank.vocab import CLASS_ITEM, tokenize
+from storyrank.datagen import WorldConfig, generate_world
+from storyrank.grammar import serialize
+from storyrank.vocab import CLASS_ITEM, build_vocabulary, tokenize
 
 from conftest import SAMPLE_TEXT
 from oracles import detokenize
@@ -190,3 +194,18 @@ def test_record_stream_truncated_file(tmp_path, sample_vocab):
     path.write_bytes(data[:-7])
     with pytest.raises(CorpusError, match="truncated"):
         read_examples(path)
+
+
+def test_desk_corpus_is_pinned(tmp_path):
+    # recorded with the rescanning tokenizer that tests/oracles.py keeps; a
+    # tokenizer change that moves any token id fails here, before it shifts
+    # every checkpoint and benchmark digest downstream of build-corpus
+    catalog, stories, _ = generate_world(
+        WorldConfig(n_users=60, n_items=400, n_carousels=40, n_genres=10))
+    texts = [serialize(s) for s in stories]
+    vocab = build_vocabulary(catalog, merges=48, merge_training_text="\n".join(texts))
+    examples = tokenize_stories(texts, vocab) + build_catalog_corpus(catalog, vocab)
+    write_examples(tmp_path / "corpus.bin", examples, vocab_hash=vocab.vocab_hash())
+    digest = hashlib.sha256((tmp_path / "corpus.bin").read_bytes()).hexdigest()
+    assert digest == \
+        "e9dc9f69cb17e58668920d2a66a071ec3b309f25d36938ace16daf05717ec22f"

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from storyrank.vocab import (
     VocabularyError,
     _byte_runs,
     _learn_merges,
+    _split_domain,
     build_vocabulary,
     read_vocab,
     tokenize,
@@ -20,7 +23,8 @@ from storyrank.vocab import (
 )
 
 from conftest import SAMPLE_TEXT, make_sample_story
-from oracles import detokenize, learn_merges, prefix_freedom_violations
+from oracles import byte_runs, detokenize, learn_merges, \
+    prefix_freedom_violations, rescan_tokenize
 
 
 def small_catalog():
@@ -67,7 +71,7 @@ def test_duplicate_catalog_ids_rejected():
 
 def test_tokenize_mixes_domain_and_byte_tokens(sample_vocab):
     ids = tokenize("<|watch|> hour=3 <|surface=search|>", sample_vocab)
-    watch_id = sample_vocab.marker_ids["<|watch|>"]
+    watch_id = sample_vocab.domain_to_id[b"<|watch|>"]
     search_id = sample_vocab.surface_ids["search"]
     assert ids[0] == watch_id
     assert ids[-1] == search_id
@@ -134,6 +138,13 @@ def test_vocab_file_with_inner_anchor_rejected(tmp_path, bad_form):
     path.write_text(text.replace("<|id(A1|Fog Pier)|>", bad_form))
     with pytest.raises(VocabularyError, match="must start with"):
         read_vocab(path)
+
+
+def test_catalog_form_with_inner_anchor_rejected_before_merge_learning():
+    catalog = CatalogIndex((ItemRef("A1", "Fog <|Pier"),), ())
+    with pytest.raises(VocabularyError, match="must start with"):
+        build_vocabulary(catalog, merges=2,
+                         merge_training_text="ab <|id(A1|Fog <|Pier)|> ab")
 
 
 def test_vocab_file_escapes_nonprintable_bytes(tmp_path, sample_vocab):
@@ -240,3 +251,118 @@ def test_desk_vocabulary_is_pinned():
 @settings(max_examples=150, deadline=None)
 def test_plain_text_roundtrips(sample_vocab, text):
     assert detokenize(tokenize(text, sample_vocab), sample_vocab) == text
+
+
+# --- the domain scan and the merge rule against the rescanning oracle ------
+
+# Forms that nest: each carousel form below extends the one before it past a
+# '|>', and titles hold '|>', so the longest match and the '|>' inside a
+# form are both exercised. The stories rules refuse a ')' in a carousel id;
+# the vocabulary and the tokenizer do not rely on that.
+NESTED_CATALOG = CatalogIndex(
+    items=(ItemRef("A1", "x|>y"), ItemRef("A2", "|>"), ItemRef("B", "é|> b")),
+    carousels=(CarouselRef("c"), CarouselRef("c)|>d"), CarouselRef("c)|>d)|>e")),
+)
+NESTED_FORMS = sorted(f.decode() for f in build_vocabulary(NESTED_CATALOG).domain_to_id)
+_piece = st.sampled_from(NESTED_FORMS) | st.text(alphabet="ab", max_size=8) \
+    | st.sampled_from([" ", ")", "é", "|>"])
+_stray = st.sampled_from(["<|", "|>", "<", "|", ">", "<|id(A1|x|>", "<|carousel(c)|>d)"])
+_ragged = st.builds(lambda form, cut: form[:cut], st.sampled_from(NESTED_FORMS),
+                    st.integers(0, 24))
+
+
+def _outcome(encode, text, *args):
+    try:
+        return encode(text, *args)
+    except TokenizeError as exc:
+        return str(exc)
+
+
+@given(st.lists(_piece | _stray | _ragged, max_size=12).map("".join),
+       st.lists(_piece, min_size=8, max_size=40).map("".join),
+       st.integers(0, 20))
+@settings(max_examples=300, deadline=None)
+def test_tokenize_equals_the_rescanning_oracle(text, training_text, merges):
+    vocab = build_vocabulary(NESTED_CATALOG, merges=merges,
+                             merge_training_text=training_text)
+    assert _outcome(tokenize, text, vocab) == _outcome(rescan_tokenize, text, vocab)
+    assert _outcome(_byte_runs, text, vocab.domain_to_id) == \
+        _outcome(byte_runs, text, vocab.domain_to_id)
+
+
+@pytest.mark.parametrize("merges", [0, 48, 400])
+def test_desk_world_tokenizes_as_the_oracle_does(merges):
+    catalog, text = _world_text(200)
+    vocab = build_vocabulary(catalog, merges=merges, merge_training_text=text)
+    assert tokenize(text, vocab) == rescan_tokenize(text, vocab)
+    assert _byte_runs(text, vocab.domain_to_id) == byte_runs(text, vocab.domain_to_id)
+
+
+def test_domain_scan_probes_no_further_than_the_longest_form(sample_vocab):
+    probed = []
+
+    class Probe(dict):
+        def get(self, key, default=None):
+            probed.append(len(key))
+            return super().get(key, default)
+
+    longest = max(map(len, sample_vocab.domain_to_id))
+    text = "<|search|> " + "q|>" * 2000 + " <|session|>"
+    pieces = list(_split_domain(text.encode(), Probe(sample_vocab.domain_to_id),
+                                longest))
+    assert [tid for _, tid in pieces] == tokenize(
+        "<|search|><|session|>", sample_vocab) + [None]
+    assert max(probed) <= longest
+
+
+# --- what read_vocab refuses ------------------------------------------------
+
+def _forward_pair(pairs, lines):
+    pairs[0][1] = 257
+
+
+def _dropped_pair(pairs, lines):
+    del pairs[-1]
+
+
+def _duplicated_pair(pairs, lines):
+    pairs[10] = pairs[9]
+
+
+def _repeated_form(pairs, lines):
+    pairs[10] = pairs[9]
+    lines[266] = "266" + lines[265][3:]
+
+
+def _byte_swapped(pairs, lines):
+    lines[65] = "65\tbyte\tB"
+
+
+def _merge_form_changed(pairs, lines):
+    lines[256] += "x"
+
+
+def _short_escape(pairs, lines):
+    lines[300] += "\\x4"
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(edit, message, id=edit.__name__.lstrip("_")) for edit, message in [
+        (_forward_pair, r"merge 256 joins \(\d+, 257\): both ids must be below 256"),
+        (_dropped_pair, "47 merge pairs need as many merge tokens"),
+        (_duplicated_pair, "token 266 must be the merge"),
+        (_repeated_form, "merge 266 repeats the form"),
+        (_byte_swapped, "token 65 must be the byte"),
+        (_merge_form_changed, "token 256 must be the merge"),
+        (_short_escape, r"line 302: malformed \\x escape"),
+    ]])
+def test_vocab_file_that_would_tokenize_wrongly_is_refused(tmp_path, edit, message):
+    catalog, text = _world_text(12)
+    path = tmp_path / "vocab.tsv"
+    write_vocab(path, build_vocabulary(catalog, merges=48, merge_training_text=text))
+    header, *lines = path.read_text().splitlines()
+    meta = json.loads(header[2:])
+    edit(meta["merge_pairs"], lines)
+    path.write_text("# " + json.dumps(meta) + "\n" + "\n".join(lines) + "\n")
+    with pytest.raises(VocabularyError, match=message):
+        read_vocab(path)
