@@ -23,10 +23,13 @@ row at that slot within float rounding (narrower GEMMs round differently).
 
 Each sequence is its own task in every forward: with slots, without them
 (each row padded to the context length), and in training, where a task is
-one sequence's forward, loss and backward (`forward_backward` sums the
-gradients in row order). The tasks run on a pool of one thread per usable
-core, with OpenBLAS pinned to one thread meanwhile, or in the caller when
-the process may use one core only or the BLAS thread count cannot be set.
+one sequence's forward, loss and backward. The tasks run on a pool of one
+thread per usable core, with OpenBLAS pinned to one thread meanwhile, or in
+the caller when the process may use one core only or the BLAS thread count
+cannot be set. Either way the caller folds the results in task order, each
+as soon as it is ready, and then drops it: `forward_backward` adds each
+row's gradients into the running sum when that row finishes, in row order,
+so a step holds the sum and the rows in flight, not B gradient sets.
 """
 from __future__ import annotations
 
@@ -189,14 +192,13 @@ class Model:
                                  "sequences")
             if slots.min() < 0 or slots.max() >= t:
                 raise ModelError(f"slot outside the sequence length {t}")
-            logits = np.stack(_run_tasks(
-                _sequence_logits, [(self, ids[r, :s + 1], True)
-                                   for r, s in enumerate(slots)]))
+            tasks = [(self, ids[r, :s + 1], True) for r, s in enumerate(slots)]
         else:
             padded = np.pad(ids, ((0, 0), (0, self.config.context_length - t)))
-            logits = np.stack(_run_tasks(
-                _sequence_logits, [(self, row, False) for row in padded]))
-            logits = logits[:, :t]
+            tasks = [(self, row, False) for row in padded]
+        rows = []
+        _run_tasks(_sequence_logits, tasks, rows.append)
+        logits = np.stack(rows) if slots is not None else np.stack(rows)[:, :t]
         return logits[0] if squeeze else logits
 
 
@@ -275,26 +277,41 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
-def _run_tasks(fn, tasks: list[tuple]) -> list:
-    """[fn(*task) for task in tasks], on the task pool with OpenBLAS
-    pinned to one thread when the pool exists, otherwise in the caller with
-    BLAS left as it is. A single task runs on the pool too: some OpenBLAS
-    kernels (Haswell's float32 GEMM) round differently on one thread than on
-    two, so every forward task of a process runs at one thread count. The
-    count is restored after every task has finished, also when one raised;
-    the first failing task's exception reaches the caller."""
+def _run_tasks(fn, tasks: list[tuple], fold) -> None:
+    """fold(fn(*task)) for each task, in task order, on the task pool with
+    OpenBLAS pinned to one thread when the pool exists, otherwise in the
+    caller with BLAS left as it is. On the pool every task is submitted up
+    front, and the caller folds task r's result as soon as it is ready,
+    then drops it and its future before it waits for task r + 1: a result
+    lives only until it is folded, not until the last task ends. A single
+    task runs on the pool too: some OpenBLAS kernels (Haswell's float32
+    GEMM) round differently on one thread than on two, so every forward
+    task of a process runs at one thread count. When a task or a fold
+    raises, the tasks not yet started are cancelled and the running ones
+    waited for; the count is restored once no task runs, and the exception
+    (of the first failing task in task order, or of the fold) reaches the
+    caller."""
     pool = _task_pool()
     if not pool:
-        return [fn(*task) for task in tasks]
+        for task in tasks:
+            fold(fn(*task))
+        return
     executor, get_threads, set_threads = pool
     with _POOL_LOCK:
         before = get_threads()
         set_threads(1)
+        pending = []  # futures not yet folded, the next one last
         try:
-            futures = [executor.submit(fn, *task) for task in tasks]
-            wait(futures)
-            return [future.result() for future in futures]
+            for task in tasks:
+                pending.append(executor.submit(fn, *task))
+            pending.reverse()
+            while pending:
+                fold(pending[-1].result())
+                pending.pop()
         finally:
+            for future in pending:
+                future.cancel()
+            wait(pending)
             set_threads(before)
 
 
@@ -470,9 +487,12 @@ def forward_backward(model: Model, inputs, targets, weights=None):
     Each sequence is one task for `_run_tasks`, on the pool that slot
     inference uses: its forward with cache, its weighted NLL and logit
     gradients, scaled by the batch's total target weight, and its backward.
-    The loss sums the tasks' NLL rows in batch order, so it has the bits of
-    a loss over the whole batch at once. The gradients are summed in row
-    order 0..B-1, so reruns give the same bits; they differ from a
+    Each row's result is folded as soon as that row finishes, in row order
+    0..B-1, and then dropped: its NLL row is kept, its gradients are added
+    into row 0's, which hold the sum. The loss sums the NLL rows in batch
+    order, so it has the bits of a loss over the whole batch at once. The
+    gradient sum takes the same additions in the same order however the
+    rows finish, so reruns give the same bits; they differ from a
     whole-batch backward's in the last bits, since each weight gradient is
     a sum of per-sequence contractions rather than one over B*T."""
     cfg = model.config
@@ -486,14 +506,21 @@ def forward_backward(model: Model, inputs, targets, weights=None):
     model.forward_calls += 1
     safe_tg = np.where(w > 0, tg, 0)
     total = w.reshape(-1).sum()
-    results = _run_tasks(_sequence_forward_backward,
-                         [(model, ids[r], safe_tg[r], w[r], total)
-                          for r in range(ids.shape[0])])
-    loss = float(np.concatenate([nll for nll, _ in results]).sum() / total)
-    grads = results[0][1]
-    for _, more in results[1:]:
-        for name, g in grads.items():
-            g += more[name]
+    nll_rows, grads = [], {}
+
+    def fold(result):
+        nll, more = result
+        nll_rows.append(nll)
+        if len(nll_rows) == 1:
+            grads.update(more)  # row 0's gradients hold the sum
+        else:
+            for name, g in grads.items():
+                g += more[name]
+
+    _run_tasks(_sequence_forward_backward,
+               [(model, ids[r], safe_tg[r], w[r], total)
+                for r in range(ids.shape[0])], fold)
+    loss = float(np.concatenate(nll_rows).sum() / total)
     return loss, grads
 
 

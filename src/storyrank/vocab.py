@@ -401,6 +401,24 @@ def write_vocab(path, vocabulary: Vocabulary, *, manifest_hash: str | None = Non
             fh.write(line + "\n")
 
 
+def _merge_pairs(meta_text: str, lineno: int) -> list[tuple[int, int]]:
+    """The merge pairs of a `# ` metadata line."""
+    try:
+        meta = json.loads(meta_text)
+    except json.JSONDecodeError as exc:
+        raise VocabularyError(f"line {lineno}: metadata is not JSON: {exc}") \
+            from None
+    pairs = meta.get("merge_pairs", []) if isinstance(meta, dict) else None
+    if not isinstance(pairs, list):
+        raise VocabularyError(f"line {lineno}: metadata has no merge_pairs list")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(i) is int for i in pair)):
+            raise VocabularyError(f"line {lineno}: merge pair {pair!r} is not "
+                                  "two integers")
+    return [tuple(pair) for pair in pairs]
+
+
 def read_vocab(path) -> Vocabulary:
     classes: list[str] = []
     forms: list[bytes] = []
@@ -411,13 +429,19 @@ def read_vocab(path) -> Vocabulary:
             if not line:
                 continue
             if line.startswith("# "):
-                meta = json.loads(line[2:])
-                merge_pairs = [tuple(p) for p in meta.get("merge_pairs", [])]
+                merge_pairs = _merge_pairs(line[2:], lineno)
                 continue
-            tid_s, cls, escaped = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise VocabularyError(f"line {lineno}: {len(fields)} tab-separated "
+                                      "fields, not 3 (id, class, form)")
+            tid_s, cls, escaped = fields
+            if not (tid_s.isascii() and tid_s.isdigit()):
+                raise VocabularyError(f"line {lineno}: token id {tid_s!r} is "
+                                      "not an integer")
             if int(tid_s) != len(classes):
-                raise VocabularyError(
-                    f"non-contiguous token id {tid_s} at position {len(classes)}")
+                raise VocabularyError(f"line {lineno}: non-contiguous token id "
+                                      f"{tid_s} at position {len(classes)}")
             form = _unescape(escaped)
             if form is None:
                 raise VocabularyError(

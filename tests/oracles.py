@@ -24,6 +24,10 @@ independent reading of it:
   `_forward` caches on a batch axis and runs its backward with the batched
   `_split_heads`, `_merge_heads`, `_matmul_bwd` and `_rmsnorm_bwd` defined
   here (the library's versions take one sequence);
+- `listed_forward_backward` is `model.forward_backward` as first written on
+  the task pool: it collects every row's NLL row and gradients, then sums
+  the gradients in row order. The library folds each row in as it finishes;
+  both add the same arrays in the same order, so they agree bit for bit;
 - `padded_slot_forward` takes each sequence's slot row from its forward
   padded to the full context length, which slot mode's `Model.forward`,
   cut at each slot, matches within rounding;
@@ -53,7 +57,7 @@ from storyrank.datagen import GENRE_POOL, WorldConfig, WorldItem, _COUNTRIES, \
 from storyrank.grammar import BEGIN_SESSIONS, SEARCH_MARKER, SESSION_MARKER, \
     WATCH_MARKER
 from storyrank.model import Model, ModelError, _as_batch, _check_ids, \
-    _forward, _rope_backward
+    _forward, _rope_backward, _run_tasks, _sequence_forward_backward
 from storyrank.prompts import RankedList, session_tail
 from storyrank.stories import AttributeHeader, CarouselRef, EMPTY_CAROUSEL, \
     Surface, UserStory, ValidationError, WatchEvent, search, \
@@ -564,6 +568,29 @@ def batched_forward_backward(model: Model, inputs, targets, weights=None):
     if cfg.tie_embeddings:
         d_emb += dw_out.T
     grads["tok_emb"] = d_emb
+    return loss, grads
+
+
+def listed_forward_backward(model: Model, inputs, targets, weights=None):
+    """`model.forward_backward` with every row's (NLL row, gradients) held
+    in a list until the last row finishes, then summed in row order."""
+    cfg = model.config
+    ids, _ = _as_batch(inputs)
+    _check_ids(ids, cfg)
+    tg = np.asarray(targets, dtype=np.int64)
+    w = np.ones(ids.shape, dtype=cfg.np_dtype) if weights is None \
+        else np.asarray(weights).astype(cfg.np_dtype)
+    safe_tg = np.where(w > 0, tg, 0)
+    total = w.reshape(-1).sum()
+    results = []
+    _run_tasks(_sequence_forward_backward,
+               [(model, ids[r], safe_tg[r], w[r], total)
+                for r in range(ids.shape[0])], results.append)
+    loss = float(np.concatenate([nll for nll, _ in results]).sum() / total)
+    grads = results[0][1]
+    for _, more in results[1:]:
+        for name, g in grads.items():
+            g += more[name]
     return loss, grads
 
 # --- evaluation ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,8 @@ from storyrank import model as model_module
 from storyrank.training import make_batch
 
 from oracles import _loss_and_dlogits, _merge_heads, _split_heads, \
-    batched_forward_backward, cross_entropy, padded_slot_forward
+    batched_forward_backward, cross_entropy, listed_forward_backward, \
+    padded_slot_forward
 
 
 def tiny_model(layers=2, dim=8, heads=2, vocab=40, ctx=16, dtype="float64",
@@ -460,6 +462,113 @@ def test_failing_training_task_reaches_the_caller_and_restores_blas(
         forward_backward(model, inputs, inputs)
     assert get_threads() == 2
 
+@pytest.fixture(params=["pool", "caller"])
+def task_branch(request, monkeypatch):
+    """Runs the test with the tasks on the pool (where the process may use
+    more than one core) and again with every task in the caller."""
+    if request.param == "caller":
+        monkeypatch.setattr(model_module, "_pool", ())
+    return request.param
+
+
+def _numbered_training_batch(model, b):
+    """A ragged training batch whose row r starts with token r."""
+    inputs, targets, weights = _ragged_training_batch(model, b)
+    inputs[:, 0] = np.arange(b)
+    return inputs, targets, weights
+
+
+def _eventually(condition, seconds=5.0):
+    """Whether `condition()` holds, polled for up to `seconds`."""
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return condition()
+
+
+def test_training_rows_are_released_once_folded(monkeypatch, task_branch):
+    real_task = model_module._sequence_forward_backward
+    lock = threading.Lock()
+    refs, alive_at_start, previous_released = {}, {}, {}  # by row
+
+    def alive():
+        with lock:
+            return sorted(r for r, ref in refs.items() if ref() is not None)
+
+    def released(row):
+        with lock:
+            return row in refs and refs[row]() is None
+
+    def recording_task(model, ids, *rest):
+        row = int(ids[0])
+        alive_at_start[row] = alive()
+        if row >= 2:
+            # row r - 1 started first; on the pool it may still be running,
+            # but the caller folds and drops it while this task waits
+            previous_released[row] = _eventually(lambda: released(row - 1))
+        nll, grads = real_task(model, ids, *rest)
+        with lock:
+            refs[row] = weakref.ref(grads["tok_emb"])
+        return nll, grads
+
+    monkeypatch.setattr(model_module, "_sequence_forward_backward",
+                        recording_task)
+    model = tiny_model(layers=2, dim=32, heads=4, vocab=50, ctx=40)
+    _, grads = forward_backward(model, *_numbered_training_batch(model, 8))
+    assert sorted(refs) == list(range(8))
+    # row 0's gradients hold the sum; every later row's are dropped once
+    # folded, before the caller waits for the next row
+    assert previous_released == {r: True for r in range(2, 8)}
+    if task_branch == "caller":
+        assert alive_at_start == {0: [], **{r: [0] for r in range(1, 8)}}
+    # a pool worker lets go of a finished task just after handing over its
+    # result, so allow it a moment
+    assert _eventually(lambda: alive() == [0])
+    assert refs[0]() is grads["tok_emb"]
+
+
+def test_failing_fold_reaches_the_caller_and_stops_the_pool(
+        monkeypatch, blas_threads, task_branch):
+    get_threads, set_threads = blas_threads
+    real_task = model_module._sequence_forward_backward
+    lock = threading.Lock()
+    running, started = [0], []
+
+    class Unfoldable(dict):
+        def __getitem__(self, name):
+            raise RuntimeError("fold failed")
+
+    def counting_task(model, ids, *rest):
+        with lock:
+            running[0] += 1
+            started.append(int(ids[0]))
+        try:
+            nll, grads = real_task(model, ids, *rest)
+        finally:
+            with lock:
+                running[0] -= 1
+        return nll, Unfoldable(grads) if ids[0] == 2 else grads
+
+    monkeypatch.setattr(model_module, "_sequence_forward_backward",
+                        counting_task)
+    model = tiny_model(layers=2, dim=32, heads=4, vocab=50, ctx=40)
+    batch = _numbered_training_batch(model, 8)
+    set_threads(2)
+    with pytest.raises(RuntimeError, match="fold failed"):
+        forward_backward(model, *batch)
+    assert get_threads() == 2
+    assert running[0] == 0
+    if task_branch == "caller":
+        assert started == [0, 1, 2]
+    # the tasks left unstarted were cancelled, not left queued
+    ran = len(started)
+    time.sleep(0.05)
+    assert len(started) == ran
+    monkeypatch.setattr(model_module, "_sequence_forward_backward", real_task)
+    assert np.isfinite(forward_backward(model, *batch)[0])
+    assert get_threads() == 2
+
+
 def test_concurrent_slot_forwards_equal_serial_calls(blas_threads):
     get_threads, set_threads = blas_threads
     set_threads(2)
@@ -635,6 +744,24 @@ def test_pooled_training_step_equals_batched_oracle(dtype, b, tie):
     _, again = forward_backward(model, *batch)
     for name, g in grads.items():
         assert np.array_equal(g, again[name]), name
+
+@pytest.mark.parametrize("tie", [False, True])
+@pytest.mark.parametrize("b", [1, 3, 8, 9])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_folded_training_step_equals_listed_oracle(task_branch, dtype, b, tie):
+    # rows folded as they finish take the same additions in the same order
+    # as rows collected first and summed afterwards
+    model = tiny_model(layers=2, dim=32, heads=4, vocab=50, ctx=40,
+                       dtype=dtype, tie=tie)
+    batch = _ragged_training_batch(model, b, seed=b)
+    want_loss, want = listed_forward_backward(model, *batch)
+    loss, grads = forward_backward(model, *batch)
+    assert loss == want_loss
+    assert grads.keys() == want.keys()
+    for name, g in grads.items():
+        assert g.dtype == want[name].dtype
+        assert g.tobytes() == want[name].tobytes(), name
+
 
 def _loss_only(model, inputs, targets, weights):
     logits = np.stack([_forward(model, seq, need_cache=False)[0]

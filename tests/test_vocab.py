@@ -346,6 +346,26 @@ def _short_escape(pairs, lines):
     lines[300] += "\\x4"
 
 
+def _two_fields(pairs, lines):
+    lines[9] = "9\tbyte"
+
+
+def _word_id(pairs, lines):
+    lines[9] = "nine" + lines[9][1:]
+
+
+def _gapped_id(pairs, lines):
+    lines[9] = "10" + lines[9][1:]
+
+
+def _meta_not_json(pairs, lines):
+    lines.insert(0, '# {"merge_pairs": [[97, 98]')
+
+
+def _pair_not_two_integers(pairs, lines):
+    pairs[5] = [pairs[5][0], "x"]
+
+
 @pytest.mark.parametrize("edit, message", [
     pytest.param(edit, message, id=edit.__name__.lstrip("_")) for edit, message in [
         (_forward_pair, r"merge 256 joins \(\d+, 257\): both ids must be below 256"),
@@ -355,6 +375,12 @@ def _short_escape(pairs, lines):
         (_byte_swapped, "token 65 must be the byte"),
         (_merge_form_changed, "token 256 must be the merge"),
         (_short_escape, r"line 302: malformed \\x escape"),
+        (_two_fields, "line 11: 2 tab-separated fields, not 3"),
+        (_word_id, "line 11: token id 'nine' is not an integer"),
+        (_gapped_id, "line 11: non-contiguous token id 10 at position 9"),
+        (_meta_not_json, "line 2: metadata is not JSON"),
+        (_pair_not_two_integers,
+         r"line 1: merge pair \[\d+, 'x'\] is not two integers"),
     ]])
 def test_vocab_file_that_would_tokenize_wrongly_is_refused(tmp_path, edit, message):
     catalog, text = _world_text(12)
