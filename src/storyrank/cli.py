@@ -79,8 +79,10 @@ def cmd_build_vocab(args) -> int:
         merge_text = "\n".join(grammar.serialize(s) for s in stories)
     manifest = RunManifest.build("build-vocab", cfg.raw,
                                  {"catalog": args.catalog})
+    started = time.perf_counter()
     vocab = build_vocabulary(catalog, merges=merges,
                              merge_training_text=merge_text)
+    manifest.record("build_vocabulary", time.perf_counter() - started)
     write_vocab(args.out, vocab, manifest_hash=manifest.hash)
     manifest.write(Path(args.out).with_suffix(".manifest.json"))
     print(f"vocabulary: {vocab.size} tokens ({vocab.base_size} base, "
@@ -177,8 +179,16 @@ def cmd_eval(args) -> int:
             raise ValueError(f"unknown method {method!r}")
     manifest = RunManifest.build("eval", cfg.raw, {"stories": args.stories,
                                                    "vocab": args.vocab})
+    started = time.perf_counter()
     rows = evaluate(scorers, eval_split, _task_kinds(args.tasks), cfg.eval(),
                     vocab, config_hash=cfg.hash)
+    seconds = time.perf_counter() - started
+    manifest.record("eval", seconds)
+    model_names = {s.name for s in scorers if isinstance(s, ModelScorer)}
+    positions = sum(r["n_positions"] for r in rows if r["method"] in model_names
+                    and r["K"] == cfg.eval().cutoffs[0])
+    print(f"eval: {positions} model-scored positions in {seconds:.3f} s "
+          f"({positions / seconds:.1f} positions/s)", file=sys.stderr)
     if args.out:
         write_metrics(args.out, rows, manifest_hash=manifest.hash)
         manifest.write(Path(args.out).with_suffix(".manifest.json"))

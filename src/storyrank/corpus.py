@@ -11,6 +11,7 @@ are reproducible regardless of worker count or platform.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -198,26 +199,48 @@ def write_examples(path, examples: Iterable[TrainingExample],
 
 def read_examples(path, *, expect_vocab_hash: str | None = None
                   ) -> tuple[list[TrainingExample], dict]:
+    """The examples and the metadata of a record stream. Each record's
+    origin and token count are checked against the file before its payload
+    is read, so a corrupt count is an error naming the record's byte offset,
+    not a read of up to 16 GB."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise CorpusError(f"{path}: not a storyrank corpus file")
-        meta = json.loads(fh.readline().decode("utf-8"))
+        line = fh.readline()
+        try:
+            meta = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise CorpusError(f"{path}: the metadata line at byte "
+                              f"{len(_MAGIC)} is not JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise CorpusError(f"{path}: the metadata line at byte "
+                              f"{len(_MAGIC)} is not a JSON object")
         if expect_vocab_hash and meta.get("vocab_hash") != expect_vocab_hash:
             raise CorpusError(
                 f"{path}: corpus was tokenized with vocabulary "
                 f"{meta.get('vocab_hash') or '(none)'}, "
                 f"expected {expect_vocab_hash}")
         examples = []
+        pos = len(_MAGIC) + len(line)  # the next record's byte offset
         while True:
             head = fh.read(5)
             if not head:
                 break
             if len(head) < 5:
-                raise CorpusError(f"{path}: truncated record header")
+                raise CorpusError(f"{path}: truncated record header at byte "
+                                  f"{pos}")
             origin, count = struct.unpack("<BI", head)
-            payload = fh.read(4 * count)
-            if len(payload) < 4 * count:
-                raise CorpusError(f"{path}: truncated record payload")
-            ids = np.frombuffer(payload, dtype="<u4")
+            if origin not in (ORIGIN_STORY, ORIGIN_CATALOG):
+                raise CorpusError(f"{path}: record at byte {pos} has origin "
+                                  f"{origin}, not {ORIGIN_STORY} (story) or "
+                                  f"{ORIGIN_CATALOG} (catalog)")
+            left = size - pos - 5
+            if 4 * count > left:
+                raise CorpusError(f"{path}: truncated record payload at byte "
+                                  f"{pos}: {count} token ids need {4 * count} "
+                                  f"bytes, {left} left")
+            ids = np.frombuffer(fh.read(4 * count), dtype="<u4")
             examples.append(TrainingExample(tuple(int(x) for x in ids), origin))
+            pos += 5 + 4 * count
     return examples, meta

@@ -30,11 +30,21 @@ cannot be set. Either way the caller folds the results in task order, each
 as soon as it is ready, and then drops it: `forward_backward` adds each
 row's gradients into the running sum when that row finishes, in row order,
 so a step holds the sum and the rows in flight, not B gradient sets.
+
+An inference forward (no training cache) writes each layer's largest
+temporaries, the (H, T, T) attention scores and the (T, F) zg, zu and SiLU
+gate, into flat buffers that the model keeps per thread: H*ctx*ctx + 3*ctx*F
+values, about 2.5 MB at the desk shape in float32, for each thread that ran
+one of its forwards, freed with the model or the thread. Freeing and
+reallocating them on every call made the allocator return the pages to the
+kernel and fault them back in. They only ever hold temporaries: nothing a
+forward returns, logits included, is a view of them.
 """
 from __future__ import annotations
 
 import ctypes
 import json
+import math
 import os
 import struct
 import threading
@@ -144,7 +154,11 @@ def parameter_shape(name: str, cfg: ModelConfig) -> tuple[int, ...]:
 class Model:
     """Parameter container plus a forward-call counter (used to assert the
     single-pass property of ranking). The causal mask and the RoPE tables
-    are built once, at the full context length, and sliced per call."""
+    are built once, at the full context length, and sliced per call. Each
+    thread that runs an inference forward gets its own scores, zg, zu and
+    gate buffers in `_scratch` (H*ctx*ctx + 3*ctx*F values, 2.5 MB at the
+    desk shape in float32), which live as long as the model and the thread;
+    no array a forward returns is a view of them."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
                  step: int = 0):
@@ -155,6 +169,7 @@ class Model:
         ctx = config.context_length
         self._cos, self._sin = _rope_tables(config, ctx)
         self._future = ~np.tril(np.ones((ctx, ctx), dtype=bool))
+        self._scratch = threading.local()  # see _inference_buffers
 
     def output_matrix(self) -> np.ndarray:
         if self.config.tie_embeddings:
@@ -394,16 +409,17 @@ def _merge_heads(x):  # (H, T, hd) -> (T, D)
     return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
 
-def _attention(q, k, v, future, scale, keep_probs: bool):
+def _attention(q, k, v, future, scale, keep_probs: bool, scores=None):
     """Causal softmax attention over one sequence: its (H, M, T) scores are
-    scaled, masked, normalized and mixed in place. q (H, M, hd); k, v
-    (H, T, hd); future (M, T) marks the keys each query row may not see.
-    Returns the merged context (M, H*hd) and the probabilities (H, M, T)
-    when `keep_probs`, else None. The bits equal those of whole-batch ops:
+    scaled, masked, normalized and mixed in place, in `scores` when given,
+    else in a new array. q (H, M, hd); k, v (H, T, hd); future (M, T) marks
+    the keys each query row may not see. Returns the merged context
+    (M, H*hd), always a new array, and the probabilities (H, M, T) when
+    `keep_probs`, else None. The bits equal those of whole-batch ops:
     numpy's stacked matmul makes one BLAS call per (sequence, head) either
     way, and the element-wise ops and row reductions see the same rows."""
     h, m, hd = q.shape
-    s = np.matmul(q, k.swapaxes(-1, -2))
+    s = np.matmul(q, k.swapaxes(-1, -2), out=scores)
     np.divide(s, scale, out=s)
     np.copyto(s, -np.inf, where=future)
     np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
@@ -414,18 +430,41 @@ def _attention(q, k, v, future, scale, keep_probs: bool):
     return ctx.reshape(m, h * hd), s if keep_probs else None
 
 
+def _inference_buffers(model: Model) -> tuple[np.ndarray, ...]:
+    """This thread's flat scores, zg, zu and gate buffers for `model`,
+    allocated on the thread's first inference forward."""
+    local = model._scratch
+    if not hasattr(local, "buffers"):
+        cfg = model.config
+        ctx, dtype = cfg.context_length, cfg.np_dtype
+        local.buffers = (np.empty(cfg.heads * ctx * ctx, dtype),
+                         *(np.empty(ctx * cfg.hidden_dim, dtype)
+                           for _ in range(3)))
+    return local.buffers
+
+
+def _view(flat, shape):
+    """The first values of `flat` as a contiguous array of `shape`, or None
+    (a new array) when there is no buffer."""
+    return None if flat is None else flat[:math.prod(shape)].reshape(shape)
+
+
 def _forward(model: Model, ids: np.ndarray, need_cache: bool,
              last_row: bool = False):
     """One sequence's logits, ids (T,) -> (T, V), and, when `need_cache`,
     the activations backward needs. With `last_row` (inference only) the
     logits are (1, V) at the last row: the last layer computes keys and
-    values for every row and everything else for the last row alone."""
+    values for every row and everything else for the last row alone.
+    Without the cache, each layer's scores, zg, zu and gate go into this
+    thread's `_inference_buffers`; the logits are a new array."""
     cfg = model.config
     p = model.params
     t = len(ids)
     cos, sin = model._cos[:t], model._sin[:t]
     future = model._future[:t, :t]
     scale = np.sqrt(np.array(cfg.head_dim, dtype=cfg.np_dtype))
+    scores_buf, zg_buf, zu_buf, gate_buf = \
+        (None,) * 4 if need_cache else _inference_buffers(model)
 
     x = p["tok_emb"][ids]
     q_cos, q_sin, mask = cos, sin, future
@@ -441,14 +480,17 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool,
             x, a = x[-1:], a[-1:]
             q_cos, q_sin, mask = cos[-1:], sin[-1:], future[-1:]
         q = _rope_apply(_split_heads(a @ wq, cfg.heads), q_cos, q_sin)
-        ctx, probs = _attention(q, k, v, mask, scale, need_cache)
+        ctx, probs = _attention(q, k, v, mask, scale, need_cache,
+                                _view(scores_buf, (cfg.heads, len(x), t)))
         x_mid = ctx @ wo
         x_mid += x
 
         bnorm, inv2 = _rmsnorm_fwd(x_mid, p[f"layers.{i}.ln2"], cfg.rms_eps)
-        zg = bnorm @ p[f"layers.{i}.wg"]
-        zu = bnorm @ p[f"layers.{i}.wu"]
-        sig = np.exp(np.negative(zg))
+        rows = (len(x), cfg.hidden_dim)
+        zg = np.matmul(bnorm, p[f"layers.{i}.wg"], out=_view(zg_buf, rows))
+        zu = np.matmul(bnorm, p[f"layers.{i}.wu"], out=_view(zu_buf, rows))
+        sig = np.negative(zg, out=_view(gate_buf, rows))
+        np.exp(sig, out=sig)
         np.add(1.0, sig, out=sig)
         np.divide(1.0, sig, out=sig)
         if need_cache:

@@ -367,6 +367,7 @@ def tokenize(text: str, vocabulary: Vocabulary) -> list[int]:
 
 # --- vocabulary file --------------------------------------------------------
 
+VOCAB_FORMAT = "storyrank-vocab-v1"
 _PRINTABLE = set(range(0x20, 0x7F)) - {ord("\\")}
 _ESCAPE = re.compile(r"\\x([0-9a-fA-F]{2})")
 
@@ -392,7 +393,7 @@ def _token_lines(vocabulary: Vocabulary):
 
 def write_vocab(path, vocabulary: Vocabulary, *, manifest_hash: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        meta = {"format": "storyrank-vocab-v1",
+        meta = {"format": VOCAB_FORMAT,
                 "merge_pairs": [list(p) for p in vocabulary.merge_pairs]}
         if manifest_hash:
             meta["manifest"] = manifest_hash
@@ -402,13 +403,21 @@ def write_vocab(path, vocabulary: Vocabulary, *, manifest_hash: str | None = Non
 
 
 def _merge_pairs(meta_text: str, lineno: int) -> list[tuple[int, int]]:
-    """The merge pairs of a `# ` metadata line."""
+    """The merge pairs of a `# ` metadata line, which must be line 1 and
+    name the format."""
     try:
         meta = json.loads(meta_text)
     except json.JSONDecodeError as exc:
         raise VocabularyError(f"line {lineno}: metadata is not JSON: {exc}") \
             from None
-    pairs = meta.get("merge_pairs", []) if isinstance(meta, dict) else None
+    if lineno != 1:
+        raise VocabularyError(f"line {lineno}: a metadata line after line 1; "
+                              "a vocabulary file has one, as its first line")
+    fmt = meta.get("format") if isinstance(meta, dict) else None
+    if fmt != VOCAB_FORMAT:
+        raise VocabularyError(f"line {lineno}: metadata format {fmt!r} is not "
+                              f"{VOCAB_FORMAT!r}")
+    pairs = meta.get("merge_pairs", [])
     if not isinstance(pairs, list):
         raise VocabularyError(f"line {lineno}: metadata has no merge_pairs list")
     for pair in pairs:
@@ -422,7 +431,7 @@ def _merge_pairs(meta_text: str, lineno: int) -> list[tuple[int, int]]:
 def read_vocab(path) -> Vocabulary:
     classes: list[str] = []
     forms: list[bytes] = []
-    merge_pairs: list[tuple[int, int]] = []
+    merge_pairs: list[tuple[int, int]] | None = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -448,6 +457,9 @@ def read_vocab(path) -> Vocabulary:
                     f"line {lineno}: malformed \\x escape in {escaped!r}")
             classes.append(cls)
             forms.append(form)
+    if merge_pairs is None:
+        raise VocabularyError("line 1: no '# ' metadata line; a vocabulary "
+                              "file starts with one")
     vocab = Vocabulary(tuple(classes), tuple(forms), tuple(merge_pairs))
     return _finish(vocab)
 

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -147,6 +148,36 @@ def test_rerun_determinism(tmp_path):
     for rel in ("data/stories.jsonl", "data/catalog.jsonl", "vocab.tsv",
                 "corpus.bin", "model.ckpt"):
         assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), rel
+
+
+def test_eval_and_build_vocab_time_themselves_outside_hashed_files(
+        tmp_path, capsys):
+    d = run_pipeline(tmp_path)
+    timings = json.loads((d / "vocab.manifest.json").read_text())["timings_s"]
+    assert set(timings) == {"build_vocabulary"}
+    assert main(["build-vocab", "--catalog", str(d / "data/catalog.jsonl"),
+                 "--out", str(d / "again.tsv")]) == 0
+    assert (d / "again.tsv").read_bytes() == (d / "vocab.tsv").read_bytes()
+    capsys.readouterr()  # drain pipeline chatter
+    for name in ("metrics", "again"):
+        assert main(["eval", "--stories", str(d / "data/stories.jsonl"),
+                     "--vocab", str(d / "vocab.tsv"),
+                     "--model", str(d / "model.ckpt"),
+                     "--tasks", "item", "--methods", "model,popularity",
+                     "--out", str(d / f"{name}.jsonl"), *TINY_MODEL,
+                     "--set", "eval.max_eval_users=2",
+                     "--set", "eval.max_positions_per_user=3"]) == 0
+    assert (d / "again.jsonl").read_bytes() == (d / "metrics.jsonl").read_bytes()
+    timings = json.loads((d / "metrics.manifest.json").read_text())["timings_s"]
+    assert set(timings) == {"eval"}
+    (positions,) = {r["n_positions"] for r in read_metrics(d / "metrics.jsonl")
+                    if r["method"] == "model"}
+    out, err = capsys.readouterr()
+    assert "HR@8" in out and "eval:" not in out
+    line = (rf"eval: {positions} model-scored positions in \d+\.\d{{3}} s "
+            r"\(\d+\.\d positions/s\)")
+    assert [bool(re.fullmatch(line, got)) for got in err.splitlines()] == \
+        [True, True], err
 
 
 def test_train_writes_its_history_as_jsonl(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -193,6 +194,35 @@ def test_record_stream_truncated_file(tmp_path, sample_vocab):
     data = path.read_bytes()
     path.write_bytes(data[:-7])
     with pytest.raises(CorpusError, match="truncated"):
+        read_examples(path)
+
+
+@pytest.mark.parametrize("offset, fmt, value, message", [
+    (1, "<I", 2**32 - 1, r"truncated record payload at byte {first}: "
+                         r"4294967295 token ids"),
+    (0, "<B", 7, r"record at byte {first} has origin 7"),
+])
+def test_corrupt_record_header_is_refused_before_its_payload_is_read(
+        tmp_path, sample_vocab, offset, fmt, value, message):
+    # the first record's 5-byte header: origin byte, then the token count
+    path = tmp_path / "corpus.bin"
+    write_examples(path, tokenize_stories([SAMPLE_TEXT], sample_vocab))
+    data = bytearray(path.read_bytes())
+    first = data.index(b"}\n") + 2  # past the metadata line
+    struct.pack_into(fmt, data, first + offset, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorpusError, match=message.format(first=first)):
+        read_examples(path)
+
+
+def test_record_stream_metadata_that_is_not_json_is_refused(tmp_path,
+                                                            sample_vocab):
+    path = tmp_path / "corpus.bin"
+    write_examples(path, tokenize_stories([SAMPLE_TEXT], sample_vocab))
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b'{"manifest"', b'\xff"manifest"', 1))
+    with pytest.raises(CorpusError, match=r"metadata line at byte \d+ is not "
+                                          "JSON"):
         read_examples(path)
 
 

@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -624,6 +625,50 @@ def test_forked_child_runs_a_slot_forward():
         os.waitpid(pid, 0)
         pytest.fail("the forked child's slot forward did not finish")
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+# --- per-thread inference buffers ----------------------------------------------
+#
+# An inference forward writes each layer's scores, zg, zu and gate into flat
+# buffers that its thread keeps for the model; nothing it returns is a view
+# of them.
+
+def test_forward_results_outlive_later_forwards(task_branch):
+    model = init_model(replace(DESK_SHAPE, dtype="float32"), seed=2)
+    other = tiny_model(layers=3, dim=16, heads=4, vocab=50, ctx=40)
+    rng = np.random.default_rng(8)
+    ids = rng.integers(0, 96, size=(3, 256))
+    kept = [model.forward(ids, [255, 40, 128]), model.forward(ids[:, :200])]
+    copies = [k.copy() for k in kept]
+    for width in (256, 65, 7, 130):
+        model.forward(rng.integers(0, 96, size=(2, width)), [width - 1, 0])
+        model.forward(rng.integers(0, 96, size=(2, width)))
+        other.forward(rng.integers(0, 50, size=(2, 40)), [39, 5])
+        other.forward(rng.integers(0, 50, size=(2, 40)))
+    for k, c in zip(kept, copies):
+        assert np.array_equal(k, c)
+    if task_branch == "caller":
+        assert not any(np.shares_memory(k, buffer) for k in kept
+                       for buffer in model_module._inference_buffers(model))
+
+
+def test_a_second_slot_forward_reuses_the_threads_buffers(monkeypatch):
+    monkeypatch.setattr(model_module, "_pool", ())
+    cfg = replace(DESK_SHAPE, dtype="float32")
+    model = init_model(cfg, seed=4)
+    ctx = cfg.context_length
+    ids = np.random.default_rng(5).integers(0, 96, size=(1, ctx))
+    first = model.forward(ids, [ctx - 1])  # allocates the buffers
+    tracemalloc.start()
+    try:
+        second = model.forward(ids, [ctx - 1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, second)
+    # below one layer's scores, zg, zu and gate, which are not allocated
+    one_layer = (cfg.heads * ctx * ctx + 3 * ctx * cfg.hidden_dim) * 4
+    assert peak < one_layer
 
 
 def test_slots_validated():

@@ -317,53 +317,68 @@ def test_domain_scan_probes_no_further_than_the_longest_form(sample_vocab):
 
 # --- what read_vocab refuses ------------------------------------------------
 
-def _forward_pair(pairs, lines):
-    pairs[0][1] = 257
+def _forward_pair(meta, lines):
+    meta["merge_pairs"][0][1] = 257
 
 
-def _dropped_pair(pairs, lines):
-    del pairs[-1]
+def _dropped_pair(meta, lines):
+    del meta["merge_pairs"][-1]
 
 
-def _duplicated_pair(pairs, lines):
+def _duplicated_pair(meta, lines):
+    pairs = meta["merge_pairs"]
     pairs[10] = pairs[9]
 
 
-def _repeated_form(pairs, lines):
+def _repeated_form(meta, lines):
+    pairs = meta["merge_pairs"]
     pairs[10] = pairs[9]
     lines[266] = "266" + lines[265][3:]
 
 
-def _byte_swapped(pairs, lines):
+def _byte_swapped(meta, lines):
     lines[65] = "65\tbyte\tB"
 
 
-def _merge_form_changed(pairs, lines):
+def _merge_form_changed(meta, lines):
     lines[256] += "x"
 
 
-def _short_escape(pairs, lines):
+def _short_escape(meta, lines):
     lines[300] += "\\x4"
 
 
-def _two_fields(pairs, lines):
+def _two_fields(meta, lines):
     lines[9] = "9\tbyte"
 
 
-def _word_id(pairs, lines):
+def _word_id(meta, lines):
     lines[9] = "nine" + lines[9][1:]
 
 
-def _gapped_id(pairs, lines):
+def _gapped_id(meta, lines):
     lines[9] = "10" + lines[9][1:]
 
 
-def _meta_not_json(pairs, lines):
+def _meta_not_json(meta, lines):
     lines.insert(0, '# {"merge_pairs": [[97, 98]')
 
 
-def _pair_not_two_integers(pairs, lines):
+def _pair_not_two_integers(meta, lines):
+    pairs = meta["merge_pairs"]
     pairs[5] = [pairs[5][0], "x"]
+
+
+def _other_format(meta, lines):
+    meta["format"] = "storyrank-vocab-v0"
+
+
+def _no_metadata(meta, lines):
+    meta.clear()  # no metadata, no metadata line
+
+
+def _late_metadata(meta, lines):
+    lines.append('# {"format": "other", "merge_pairs": []}')
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -381,6 +396,10 @@ def _pair_not_two_integers(pairs, lines):
         (_meta_not_json, "line 2: metadata is not JSON"),
         (_pair_not_two_integers,
          r"line 1: merge pair \[\d+, 'x'\] is not two integers"),
+        (_other_format, "line 1: metadata format 'storyrank-vocab-v0' is not "
+                        "'storyrank-vocab-v1'"),
+        (_no_metadata, "line 1: no '# ' metadata line"),
+        (_late_metadata, r"line \d+: a metadata line after line 1"),
     ]])
 def test_vocab_file_that_would_tokenize_wrongly_is_refused(tmp_path, edit, message):
     catalog, text = _world_text(12)
@@ -388,7 +407,8 @@ def test_vocab_file_that_would_tokenize_wrongly_is_refused(tmp_path, edit, messa
     write_vocab(path, build_vocabulary(catalog, merges=48, merge_training_text=text))
     header, *lines = path.read_text().splitlines()
     meta = json.loads(header[2:])
-    edit(meta["merge_pairs"], lines)
-    path.write_text("# " + json.dumps(meta) + "\n" + "\n".join(lines) + "\n")
+    edit(meta, lines)
+    head = ["# " + json.dumps(meta)] if meta else []
+    path.write_text("\n".join(head + lines) + "\n")
     with pytest.raises(VocabularyError, match=message):
         read_vocab(path)
