@@ -118,8 +118,7 @@ def cmd_build_corpus(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.overrides)
     vocab = read_vocab(args.vocab)
-    examples, meta = read_examples(args.corpus,
-                                   expect_vocab_hash=vocab.vocab_hash())
+    examples, meta = read_examples(args.corpus, vocab)
     story_examples = [e for e in examples if e.origin == ORIGIN_STORY]
     catalog_examples = [e for e in examples if e.origin == ORIGIN_CATALOG]
     manifest = RunManifest.build(

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .corpus import MaskingConfig, MixtureConfig
 from .datagen import WorldConfig
@@ -14,27 +14,25 @@ from .evaluate import EvalConfig
 from .manifest import stable_hash
 from .model import ModelConfig, TrainConfig
 
+
+def _section(cls, *unset: str, **overrides) -> dict:
+    """One config section: the field defaults of a stage's config class,
+    tuples as JSON lists, leaving out the fields in `unset`."""
+    section = {f.name: list(f.default) if isinstance(f.default, tuple)
+               else f.default for f in fields(cls) if f.name not in unset}
+    return {**section, **overrides}
+
+
+# Each stage draws from its own seed. The world's epoch and the model's
+# vocabulary size have no key; training cuts stories at model.context_length.
 DEFAULTS: dict = {
-    "world": {
-        "n_users": 1000, "n_items": 400, "n_carousels": 40, "n_genres": 10,
-        "rng_seed": 11, "mean_sessions_per_user": 24.0,
-        "mean_events_per_user": 44.0, "rewatch_prob": 0.25,
-        "search_before_watch_prob": 0.30, "keystroke_prefix_depth": 3,
-        "genre_sharpness": 0.12, "zipf_exponent": 1.05,
-        "mean_session_gap_hours": 10.0,
-    },
+    "world": _section(WorldConfig, "epoch", rng_seed=11),
     "vocab": {"merges": 0},
-    "masking": {"p_carousel_mask": 0.1, "p_item_unk": 0.001, "rng_seed": 12},
-    "mixture": {"story_weight": 20, "catalog_weight": 1, "context_length": 256,
-                "rng_seed": 13, "truncate": "head"},
-    "model": {"context_length": 256, "layers": 4, "heads": 4, "model_dim": 128,
-              "mlp_hidden_dim": 0, "rope_base": 10000.0, "rms_eps": 1e-6,
-              "dtype": "float32", "tie_embeddings": False},
-    "train": {"learning_rate": 3e-4, "warmup_steps": 100, "weight_decay": 0.033,
-              "grad_clip_norm": 1.0, "batch_size": 8, "macro_steps": 1000,
-              "rng_seed": 14},
-    "eval": {"cutoffs": [8, 50, 100], "holdout_fraction": 0.1, "rng_seed": 15,
-             "max_eval_users": None, "max_positions_per_user": None},
+    "masking": _section(MaskingConfig, rng_seed=12),
+    "mixture": _section(MixtureConfig, "context_length", rng_seed=13),
+    "model": _section(ModelConfig, "vocab_size"),
+    "train": _section(TrainConfig, rng_seed=14),
+    "eval": _section(EvalConfig, rng_seed=15),
     "transform": {"view": None, "strip_sessions": False,
                   "strip_attributes": None},
 }
@@ -75,7 +73,8 @@ class RunConfig:
         return MaskingConfig(**self.raw["masking"])
 
     def mixture(self) -> MixtureConfig:
-        return MixtureConfig(**self.raw["mixture"])
+        return MixtureConfig(context_length=self.raw["model"]["context_length"],
+                             **self.raw["mixture"])
 
     def model(self, vocab_size: int) -> ModelConfig:
         return ModelConfig(vocab_size=vocab_size, **self.raw["model"])

@@ -50,15 +50,12 @@ class MixtureConfig:
     catalog_weight: int = 1
     context_length: int = 256
     rng_seed: int = 0
-    truncate: str = "head"
 
     def __post_init__(self):
         if self.story_weight <= 0 or self.catalog_weight <= 0:
             raise CorpusError("mixture weights must be positive integers")
         if self.context_length < 2:
             raise CorpusError("context_length must be at least 2")
-        if self.truncate not in ("head", "tail"):
-            raise CorpusError(f"truncate must be head or tail, got {self.truncate!r}")
 
 
 @dataclass(frozen=True)
@@ -123,21 +120,13 @@ def build_catalog_corpus(catalog: CatalogIndex,
     return examples
 
 
-def truncate_ids(token_ids, context_length: int, mode: str = "head"):
-    if len(token_ids) <= context_length:
-        return token_ids
-    if mode == "head":
-        return token_ids[:context_length]
-    return token_ids[-context_length:]
-
-
 def sample_mixture(story_examples, catalog_examples, cfg: MixtureConfig,
                    n: int, masking: MaskingConfig | None = None,
                    vocabulary: Vocabulary | None = None) -> Iterator[TrainingExample]:
     """Draw n training examples, stories vs catalog at the configured weights
     (20:1 by default, i.e. story with probability 20/21), uniform within each
-    corpus. Story draws are masked (when a masking config is given) and then
-    truncated to the context length.
+    corpus. Story draws are masked (when a masking config is given); every
+    draw is then cut to its first context_length tokens.
     """
     if n <= 0:
         raise CorpusError(f"sample count must be positive, got {n}")
@@ -148,19 +137,15 @@ def sample_mixture(story_examples, catalog_examples, cfg: MixtureConfig,
     p_story = cfg.story_weight / (cfg.story_weight + cfg.catalog_weight)
     rng = _rng(cfg.rng_seed, 0)
     for i in range(n):
-        take_story = rng.random() < p_story
-        if take_story:
-            idx = int(rng.integers(len(story_examples)))
-            ids = story_examples[idx].token_ids
+        if rng.random() < p_story:
+            ex = story_examples[int(rng.integers(len(story_examples)))]
+            ids, origin = ex.token_ids, ORIGIN_STORY
             if masking is not None:
                 ids = apply_masking(ids, masking, vocabulary, sequence_index=i)
-            ids = truncate_ids(ids, cfg.context_length, cfg.truncate)
-            yield TrainingExample(tuple(ids), ORIGIN_STORY)
         else:
-            idx = int(rng.integers(len(catalog_examples)))
-            ex = catalog_examples[idx]
-            ids = truncate_ids(ex.token_ids, cfg.context_length, cfg.truncate)
-            yield TrainingExample(tuple(ids), ex.origin)
+            ex = catalog_examples[int(rng.integers(len(catalog_examples)))]
+            ids, origin = ex.token_ids, ex.origin
+        yield TrainingExample(tuple(ids[:cfg.context_length]), origin)
 
 
 def tokenize_stories(texts: Iterable[str], vocabulary: Vocabulary,
@@ -197,12 +182,13 @@ def write_examples(path, examples: Iterable[TrainingExample],
     return n
 
 
-def read_examples(path, *, expect_vocab_hash: str | None = None
+def read_examples(path, vocabulary: Vocabulary | None = None
                   ) -> tuple[list[TrainingExample], dict]:
     """The examples and the metadata of a record stream. Each record's
     origin and token count are checked against the file before its payload
     is read, so a corrupt count is an error naming the record's byte offset,
-    not a read of up to 16 GB."""
+    not a read of up to 16 GB. Given the vocabulary, the file must have been
+    tokenized with it (same hash) and every token id must be below its size."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(_MAGIC)) != _MAGIC:
@@ -216,11 +202,12 @@ def read_examples(path, *, expect_vocab_hash: str | None = None
         if not isinstance(meta, dict):
             raise CorpusError(f"{path}: the metadata line at byte "
                               f"{len(_MAGIC)} is not a JSON object")
-        if expect_vocab_hash and meta.get("vocab_hash") != expect_vocab_hash:
+        if vocabulary is not None \
+                and meta.get("vocab_hash") != vocabulary.vocab_hash():
             raise CorpusError(
                 f"{path}: corpus was tokenized with vocabulary "
                 f"{meta.get('vocab_hash') or '(none)'}, "
-                f"expected {expect_vocab_hash}")
+                f"expected {vocabulary.vocab_hash()}")
         examples = []
         pos = len(_MAGIC) + len(line)  # the next record's byte offset
         while True:
@@ -241,6 +228,10 @@ def read_examples(path, *, expect_vocab_hash: str | None = None
                                   f"{pos}: {count} token ids need {4 * count} "
                                   f"bytes, {left} left")
             ids = np.frombuffer(fh.read(4 * count), dtype="<u4")
+            if vocabulary is not None and count and ids.max() >= vocabulary.size:
+                raise CorpusError(f"{path}: record at byte {pos} has token id "
+                                  f"{ids.max()}, not below the vocabulary's "
+                                  f"{vocabulary.size} tokens")
             examples.append(TrainingExample(tuple(int(x) for x in ids), origin))
             pos += 5 + 4 * count
     return examples, meta

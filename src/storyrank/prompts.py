@@ -220,11 +220,6 @@ def rank_candidates(row: np.ndarray, candidates) -> RankedList:
     return RankedList(tuple(zip(cands[order].tolist(), logits[order].tolist())))
 
 
-def rank(prompt: TaskPrompt, model) -> RankedList:
-    """Score all candidates from exactly one forward pass."""
-    return rank_batch([prompt], model)[0]
-
-
 def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
     """Rank many prompts in one forward pass from the logits at each
     prompt's target slot only. The ids are right-padded to the context

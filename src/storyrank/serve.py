@@ -222,8 +222,9 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
 
 def serve_tcp(model, vocabulary: Vocabulary, port: int,
               batch_window_ms: float = 0.0, max_batch: int = 32,
-              max_connections: int | None = 1) -> None:
-    """Accept local connections one at a time; each connection streams
+              max_connections: int | None = None) -> None:
+    """Accept local connections one at a time, until max_connections have
+    been served (None: until the process is stopped); each connection streams
     newline-delimited requests and receives newline-delimited responses.
     Lines are read as bytes, so a line that is not UTF-8 gets its own error
     reply. A socket error, such as a client that resets its connection,

@@ -378,9 +378,10 @@ def _escape(form: bytes) -> str:
 
 def _unescape(text: str) -> bytes | None:
     """The bytes of an escaped form, or None when a backslash opens no
-    `\\xNN` escape."""
+    `\\xNN` escape or a character is not ASCII (`_escape` writes every
+    other byte as `\\xNN`)."""
     parts = _ESCAPE.split(text)  # literal, hex digits, literal, ...
-    if any("\\" in literal for literal in parts[::2]):
+    if any("\\" in literal or not literal.isascii() for literal in parts[::2]):
         return None
     parts[1::2] = [chr(int(digits, 16)) for digits in parts[1::2]]
     return "".join(parts).encode("latin-1")
@@ -432,9 +433,12 @@ def read_vocab(path) -> Vocabulary:
     classes: list[str] = []
     forms: list[bytes] = []
     merge_pairs: list[tuple[int, int]] | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise VocabularyError(f"line {lineno}: not UTF-8: {exc}") from None
             if not line:
                 continue
             if line.startswith("# "):
@@ -453,8 +457,8 @@ def read_vocab(path) -> Vocabulary:
                                       f"{tid_s} at position {len(classes)}")
             form = _unescape(escaped)
             if form is None:
-                raise VocabularyError(
-                    f"line {lineno}: malformed \\x escape in {escaped!r}")
+                raise VocabularyError(f"line {lineno}: malformed \\x escape "
+                                      f"or non-ASCII character in {escaped!r}")
             classes.append(cls)
             forms.append(form)
     if merge_pairs is None:

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from storyrank.cli import main
+from storyrank.config import DEFAULTS, load_config
+from storyrank.corpus import read_examples
 from storyrank.stories import read_stories, story_to_dict
 
 from oracles import detokenize, read_metrics
@@ -21,10 +23,11 @@ TINY = [
 TINY_MODEL = [
     "--set", "model.layers=1", "--set", "model.heads=2",
     "--set", "model.model_dim=16", "--set", "model.context_length=96",
-    "--set", "mixture.context_length=96",
     "--set", "train.macro_steps=12", "--set", "train.batch_size=2",
     "--set", "train.warmup_steps=2", "--set", "model.dtype=float64",
 ]
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_pipeline(root: Path, extra=()):
@@ -46,6 +49,10 @@ def run_pipeline(root: Path, extra=()):
 
 def test_full_tiny_pipeline(tmp_path, capsys):
     d = run_pipeline(tmp_path)
+    # TINY_MODEL sets model.context_length=96 and no other context key; the
+    # corpus holds longer stories, which training cut there
+    examples, _ = read_examples(d / "corpus.bin")
+    assert max(len(e.token_ids) for e in examples) > 96
     assert main(["eval", "--stories", str(d / "data/stories.jsonl"),
                  "--vocab", str(d / "vocab.tsv"),
                  "--model", str(d / "model.ckpt"),
@@ -208,7 +215,6 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 def test_ablation_corpus_flags(tmp_path):
     d = run_pipeline(tmp_path, extra=["--set", "transform.strip_sessions=true"])
-    from storyrank.corpus import read_examples
     from storyrank.vocab import read_vocab
     vocab = read_vocab(d / "vocab.tsv")
     examples, _ = read_examples(d / "corpus.bin")
@@ -216,3 +222,41 @@ def test_ablation_corpus_flags(tmp_path):
                    if e.origin == 0]
     assert story_texts
     assert all("<|session|>" not in t for t in story_texts)
+
+
+def test_mixture_context_length_is_not_a_key(tmp_path, capsys):
+    assert main(["train", "--corpus", str(tmp_path / "corpus.bin"),
+                 "--vocab", str(tmp_path / "vocab.tsv"),
+                 "--out", str(tmp_path / "model.ckpt"),
+                 "--set", "mixture.context_length=96"]) == 1
+    assert capsys.readouterr().err == (
+        "storyrank-error: ConfigError: unknown config key "
+        "'mixture.context_length'\n")
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in (ROOT / "configs").glob("*.json")))
+def test_shipped_config_builds_every_stage(name):
+    cfg = load_config(str(ROOT / "configs" / name))
+    cfg.world()
+    cfg.masking()
+    cfg.train()
+    cfg.eval()
+    model = cfg.model(vocab_size=300)
+    assert cfg.mixture().context_length == model.context_length
+
+
+def test_formats_config_table_lists_every_key():
+    # rng_seed, one per stochastic stage, is described below the table
+    text = (ROOT / "FORMATS.md").read_text(encoding="utf-8")
+    section_text = text.split("## Configuration keys", 1)[1].split("\n## ")[0]
+    rows = [line for line in section_text.splitlines()
+            if line.startswith("| ")][1:]  # after the header row
+    documented = set()
+    for row in rows:
+        section, _, names = row.split("|")[1].strip().partition(".")
+        documented.update(f"{section}.{key.strip()}"
+                          for key in names.split("/"))
+    assert documented == {f"{section}.{key}"
+                          for section, keys in DEFAULTS.items()
+                          for key in keys if key != "rng_seed"}

@@ -17,7 +17,6 @@ from storyrank.corpus import (
     read_examples,
     sample_mixture,
     tokenize_stories,
-    truncate_ids,
     write_examples,
 )
 from storyrank.datagen import WorldConfig, generate_world
@@ -143,19 +142,38 @@ def test_mixture_guards():
         list(sample_mixture([], catalog, MixtureConfig(), 10))
 
 
-def test_head_truncation_keeps_prefix(sample_ids):
-    head = truncate_ids(sample_ids, 10, "head")
-    assert list(head) == list(sample_ids[:10])
-    tail = truncate_ids(sample_ids, 10, "tail")
-    assert list(tail) == list(sample_ids[-10:])
+def test_head_truncation_keeps_prefix(sample_vocab, sample_ids,
+                                     sample_catalog):
+    stories = [TrainingExample(tuple(sample_ids), ORIGIN_STORY)]
+    catalog = build_catalog_corpus(sample_catalog, sample_vocab)
+    assert len(sample_ids) > 10 and max(len(ex.token_ids) for ex in catalog) > 10
+    drawn = list(sample_mixture(stories, catalog,
+                                MixtureConfig(context_length=10, rng_seed=4), 200))
+    assert {ex.origin for ex in drawn} == {ORIGIN_STORY, ORIGIN_CATALOG}
+    wholes = {tuple(sample_ids)} | {ex.token_ids for ex in catalog}
+    for ex in drawn:
+        assert isinstance(ex.token_ids, tuple)
+        assert any(ex.token_ids == whole[:10] for whole in wholes)
 
 
-def test_masking_rate_invariance_under_truncation(sample_vocab, sample_ids):
-    # masking happens before truncation in the mixture; spot-check that the
-    # masked prefix of the full sequence equals masking-then-truncating
-    cfg = MaskingConfig(rng_seed=3)
-    masked = apply_masking(sample_ids, cfg, sample_vocab, sequence_index=0)
-    assert truncate_ids(masked, 40, "head") == masked[:40]
+def test_masking_rate_invariance_under_truncation(sample_vocab, sample_ids,
+                                                  sample_catalog):
+    # the mixture masks each whole story, then keeps the first
+    # context_length tokens of the masked story
+    stories = [TrainingExample(tuple(sample_ids), ORIGIN_STORY)]
+    catalog = build_catalog_corpus(sample_catalog, sample_vocab)
+    cfg = MaskingConfig(p_carousel_mask=0.5, p_item_unk=0.2, rng_seed=3)
+    drawn = list(sample_mixture(stories, catalog,
+                                MixtureConfig(context_length=120, rng_seed=4),
+                                60, masking=cfg, vocabulary=sample_vocab))
+    masked = [i for i, ex in enumerate(drawn) if ex.origin == ORIGIN_STORY]
+    assert masked
+    for i in masked:
+        full = apply_masking(sample_ids, cfg, sample_vocab, sequence_index=i)
+        assert list(drawn[i].token_ids) == full[:120]
+    assert len(sample_ids) > 120  # the cut falls after two watches
+    assert any(list(drawn[i].token_ids) != list(sample_ids[:120])
+               for i in masked)
 
 
 def test_record_stream_roundtrip(tmp_path, sample_vocab, sample_ids, sample_catalog):
@@ -165,7 +183,7 @@ def test_record_stream_roundtrip(tmp_path, sample_vocab, sample_ids, sample_cata
     n = write_examples(path, examples, vocab_hash=sample_vocab.vocab_hash(),
                        manifest_hash="cafe")
     assert n == len(examples)
-    loaded, meta = read_examples(path, expect_vocab_hash=sample_vocab.vocab_hash())
+    loaded, meta = read_examples(path, sample_vocab)
     assert loaded == examples
     assert meta["manifest"] == "cafe"
 
@@ -174,8 +192,9 @@ def test_record_stream_rejects_wrong_vocab(tmp_path, sample_vocab, sample_ids):
     path = tmp_path / "corpus.bin"
     write_examples(path, tokenize_stories([SAMPLE_TEXT], sample_vocab),
                    vocab_hash="1111111111111111")
-    with pytest.raises(CorpusError, match="vocabulary"):
-        read_examples(path, expect_vocab_hash="2222222222222222")
+    with pytest.raises(CorpusError, match="vocabulary 1111111111111111, "
+                                          f"expected {sample_vocab.vocab_hash()}"):
+        read_examples(path, sample_vocab)
 
 
 def test_record_stream_without_vocab_hash_is_refused_when_one_is_expected(
@@ -183,9 +202,27 @@ def test_record_stream_without_vocab_hash_is_refused_when_one_is_expected(
     path = tmp_path / "corpus.bin"
     # no vocab_hash: the file records ""
     write_examples(path, tokenize_stories([SAMPLE_TEXT], sample_vocab))
-    with pytest.raises(CorpusError, match=r"vocabulary \(none\), expected 1111"):
-        read_examples(path, expect_vocab_hash="1111111111111111")
+    with pytest.raises(CorpusError, match=r"vocabulary \(none\), expected "
+                                          + sample_vocab.vocab_hash()):
+        read_examples(path, sample_vocab)
     read_examples(path)  # nothing expected, nothing checked
+
+
+def test_record_with_a_token_id_past_the_vocabulary_is_refused(tmp_path,
+                                                               sample_vocab):
+    path = tmp_path / "corpus.bin"
+    size = sample_vocab.size
+    write_examples(path, [TrainingExample((1, 2, 3), ORIGIN_STORY),
+                          TrainingExample((1, 2, size - 1), ORIGIN_CATALOG),
+                          TrainingExample((1, 2, size), ORIGIN_STORY)],
+                   vocab_hash=sample_vocab.vocab_hash())
+    data = path.read_bytes()
+    third = data.index(b"}\n") + 2 + 2 * (5 + 12)  # past two 3-token records
+    with pytest.raises(CorpusError, match=f"record at byte {third} has token "
+                                          f"id {size}, not below the "
+                                          f"vocabulary's {size} tokens"):
+        read_examples(path, sample_vocab)
+    assert len(read_examples(path)[0]) == 3  # no vocabulary, no id bound
 
 
 def test_record_stream_truncated_file(tmp_path, sample_vocab):

@@ -18,7 +18,6 @@ from storyrank.prompts import (
     candidate_set,
     head_text,
     make_prompt,
-    rank,
     rank_batch,
     rank_candidates,
 )
@@ -173,7 +172,7 @@ def test_rank_orders_by_logit_with_constructed_head(sample_vocab, toy_model):
     model = init_model(toy_model.config, seed=0)
     model.params["w_out"][:] = 0.0
     model.params["w_out"][:, target] = 10.0 * hidden / (hidden @ hidden)
-    ranked = rank(prompt, model)
+    ranked = rank_batch([prompt], model)[0]
     assert ranked.entries[0][0] == target
     assert ranked.entries[0][1] == pytest.approx(10.0, rel=1e-9)
     assert all(v == 0.0 for t, v in ranked.entries[1:])
@@ -188,7 +187,7 @@ def test_equal_logits_tie_break_ascending_token_id(sample_vocab, toy_model):
     model = init_model(toy_model.config, seed=0)
     for tid in prompt.candidate_set:
         model.params["w_out"][:, tid] = 0.0  # identical logits for candidates
-    ranked = rank(prompt, model)
+    ranked = rank_batch([prompt], model)[0]
     assert [t for t, _ in ranked.entries] == sorted(prompt.candidate_set)
 
 
@@ -216,7 +215,7 @@ def test_rank_is_a_single_forward_pass(sample_vocab, toy_model):
         prompt = make_prompt(story, last_event_time(story) + 1800, kind,
                              context, sample_vocab, 256)
         before = toy_model.forward_calls
-        rank(prompt, toy_model)
+        rank_batch([prompt], toy_model)[0]
         assert toy_model.forward_calls == before + 1
 
 
@@ -237,7 +236,7 @@ def test_rank_matches_softmax_sort_oracle(sample_vocab, toy_model):
         probs /= probs.sum()
         oracle = sorted(((int(t), float(probs[t])) for t in prompt.candidate_set),
                         key=lambda pair: (-pair[1], pair[0]))
-        got = rank(prompt, toy_model)
+        got = rank_batch([prompt], toy_model)[0]
         assert [t for t, _ in got.entries] == [t for t, _ in oracle]
 
 
@@ -245,7 +244,7 @@ def test_logit_shift_on_candidates_preserves_order(sample_vocab, toy_model):
     story = make_sample_story()
     prompt = make_prompt(story, last_event_time(story) + 1800,
                          TaskKind.ITEM_MASKED, {}, sample_vocab, 256)
-    base = rank(prompt, toy_model)
+    base = rank_batch([prompt], toy_model)[0]
     shifted_model = init_model(toy_model.config, seed=0)
     for tid in prompt.candidate_set:
         shifted_model.params["w_out"][:, tid] = \
@@ -266,7 +265,7 @@ def test_batched_rank_equals_single_rank(sample_vocab, toy_model):
         make_prompt(story, now, TaskKind.SEARCH, {"query": "lante"},
                     sample_vocab, 256),
     ]
-    singles = [rank(p, toy_model) for p in prompts]
+    singles = [rank_batch([p], toy_model)[0] for p in prompts]
     batched = rank_batch(prompts, toy_model)
     for one, many in zip(singles, batched):
         assert one.entries == many.entries  # bitwise, float64
@@ -279,7 +278,7 @@ def test_candidate_beyond_vocab_rejected(sample_vocab, toy_model):
     small_cfg = ModelConfig(vocab_size=260, context_length=256, layers=1,
                             heads=2, model_dim=16, dtype="float64")
     with pytest.raises(PromptError, match="vocabulary"):
-        rank(prompt, init_model(small_cfg))
+        rank_batch([prompt], init_model(small_cfg))[0]
 
 
 # --- oracle: the whole-text trimming loop -------------------------------------

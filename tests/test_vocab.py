@@ -348,6 +348,14 @@ def _short_escape(meta, lines):
     lines[300] += "\\x4"
 
 
+def _non_utf8_byte(meta, lines):
+    lines[300] += "\udcff"  # written as the byte 0xff
+
+
+def _non_ascii_form(meta, lines):
+    lines[300] += "\u20ac"  # UTF-8, but forms escape every non-ASCII byte
+
+
 def _two_fields(meta, lines):
     lines[9] = "9\tbyte"
 
@@ -390,6 +398,8 @@ def _late_metadata(meta, lines):
         (_byte_swapped, "token 65 must be the byte"),
         (_merge_form_changed, "token 256 must be the merge"),
         (_short_escape, r"line 302: malformed \\x escape"),
+        (_non_utf8_byte, "line 302: not UTF-8"),
+        (_non_ascii_form, "line 302: malformed .* non-ASCII character"),
         (_two_fields, "line 11: 2 tab-separated fields, not 3"),
         (_word_id, "line 11: token id 'nine' is not an integer"),
         (_gapped_id, "line 11: non-contiguous token id 10 at position 9"),
@@ -409,6 +419,7 @@ def test_vocab_file_that_would_tokenize_wrongly_is_refused(tmp_path, edit, messa
     meta = json.loads(header[2:])
     edit(meta, lines)
     head = ["# " + json.dumps(meta)] if meta else []
-    path.write_text("\n".join(head + lines) + "\n")
+    path.write_bytes(("\n".join(head + lines) + "\n").encode("utf-8",
+                                                            "surrogateescape"))
     with pytest.raises(VocabularyError, match=message):
         read_vocab(path)
