@@ -148,15 +148,15 @@ def sample_mixture(story_examples, catalog_examples, cfg: MixtureConfig,
         yield TrainingExample(tuple(ids[:cfg.context_length]), origin)
 
 
-def tokenize_stories(texts: Iterable[str], vocabulary: Vocabulary,
-                     min_length: int = 2) -> list[TrainingExample]:
+def tokenize_stories(texts: Iterable[str],
+                     vocabulary: Vocabulary) -> list[TrainingExample]:
     """Tokenize serialized stories into ORIGIN_STORY examples (unmasked,
-    untruncated); sequences shorter than min_length carry no prediction
+    untruncated); sequences shorter than two tokens carry no prediction
     target and are dropped."""
     out = []
     for text in texts:
         ids = tokenize(text, vocabulary)
-        if len(ids) >= min_length:
+        if len(ids) >= 2:
             out.append(TrainingExample(tuple(ids), ORIGIN_STORY))
     return out
 

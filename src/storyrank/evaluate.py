@@ -170,16 +170,9 @@ class ModelScorer:
             # the queries are already in the prefix; reopening the watch with
             # the contextual head gives <|surface=search|><|carousel()|>
             kind = TaskKind.ITEM_CONTEXTUAL
-        return trim_story_to_context(pos.prefix_story, self._render, kind,
-                                     pos.context, vocabulary,
-                                     self.model.config.context_length)
-
-    def _render(self, story: UserStory) -> tuple[str, tuple[str, ...], str]:
-        """This scorer's view of `story` in the pieces trimming works on.
-        Session stripping keeps each session as its own piece, so trimming
-        drops whole sessions of a flat story too."""
-        story = grammar.apply_transform(story, **self.transform)
-        return (*grammar.serialize_parts(story), "")
+        return trim_story_to_context(
+            grammar.apply_transform(pos.prefix_story, **self.transform), kind,
+            pos.context, vocabulary, self.model.config.context_length)
 
     def target_ranks(self, positions, kind: TaskKind,
                      vocabulary: Vocabulary) -> list[int]:
@@ -229,6 +222,8 @@ def popularity_scorer(train_stories, vocabulary: Vocabulary) -> StaticScorer:
 # --- BM25 ----------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+BM25_K1 = 1.2
+BM25_B = 0.75
 
 
 def bm25_terms(text: str) -> list[str]:
@@ -243,11 +238,9 @@ class BM25Index:
     doc_len: list[int]
     avg_len: float
     df: dict[str, int]
-    k1: float = 1.2
-    b: float = 0.75
 
     @classmethod
-    def build(cls, items, k1: float = 1.2, b: float = 0.75) -> "BM25Index":
+    def build(cls, items) -> "BM25Index":
         items = sorted(items, key=lambda i: i.item_id)
         if not items:
             raise EvalError("cannot build BM25 index over an empty catalog")
@@ -264,7 +257,7 @@ class BM25Index:
             doc_terms.append(counts)
             doc_len.append(len(terms))
         avg = sum(doc_len) / len(doc_len)
-        return cls(doc_ids, doc_terms, doc_len, avg, df, k1, b)
+        return cls(doc_ids, doc_terms, doc_len, avg, df)
 
     def scores(self, query: str) -> list[float]:
         n = len(self.doc_ids)
@@ -278,8 +271,9 @@ class BM25Index:
                 tf = self.doc_terms[i].get(term, 0)
                 if tf == 0:
                     continue
-                norm = self.k1 * (1.0 - self.b + self.b * self.doc_len[i] / self.avg_len)
-                out[i] += idf * tf * (self.k1 + 1.0) / (tf + norm)
+                norm = BM25_K1 * (1.0 - BM25_B
+                                  + BM25_B * self.doc_len[i] / self.avg_len)
+                out[i] += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
         return out
 
 

@@ -47,11 +47,14 @@ LOCATION_KEYS = frozenset({"country", "region", "city", "dma", "timezone", "loca
 
 # --- serialization ----------------------------------------------------------
 
-def watch_clause(hour: int, surface: Surface, carousel_id: str,
+def watch_clause(hour: int, surface: Surface, carousel_id: str | None = None,
                  item: ItemRef | None = None,
                  duration_minutes: int | None = None) -> str:
-    clause = (f"{WATCH_MARKER} hour={hour} "
-              f"<|surface={surface.value}|><|carousel({carousel_id})|>")
+    """A watch clause; with no carousel it stops after the surface token
+    (a carousel task head, GRAMMAR.md "Prompt mode")."""
+    clause = f"{WATCH_MARKER} hour={hour} <|surface={surface.value}|>"
+    if carousel_id is not None:
+        clause += f"<|carousel({carousel_id})|>"
     if item is not None:
         clause += f"<|id({item.item_id}|{item.title})|>"
     if duration_minutes is not None:

@@ -756,8 +756,7 @@ def _read_tensor(fh):
 
 
 def save_checkpoint(path, model: Model, opt: AdamState | None = None,
-                    *, vocab_hash: str = "", manifest_hash: str = "",
-                    extra: dict | None = None) -> None:
+                    *, vocab_hash: str = "", manifest_hash: str = "") -> None:
     cfg = model.config
     meta = {
         "config": {k: getattr(cfg, k) for k in (
@@ -768,8 +767,6 @@ def save_checkpoint(path, model: Model, opt: AdamState | None = None,
         "vocab_hash": vocab_hash,
         "manifest": manifest_hash,
     }
-    if extra:
-        meta["extra"] = extra
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n")

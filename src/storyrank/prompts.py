@@ -8,14 +8,15 @@ appended head differs:
   carousel         <|watch|> hour=H <|surface=S|>
   search           <|search|> hour=H QUERY <|watch|> hour=H <|surface=search|><|carousel()|>
 
-A prompt keeps the newest whole sessions of the story that fit the model
-context, never splitting an event. The prefix is rendered in pieces (the
-lead, one text per session, and a tail that opens a new session when the
-viewer is no longer active), each tokenized once; sessions are kept newest
-first while the sum of their token counts fits beside the lead, tail and
-head. Tokenizing the pieces apart gives the ids of the joined text (see
-GRAMMAR.md, "Concatenation"). When not even the newest session fits, the
-story is rendered again with no sessions, since its tail then differs.
+A prompt is trimmed from a story that ends in the session of the position
+being ranked: eval's prefix story already does, and serve opens a new empty
+session at the request time when the viewer is no longer active. It keeps
+the newest whole sessions that fit the model context, never splitting an
+event. The story is rendered in pieces (the lead and one text per session),
+each tokenized once; sessions are kept newest first while the sum of their
+token counts fits beside the lead and head, and when not even the newest
+fits the prompt is the lead and the head alone. Tokenizing the pieces apart
+gives the ids of the joined text (see GRAMMAR.md, "Concatenation").
 
 The next-token logits at the head's final position score every candidate
 token at once; ranking never decodes and never runs a second pass, and the
@@ -27,14 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from . import grammar
-from .stories import SESSION_GAP_SECONDS, SESSION_SPAN_SECONDS, Surface, \
-    UserStory, _check_carousel_id, _check_query, day_of_week, hour_of_day, \
-    validate_story
+from .stories import SESSION_GAP_SECONDS, SESSION_SPAN_SECONDS, Session, \
+    Surface, UserStory, _check_carousel_id, _check_query, _elapsed_hours, \
+    day_of_week, hour_of_day, validate_story
 from .vocab import Vocabulary, tokenize
 
 
@@ -76,26 +76,27 @@ class RankedList:
         return None
 
 
-def session_tail(story: UserStory, now: int) -> str:
-    """The clause that opens the prompt position at time `now`: "" when the
-    viewer is still active in the last session (within one hour of the last
-    activity and under the 12h span) or the story is sessionless, otherwise a
-    fresh session clause computed from `now`."""
+def open_session(story: UserStory, now: int) -> UserStory:
+    """The story with the session of a position at time `now` open at its
+    end: unchanged when the viewer is still active in the last session
+    (within one hour of the last activity and under the 12h span) or the
+    story is sessionless, otherwise with a new empty session computed from
+    `now` appended."""
     events = list(story.events())
     if events and now < events[-1].timestamp:
         raise PromptError(f"now={now} is before the last story event "
                           f"({events[-1].timestamp})")
     if story.sessionless:
-        return ""
-    if not story.sessions:
-        return grammar.session_clause(0, day_of_week(now))
-    last = story.sessions[-1]
-    gap = now - last.end_time
-    span = now - last.start_time
-    if gap <= SESSION_GAP_SECONDS and span <= SESSION_SPAN_SECONDS:
-        return ""
-    elapsed = max(0, gap // SESSION_GAP_SECONDS)
-    return grammar.session_clause(elapsed, day_of_week(now))
+        return story
+    elapsed = 0
+    if story.sessions:
+        last = story.sessions[-1]
+        if now - last.end_time <= SESSION_GAP_SECONDS \
+                and now - last.start_time <= SESSION_SPAN_SECONDS:
+            return story
+        elapsed = _elapsed_hours(now, last.end_time)
+    return replace(story, sessions=story.sessions
+                   + (Session(now, elapsed, day_of_week(now), ()),))
 
 
 def _checked_text(field: str, value, check) -> str:
@@ -118,7 +119,7 @@ def head_text(kind: TaskKind, context: dict) -> str:
         raise PromptError(f"context hour must be an integer in 0..23, "
                           f"got {hour!r}")
     if kind == TaskKind.ITEM_MASKED:
-        return f"<|watch|> hour={hour} <|surface=home|><|carousel(MASK)|>"
+        return grammar.watch_clause(hour, Surface.HOME, "MASK")
     if kind == TaskKind.ITEM_CONTEXTUAL:
         missing = [k for k in ("surface", "carousel") if k not in context]
         if missing:
@@ -129,20 +130,19 @@ def head_text(kind: TaskKind, context: dict) -> str:
         if surface == Surface.SEARCH and carousel:
             raise PromptError("context carousel must be empty on the search "
                               f"surface, got {carousel!r}")
-        return (f"<|watch|> hour={hour} "
-                f"<|surface={surface.value}|><|carousel({carousel})|>")
+        return grammar.watch_clause(hour, surface, carousel)
     if kind == TaskKind.CAROUSEL:
         surface = Surface(context.get("surface", "home"))
         if surface == Surface.SEARCH:
             raise PromptError("no carousel to rank on the search surface: it "
                               "shows only the empty carousel")
-        return f"<|watch|> hour={hour} <|surface={surface.value}|>"
+        return grammar.watch_clause(hour, surface)
     if kind == TaskKind.SEARCH:
         if "query" not in context:
             raise PromptError("search context requires a 'query'")
         query = _checked_text("query", context["query"], _check_query)
-        return (f"<|search|> hour={hour} {query} "
-                f"<|watch|> hour={hour} <|surface=search|><|carousel()|>")
+        return (grammar.search_clause(hour, query) + " "
+                + grammar.watch_clause(hour, Surface.SEARCH, ""))
     raise PromptError(f"unknown task kind {kind!r}")
 
 
@@ -154,26 +154,19 @@ def candidate_set(kind: TaskKind, vocabulary: Vocabulary) -> tuple[int, ...]:
     return cands
 
 
-Render = Callable[[UserStory], tuple[str, tuple[str, ...], str]]
-
-
-def trim_story_to_context(story: UserStory, render: Render, kind: TaskKind,
-                          context: dict, vocabulary: Vocabulary,
+def trim_story_to_context(story: UserStory, kind: TaskKind, context: dict,
+                          vocabulary: Vocabulary,
                           context_length: int) -> TaskPrompt:
-    """Build a prompt that fits the model context from the newest whole
-    sessions (never splitting an event). `render(story)` gives the prefix in
-    pieces, `(lead, session_texts, tail)`, whose single-space join is the
-    text the task head is appended to. Each piece is tokenized once and the
-    sessions are kept newest first while their token counts fit."""
+    """Build a prompt that fits the model context from the story's newest
+    whole sessions (never splitting an event), then the task head. The lead
+    and each session's text are tokenized once, and sessions are kept newest
+    first while their token counts fit; when not even the newest fits, the
+    prompt is the lead and the head alone."""
     head = head_text(kind, context)
-
-    def ends(lead: str, tail: str) -> tuple[list[int], list[int]]:
-        return (tokenize(lead + " ", vocabulary),
-                tokenize(f"{tail} {head}" if tail else head, vocabulary))
-
-    lead, texts, tail = render(story)
-    lead_ids, end_ids = ends(lead, tail)
-    budget = context_length - len(lead_ids) - len(end_ids)
+    lead, texts = grammar.serialize_parts(story)
+    lead_ids = tokenize(lead + " ", vocabulary)
+    head_ids = tokenize(head, vocabulary)
+    budget = context_length - len(lead_ids) - len(head_ids)
     kept: list[list[int]] = []
     for text in reversed(texts):
         ids = tokenize(text + " ", vocabulary) if text else []
@@ -181,15 +174,10 @@ def trim_story_to_context(story: UserStory, render: Render, kind: TaskKind,
             break
         kept.append(ids)
         budget -= len(ids)
-    if texts and not kept:
-        # with no session left the tail differs (a session clause at elapsed 0)
-        lead, _, tail = render(replace(story, sessions=()))
-        lead_ids, end_ids = ends(lead, tail)
-        budget = context_length - len(lead_ids) - len(end_ids)
     if budget < 0:
         raise PromptError(
             f"prompt head alone exceeds context length {context_length}")
-    ids = lead_ids + [t for piece in reversed(kept) for t in piece] + end_ids
+    ids = lead_ids + [t for piece in reversed(kept) for t in piece] + head_ids
     return TaskPrompt(token_ids=tuple(ids), target_slot=len(ids) - 1,
                       candidate_set=candidate_set(kind, vocabulary), kind=kind)
 
@@ -199,16 +187,16 @@ def make_prompt(story: UserStory, now: int, kind: TaskKind, context: dict,
     """Serve's prompt for a request story at time `now`. The story is held to
     the stored-story rules first (item-less watches allowed), while it is
     still whole: a trimmed story's first session no longer starts at
-    elapsed=0."""
+    elapsed=0. The prompt is trimmed from the story with the session at
+    `now` open at its end."""
     violations = validate_story(story, itemless_ok=True)
     if violations:
         raise PromptError("invalid story: "
                           + "; ".join(str(v) for v in violations[:3]))
     ctx = dict(context)
     ctx.setdefault("hour", hour_of_day(now))
-    return trim_story_to_context(
-        story, lambda s: (*grammar.serialize_parts(s), session_tail(s, now)),
-        kind, ctx, vocabulary, context_length)
+    return trim_story_to_context(open_session(story, now), kind, ctx,
+                                 vocabulary, context_length)
 
 
 def rank_candidates(row: np.ndarray, candidates) -> RankedList:

@@ -305,7 +305,7 @@ def validate_story(story: UserStory, *, itemless_ok: bool = False) -> list[Viola
         if si == 0:
             if sess.elapsed_hours != 0:
                 add(spath, "first session must have elapsed_hours == 0")
-        elif previous_end is not None:
+        else:
             expected = _elapsed_hours(sess.start_time, previous_end)
             if sess.elapsed_hours != expected:
                 add(spath, f"elapsed_hours {sess.elapsed_hours} != floor(gap) {expected}")
@@ -362,8 +362,7 @@ def validate_story(story: UserStory, *, itemless_ok: bool = False) -> list[Viola
 
         if sess.events:
             previous_first_ts = sess.events[0].timestamp
-        previous_end = sess.end_time if previous_end is None \
-            else max(previous_end, sess.end_time)
+        previous_end = sess.end_time
         if si > 0 and story.sessions[si - 1].start_time > sess.start_time:
             add(spath, "sessions are not ordered by start_time")
 
@@ -464,7 +463,7 @@ def write_stories(path, stories: Iterable[UserStory], *, header: dict | None = N
     return n
 
 
-def read_stories(path, *, validate: bool = True) -> list[UserStory]:
+def read_stories(path) -> list[UserStory]:
     stories: list[UserStory] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -475,11 +474,10 @@ def read_stories(path, *, validate: bool = True) -> list[UserStory]:
             if "_manifest" in d:
                 continue
             story = story_from_dict(d)
-            if validate:
-                violations = validate_story(story)
-                if violations:
-                    raise ValidationError(
-                        f"{path}:{lineno}: invalid story {story.user_id!r}: "
-                        + "; ".join(str(v) for v in violations[:3]))
+            violations = validate_story(story)
+            if violations:
+                raise ValidationError(
+                    f"{path}:{lineno}: invalid story {story.user_id!r}: "
+                    + "; ".join(str(v) for v in violations[:3]))
             stories.append(story)
     return stories

@@ -58,7 +58,7 @@ from storyrank.grammar import BEGIN_SESSIONS, SEARCH_MARKER, SESSION_MARKER, \
     WATCH_MARKER
 from storyrank.model import Model, ModelError, _as_batch, _check_ids, \
     _forward, _rope_backward, _run_tasks, _sequence_forward_backward
-from storyrank.prompts import RankedList, session_tail
+from storyrank.prompts import RankedList, open_session
 from storyrank.stories import AttributeHeader, CarouselRef, EMPTY_CAROUSEL, \
     Surface, UserStory, ValidationError, WatchEvent, search, \
     segment_sessions, watch
@@ -611,11 +611,9 @@ def read_metrics(path) -> list[dict]:
 # --- prompts ------------------------------------------------------------------
 
 def extend_story_for_now(story: UserStory, now: int) -> str:
-    """The serve prompt's prefix text: the serialized story, then the
-    `session_tail` for `now` when there is one."""
-    tail = session_tail(story, now)
-    text = grammar.serialize(story, validate=False)
-    return f"{text} {tail}" if tail else text
+    """The serve prompt's prefix text: the story with the session at `now`
+    open at its end, serialized."""
+    return grammar.serialize(open_session(story, now), validate=False)
 
 
 def rank_candidates(row: np.ndarray, candidates) -> RankedList:

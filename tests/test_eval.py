@@ -162,7 +162,7 @@ def bm25_fixture():
     items = (ItemRef("doc1", "fog pier"),
              ItemRef("doc2", "fog fog night"),
              ItemRef("doc3", "clockwork lifeguard"))
-    return BM25Index.build(items, k1=1.2, b=0.75)
+    return BM25Index.build(items)
 
 
 def test_bm25_hand_computed_fixture(bm25_fixture):

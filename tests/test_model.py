@@ -935,7 +935,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     for step in range(3):
         backward_and_step(model, opt, _toy_batch(model, seed=step), cfg)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, opt, vocab_hash="abc123", extra={"note": "t"})
+    save_checkpoint(path, model, opt, vocab_hash="abc123")
     loaded, loaded_opt, meta = load_checkpoint(path)
     ids = np.arange(10) % model.config.vocab_size
     assert np.array_equal(loaded.forward(ids), model.forward(ids))

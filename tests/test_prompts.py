@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from storyrank.evaluate import ModelScorer, eligible_positions
-from storyrank.grammar import apply_transform, serialize, session_clause, \
-    strip_sessions
+from storyrank.grammar import apply_transform, serialize, strip_sessions
 from storyrank.model import ModelConfig, init_model
 from storyrank.prompts import (
     PromptError,
@@ -22,8 +21,8 @@ from storyrank.prompts import (
     rank_candidates,
 )
 from storyrank.stories import SESSION_GAP_SECONDS, SESSION_SPAN_SECONDS, \
-    AttributeHeader, EMPTY_CAROUSEL, Surface, UserStory, day_of_week, \
-    hour_of_day, search, segment_sessions, watch
+    AttributeHeader, EMPTY_CAROUSEL, Session, Surface, UserStory, \
+    day_of_week, hour_of_day, search, segment_sessions, watch
 from storyrank.vocab import CLASS_CAROUSEL, CLASS_ITEM, build_vocabulary, \
     tokenize
 
@@ -302,24 +301,26 @@ def whole_text_trim(story, render_text, kind, context, vocabulary,
         current = replace(current, sessions=current.sessions[1:])
 
 
-def whole_text_for_now(story, now):
-    """Serve's prefix text for `now` as one string, rendered as before."""
+def story_opened_at(story, now):
+    """Serve's story for `now`, written apart from `prompts.open_session`:
+    a new empty session, with elapsed hours from the last session's end,
+    unless the viewer is still active or the story is sessionless."""
     events = list(story.events())
     if events and now < events[-1].timestamp:
         raise PromptError(f"now={now} is before the last story event "
                           f"({events[-1].timestamp})")
-    text = serialize(story, validate=False)
-    if story.sessionless or not story.sessions:
-        if not events and not story.sessionless:
-            return text + " " + session_clause(0, day_of_week(now))
-        return text
-    last = story.sessions[-1]
-    gap = now - last.end_time
-    span = now - last.start_time
-    if gap <= SESSION_GAP_SECONDS and span <= SESSION_SPAN_SECONDS:
-        return text
-    elapsed = max(0, gap // SESSION_GAP_SECONDS)
-    return text + " " + session_clause(elapsed, day_of_week(now))
+    if story.sessionless:
+        return story
+    elapsed = 0
+    if story.sessions:
+        last = story.sessions[-1]
+        gap = now - last.end_time
+        span = now - last.start_time
+        if gap <= SESSION_GAP_SECONDS and span <= SESSION_SPAN_SECONDS:
+            return story
+        elapsed = max(0, gap // SESSION_GAP_SECONDS)
+    opened = Session(now, elapsed, day_of_week(now), ())
+    return replace(story, sessions=story.sessions + (opened,))
 
 
 def _outcome(build):
@@ -397,8 +398,8 @@ def test_serve_prompt_equals_whole_text_oracle(sample_vocab, merged_vocab,
                                        context_length))
     context.setdefault("hour", hour_of_day(now))
     want = _outcome(lambda: whole_text_trim(
-        story, lambda s: whole_text_for_now(s, now), kind, context, vocab,
-        context_length))
+        story_opened_at(story, now), lambda s: serialize(s, validate=False),
+        kind, context, vocab, context_length))
     assert got == want
 
 
@@ -423,3 +424,34 @@ def test_eval_prompt_equals_whole_text_oracle(sample_vocab, merged_vocab,
         lambda s: serialize(apply_transform(s, **transform), validate=False),
         head_kind, pos.context, vocab, context_length))
     assert got == want
+
+
+@given(story=journeys(min_events=1),
+       kind=st.sampled_from([TaskKind.ITEM_MASKED, TaskKind.ITEM_CONTEXTUAL,
+                             TaskKind.CAROUSEL]),
+       flat=st.booleans(), merged=st.booleans(),
+       context_length=st.sampled_from(CONTEXT_LENGTHS))
+@settings(max_examples=200, deadline=None)
+def test_serve_prompt_at_an_event_equals_eval_prompt(sample_vocab,
+                                                     merged_vocab, story, kind,
+                                                     flat, merged,
+                                                     context_length):
+    """A request whose story is a position's history, sent at the target
+    event's time, gets eval's prompt for that position."""
+    vocab = merged_vocab if merged else sample_vocab
+    model = SimpleNamespace(config=SimpleNamespace(
+        context_length=context_length))
+    scorer = ModelScorer(model, transform={"drop_sessions": True} if flat
+                         else {})
+    for pos in eligible_positions(story, kind, vocab):
+        history = pos.prefix_story
+        si = len(history.sessions) - 1
+        now = story.sessions[si].events[len(history.sessions[si].events)] \
+            .timestamp
+        if not history.sessions[si].events:
+            history = replace(history, sessions=history.sessions[:si])
+        if flat:
+            history = strip_sessions(history)
+        served = _outcome(lambda: make_prompt(history, now, kind, pos.context,
+                                              vocab, context_length))
+        assert served == _outcome(lambda: scorer.prompt(pos, kind, vocab))

@@ -202,6 +202,38 @@ def test_segmented_streams_validate(events):
     assert validate_story(story) == []
 
 
+def test_session_after_a_cap_split_validates():
+    # 15 overlapping 110-minute watches 3,000 s apart: the 12h cap closes the
+    # first session while its last watch still plays (until T0 + 48,600).
+    # The search at T0 + 45,000 opens session 1, and the one 3,700 s later
+    # opens session 2, whose gap and elapsed hours count from session 1's end,
+    # not from the later end of session 0.
+    events = [watch(T0 + 3000 * k, Surface.HOME, EMPTY_CAROUSEL, LANTERN, 110)
+              for k in range(15)]
+    events += [search(T0 + 45000, "fog"), search(T0 + 48700, "fog")]
+    sessions = segment_sessions(events)
+    assert [len(s.events) for s in sessions] == [15, 1, 1]
+    assert [s.elapsed_hours for s in sessions] == [0, 0, 1]
+    story = UserStory("u", AttributeHeader(), sessions)
+    assert validate_story(story) == []
+
+
+cap_split_stream = st.lists(
+    st.tuples(st.booleans(), st.integers(50 * 60, 70 * 60),
+              st.integers(60, 180)),
+    min_size=1, max_size=40,
+).map(lambda raw: _materialize(raw))
+
+
+@given(cap_split_stream)
+@settings(max_examples=200, deadline=None)
+def test_segmented_streams_with_long_watches_validate(events):
+    # gaps around an hour and watches that outlast them, so the 12h cap
+    # splits sessions while a watch still plays
+    story = UserStory("u", AttributeHeader(), segment_sessions(events))
+    assert validate_story(story) == []
+
+
 def test_interchange_roundtrip():
     story = make_sample_story()
     assert story_from_dict(story_to_dict(story)) == story
