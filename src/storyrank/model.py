@@ -31,6 +31,18 @@ as soon as it is ready, and then drops it: `forward_backward` adds each
 row's gradients into the running sum when that row finishes, in row order,
 so a step holds the sum and the rows in flight, not B gradient sets.
 
+A training task keeps, per layer, only what its backward reads and cannot
+rebuild in one element-wise pass: the layer input x_in and its inverse RMS
+inv1, q, k, v, the attention probabilities, ctx, x_mid and its inv2, and
+the MLP's zg and zu (2.9 MB per layer at the desk shape, T=255, in float32).
+The backward recomputes the normalized rows a and bnorm, the SiLU gate sig
+and the gated product h from those with the forward's own functions, so
+every gradient has the bits it had when they were cached (1.3 MB more per
+layer). It frees as it goes: the logits once the NLL is taken, the logit
+gradients after the head's backward, each layer's MLP arrays before its
+attention backward, and the rest of the layer's cache when its backward
+returns; no caller keeps a reference to any of them.
+
 An inference forward (no training cache) writes each layer's largest
 temporaries, the (H, T, T) attention scores and the (T, F) zg, zu and SiLU
 gate, into flat buffers that the model keeps per thread: H*ctx*ctx + 3*ctx*F
@@ -82,6 +94,8 @@ class ModelConfig:
     tie_embeddings: bool = False
 
     def __post_init__(self):
+        if self.heads <= 0:
+            raise ModelError(f"heads must be positive, got {self.heads}")
         if self.model_dim % self.heads != 0:
             raise ModelError(f"model_dim {self.model_dim} not divisible by "
                              f"heads {self.heads}")
@@ -364,7 +378,27 @@ def _check_ids(ids: np.ndarray, cfg: ModelConfig) -> None:
 
 def _rmsnorm_fwd(x, gain, eps):
     inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
-    return x * inv * gain, inv
+    return _rmsnorm_apply(x, inv, gain), inv
+
+
+def _rmsnorm_apply(x, inv, gain):
+    """The normalized rows from x and their kept inverse RMS."""
+    return x * inv * gain
+
+
+def _sigmoid(z, out=None):
+    """1 / (1 + exp(-z)) in four passes, into `out` when given."""
+    s = np.negative(z, out=out)
+    np.exp(s, out=s)
+    np.add(1.0, s, out=s)
+    return np.divide(1.0, s, out=s)
+
+
+def _gated(zg, zu, sig):
+    """The SiLU-gated product zg * sig * zu, written over `sig`."""
+    h = np.multiply(zg, sig, out=sig)
+    h *= zu
+    return h
 
 
 def _rmsnorm_bwd(dy, x, inv, gain):
@@ -489,22 +523,13 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool,
         rows = (len(x), cfg.hidden_dim)
         zg = np.matmul(bnorm, p[f"layers.{i}.wg"], out=_view(zg_buf, rows))
         zu = np.matmul(bnorm, p[f"layers.{i}.wu"], out=_view(zu_buf, rows))
-        sig = np.negative(zg, out=_view(gate_buf, rows))
-        np.exp(sig, out=sig)
-        np.add(1.0, sig, out=sig)
-        np.divide(1.0, sig, out=sig)
-        if need_cache:
-            h = zg * sig * zu
-        else:  # nothing keeps sig: gate in its buffer
-            h = np.multiply(zg, sig, out=sig)
-            h *= zu
+        h = _gated(zg, zu, _sigmoid(zg, out=_view(gate_buf, rows)))
         x = h @ p[f"layers.{i}.wd"]
         x += x_mid
         if need_cache:
-            layer_caches.append(dict(x_in=x_in, a=a, inv1=inv1, q=q, k=k, v=v,
+            layer_caches.append(dict(x_in=x_in, inv1=inv1, q=q, k=k, v=v,
                                      probs=probs, ctx=ctx, x_mid=x_mid,
-                                     bnorm=bnorm, inv2=inv2, zg=zg, zu=zu,
-                                     sig=sig, h=h))
+                                     inv2=inv2, zg=zg, zu=zu))
     final, inv_f = _rmsnorm_fwd(x, p["ln_f"], cfg.rms_eps)
     logits = final @ model.output_matrix()
     cache = None
@@ -569,73 +594,48 @@ def forward_backward(model: Model, inputs, targets, weights=None):
 def _sequence_forward_backward(model: Model, ids, targets, weights, total):
     """One sequence's training task: ids, targets and weights (T,); total,
     the whole batch's target weight, scales its logit gradients. Returns its
-    weighted NLL per row (T,) and its gradients."""
+    weighted NLL per row (T,) and its gradients. The logits are dropped once
+    the NLL is taken; the logit gradients reach `_backward` inside the
+    cache, which it empties as it goes, so this frame keeps neither alive."""
     logits, cache = _forward(model, ids, need_cache=True)
+    nll, cache["dlogits"] = _nll_and_dlogits(logits, targets, weights / total)
+    del logits
+    return nll * weights, _backward(model, cache)
+
+
+def _nll_and_dlogits(logits, targets, scale):
+    """Each row's NLL of its target (T,), and the logit gradients (T, V) of
+    the NLL rows weighted by `scale` (T,)."""
     rows = np.arange(targets.shape[0])
     m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
+    e = np.subtract(logits, m)
+    np.exp(e, out=e)
     z = e.sum(axis=-1, keepdims=True)
     nll = m[:, 0] + np.log(z[:, 0]) - logits[rows, targets]
-    scale = weights / total
     dlogits = np.divide(e, z, out=e)
     dlogits *= scale[:, None]
     dlogits[rows, targets] -= scale
-    return nll * weights, _backward(model, cache, dlogits)
+    return nll, dlogits
 
 
-def _backward(model: Model, cache: dict, dlogits) -> dict:
-    """One sequence's parameter gradients from `_forward`'s cache and its
-    dlogits (T, V)."""
+def _backward(model: Model, cache: dict) -> dict:
+    """One sequence's parameter gradients from `_forward`'s cache, holding
+    its dlogits (T, V) under "dlogits". Empties the cache as it goes: the
+    dlogits and the final norm's activations after the head's backward,
+    each layer's entry when that layer's backward returns."""
     cfg = model.config
     p = model.params
     grads = {name: None for name in model.params}
-    w_out = model.output_matrix()
-    dfinal, dw_out = _matmul_bwd(cache["final"], w_out, dlogits)
-    dx, grads["ln_f"] = _rmsnorm_bwd(dfinal, cache["x_final"], cache["inv_f"],
-                                     p["ln_f"])
+    dfinal, dw_out = _matmul_bwd(cache.pop("final"), model.output_matrix(),
+                                 cache.pop("dlogits"))
+    dx, grads["ln_f"] = _rmsnorm_bwd(dfinal, cache.pop("x_final"),
+                                     cache.pop("inv_f"), p["ln_f"])
     if not cfg.tie_embeddings:
         grads["w_out"] = dw_out
 
-    cos, sin, future = cache["cos"], cache["sin"], cache["future"]
-    scale = np.sqrt(np.array(cfg.head_dim, dtype=cfg.np_dtype))
+    layers = cache["layers"]
     for i in reversed(range(cfg.layers)):
-        lc = cache["layers"][i]
-        wd_ = p[f"layers.{i}.wd"]
-        dh, grads[f"layers.{i}.wd"] = _matmul_bwd(lc["h"], wd_, dx)
-        zg, zu, sig = lc["zg"], lc["zu"], lc["sig"]
-        dzu = dh * zg * sig
-        dzg = dh * zu * sig * (1.0 + zg * (1.0 - sig))
-        db_u, grads[f"layers.{i}.wu"] = _matmul_bwd(lc["bnorm"],
-                                                    p[f"layers.{i}.wu"], dzu)
-        db_g, grads[f"layers.{i}.wg"] = _matmul_bwd(lc["bnorm"],
-                                                    p[f"layers.{i}.wg"], dzg)
-        dx_mid, grads[f"layers.{i}.ln2"] = _rmsnorm_bwd(
-            db_u + db_g, lc["x_mid"], lc["inv2"], p[f"layers.{i}.ln2"])
-        dx_mid = dx_mid + dx  # residual
-
-        dctx, grads[f"layers.{i}.wo"] = _matmul_bwd(lc["ctx"],
-                                                    p[f"layers.{i}.wo"], dx_mid)
-        dctx = _split_heads(dctx, cfg.heads)
-        probs = lc["probs"]
-        dv = np.matmul(probs.swapaxes(-1, -2), dctx)
-        # softmax, mask and scale backward in place in the dprobs buffer
-        dscores = np.matmul(dctx, lc["v"].swapaxes(-1, -2))
-        np.subtract(dscores, (dscores * probs).sum(axis=-1, keepdims=True),
-                    out=dscores)
-        np.multiply(probs, dscores, out=dscores)
-        np.copyto(dscores, 0.0, where=future)
-        np.divide(dscores, scale, out=dscores)
-        dq = np.matmul(dscores, lc["k"])
-        dk = np.matmul(dscores.swapaxes(-1, -2), lc["q"])
-        dq = _merge_heads(_rope_backward(dq, cos, sin))
-        dk = _merge_heads(_rope_backward(dk, cos, sin))
-        dv = _merge_heads(dv)
-        da_q, grads[f"layers.{i}.wq"] = _matmul_bwd(lc["a"], p[f"layers.{i}.wq"], dq)
-        da_k, grads[f"layers.{i}.wk"] = _matmul_bwd(lc["a"], p[f"layers.{i}.wk"], dk)
-        da_v, grads[f"layers.{i}.wv"] = _matmul_bwd(lc["a"], p[f"layers.{i}.wv"], dv)
-        dx_attn, grads[f"layers.{i}.ln1"] = _rmsnorm_bwd(
-            da_q + da_k + da_v, lc["x_in"], lc["inv1"], p[f"layers.{i}.ln1"])
-        dx = dx_mid + dx_attn  # both residual branches reach the layer input
+        dx = _layer_backward(model, i, layers.pop(), dx, grads, cache)
 
     d_emb = np.zeros_like(p["tok_emb"])
     np.add.at(d_emb, cache["ids"], dx)
@@ -643,6 +643,71 @@ def _backward(model: Model, cache: dict, dlogits) -> dict:
         d_emb += dw_out.T
     grads["tok_emb"] = d_emb
     return grads
+
+
+def _layer_backward(model: Model, i: int, lc: dict, dx, grads: dict,
+                    cache: dict):
+    """Layer i's backward from its cache entry `lc`: the gradient at its
+    output, dx (T, D), to the one at its input; its weight gradients go
+    into `grads`. The MLP half's arrays are freed before the attention
+    half's backward starts, and the rest of the layer's on return."""
+    cfg = model.config
+    p, pre = model.params, f"layers.{i}."
+    dx_mid = _mlp_backward(p, pre, lc.pop("x_mid"), lc.pop("inv2"),
+                           lc.pop("zg"), lc.pop("zu"), dx, grads)
+    dx_mid += dx  # residual
+
+    cos, sin, future = cache["cos"], cache["sin"], cache["future"]
+    scale = np.sqrt(np.array(cfg.head_dim, dtype=cfg.np_dtype))
+    dctx, grads[pre + "wo"] = _matmul_bwd(lc["ctx"], p[pre + "wo"], dx_mid)
+    dctx = _split_heads(dctx, cfg.heads)
+    probs = lc["probs"]
+    dv = np.matmul(probs.swapaxes(-1, -2), dctx)
+    # softmax, mask and scale backward in place in the dprobs buffer
+    dscores = np.matmul(dctx, lc["v"].swapaxes(-1, -2))
+    np.subtract(dscores, (dscores * probs).sum(axis=-1, keepdims=True),
+                out=dscores)
+    np.multiply(probs, dscores, out=dscores)
+    np.copyto(dscores, 0.0, where=future)
+    np.divide(dscores, scale, out=dscores)
+    dq = np.matmul(dscores, lc["k"])
+    dk = np.matmul(dscores.swapaxes(-1, -2), lc["q"])
+    dq = _merge_heads(_rope_backward(dq, cos, sin))
+    dk = _merge_heads(_rope_backward(dk, cos, sin))
+    dv = _merge_heads(dv)
+    a = _rmsnorm_apply(lc["x_in"], lc["inv1"], p[pre + "ln1"])
+    da_q, grads[pre + "wq"] = _matmul_bwd(a, p[pre + "wq"], dq)
+    da_k, grads[pre + "wk"] = _matmul_bwd(a, p[pre + "wk"], dk)
+    da_v, grads[pre + "wv"] = _matmul_bwd(a, p[pre + "wv"], dv)
+    dx_attn, grads[pre + "ln1"] = _rmsnorm_bwd(
+        da_q + da_k + da_v, lc["x_in"], lc["inv1"], p[pre + "ln1"])
+    return dx_mid + dx_attn  # both residual branches reach the layer input
+
+
+def _mlp_backward(p: dict, pre: str, x_mid, inv2, zg, zu, dx, grads: dict):
+    """The MLP half of a layer's backward: the gradient at the layer's
+    output, dx, to the one at x_mid, before the residual. bnorm, the gate
+    sig and the gated product h are recomputed from x_mid, inv2 and zg with
+    the forward's own functions, so they have the forward's bits."""
+    sig = _sigmoid(zg)
+    dh, grads[pre + "wd"] = _matmul_bwd(_gated(zg, zu, sig.copy()),
+                                        p[pre + "wd"], dx)
+    # dzu = dh * zg * sig and dzg = dh * zu * sig * (1 + zg * (1 - sig)),
+    # each product left to right; the last factor is built in sig's array
+    dzu = np.multiply(dh, zg)
+    dzu *= sig
+    dzg = np.multiply(dh, zu)
+    dzg *= sig
+    np.subtract(1.0, sig, out=sig)
+    np.multiply(zg, sig, out=sig)
+    np.add(1.0, sig, out=sig)
+    dzg *= sig
+    bnorm = _rmsnorm_apply(x_mid, inv2, p[pre + "ln2"])
+    db_u, grads[pre + "wu"] = _matmul_bwd(bnorm, p[pre + "wu"], dzu)
+    db_g, grads[pre + "wg"] = _matmul_bwd(bnorm, p[pre + "wg"], dzg)
+    dx_mid, grads[pre + "ln2"] = _rmsnorm_bwd(db_u + db_g, x_mid, inv2,
+                                              p[pre + "ln2"])
+    return dx_mid
 
 
 @dataclass
@@ -708,6 +773,9 @@ def backward_and_step(model: Model, opt: AdamState, batch,
 # optional adam.m.* / adam.v.* moment tensors.
 
 _DTYPE_CODES = {"float32": 0, "float64": 1}
+_CONFIG_KEYS = ("vocab_size", "context_length", "layers", "heads", "model_dim",
+                "mlp_hidden_dim", "rope_base", "rms_eps", "dtype",
+                "tie_embeddings")
 _DTYPE_NAMES = {0: "<f4", 1: "<f8"}
 
 
@@ -722,13 +790,15 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     fh.write(arr.astype(_DTYPE_NAMES[code], copy=False).tobytes(order="C"))
 
 
-def _read_tensor(fh):
+def _read_tensor(fh, size: int):
+    """The next record's (name, array) from a file of `size` bytes. A
+    header whose data would run past the end of the file is an error before
+    any data is read."""
     start = fh.tell()
     head = fh.read(2)
-    if not head:
-        return None
     if len(head) < 2:
-        raise ModelError("truncated checkpoint: tensor name length")
+        raise ModelError(f"truncated checkpoint: tensor name length at byte "
+                         f"{start}")
     (nlen,) = struct.unpack("<H", head)
     try:
         name = fh.read(nlen).decode("utf-8")
@@ -737,21 +807,27 @@ def _read_tensor(fh):
                          f"byte {start} is not UTF-8") from None
     meta = fh.read(2)
     if len(meta) < 2:
-        raise ModelError(f"truncated checkpoint: header of {name!r}")
+        raise ModelError(f"truncated checkpoint: header of {name!r} at byte "
+                         f"{start}")
     code, rank = struct.unpack("<BB", meta)
-    dims = []
-    for _ in range(rank):
-        raw = fh.read(8)
-        if len(raw) < 8:
-            raise ModelError(f"truncated checkpoint: dims of {name!r}")
-        dims.append(struct.unpack("<Q", raw)[0])
+    if rank > 2:
+        raise ModelError(f"corrupt checkpoint: rank {rank} of {name!r} at "
+                         f"byte {start}, not a vector or a matrix")
+    raw = fh.read(8 * rank)
+    if len(raw) < 8 * rank:
+        raise ModelError(f"truncated checkpoint: dims of {name!r} at byte "
+                         f"{start}")
+    dims = struct.unpack(f"<{rank}Q", raw)
     if code not in _DTYPE_NAMES:
-        raise ModelError(f"corrupt checkpoint: dtype code {code} of {name!r}")
+        raise ModelError(f"corrupt checkpoint: dtype code {code} of {name!r} "
+                         f"at byte {start}")
     dtype = np.dtype(_DTYPE_NAMES[code])
-    count = int(np.prod(dims)) if dims else 1
-    payload = fh.read(count * dtype.itemsize)
-    if len(payload) < count * dtype.itemsize:
-        raise ModelError(f"truncated checkpoint: data of {name!r}")
+    need, left = math.prod(dims) * dtype.itemsize, size - fh.tell()
+    if need > left:
+        raise ModelError(f"truncated checkpoint: data of {name!r} at byte "
+                         f"{start}: dims {list(dims)} need {need} bytes, "
+                         f"{left} left")
+    payload = fh.read(need)
     return name, np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
 
 
@@ -759,9 +835,7 @@ def save_checkpoint(path, model: Model, opt: AdamState | None = None,
                     *, vocab_hash: str = "", manifest_hash: str = "") -> None:
     cfg = model.config
     meta = {
-        "config": {k: getattr(cfg, k) for k in (
-            "vocab_size", "context_length", "layers", "heads", "model_dim",
-            "mlp_hidden_dim", "rope_base", "rms_eps", "dtype", "tie_embeddings")},
+        "config": {k: getattr(cfg, k) for k in _CONFIG_KEYS},
         "step": model.step,
         "adam": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS},
         "vocab_hash": vocab_hash,
@@ -781,58 +855,87 @@ def save_checkpoint(path, model: Model, opt: AdamState | None = None,
                 _write_tensor(fh, "adam.v." + name, opt.v[name])
 
 
+def _read_meta(fh, path) -> tuple[dict, ModelConfig]:
+    """The JSON meta line, read just past the magic, and its model config."""
+    at = f"{path}: the metadata line at byte {len(CHECKPOINT_MAGIC)}"
+    try:
+        meta = json.loads(fh.readline().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ModelError(f"{at} is not JSON: {exc}") from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise ModelError(f"{at} is not an object with a model config")
+    try:
+        return meta, ModelConfig(**meta["config"])
+    except TypeError as exc:  # a key ModelConfig lacks, or a value's type
+        raise ModelError(f"{at} has a bad model config: {exc}") from None
+
+
 def load_checkpoint(path, *, expect_vocab_hash: str | None = None
                     ) -> tuple[Model, AdamState | None, dict]:
+    """The model, its optimizer state (None when the file has no optimizer
+    block) and the meta line. Every malformed file raises ModelError: a
+    record whose data would run past the end of the file before that data
+    is read, and an optimizer block without a moment pair of each
+    parameter's shape. The data bytes themselves are not checked."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ModelError(f"{path}: not a storyrank checkpoint")
-        meta = json.loads(fh.readline().decode("utf-8"))
+        meta, cfg = _read_meta(fh, path)
         if expect_vocab_hash and meta.get("vocab_hash") != expect_vocab_hash:
             raise ModelError(
                 f"{path}: checkpoint was trained with vocabulary "
                 f"{meta.get('vocab_hash') or '(none)'}, "
                 f"expected {expect_vocab_hash}")
-        cfg = ModelConfig(**meta["config"])
         expected = {name: parameter_shape(name, cfg)
                     for name in parameter_names(cfg)}
         params: dict[str, np.ndarray] = {}
         opt: AdamState | None = None
-        opt_step = 0
         while True:
             pos = fh.tell()
             head = fh.read(2)
             if not head:
                 break
             if len(head) == 2 and struct.unpack("<H", head)[0] == 0:
+                if opt is not None:
+                    raise ModelError(f"{path}: a second optimizer block at "
+                                     f"byte {pos}")
                 raw = fh.read(8)
                 if len(raw) < 8:
-                    raise ModelError(f"{path}: truncated optimizer block")
-                opt_step = struct.unpack("<Q", raw)[0]
-                opt = AdamState(m={}, v={}, step=opt_step)
+                    raise ModelError(f"{path}: truncated optimizer block at "
+                                     f"byte {pos}")
+                opt = AdamState(m={}, v={}, step=struct.unpack("<Q", raw)[0])
                 continue
             fh.seek(pos)
-            record = _read_tensor(fh)
-            if record is None:
-                break
-            name, arr = record
-            if name.startswith("adam.") and opt is None:
-                raise ModelError(f"{path}: {name!r} before the optimizer block")
-            if name.startswith("adam.m."):
-                opt.m[name[len("adam.m."):]] = arr
-            elif name.startswith("adam.v."):
-                opt.v[name[len("adam.v."):]] = arr
-            else:
-                params[name] = arr
+            try:
+                name, arr = _read_tensor(fh, size)
+            except ModelError as exc:
+                raise ModelError(f"{path}: {exc}") from None
+            table, key = params, name
+            if name.startswith("adam."):
+                if opt is None:
+                    raise ModelError(f"{path}: {name!r} before the optimizer "
+                                     f"block, at byte {pos}")
+                if name.startswith(("adam.m.", "adam.v.")):
+                    table = opt.m if name[5] == "m" else opt.v
+                    key = name[len("adam.m."):]
+            if key in table:
+                raise ModelError(f"{path}: a second {name!r} at byte {pos}")
+            table[key] = arr
         mismatches = []
-        for name, shape in expected.items():
-            if name not in params:
-                mismatches.append(f"{name}: missing")
-            elif params[name].shape != shape:
-                mismatches.append(f"{name}: file has {params[name].shape}, "
-                                  f"config implies {shape}")
-        for name in params:
-            if name not in expected:
-                mismatches.append(f"{name}: unexpected tensor")
+        tables = [("", params)]
+        if opt is not None:
+            tables += [("adam.m.", opt.m), ("adam.v.", opt.v)]
+        for prefix, table in tables:
+            for name, shape in expected.items():
+                if name not in table:
+                    mismatches.append(f"{prefix}{name}: missing")
+                elif table[name].shape != shape:
+                    mismatches.append(f"{prefix}{name}: file has "
+                                      f"{table[name].shape}, config implies "
+                                      f"{shape}")
+            mismatches += [f"{prefix}{name}: unexpected tensor"
+                           for name in table if name not in expected]
         if mismatches:
             raise ModelError(f"{path}: checkpoint/config shape mismatch: "
                              + "; ".join(mismatches))

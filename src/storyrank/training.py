@@ -1,6 +1,8 @@
 """Batch assembly and the training loop over the story/catalog mixture."""
 from __future__ import annotations
 
+import resource
+import sys
 import time
 
 import numpy as np
@@ -29,14 +31,21 @@ def make_batch(sequences, dtype=np.float32):
     return inputs, targets, weights
 
 
+def peak_rss_mb() -> float:
+    """The process's resident set high-water mark so far, in MB (2**20
+    bytes). `ru_maxrss` counts KiB on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+
 def train(model: Model, opt: AdamState, story_examples, catalog_examples,
           mixture_cfg: MixtureConfig, masking_cfg: MaskingConfig,
           vocabulary, train_cfg: TrainConfig, log_every: int = 100,
           log=print) -> list[dict]:
     """Run macro_steps optimizer steps over the sampled mixture. Fully
     deterministic given the config seeds; returns per-log-point metrics:
-    loss, grad_norm, lr, step, elapsed_s and the target tokens (nonzero
-    weights) per second since the start."""
+    loss, grad_norm, lr, step, elapsed_s, the target tokens (nonzero
+    weights) per second since the start and the process's peak_rss_mb."""
     stream = sample_mixture(story_examples, catalog_examples, mixture_cfg,
                             n=train_cfg.macro_steps * train_cfg.batch_size,
                             masking=masking_cfg, vocabulary=vocabulary)
@@ -51,7 +60,8 @@ def train(model: Model, opt: AdamState, story_examples, catalog_examples,
         if log_every and (step + 1) % log_every == 0:
             elapsed = time.perf_counter() - started
             metrics = dict(metrics, step=step + 1, elapsed_s=round(elapsed, 2),
-                           tokens_per_s=round(tokens / elapsed, 1))
+                           tokens_per_s=round(tokens / elapsed, 1),
+                           peak_rss_mb=round(peak_rss_mb(), 1))
             history.append(metrics)
             if log:
                 log(f"step {metrics['step']}: loss {metrics['loss']:.4f} "

@@ -467,7 +467,10 @@ def _rmsnorm_bwd(dy, x, inv, gain):
 
 def _batched_forward(model: Model, ids):
     """Logits (B, T, V) and the per-sequence `_forward` caches stacked on a
-    leading batch axis; the RoPE tables and the mask are shared."""
+    leading batch axis; the RoPE tables and the mask are shared. The
+    activations that `_forward` does not keep (the normalized rows a and
+    bnorm, the gate sig and the gated product h) are rebuilt with the
+    forward's expressions, so they have its bits."""
     runs = [_forward(model, row, need_cache=True) for row in ids]
     caches = [cache for _, cache in runs]
     cache = {name: np.stack([c[name] for c in caches])
@@ -475,6 +478,12 @@ def _batched_forward(model: Model, ids):
     cache["layers"] = [{name: np.stack([c["layers"][i][name] for c in caches])
                         for name in layer}
                        for i, layer in enumerate(caches[0]["layers"])]
+    p = model.params
+    for i, lc in enumerate(cache["layers"]):
+        lc["a"] = lc["x_in"] * lc["inv1"] * p[f"layers.{i}.ln1"]
+        lc["bnorm"] = lc["x_mid"] * lc["inv2"] * p[f"layers.{i}.ln2"]
+        lc["sig"] = 1.0 / (1.0 + np.exp(-lc["zg"]))
+        lc["h"] = lc["zg"] * lc["sig"] * lc["zu"]
     cache.update({name: caches[0][name] for name in ("cos", "sin", "future")})
     return np.stack([logits for logits, _ in runs]), cache
 

@@ -199,9 +199,12 @@ def test_train_writes_its_history_as_jsonl(tmp_path):
     assert [r["step"] for r in records] == [4, 8, 12]
     for r in records:
         assert set(r) == {"step", "loss", "grad_norm", "lr", "elapsed_s",
-                          "tokens_per_s"}
+                          "tokens_per_s", "peak_rss_mb"}
         assert r["loss"] > 0 and r["grad_norm"] > 0 and r["lr"] > 0
-        assert r["tokens_per_s"] > 0
+        assert r["tokens_per_s"] > 0 and r["peak_rss_mb"] > 0
+    # a high-water mark never falls
+    assert [r["peak_rss_mb"] for r in records] == \
+        sorted(r["peak_rss_mb"] for r in records)
     assert [r["elapsed_s"] for r in records] == \
         sorted(r["elapsed_s"] for r in records)
     # logging does not reach the checkpoint

@@ -205,7 +205,7 @@ def test_forward_equals_batched_attention_oracle(dtype, b, t, tie):
         logits, cache = _forward(model, seq, need_cache=True)
         assert np.array_equal(logits, want)
         for layer in cache["layers"]:
-            kept = [layer[n] for n in ("probs", "sig", "zg", "zu", "h")]
+            kept = [layer[n] for n in ("probs", "zg", "zu")]
             for i, one in enumerate(kept):
                 assert not any(np.shares_memory(one, other)
                                for other in kept[i + 1:])
@@ -568,6 +568,60 @@ def test_failing_fold_reaches_the_caller_and_stops_the_pool(
     monkeypatch.setattr(model_module, "_sequence_forward_backward", real_task)
     assert np.isfinite(forward_backward(model, *batch)[0])
     assert get_threads() == 2
+
+
+def test_training_cache_keeps_only_what_the_backward_reads():
+    model = tiny_model(layers=2, dim=32, heads=4, vocab=50, ctx=40)
+    _, cache = _forward(model, np.arange(20), need_cache=True)
+    assert set(cache) == {"ids", "layers", "x_final", "final", "inv_f", "cos",
+                          "sin", "future"}
+    assert [set(layer) for layer in cache["layers"]] == [
+        {"x_in", "inv1", "q", "k", "v", "probs", "ctx", "x_mid", "inv2", "zg",
+         "zu"}] * 2
+
+
+def test_training_activations_are_freed_as_the_backward_goes(monkeypatch,
+                                                             task_branch):
+    real_forward = model_module._forward
+    real_backward = model_module._backward
+    real_layer_backward = model_module._layer_backward
+    logits_refs, layer_refs = {}, {}  # by row; by (row, layer)
+    alive_at = []  # what a check found still alive
+
+    def recording_forward(model, ids, need_cache, **flags):
+        logits, cache = real_forward(model, ids, need_cache, **flags)
+        row = int(ids[0])
+        logits_refs[row] = weakref.ref(logits)
+        for i, layer in enumerate(cache["layers"]):
+            layer_refs[row, i] = [weakref.ref(layer[name])
+                                  for name in ("probs", "zg")]
+        return logits, cache
+
+    def checking_backward(model, cache):
+        row = int(cache["ids"][0])
+        if logits_refs[row]() is not None:
+            alive_at.append(("logits at the backward's start", row))
+        return real_backward(model, cache)
+
+    def checking_layer_backward(model, i, lc, dx, grads, cache):
+        dx = real_layer_backward(model, i, lc, dx, grads, cache)
+        row = int(cache["ids"][0])
+        if any(ref() is not None for ref in layer_refs.get((row, i + 1), ())):
+            alive_at.append((f"layer {i + 1} after layer {i}'s backward", row))
+        return dx
+
+    monkeypatch.setattr(model_module, "_forward", recording_forward)
+    monkeypatch.setattr(model_module, "_backward", checking_backward)
+    monkeypatch.setattr(model_module, "_layer_backward",
+                        checking_layer_backward)
+    model = tiny_model(layers=3, dim=32, heads=4, vocab=50, ctx=40)
+    forward_backward(model, *_numbered_training_batch(model, 4))
+    assert sorted(logits_refs) == list(range(4))
+    assert alive_at == []
+    refs = [*logits_refs.values(),
+            *(ref for refs in layer_refs.values() for ref in refs)]
+    assert len(refs) == 4 + 4 * 3 * 2
+    assert _eventually(lambda: all(ref() is None for ref in refs))
 
 
 def test_concurrent_slot_forwards_equal_serial_calls(blas_threads):
@@ -969,13 +1023,20 @@ def test_truncated_checkpoint_is_a_clean_error(tmp_path):
 
 
 def _corrupt_first_tensor(data: bytes, what: str) -> bytes:
-    """The checkpoint bytes with the first tensor record's dtype code or
-    name damaged: records are u16 name length, name, u8 dtype code, ..."""
+    """The checkpoint bytes with the first tensor record's dtype code, name,
+    rank or first dim damaged: records are u16 name length, name, u8 dtype
+    code, u8 rank, u64 dims, ..."""
     start = data.index(b"\n", len(CHECKPOINT_MAGIC)) + 1
     (nlen,) = struct.unpack_from("<H", data, start)
     name_at = start + 2
     if what == "dtype":
         return data[:name_at + nlen] + b"\x07" + data[name_at + nlen + 1:]
+    if what == "rank":
+        at = name_at + nlen + 1
+        return data[:at] + bytes([130]) + data[at + 1:]
+    if what == "dims":  # the first dim, past the dtype code and rank
+        at = name_at + nlen + 2
+        return data[:at] + struct.pack("<Q", 2 ** 62) + data[at + 8:]
     name = b"\xff" * nlen if what == "name" else b"adam.m." + b"x" * (nlen - 7)
     return data[:name_at] + name + data[name_at + nlen:]
 
@@ -984,12 +1045,102 @@ def _corrupt_first_tensor(data: bytes, what: str) -> bytes:
     ("dtype", "dtype code 7 of 'layers.0.ln1'"),
     ("name", r"tensor at byte \d+ is not UTF-8"),
     ("adam", "'adam.m.xxxxx' before the optimizer block"),
-], ids=["dtype", "name", "adam"])
+    ("rank", r"rank 130 of 'layers.0.ln1' at byte \d+"),
+    ("dims", r"'layers.0.ln1' at byte \d+: dims \[4611686018427387904\] need"),
+], ids=["dtype", "name", "adam", "rank", "dims"])
 def test_corrupt_checkpoint_is_a_clean_error(tmp_path, what, match):
     model = tiny_model()
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, AdamState.for_model(model))
     path.write_bytes(_corrupt_first_tensor(path.read_bytes(), what))
+    with pytest.raises(ModelError, match=match):
+        load_checkpoint(path)
+
+
+def _checkpoint_records(data: bytes) -> list[tuple[int, int, int]]:
+    """(start, header end, end) of each record after the meta line. The
+    optimizer separator's header is its zero name length; its step counts
+    as data."""
+    records, pos = [], data.index(b"\n", len(CHECKPOINT_MAGIC)) + 1
+    while pos < len(data):
+        (nlen,) = struct.unpack_from("<H", data, pos)
+        if nlen == 0:
+            records.append((pos, pos + 2, pos + 10))
+        else:
+            code, rank = data[pos + 2 + nlen], data[pos + 3 + nlen]
+            dims = struct.unpack_from(f"<{rank}Q", data, pos + 4 + nlen)
+            head_end = pos + 4 + nlen + 8 * rank
+            records.append((pos, head_end,
+                            head_end + math.prod(dims) * (4, 8)[code]))
+        pos = records[-1][2]
+    return records
+
+
+def test_corrupt_checkpoint_headers_and_cuts_are_refused(tmp_path):
+    model = tiny_model(layers=1)
+    opt = AdamState.for_model(model)
+    backward_and_step(model, opt, _toy_batch(model),
+                      TrainConfig(warmup_steps=1, macro_steps=1))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, opt)
+    data = path.read_bytes()
+    records = _checkpoint_records(data)
+    assert records[-1][2] == len(data)
+    separator = next(start for start, head_end, end in records
+                     if end - head_end == 8)
+    header_bytes = list(range(len(CHECKPOINT_MAGIC), records[0][0]))
+    for start, head_end, _ in records:
+        header_bytes += range(start, head_end)
+    rng = np.random.default_rng(21)
+    flips = zip(rng.choice(header_bytes, 600), rng.integers(0, 8, 600))
+    mutants = [data[:i] + bytes([data[i] ^ 1 << bit]) + data[i + 1:]
+               for i, bit in flips]
+    mutants += [data[:start] for start, _, _ in records if start != separator]
+    refused = 0
+    for blob in mutants:
+        path.write_bytes(blob)
+        try:
+            loaded, loaded_opt, _ = load_checkpoint(path)
+        except ModelError:
+            refused += 1
+            continue
+        for got, want in ((loaded.params, model.params),
+                          (loaded_opt.m, opt.m), (loaded_opt.v, opt.v)):
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].dtype == want[name].dtype
+                assert np.array_equal(got[name], want[name])
+        assert loaded_opt.step == opt.step
+    assert refused > len(mutants) // 2
+    # cut at the optimizer block, the file is a checkpoint saved without one
+    path.write_bytes(data[:separator])
+    assert load_checkpoint(path)[1] is None
+
+
+def test_checkpoint_with_a_partial_optimizer_block_is_refused(tmp_path):
+    model = tiny_model(layers=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, AdamState.for_model(model))
+    data = path.read_bytes()
+    last = _checkpoint_records(data)[-1][0]
+    path.write_bytes(data[:last])
+    with pytest.raises(ModelError, match=r"adam\.v\.w_out: missing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("old, new, match", [
+    (b'{"adam"', b'{"adam\xff', r"metadata line at byte 8 is not JSON"),
+    (b'"config"', b'"conFig"', "at byte 8 is not an object with a model"),
+    (b'"rope_base"', b'"rope_bas%"', "unexpected keyword argument 'rope_bas%'"),
+    (b'"heads": 2', b'"heads": 0', "heads must be positive"),
+], ids=["utf8", "no-config", "config-key", "heads"])
+def test_corrupt_checkpoint_meta_line_is_refused(tmp_path, old, new, match):
+    model = tiny_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    data = path.read_bytes()
+    assert data.count(old) == 1
+    path.write_bytes(data.replace(old, new))
     with pytest.raises(ModelError, match=match):
         load_checkpoint(path)
 
