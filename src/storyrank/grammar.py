@@ -99,7 +99,7 @@ def serialize_parts(story: UserStory) -> tuple[str, tuple[str, ...]]:
 def serialize(story: UserStory, *, validate: bool = True) -> str:
     """Render a story as one line of grammar text (deterministic, byte-exact)."""
     if validate:
-        violations = validate_story(story, itemless_ok=True)
+        violations = validate_story(story)
         if violations:
             raise ValidationError(
                 "cannot serialize invalid story: "

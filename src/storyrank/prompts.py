@@ -32,9 +32,8 @@ from enum import Enum
 import numpy as np
 
 from . import grammar
-from .stories import SESSION_GAP_SECONDS, SESSION_SPAN_SECONDS, Session, \
-    Surface, UserStory, _check_carousel_id, _check_query, _elapsed_hours, \
-    day_of_week, hour_of_day, validate_story
+from .stories import Surface, UserStory, _check_carousel_id, _check_query, \
+    _session_at, continues_session, hour_of_day, validate_story
 from .vocab import Vocabulary, tokenize
 
 
@@ -79,24 +78,17 @@ class RankedList:
 def open_session(story: UserStory, now: int) -> UserStory:
     """The story with the session of a position at time `now` open at its
     end: unchanged when the viewer is still active in the last session
-    (within one hour of the last activity and under the 12h span) or the
-    story is sessionless, otherwise with a new empty session computed from
-    `now` appended."""
+    (`stories.continues_session`) or the story is sessionless, otherwise
+    with a new empty session computed from `now` appended."""
     events = list(story.events())
     if events and now < events[-1].timestamp:
         raise PromptError(f"now={now} is before the last story event "
                           f"({events[-1].timestamp})")
-    if story.sessionless:
+    last = story.sessions[-1] if story.sessions else None
+    if story.sessionless or last is not None and continues_session(
+            last.start_time, last.end_time, now):
         return story
-    elapsed = 0
-    if story.sessions:
-        last = story.sessions[-1]
-        if now - last.end_time <= SESSION_GAP_SECONDS \
-                and now - last.start_time <= SESSION_SPAN_SECONDS:
-            return story
-        elapsed = _elapsed_hours(now, last.end_time)
-    return replace(story, sessions=story.sessions
-                   + (Session(now, elapsed, day_of_week(now), ()),))
+    return replace(story, sessions=story.sessions + (_session_at(story.sessions, now),))
 
 
 def _checked_text(field: str, value, check) -> str:
@@ -185,11 +177,10 @@ def trim_story_to_context(story: UserStory, kind: TaskKind, context: dict,
 def make_prompt(story: UserStory, now: int, kind: TaskKind, context: dict,
                 vocabulary: Vocabulary, context_length: int) -> TaskPrompt:
     """Serve's prompt for a request story at time `now`. The story is held to
-    the stored-story rules first (item-less watches allowed), while it is
-    still whole: a trimmed story's first session no longer starts at
-    elapsed=0. The prompt is trimmed from the story with the session at
-    `now` open at its end."""
-    violations = validate_story(story, itemless_ok=True)
+    the stored-story rules first, while it is still whole: a trimmed story's
+    first session no longer starts at elapsed=0. The prompt is trimmed from
+    the story with the session at `now` open at its end."""
+    violations = validate_story(story)
     if violations:
         raise PromptError("invalid story: "
                           + "; ".join(str(v) for v in violations[:3]))

@@ -1,12 +1,14 @@
-"""Typed model of user journeys: events, sessions, stories, and the session rules.
+"""Typed model of user journeys: events, sessions, stories, and the session rule.
 
-A journey is a chronological stream of watch and search events. Events are
-grouped into sessions: a session closes after more than one hour of
-inactivity, and no session may span more than twelve hours from its first to
-its last event. "Inactivity" is measured from the end of the last activity,
-so a long watch keeps the session alive while it plays (this is the only
-reading under which a watch ending at 4:27 followed by a watch at 5:00 sits
-in one session).
+A journey is a chronological stream of watch and search events, grouped
+into sessions by one predicate, `continues_session`: an event continues a
+session when it comes at most one hour after the end of the session's
+activity and at most twelve hours after its first event. Activity ends where
+the last watch stops playing, so a long watch keeps the session alive while
+it plays (the only reading under which a watch ending at 4:27 followed by a
+watch at 5:00 sits in one session). `segment_sessions` cuts streams with it,
+`prompts.open_session` asks it whether the viewer is still active, and
+`validate_story` holds a story to the sessions `segment_sessions` makes.
 
 All types are immutable after construction. Construction is permissive;
 `validate_story` reports every rule violation as data so that malformed
@@ -119,9 +121,7 @@ class Session:
     @property
     def end_time(self) -> int:
         """End of activity: the latest event end (watches include duration)."""
-        if not self.events:
-            return self.start_time
-        return max(e.end_time for e in self.events)
+        return max((e.end_time for e in self.events), default=self.start_time)
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,8 @@ class UserStory:
     sessions: tuple[Session, ...]
     # Set by strip_sessions: the story serializes as a flat event stream with
     # no session clauses (ablation variant). The sessions keep their events;
-    # only their clauses are suppressed, and validate_story skips its gap and
-    # 12h-span rules.
+    # only their clauses are suppressed, and validate_story takes the
+    # grouping as given instead of holding it to the session rule.
     sessionless: bool = False
 
     def events(self) -> Iterator[Event]:
@@ -145,19 +145,35 @@ class UserStory:
             yield from s.events
 
 
-def _elapsed_hours(session_start: int, previous_end: int) -> int:
-    # Whole floored hours; clamped at zero because a 12h-cap split can start
-    # a new session while a long watch from the old one is still "playing".
-    return max(0, (session_start - previous_end) // SESSION_GAP_SECONDS)
+def continues_session(start: int, activity_end: int, t: int) -> bool:
+    """The session rule: an event at time `t` continues the session that
+    began at `start` when within one hour of its activity's end and 12 hours
+    of its start."""
+    return t - activity_end <= SESSION_GAP_SECONDS and t - start <= SESSION_SPAN_SECONDS
+
+
+def _session_at(previous, start: int, events=()) -> Session:
+    """The session starting at `start` after the sessions `previous`, its
+    elapsed hours floored and clamped at zero (a 12h-cap split can start a
+    session while a long watch from the last one still plays)."""
+    elapsed = max(0, (start - previous[-1].end_time) // 3600) if previous else 0
+    return Session(start, elapsed, day_of_week(start), tuple(events))
+
+
+def _sessions_of(groups) -> tuple[Session, ...]:
+    """Sessions over non-empty event groups, fields derived from the events."""
+    sessions: list[Session] = []
+    for group in groups:
+        sessions.append(_session_at(sessions, group[0].timestamp, group))
+    return tuple(sessions)
 
 
 def segment_sessions(events: list[Event] | tuple[Event, ...]) -> tuple[Session, ...]:
     """Group a time-ordered event stream into sessions.
 
-    A new session starts when the gap from the end of the previous activity
-    exceeds one hour, or when including the event would push the session's
-    first-to-last-timestamp span past twelve hours (the boundary event opens
-    the new session). Flattening the result reproduces the input exactly.
+    An event opens a new session unless it continues the current one
+    (`continues_session`), so the 12h cap makes the boundary event open the
+    new session. Flattening the result reproduces the input exactly.
     """
     if not events:
         raise ValidationError("segment_sessions: empty event list")
@@ -167,37 +183,16 @@ def segment_sessions(events: list[Event] | tuple[Event, ...]) -> tuple[Session, 
                 f"segment_sessions: events[{i}] is out of order "
                 f"({events[i].timestamp} < {events[i - 1].timestamp})")
 
-    sessions: list[Session] = []
-    current: list[Event] = []
-    current_start = events[0].timestamp
-    activity_end = events[0].timestamp
-    previous_session_end: int | None = None
-
-    def close() -> None:
-        nonlocal previous_session_end
-        elapsed = (0 if previous_session_end is None
-                   else _elapsed_hours(current_start, previous_session_end))
-        sessions.append(Session(
-            start_time=current_start,
-            elapsed_hours=elapsed,
-            day_of_week=day_of_week(current_start),
-            events=tuple(current),
-        ))
-        previous_session_end = max(e.end_time for e in current)
-
+    groups: list[list[Event]] = []
+    start = activity_end = 0
     for event in events:
-        if current:
-            gap = event.timestamp - activity_end
-            span = event.timestamp - current_start
-            if gap > SESSION_GAP_SECONDS or span > SESSION_SPAN_SECONDS:
-                close()
-                current = []
-                current_start = event.timestamp
-                activity_end = event.timestamp
-        current.append(event)
-        activity_end = max(activity_end, event.end_time)
-    close()
-    return tuple(sessions)
+        if groups and continues_session(start, activity_end, event.timestamp):
+            groups[-1].append(event)
+            activity_end = max(activity_end, event.end_time)
+        else:
+            groups.append([event])
+            start, activity_end = event.timestamp, event.end_time
+    return _sessions_of(groups)
 
 
 # --- grammar-safety text rules -------------------------------------------
@@ -266,13 +261,12 @@ def _check_attribute_value(value: str) -> str | None:
     return None
 
 
-def validate_story(story: UserStory, *, itemless_ok: bool = False) -> list[Violation]:
-    """Return every violated invariant, with a path to the offending field.
-
-    An empty list means the story is well-formed. `itemless_ok` relaxes the
-    item/duration requirement on watch events for carousel-view stories,
-    where item information has been stripped.
-    """
+def validate_story(story: UserStory) -> list[Violation]:
+    """Return every violated invariant, with a path to the offending field;
+    an empty list means the story is well-formed. Events are in time order,
+    the sessions are the ones `segment_sessions` makes of them (for a
+    sessionless story: its own grouping, fields derived), and only the last
+    session may be empty, as `prompts.open_session` would append it."""
     out: list[Violation] = []
     add = lambda path, msg: out.append(Violation(path, msg))
 
@@ -290,36 +284,13 @@ def validate_story(story: UserStory, *, itemless_ok: bool = False) -> list[Viola
         if (msg := _check_attribute_value(v)) is not None:
             add(path, msg)
 
-    previous_end: int | None = None
-    previous_first_ts: int | None = None
+    comparable = True
+    previous_ts: int | None = None
     for si, sess in enumerate(story.sessions):
         spath = f"sessions[{si}]"
-        if not 0 <= sess.day_of_week <= 6:
-            add(spath, f"day_of_week {sess.day_of_week} outside 0..6")
-        elif sess.day_of_week != day_of_week(sess.start_time):
-            add(spath, f"day_of_week {sess.day_of_week} does not match start_time "
-                       f"(expected {day_of_week(sess.start_time)})")
-        if sess.events and sess.start_time != sess.events[0].timestamp:
-            add(spath, "start_time does not equal the first event's timestamp")
-
-        if si == 0:
-            if sess.elapsed_hours != 0:
-                add(spath, "first session must have elapsed_hours == 0")
-        else:
-            expected = _elapsed_hours(sess.start_time, previous_end)
-            if sess.elapsed_hours != expected:
-                add(spath, f"elapsed_hours {sess.elapsed_hours} != floor(gap) {expected}")
-            gap = sess.start_time - previous_end
-            if gap <= SESSION_GAP_SECONDS and not story.sessionless:
-                # Only legitimate when the previous session was closed by the
-                # 12h cap: merging would overflow the span.
-                first_ts = sess.events[0].timestamp if sess.events else sess.start_time
-                if previous_first_ts is None or \
-                        first_ts - previous_first_ts <= SESSION_SPAN_SECONDS:
-                    add(spath, f"gap to previous session is {gap}s (<= 1h) "
-                               "and is not justified by the 12h cap")
-
-        activity_end: int | None = None
+        if not sess.events and si < len(story.sessions) - 1:
+            add(spath, "only the last session may be empty")
+            comparable = False
         for ei, event in enumerate(sess.events):
             epath = f"{spath}.events[{ei}]"
             if not 0 <= event.hour <= 23:
@@ -327,22 +298,14 @@ def validate_story(story: UserStory, *, itemless_ok: bool = False) -> list[Viola
             elif event.hour != hour_of_day(event.timestamp):
                 add(epath, f"hour {event.hour} does not match timestamp "
                            f"(expected {hour_of_day(event.timestamp)})")
-            if ei > 0 and event.timestamp < sess.events[ei - 1].timestamp:
-                add(epath, "timestamps decrease within the session")
-            if activity_end is not None and not story.sessionless:
-                if event.timestamp - activity_end > SESSION_GAP_SECONDS:
-                    add(epath, f"gap of {event.timestamp - activity_end}s to previous "
-                               "activity exceeds 1 hour")
-            if event.timestamp - sess.start_time > SESSION_SPAN_SECONDS \
-                    and not story.sessionless:
-                add(epath, "event pushes session span past 12 hours")
-            activity_end = event.end_time if activity_end is None \
-                else max(activity_end, event.end_time)
+            if previous_ts is not None and event.timestamp < previous_ts:
+                add(epath, f"timestamp out of order ({event.timestamp} < {previous_ts})")
+                comparable = False
+            previous_ts = event.timestamp
 
             if isinstance(event, WatchEvent):
                 if event.item is None or event.duration_minutes is None:
-                    if not itemless_ok:
-                        add(epath, "watch event is missing item or duration")
+                    add(epath, "watch event is missing item or duration")
                 else:
                     if (msg := _check_item_id(event.item.item_id)) is not None:
                         add(f"{epath}.item", msg)
@@ -360,13 +323,40 @@ def validate_story(story: UserStory, *, itemless_ok: bool = False) -> list[Viola
             else:
                 add(epath, f"unknown event type {type(event).__name__}")
 
-        if sess.events:
-            previous_first_ts = sess.events[0].timestamp
-        previous_end = sess.end_time
-        if si > 0 and story.sessions[si - 1].start_time > sess.start_time:
-            add(spath, "sessions are not ordered by start_time")
+    return out + _session_violations(story) if comparable else out
 
-    return out
+
+def _session_violations(story: UserStory) -> list[Violation]:
+    """The first session that differs from the one its events make."""
+    groups = [s.events for s in story.sessions if s.events]
+    want = _sessions_of(groups) if story.sessionless or not groups \
+        else segment_sessions([e for g in groups for e in g])
+    for si, (got, expected) in enumerate(zip(story.sessions, want)):
+        if got != expected:
+            return [_difference(f"sessions[{si}]", got, expected)]
+    if len(story.sessions) == len(want):
+        return []
+    last, path = story.sessions[-1], f"sessions[{len(want)}]"
+    if want and (last.start_time < want[-1].events[-1].timestamp
+                 or not story.sessionless and continues_session(
+                     want[-1].start_time, want[-1].end_time, last.start_time)):
+        return [Violation(path, "empty last session does not open a new session")]
+    expected = _session_at(want, last.start_time)
+    return [] if last == expected else [_difference(path, last, expected)]
+
+
+def _difference(path: str, got: Session, want: Session) -> Violation:
+    """The first field in which a session differs from the one expected."""
+    for name in ("start_time", "elapsed_hours", "day_of_week"):
+        if getattr(got, name) != getattr(want, name):
+            return Violation(path, f"{name} {getattr(got, name)} != "
+                                   f"{getattr(want, name)} from the events")
+    n = len(want.events)
+    if len(got.events) > n:
+        return Violation(f"{path}.events[{n}]", "opens a new session: over 1 hour "
+                         "after the last activity or 12 hours after the start")
+    return Violation(path, "ends early: the next event is within 1 hour of its last "
+                           "activity and 12 hours of its start")
 
 
 # --- interchange format ----------------------------------------------------
@@ -435,6 +425,10 @@ def story_to_dict(story: UserStory) -> dict:
 
 
 def story_from_dict(d: dict) -> UserStory:
+    sessionless = d.get("sessionless", False)
+    if type(sessionless) is not bool:
+        raise ValidationError(
+            f"sessionless: expected true or false, got {sessionless!r}")
     return UserStory(
         user_id=d["user_id"],
         attributes=AttributeHeader(tuple((k, v) for k, v in d.get("attributes", []))),
@@ -447,7 +441,7 @@ def story_from_dict(d: dict) -> UserStory:
             )
             for s in d.get("sessions", [])
         ),
-        sessionless=bool(d.get("sessionless", False)),
+        sessionless=sessionless,
     )
 
 

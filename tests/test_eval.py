@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from storyrank.datagen import WorldConfig, generate_world
 from storyrank.evaluate import (
     BM25Index,
     Bm25Scorer,
@@ -11,6 +12,7 @@ from storyrank.evaluate import (
     EvalError,
     ModelScorer,
     StaticScorer,
+    _prefix_story,
     check_split_hygiene,
     eligible_positions,
     evaluate,
@@ -21,10 +23,11 @@ from storyrank.evaluate import (
     split_users,
     write_metrics,
 )
+from storyrank.grammar import strip_sessions
 from storyrank.model import ModelConfig, init_model
 from storyrank.prompts import TaskKind, rank_candidates
 from storyrank.stories import AttributeHeader, ItemRef, UserStory, search, \
-    segment_sessions, watch, Surface, EMPTY_CAROUSEL
+    segment_sessions, validate_story, watch, Surface, EMPTY_CAROUSEL
 
 from conftest import SUNDAY, make_sample_story
 from oracles import detokenize, read_metrics
@@ -308,3 +311,21 @@ def test_max_positions_per_user_caps_from_the_end(sample_vocab):
     rows = evaluate([StaticScorer("s", {})], [story], [TaskKind.ITEM_MASKED],
                     cfg, sample_vocab)
     assert rows[0]["n_positions"] == 1
+
+
+def test_every_prefix_story_of_a_world_validates():
+    # a prefix ends in its position's session, left empty at the session's
+    # first event; that empty session is the one serve would open there
+    _, stories, _ = generate_world(WorldConfig(n_users=40, n_items=60,
+                                               n_carousels=16, n_genres=5,
+                                               rng_seed=5))
+    n = 0
+    for story in stories:
+        for si, sess in enumerate(story.sessions):
+            for ei in range(len(sess.events)):
+                prefix = _prefix_story(story, si, ei)
+                assert validate_story(prefix) == [], (story.user_id, si, ei)
+                assert validate_story(strip_sessions(prefix)) == [], \
+                    (story.user_id, si, ei)
+                n += 1
+    assert n > 1000

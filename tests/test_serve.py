@@ -387,6 +387,42 @@ def test_request_fields_held_to_story_rules(served_model, sample_vocab, task,
                                                   sample_vocab)
 
 
+def _itemless_watch(request):
+    del request["story"]["sessions"][0]["events"][2]["item_id"]
+
+
+def _sessionless_no(request):
+    request["story"]["sessionless"] = "no"
+
+
+def _empty_middle_session(request):
+    sessions = request["story"]["sessions"]
+    sessions.insert(1, dict(sessions[1], events=[]))
+
+
+@pytest.mark.parametrize("spoil, expect", [
+    pytest.param(_itemless_watch,
+                 "sessions[0].events[2]: watch event is missing item or duration",
+                 id="itemless-watch"),
+    pytest.param(_sessionless_no, "sessionless: expected true or false",
+                 id="sessionless-no"),
+    pytest.param(_empty_middle_session,
+                 "sessions[1]: only the last session may be empty",
+                 id="empty-middle-session"),
+])
+def test_request_story_meets_the_stored_story_rules(served_model, sample_vocab,
+                                                     spoil, expect):
+    bad = _request(1)
+    spoil(bad)
+    good = [_request(0), _request(2, task="carousel")]
+    replies = _serve([json.dumps(good[0]), json.dumps(bad), json.dumps(good[1])],
+                     served_model, sample_vocab, batch_window_ms=200.0)
+    assert replies[1]["id"] == 1 and "candidates" not in replies[1]
+    assert expect in replies[1]["error"]
+    assert [_without_latency(replies[i]) for i in (0, 2)] == \
+        [_alone(request, served_model, sample_vocab) for request in good]
+
+
 _FUZZ_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 30),
     st.floats(allow_nan=False, width=32), st.text(max_size=8),

@@ -25,6 +25,8 @@ from storyrank.stories import (
     watch,
 )
 
+from storyrank.prompts import open_session
+
 from conftest import SUNDAY, LANTERN, make_sample_story
 
 T0 = SUNDAY + 9 * 3600  # Sunday 09:00
@@ -243,3 +245,128 @@ def test_elapsed_hours_in_interchange_match_sample():
     d = story_to_dict(make_sample_story())
     assert [s["elapsed_hours"] for s in d["sessions"]] == [0, 16]
     assert [s["day_of_week"] for s in d["sessions"]] == [6, 6]
+
+
+def _derived_sessions(groups):
+    """Sessions over event groups with start, elapsed hours and day computed
+    here from the events, apart from the library's own derivation."""
+    sessions, previous_end = [], None
+    for group in groups:
+        start = group[0].timestamp
+        elapsed = 0 if previous_end is None else max(0, (start - previous_end) // 3600)
+        sessions.append(Session(start, elapsed, day_of_week(start), tuple(group)))
+        previous_end = max(e.end_time for e in group)
+    return tuple(sessions)
+
+
+@st.composite
+def cut_stream(draw):
+    """An event stream cut into groups: at the segmenter's boundaries, or at
+    random points near them."""
+    events = draw(st.one_of(event_stream, cap_split_stream))
+    if draw(st.booleans()):
+        return events, [list(s.events) for s in segment_sessions(events)]
+    cuts = [draw(st.booleans()) for _ in events[1:]]
+    groups = [[events[0]]]
+    for event, cut in zip(events[1:], cuts):
+        if cut:
+            groups.append([])
+        groups[-1].append(event)
+    return events, groups
+
+
+@given(cut_stream())
+@settings(max_examples=300, deadline=None)
+def test_a_cut_stream_validates_exactly_when_it_is_the_segmentation(cut):
+    events, groups = cut
+    story = UserStory("u", AttributeHeader(), _derived_sessions(groups))
+    assert (validate_story(story) == []) == \
+        (story.sessions == segment_sessions(events))
+
+
+@given(cut_stream())
+@settings(max_examples=200, deadline=None)
+def test_any_grouping_validates_when_sessionless(cut):
+    _, groups = cut
+    story = UserStory("u", AttributeHeader(), _derived_sessions(groups),
+                      sessionless=True)
+    assert validate_story(story) == []
+
+
+@pytest.mark.parametrize("sessionless", [False, True])
+def test_story_with_decreasing_timestamps_is_refused(sessionless):
+    # each session is in order and the sessions start in order, but the
+    # stream goes back in time across the boundary; the story is refused
+    # with that violation alone, not segmented
+    groups = [[search(T0, "fog"), search(T0 + 600, "fog")],
+              [search(T0 + 300, "fog")]]
+    story = UserStory("u", AttributeHeader(), _derived_sessions(groups),
+                      sessionless=sessionless)
+    violations = validate_story(story)
+    assert [v.path for v in violations] == ["sessions[1].events[0]"]
+    assert "out of order" in violations[0].message
+
+
+@pytest.mark.parametrize("sessionless", [False, True])
+def test_an_empty_session_before_the_last_is_refused(sessionless):
+    story = make_sample_story()
+    first, second = story.sessions
+    empty = Session(second.start_time, second.elapsed_hours,
+                    second.day_of_week, ())
+    story = dataclasses.replace(story, sessions=(first, empty, second),
+                                sessionless=sessionless)
+    violations = validate_story(story)
+    assert [str(v) for v in violations] == \
+        ["sessions[1]: only the last session may be empty"]
+
+
+def test_trailing_empty_session_is_the_one_open_session_appends():
+    story = make_sample_story()
+    later = story.sessions[-1].end_time + 2 * 3600 + 5
+    opened = open_session(story, later)
+    assert opened.sessions[-1] == Session(later, 2, day_of_week(later), ())
+    assert validate_story(opened) == []
+    wrong = dataclasses.replace(opened, sessions=story.sessions + (
+        Session(later, 1, day_of_week(later), ()),))
+    assert [str(v) for v in validate_story(wrong)] == \
+        ["sessions[2]: elapsed_hours 1 != 2 from the events"]
+
+
+@pytest.mark.parametrize("sessionless", [False, True])
+def test_trailing_empty_session_while_the_viewer_is_active_is_refused(sessionless):
+    # 30 minutes after the last activity the viewer is still in the last
+    # session, so no new one opens; a sessionless story takes its grouping
+    # as given and may end in such a session
+    story = make_sample_story()
+    now = story.sessions[-1].end_time + 1800
+    story = dataclasses.replace(story, sessionless=sessionless,
+                                sessions=story.sessions + (
+                                    Session(now, 0, day_of_week(now), ()),))
+    violations = validate_story(story)
+    if sessionless:
+        assert violations == []
+    else:
+        assert [str(v) for v in violations] == \
+            ["sessions[2]: empty last session does not open a new session"]
+
+
+def test_sessionless_trailing_empty_session_before_the_last_event_is_refused():
+    # after the last session's start but before its last event
+    first = make_sample_story().sessions[0]
+    now = first.events[1].timestamp
+    story = UserStory("u", AttributeHeader(), (
+        first, Session(now, 0, day_of_week(now), ())), sessionless=True)
+    assert [str(v) for v in validate_story(story)] == \
+        ["sessions[1]: empty last session does not open a new session"]
+
+
+@pytest.mark.parametrize("value", [True, False, "no", "false", 0, 1, None, []])
+def test_sessionless_must_be_a_json_boolean(value):
+    d = story_to_dict(make_sample_story())
+    d["sessionless"] = value
+    if type(value) is bool:
+        assert story_from_dict(d).sessionless is value
+    else:
+        with pytest.raises(ValidationError,
+                           match=r"^sessionless: expected true or false"):
+            story_from_dict(d)
