@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .manifest import read_header
 from .vocab import CLASS_CAROUSEL, CLASS_ITEM, CLASS_SURFACE, \
     CatalogIndex, Vocabulary, tokenize
 
@@ -191,29 +192,11 @@ def read_examples(path, vocabulary: Vocabulary | None = None
     tokenized with it (same hash) and every token id must be below its size."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise CorpusError(f"{path}: not a storyrank corpus file")
-        line = fh.readline()
-        try:
-            meta = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-            raise CorpusError(f"{path}: the metadata line at byte "
-                              f"{len(_MAGIC)} is not JSON: {exc}") from None
-        if not isinstance(meta, dict):
-            raise CorpusError(f"{path}: the metadata line at byte "
-                              f"{len(_MAGIC)} is not a JSON object")
-        if vocabulary is not None \
-                and meta.get("vocab_hash") != vocabulary.vocab_hash():
-            raise CorpusError(
-                f"{path}: corpus was tokenized with vocabulary "
-                f"{meta.get('vocab_hash') or '(none)'}, "
-                f"expected {vocabulary.vocab_hash()}")
+        expect = None if vocabulary is None else vocabulary.vocab_hash()
+        meta = read_header(fh, path, _MAGIC, "corpus file", CorpusError, expect)
         examples = []
-        pos = len(_MAGIC) + len(line)  # the next record's byte offset
-        while True:
-            head = fh.read(5)
-            if not head:
-                break
+        pos = fh.tell()  # the next record's byte offset
+        while head := fh.read(5):
             if len(head) < 5:
                 raise CorpusError(f"{path}: truncated record header at byte "
                                   f"{pos}")

@@ -36,6 +36,8 @@ BEGIN_SESSIONS = "<|begin_sessions|>"
 SESSION_MARKER = "<|session|>"
 WATCH_MARKER = "<|watch|>"
 SEARCH_MARKER = "<|search|>"
+MARKERS = (BEGIN_SESSIONS, SESSION_MARKER, WATCH_MARKER, SEARCH_MARKER)
+MASK_CAROUSEL = "MASK"  # a masked watch's carousel (corpus, item_masked)
 
 VIEWS = ("item", "carousel", "search")
 ATTRIBUTE_SUBSETS = ("all", "profile", "location")
@@ -47,16 +49,28 @@ LOCATION_KEYS = frozenset({"country", "region", "city", "dma", "timezone", "loca
 
 # --- serialization ----------------------------------------------------------
 
+def surface_token(surface: Surface) -> str:
+    return f"<|surface={surface.value}|>"
+
+
+def carousel_token(carousel_id: str) -> str:
+    return f"<|carousel({carousel_id})|>"
+
+
+def item_token(item: ItemRef) -> str:
+    return f"<|id({item.item_id}|{item.title})|>"
+
+
 def watch_clause(hour: int, surface: Surface, carousel_id: str | None = None,
                  item: ItemRef | None = None,
                  duration_minutes: int | None = None) -> str:
     """A watch clause; with no carousel it stops after the surface token
     (a carousel task head, GRAMMAR.md "Prompt mode")."""
-    clause = f"{WATCH_MARKER} hour={hour} <|surface={surface.value}|>"
+    clause = f"{WATCH_MARKER} hour={hour} {surface_token(surface)}"
     if carousel_id is not None:
-        clause += f"<|carousel({carousel_id})|>"
+        clause += carousel_token(carousel_id)
     if item is not None:
-        clause += f"<|id({item.item_id}|{item.title})|>"
+        clause += item_token(item)
     if duration_minutes is not None:
         clause += f" {duration_minutes}m"
     return clause

@@ -22,6 +22,27 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
+def read_header(fh, path, magic: bytes, noun: str, error: type[Exception],
+                expect_vocab_hash: str | None = None) -> dict:
+    """The JSON meta line of a binary artifact (`noun`) opening with `magic`,
+    read from the start of `fh`, which is left at the first record. Given a
+    vocabulary hash, the file must record it. Faults raise `error`."""
+    if fh.read(len(magic)) != magic:
+        raise error(f"{path}: not a storyrank {noun}")
+    at = f"{path}: the metadata line at byte {len(magic)}"
+    try:
+        meta = json.loads(fh.readline().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise error(f"{at} is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise error(f"{at} is not a JSON object")
+    if expect_vocab_hash and meta.get("vocab_hash") != expect_vocab_hash:
+        raise error(f"{path}: {noun} was made with vocabulary "
+                    f"{meta.get('vocab_hash') or '(none)'}, "
+                    f"expected {expect_vocab_hash}")
+    return meta
+
+
 def stable_hash(payload: dict) -> str:
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]

@@ -61,9 +61,11 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .manifest import read_header
 
 CHECKPOINT_MAGIC = b"SRCKPT1\n"
 
@@ -769,73 +771,61 @@ def backward_and_step(model: Model, opt: AdamState, batch,
 #
 # magic, JSON meta line (config, step, optimizer hyperparameters, vocabulary
 # hash), then per-tensor records: u16 name length, name, u8 dtype code, u8
-# rank, u64-LE dims, raw little-endian data. Parameter tensors first, then
-# optional adam.m.* / adam.v.* moment tensors.
+# rank, u64-LE dims, raw little-endian data. The parameters come first, in
+# name order; an optional optimizer block follows: a zero name length, the
+# u64 step, then every adam.m.* and every adam.v.* record. The meta line's
+# config and step fix every header byte after it, so the reader compares
+# each header with the one save_checkpoint would write there.
 
-_DTYPE_CODES = {"float32": 0, "float64": 1}
-_CONFIG_KEYS = ("vocab_size", "context_length", "layers", "heads", "model_dim",
-                "mlp_hidden_dim", "rope_base", "rms_eps", "dtype",
-                "tie_embeddings")
-_DTYPE_NAMES = {0: "<f4", 1: "<f8"}
+_DTYPES = {"float32": (0, "<f4"), "float64": (1, "<f8")}  # code, layout
+
+
+def _record_header(name: str, dtype: str, shape: tuple[int, ...]) -> bytes:
+    nb = name.encode("utf-8")
+    return struct.pack(f"<H{len(nb)}sBB{len(shape)}Q", len(nb), nb,
+                       _DTYPES[dtype][0], len(shape), *shape)
 
 
 def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
-    nb = name.encode("utf-8")
-    code = _DTYPE_CODES["float64" if arr.dtype == np.float64 else "float32"]
-    fh.write(struct.pack("<H", len(nb)))
-    fh.write(nb)
-    fh.write(struct.pack("<BB", code, arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<Q", dim))
-    fh.write(arr.astype(_DTYPE_NAMES[code], copy=False).tobytes(order="C"))
+    dtype = "float64" if arr.dtype == np.float64 else "float32"
+    fh.write(_record_header(name, dtype, arr.shape))
+    fh.write(arr.astype(_DTYPES[dtype][1], copy=False).tobytes(order="C"))
 
 
-def _read_tensor(fh, size: int):
-    """The next record's (name, array) from a file of `size` bytes. A
-    header whose data would run past the end of the file is an error before
-    any data is read."""
-    start = fh.tell()
-    head = fh.read(2)
-    if len(head) < 2:
-        raise ModelError(f"truncated checkpoint: tensor name length at byte "
-                         f"{start}")
-    (nlen,) = struct.unpack("<H", head)
-    try:
-        name = fh.read(nlen).decode("utf-8")
-    except UnicodeDecodeError:
-        raise ModelError("corrupt checkpoint: the name of the tensor at "
-                         f"byte {start} is not UTF-8") from None
-    meta = fh.read(2)
-    if len(meta) < 2:
-        raise ModelError(f"truncated checkpoint: header of {name!r} at byte "
-                         f"{start}")
-    code, rank = struct.unpack("<BB", meta)
-    if rank > 2:
-        raise ModelError(f"corrupt checkpoint: rank {rank} of {name!r} at "
-                         f"byte {start}, not a vector or a matrix")
-    raw = fh.read(8 * rank)
-    if len(raw) < 8 * rank:
-        raise ModelError(f"truncated checkpoint: dims of {name!r} at byte "
-                         f"{start}")
-    dims = struct.unpack(f"<{rank}Q", raw)
-    if code not in _DTYPE_NAMES:
-        raise ModelError(f"corrupt checkpoint: dtype code {code} of {name!r} "
-                         f"at byte {start}")
-    dtype = np.dtype(_DTYPE_NAMES[code])
-    need, left = math.prod(dims) * dtype.itemsize, size - fh.tell()
-    if need > left:
-        raise ModelError(f"truncated checkpoint: data of {name!r} at byte "
-                         f"{start}: dims {list(dims)} need {need} bytes, "
-                         f"{left} left")
-    payload = fh.read(need)
-    return name, np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+def _read_tensor(fh, path, size: int, name: str, cfg: ModelConfig
+                 ) -> np.ndarray:
+    """The record `name` at the file position, in cfg's dtype and shape for
+    it; a header other than that, or data past the end of the file, is an
+    error before any data is read."""
+    pos, shape = fh.tell(), parameter_shape(name, cfg)
+    header = _record_header(name, cfg.dtype, shape)
+    got = fh.read(len(header))
+    if not got:
+        raise ModelError(f"{path}: truncated checkpoint at byte {pos}: "
+                         f"{name}: missing")
+    if got != header:
+        found = got[2:2 + int.from_bytes(got[:2], "little")]
+        raise ModelError(f"{path}: corrupt checkpoint at byte {pos}: expected "
+                         f"the record {name!r} ({cfg.dtype}, dims "
+                         f"{list(shape)}), found "
+                         f"{found.decode('utf-8', 'backslashreplace')!r}")
+    need = math.prod(shape) * np.dtype(cfg.dtype).itemsize
+    if need > size - fh.tell():
+        raise ModelError(f"{path}: truncated checkpoint: data of {name!r} at "
+                         f"byte {pos}: dims {list(shape)} need {need} bytes, "
+                         f"{size - fh.tell()} left")
+    arr = np.empty(shape, _DTYPES[cfg.dtype][1])
+    fh.readinto(arr)
+    return arr
 
 
 def save_checkpoint(path, model: Model, opt: AdamState | None = None,
                     *, vocab_hash: str = "", manifest_hash: str = "") -> None:
-    cfg = model.config
+    if opt is not None and opt.step != model.step:
+        raise ModelError(f"optimizer step {opt.step} is not the model's step "
+                         f"{model.step}, which the file's meta line records")
     meta = {
-        "config": {k: getattr(cfg, k) for k in _CONFIG_KEYS},
+        "config": asdict(model.config),
         "step": model.step,
         "adam": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS},
         "vocab_hash": vocab_hash,
@@ -847,97 +837,57 @@ def save_checkpoint(path, model: Model, opt: AdamState | None = None,
         for name in sorted(model.params):
             _write_tensor(fh, name, model.params[name])
         if opt is not None:
-            fh.write(struct.pack("<H", 0))  # separator record
-            fh.write(struct.pack("<Q", opt.step))
+            fh.write(struct.pack("<HQ", 0, opt.step))  # separator record
             for name in sorted(opt.m):
                 _write_tensor(fh, "adam.m." + name, opt.m[name])
             for name in sorted(opt.v):
                 _write_tensor(fh, "adam.v." + name, opt.v[name])
 
 
-def _read_meta(fh, path) -> tuple[dict, ModelConfig]:
-    """The JSON meta line, read just past the magic, and its model config."""
+def _meta_config(meta: dict, path) -> tuple[ModelConfig, list[str]]:
+    """The meta line's model config and its parameter names in file order.
+    The step and every dim the config implies must be u64 values."""
     at = f"{path}: the metadata line at byte {len(CHECKPOINT_MAGIC)}"
-    try:
-        meta = json.loads(fh.readline().decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-        raise ModelError(f"{at} is not JSON: {exc}") from None
-    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+    if not isinstance(meta.get("config"), dict):
         raise ModelError(f"{at} is not an object with a model config")
+    step = meta.get("step")
+    if type(step) is not int or not 0 <= step < 2 ** 64:
+        raise ModelError(f"{at} has step {step!r}, not an integer in [0, 2**64)")
     try:
-        return meta, ModelConfig(**meta["config"])
-    except TypeError as exc:  # a key ModelConfig lacks, or a value's type
+        cfg = ModelConfig(**meta["config"])
+        names = sorted(parameter_names(cfg))
+        for name in names:
+            _record_header(name, cfg.dtype, parameter_shape(name, cfg))
+    except (TypeError, ModelError, struct.error) as exc:  # a key, value, dim
         raise ModelError(f"{at} has a bad model config: {exc}") from None
+    return cfg, names
 
 
 def load_checkpoint(path, *, expect_vocab_hash: str | None = None
                     ) -> tuple[Model, AdamState | None, dict]:
-    """The model, its optimizer state (None when the file has no optimizer
-    block) and the meta line. Every malformed file raises ModelError: a
-    record whose data would run past the end of the file before that data
-    is read, and an optimizer block without a moment pair of each
-    parameter's shape. The data bytes themselves are not checked."""
+    """The model, its optimizer state (None when the file ends after the
+    parameters) and the meta line. A file other than what save_checkpoint
+    writes for that meta line, outside the tensor data, raises ModelError
+    naming the byte offset."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise ModelError(f"{path}: not a storyrank checkpoint")
-        meta, cfg = _read_meta(fh, path)
-        if expect_vocab_hash and meta.get("vocab_hash") != expect_vocab_hash:
-            raise ModelError(
-                f"{path}: checkpoint was trained with vocabulary "
-                f"{meta.get('vocab_hash') or '(none)'}, "
-                f"expected {expect_vocab_hash}")
-        expected = {name: parameter_shape(name, cfg)
-                    for name in parameter_names(cfg)}
-        params: dict[str, np.ndarray] = {}
-        opt: AdamState | None = None
-        while True:
-            pos = fh.tell()
-            head = fh.read(2)
-            if not head:
-                break
-            if len(head) == 2 and struct.unpack("<H", head)[0] == 0:
-                if opt is not None:
-                    raise ModelError(f"{path}: a second optimizer block at "
-                                     f"byte {pos}")
-                raw = fh.read(8)
-                if len(raw) < 8:
-                    raise ModelError(f"{path}: truncated optimizer block at "
-                                     f"byte {pos}")
-                opt = AdamState(m={}, v={}, step=struct.unpack("<Q", raw)[0])
-                continue
-            fh.seek(pos)
-            try:
-                name, arr = _read_tensor(fh, size)
-            except ModelError as exc:
-                raise ModelError(f"{path}: {exc}") from None
-            table, key = params, name
-            if name.startswith("adam."):
-                if opt is None:
-                    raise ModelError(f"{path}: {name!r} before the optimizer "
-                                     f"block, at byte {pos}")
-                if name.startswith(("adam.m.", "adam.v.")):
-                    table = opt.m if name[5] == "m" else opt.v
-                    key = name[len("adam.m."):]
-            if key in table:
-                raise ModelError(f"{path}: a second {name!r} at byte {pos}")
-            table[key] = arr
-        mismatches = []
-        tables = [("", params)]
-        if opt is not None:
-            tables += [("adam.m.", opt.m), ("adam.v.", opt.v)]
-        for prefix, table in tables:
-            for name, shape in expected.items():
-                if name not in table:
-                    mismatches.append(f"{prefix}{name}: missing")
-                elif table[name].shape != shape:
-                    mismatches.append(f"{prefix}{name}: file has "
-                                      f"{table[name].shape}, config implies "
-                                      f"{shape}")
-            mismatches += [f"{prefix}{name}: unexpected tensor"
-                           for name in table if name not in expected]
-        if mismatches:
-            raise ModelError(f"{path}: checkpoint/config shape mismatch: "
-                             + "; ".join(mismatches))
-    model = Model(cfg, params, step=meta.get("step", 0))
-    return model, opt, meta
+        meta = read_header(fh, path, CHECKPOINT_MAGIC, "checkpoint",
+                           ModelError, expect_vocab_hash)
+        cfg, names = _meta_config(meta, path)
+        read = lambda name: _read_tensor(fh, path, size, name, cfg)
+        params = {name: read(name) for name in names}
+        opt, pos = None, fh.tell()
+        separator = struct.pack("<HQ", 0, meta["step"])
+        if got := fh.read(len(separator)):
+            if got != separator:
+                raise ModelError(f"{path}: corrupt checkpoint at byte {pos}: "
+                                 "expected the end of the file or the "
+                                 f"optimizer block of step {meta['step']}")
+            opt = AdamState(m={n: read("adam.m." + n) for n in names},
+                            v={n: read("adam.v." + n) for n in names},
+                            step=meta["step"])
+            if fh.tell() != size:
+                raise ModelError(f"{path}: corrupt checkpoint at byte "
+                                 f"{fh.tell()}: {size - fh.tell()} bytes after "
+                                 "the optimizer block")
+    return Model(cfg, params, step=meta["step"]), opt, meta

@@ -111,7 +111,7 @@ def head_text(kind: TaskKind, context: dict) -> str:
         raise PromptError(f"context hour must be an integer in 0..23, "
                           f"got {hour!r}")
     if kind == TaskKind.ITEM_MASKED:
-        return grammar.watch_clause(hour, Surface.HOME, "MASK")
+        return grammar.watch_clause(hour, Surface.HOME, grammar.MASK_CAROUSEL)
     if kind == TaskKind.ITEM_CONTEXTUAL:
         missing = [k for k in ("surface", "carousel") if k not in context]
         if missing:

@@ -389,7 +389,9 @@ def event_from_dict(d: dict) -> Event:
     if kind == "watch":
         item = None
         if "item_id" in d:
-            item = ItemRef(d["item_id"], d.get("title", ""))
+            if "title" not in d:  # it would be written back as ""
+                raise ValidationError("watch event has an item_id but no title")
+            item = ItemRef(d["item_id"], d["title"])
         return WatchEvent(
             timestamp=int(d["timestamp"]),
             hour=int(d["hour"]),

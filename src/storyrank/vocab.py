@@ -22,7 +22,8 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .stories import CarouselRef, ItemRef
+from . import grammar
+from .stories import CarouselRef, ItemRef, Surface
 
 CLASS_BYTE = "byte"
 CLASS_MERGE = "merge"
@@ -32,10 +33,7 @@ CLASS_CAROUSEL = "carousel"
 CLASS_ITEM = "item"
 CLASS_SPECIAL = "special"
 
-MARKER_FORMS = ("<|begin_sessions|>", "<|session|>", "<|watch|>", "<|search|>")
-SURFACE_FORMS = ("<|surface=home|>", "<|surface=search|>",
-                 "<|surface=browse|>", "<|surface=autoplay|>")
-MASK_CAROUSEL_FORM = "<|carousel(MASK)|>"
+MASK_CAROUSEL_FORM = grammar.carousel_token(grammar.MASK_CAROUSEL)
 UNK_ITEM_FORM = "<|id(UNK)|>"
 
 N_BYTES = 256
@@ -68,14 +66,6 @@ class CatalogIndex:
 
     def carousel_name(self, carousel_id: str) -> str:
         return self.carousel_names.get(carousel_id, carousel_id)
-
-
-def item_token_form(item: ItemRef) -> str:
-    return f"<|id({item.item_id}|{item.title})|>"
-
-
-def carousel_token_form(carousel_id: str) -> str:
-    return f"<|carousel({carousel_id})|>"
 
 
 @dataclass(frozen=True)
@@ -305,12 +295,12 @@ def build_vocabulary(catalog: CatalogIndex, merges: int = 0,
     forms: list[bytes] = [bytes([i]) for i in range(N_BYTES)]
 
     domain_entries: list[tuple[str, str]] = (
-        [(CLASS_MARKER, form) for form in MARKER_FORMS]
-        + [(CLASS_SURFACE, form) for form in SURFACE_FORMS]
+        [(CLASS_MARKER, form) for form in grammar.MARKERS]
+        + [(CLASS_SURFACE, grammar.surface_token(s)) for s in Surface]
         + [(CLASS_SPECIAL, MASK_CAROUSEL_FORM), (CLASS_SPECIAL, UNK_ITEM_FORM)]
-        + [(CLASS_CAROUSEL, carousel_token_form(c.carousel_id))
+        + [(CLASS_CAROUSEL, grammar.carousel_token(c.carousel_id))
            for c in sorted(catalog.carousels, key=lambda c: c.carousel_id)]
-        + [(CLASS_ITEM, item_token_form(i))
+        + [(CLASS_ITEM, grammar.item_token(i))
            for i in sorted(catalog.items, key=lambda i: i.item_id)])
 
     merge_pairs: tuple[tuple[int, int], ...] = ()

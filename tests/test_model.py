@@ -1041,12 +1041,17 @@ def _corrupt_first_tensor(data: bytes, what: str) -> bytes:
     return data[:name_at] + name + data[name_at + nlen:]
 
 
+# the first record as save_checkpoint writes it for the meta line
+_FIRST_RECORD = (r"corrupt checkpoint at byte \d+: expected the record "
+                 r"'layers\.0\.ln1' \(float64, dims \[8\]\)")
+
+
 @pytest.mark.parametrize("what, match", [
-    ("dtype", "dtype code 7 of 'layers.0.ln1'"),
-    ("name", r"tensor at byte \d+ is not UTF-8"),
-    ("adam", "'adam.m.xxxxx' before the optimizer block"),
-    ("rank", r"rank 130 of 'layers.0.ln1' at byte \d+"),
-    ("dims", r"'layers.0.ln1' at byte \d+: dims \[4611686018427387904\] need"),
+    ("dtype", _FIRST_RECORD + r", found 'layers\.0\.ln1'$"),
+    ("name", _FIRST_RECORD + r", found '(\\\\xff)+'$"),  # escaped, not UTF-8
+    ("adam", _FIRST_RECORD + r", found 'adam\.m\.xxxxx'$"),
+    ("rank", _FIRST_RECORD + r", found 'layers\.0\.ln1'$"),
+    ("dims", _FIRST_RECORD + r", found 'layers\.0\.ln1'$"),
 ], ids=["dtype", "name", "adam", "rank", "dims"])
 def test_corrupt_checkpoint_is_a_clean_error(tmp_path, what, match):
     model = tiny_model()
@@ -1128,12 +1133,90 @@ def test_checkpoint_with_a_partial_optimizer_block_is_refused(tmp_path):
         load_checkpoint(path)
 
 
+def _trained_checkpoint(tmp_path, steps=1):
+    """A one-layer model and its optimizer after `steps` steps, saved with
+    the optimizer block: (path, file bytes, separator offset)."""
+    model = tiny_model(layers=1)
+    opt = AdamState.for_model(model)
+    for step in range(steps):
+        backward_and_step(model, opt, _toy_batch(model, seed=step),
+                          TrainConfig(warmup_steps=1, macro_steps=steps))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, opt)
+    data = path.read_bytes()
+    separator = next(start for start, head_end, end in _checkpoint_records(data)
+                     if end - head_end == 8)
+    return path, data, separator
+
+
+def test_every_flip_of_the_optimizer_step_is_refused(tmp_path):
+    path, data, separator = _trained_checkpoint(tmp_path, steps=2)
+    assert data[separator:separator + 10] == struct.pack("<HQ", 0, 2)
+    for bit in range(64):
+        at, flip = separator + 2 + bit // 8, 1 << bit % 8
+        path.write_bytes(data[:at] + bytes([data[at] ^ flip]) + data[at + 1:])
+        with pytest.raises(ModelError, match=f"at byte {separator}: expected "
+                           "the end of the file or the optimizer block of "
+                           "step 2$"):
+            load_checkpoint(path)
+
+
+def test_meta_step_that_differs_from_the_optimizer_step_is_refused(tmp_path):
+    path, data, separator = _trained_checkpoint(tmp_path)
+    assert data.count(b'"step": 1') == 1
+    # '1' ^ 0x02 is '3': the meta line now names a step the block does not
+    path.write_bytes(data.replace(b'"step": 1', b'"step": 3'))
+    with pytest.raises(ModelError, match=f"at byte {separator}: .* of step 3$"):
+        load_checkpoint(path)
+    # without an optimizer block the step has nothing to agree with
+    path.write_bytes(data[:separator].replace(b'"step": 1', b'"step": 3'))
+    assert load_checkpoint(path)[0].step == 3
+
+
+def test_bytes_after_the_optimizer_block_are_refused(tmp_path):
+    path, data, _ = _trained_checkpoint(tmp_path)
+    loaded, opt, _ = load_checkpoint(path)
+    assert opt.step == loaded.step == 1
+    for extra in (b"\0", b"\0" * 10, data[-8:]):
+        path.write_bytes(data + extra)
+        with pytest.raises(ModelError, match=f"at byte {len(data)}: "
+                           f"{len(extra)} bytes after the optimizer block"):
+            load_checkpoint(path)
+
+
+def test_record_at_another_precision_than_the_config_is_refused(tmp_path):
+    model = tiny_model(dtype="float32")
+    model.params["ln_f"] = model.params["ln_f"].astype(np.float64)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    with pytest.raises(ModelError, match=r"expected the record 'ln_f' "
+                       r"\(float32, dims \[8\]\), found 'ln_f'$"):
+        load_checkpoint(path)
+
+
+def test_save_refuses_an_optimizer_at_another_step_than_the_model(tmp_path):
+    model = tiny_model(layers=1)
+    opt = AdamState.for_model(model)
+    backward_and_step(model, opt, _toy_batch(model),
+                      TrainConfig(warmup_steps=1, macro_steps=1))
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ModelError, match="optimizer step 0 is not the "
+                                         "model's step 1"):
+        save_checkpoint(path, model, AdamState.for_model(model))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("old, new, match", [
     (b'{"adam"', b'{"adam\xff', r"metadata line at byte 8 is not JSON"),
     (b'"config"', b'"conFig"', "at byte 8 is not an object with a model"),
     (b'"rope_base"', b'"rope_bas%"', "unexpected keyword argument 'rope_bas%'"),
     (b'"heads": 2', b'"heads": 0', "heads must be positive"),
-], ids=["utf8", "no-config", "config-key", "heads"])
+    *((b'"step": 0', b'"step": ' + step, r"at byte 8 has step .*, not an "
+       r"integer in \[0, 2\*\*64\)")
+      for step in (b"-1", b"18446744073709551616", b"1.0", b'"1"', b"true",
+                   b"null")),
+], ids=["utf8", "no-config", "config-key", "heads", "step-negative",
+        "step-2**64", "step-float", "step-string", "step-bool", "step-null"])
 def test_corrupt_checkpoint_meta_line_is_refused(tmp_path, old, new, match):
     model = tiny_model()
     path = tmp_path / "model.ckpt"

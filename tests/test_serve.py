@@ -391,6 +391,10 @@ def _itemless_watch(request):
     del request["story"]["sessions"][0]["events"][2]["item_id"]
 
 
+def _titleless_watch(request):
+    del request["story"]["sessions"][0]["events"][2]["title"]
+
+
 def _sessionless_no(request):
     request["story"]["sessionless"] = "no"
 
@@ -404,6 +408,8 @@ def _empty_middle_session(request):
     pytest.param(_itemless_watch,
                  "sessions[0].events[2]: watch event is missing item or duration",
                  id="itemless-watch"),
+    pytest.param(_titleless_watch, "watch event has an item_id but no title",
+                 id="titleless-watch"),
     pytest.param(_sessionless_no, "sessionless: expected true or false",
                  id="sessionless-no"),
     pytest.param(_empty_middle_session,

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from storyrank.stories import (
     WatchEvent,
     day_of_week,
     hour_of_day,
+    read_stories,
     search,
     segment_sessions,
     story_from_dict,
@@ -370,3 +372,18 @@ def test_sessionless_must_be_a_json_boolean(value):
         with pytest.raises(ValidationError,
                            match=r"^sessionless: expected true or false"):
             story_from_dict(d)
+
+
+def test_watch_with_an_item_id_but_no_title_is_refused(tmp_path):
+    # an absent title would read as "" and be written back as "title": ""
+    d = story_to_dict(make_sample_story())
+    first_watch = d["sessions"][0]["events"][2]
+    del first_watch["title"]
+    path = tmp_path / "stories.jsonl"
+    path.write_text(json.dumps(d) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="item_id but no title"):
+        read_stories(path)
+    first_watch["title"] = ""  # an explicit empty title round-trips
+    assert story_to_dict(story_from_dict(d)) == d
+    del first_watch["item_id"]  # a title alone is left to validate_story
+    assert story_from_dict(d).sessions[0].events[2].item is None
