@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import grammar
 from .manifest import read_header
 from .vocab import CLASS_CAROUSEL, CLASS_ITEM, CLASS_SURFACE, \
     CatalogIndex, Vocabulary, tokenize
@@ -106,19 +107,15 @@ def apply_masking(token_ids, cfg: MaskingConfig, vocabulary: Vocabulary,
 def build_catalog_corpus(catalog: CatalogIndex,
                          vocabulary: Vocabulary) -> list[TrainingExample]:
     """Token-to-text statements: one per item ('<token> has title ...') and
-    one per carousel ('<token> has name ...')."""
-    examples = []
-    for item in sorted(catalog.items, key=lambda i: i.item_id):
-        tid = vocabulary.item_token_to_id[item.item_id]
-        text = f" has title {item.title}".rstrip()
-        ids = [tid] + tokenize(text, vocabulary)
-        examples.append(TrainingExample(tuple(ids), ORIGIN_CATALOG))
-    for carousel in sorted(catalog.carousels, key=lambda c: c.carousel_id):
-        tid = vocabulary.carousel_token_of_id[carousel.carousel_id]
-        text = f" has name {catalog.carousel_name(carousel.carousel_id)}".rstrip()
-        ids = [tid] + tokenize(text, vocabulary)
-        examples.append(TrainingExample(tuple(ids), ORIGIN_CATALOG))
-    return examples
+    one per carousel ('<token> has name ...'), each token found by its form,
+    so the empty carousel's too."""
+    statements = [f"{grammar.item_token(item)} has title {item.title}"
+                  for item in sorted(catalog.items, key=lambda i: i.item_id)]
+    statements += [f"{grammar.carousel_token(c.carousel_id)} has name "
+                   f"{catalog.carousel_name(c.carousel_id)}"
+                   for c in sorted(catalog.carousels, key=lambda c: c.carousel_id)]
+    return [TrainingExample(tuple(tokenize(text.rstrip(), vocabulary)),
+                            ORIGIN_CATALOG) for text in statements]
 
 
 def sample_mixture(story_examples, catalog_examples, cfg: MixtureConfig,

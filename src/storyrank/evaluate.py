@@ -10,7 +10,9 @@ aggregation path.
 The model is scored through the serving code in `prompts`: the same task
 heads, the same session trimming, the same padded batch forward and the same
 candidate sets and tie-break (`rank_candidates`), which the reference scorers
-use too. Offline metrics therefore measure the ranking that `serve` returns.
+use too; positions and popularity counts take their targets from
+`prompts.target_token`, the rule the candidate sets are made from. Offline
+metrics therefore measure the ranking that `serve` returns.
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ import numpy as np
 
 from . import grammar
 from .prompts import TaskKind, TaskPrompt, candidate_set, rank_batch, \
-    rank_candidates, trim_story_to_context
-from .stories import SearchEvent, Surface, UserStory, WatchEvent
+    rank_candidates, target_token, trim_story_to_context
+from .stories import SearchEvent, Surface, UserStory
 from .vocab import Vocabulary
 
 
@@ -51,7 +53,6 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class EligiblePosition:
-    user_id: str
     prefix_story: UserStory  # story cut immediately before the target token
     target_token: int
     context: dict
@@ -89,46 +90,25 @@ def _prefix_story(story: UserStory, si: int, ei: int) -> UserStory:
 
 def eligible_positions(story: UserStory, kind: TaskKind,
                        vocabulary: Vocabulary) -> list[EligiblePosition]:
-    """Scoreable positions for one task.
-
-    item: every watch's item token. carousel: every watch's carousel token,
-    skipping the empty carousel of search-surface watches. search: item
-    tokens of search-surface watches preceded by at least one search event in
-    the same session; the latest preceding query rides along for baselines.
-    """
+    """Scoreable positions for one task: every watch with a `target_token`,
+    for search only the search-surface watches after a query in the same
+    session, whose latest query rides along for baselines."""
     out: list[EligiblePosition] = []
     for si, sess in enumerate(story.sessions):
-        last_query: str | None = None
+        query: str | None = None
         for ei, event in enumerate(sess.events):
             if isinstance(event, SearchEvent):
-                last_query = event.query
+                query = event.query
+            token = target_token(kind, event, vocabulary)
+            if token is None or kind == TaskKind.SEARCH and (
+                    event.surface != Surface.SEARCH or query is None):
                 continue
-            if not isinstance(event, WatchEvent) or event.item is None:
-                continue
-            token = vocabulary.item_token_to_id.get(event.item.item_id)
-            carousel_token = vocabulary.carousel_token_of_id.get(
-                event.carousel.carousel_id)
-            context = {
-                "hour": event.hour,
-                "surface": event.surface.value,
-                "carousel": event.carousel.carousel_id,
-            }
-            if kind in (TaskKind.ITEM_MASKED, TaskKind.ITEM_CONTEXTUAL):
-                if token is not None:
-                    out.append(EligiblePosition(story.user_id,
-                                                _prefix_story(story, si, ei),
-                                                token, context))
-            elif kind == TaskKind.CAROUSEL:
-                if event.carousel.carousel_id and carousel_token is not None:
-                    out.append(EligiblePosition(story.user_id,
-                                                _prefix_story(story, si, ei),
-                                                carousel_token, context))
-            elif kind == TaskKind.SEARCH:
-                if event.surface == Surface.SEARCH and last_query is not None \
-                        and token is not None:
-                    out.append(EligiblePosition(
-                        story.user_id, _prefix_story(story, si, ei),
-                        token, dict(context, query=last_query)))
+            context = {"hour": event.hour, "surface": event.surface.value,
+                       "carousel": event.carousel.carousel_id}
+            if kind == TaskKind.SEARCH:
+                context["query"] = query
+            out.append(EligiblePosition(_prefix_story(story, si, ei), token,
+                                        context))
     return out
 
 
@@ -203,19 +183,15 @@ class StaticScorer:
 
 
 def popularity_scorer(train_stories, vocabulary: Vocabulary) -> StaticScorer:
-    """Reference baseline: rank tokens by global watch count on the train
-    split (items and carousels alike)."""
+    """Reference baseline: rank tokens by how often they are the item or
+    carousel target of a watch on the train split."""
     counts: dict[int, float] = {}
     for story in train_stories:
         for event in story.events():
-            if isinstance(event, WatchEvent) and event.item is not None:
-                tid = vocabulary.item_token_to_id.get(event.item.item_id)
+            for kind in (TaskKind.ITEM_MASKED, TaskKind.CAROUSEL):
+                tid = target_token(kind, event, vocabulary)
                 if tid is not None:
                     counts[tid] = counts.get(tid, 0) + 1
-                cid = vocabulary.carousel_token_of_id.get(
-                    event.carousel.carousel_id)
-                if cid is not None and event.carousel.carousel_id:
-                    counts[cid] = counts.get(cid, 0) + 1
     return StaticScorer("popularity", counts)
 
 

@@ -21,8 +21,9 @@ gives the ids of the joined text (see GRAMMAR.md, "Concatenation").
 The next-token logits at the head's final position score every candidate
 token at once; ranking never decodes and never runs a second pass, and the
 model computes its last layer and output head for that position alone.
-Offline evaluation builds and ranks its model prompts with these same
-functions.
+A task ranks exactly the tokens `target_token` can name for it. Offline
+evaluation builds and ranks its model prompts with these same functions,
+and takes its targets from `target_token`.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ from enum import Enum
 import numpy as np
 
 from . import grammar
-from .stories import Surface, UserStory, _check_carousel_id, _check_query, \
-    _session_at, continues_session, hour_of_day, validate_story
+from .stories import Surface, UserStory, WatchEvent, _check_carousel_id, \
+    _check_query, _session_at, continues_session, hour_of_day, validate_story
 from .vocab import Vocabulary, tokenize
 
 
@@ -138,7 +139,19 @@ def head_text(kind: TaskKind, context: dict) -> str:
     raise PromptError(f"unknown task kind {kind!r}")
 
 
+def target_token(kind: TaskKind, event, vocabulary: Vocabulary) -> int | None:
+    """The token a task is scored against at `event`: the watched item's for
+    the item and search tasks, the carousel's (never the empty one) for the
+    carousel task; None otherwise or when the vocabulary lacks it."""
+    if not isinstance(event, WatchEvent) or event.item is None:
+        return None
+    if kind in ITEM_KINDS:
+        return vocabulary.item_token_to_id.get(event.item.item_id)
+    return vocabulary.carousel_token_of_id.get(event.carousel.carousel_id)
+
+
 def candidate_set(kind: TaskKind, vocabulary: Vocabulary) -> tuple[int, ...]:
+    """Every token `target_token` can return for `kind`."""
     cands = vocabulary.item_token_ids if kind in ITEM_KINDS \
         else vocabulary.carousel_token_ids
     if not cands:

@@ -19,9 +19,9 @@ import threading
 import time
 from collections import Counter
 
-from .prompts import TaskKind, make_prompt, rank_batch
+from .prompts import ITEM_KINDS, TaskKind, make_prompt, rank_batch
 from .stories import story_from_dict
-from .vocab import CLASS_ITEM, Vocabulary
+from .vocab import Vocabulary
 
 
 class LatencyHistogram:
@@ -88,11 +88,12 @@ def _score_batch(requests: list[dict], model, vocabulary: Vocabulary,
             story = story_from_dict(request["story"])
             kind = TaskKind(request["task"])
             context = dict(request.get("context", {}))
-            events = [e for s in story.sessions for e in s.events]
             now = request.get("now")
             if now is None:
-                now = events[-1].timestamp if events else 0
-            prompts.append(make_prompt(story, int(now), kind, context,
+                now = max((e.timestamp for e in story.events()), default=0)
+            elif type(now) is not int:
+                raise ValueError(f"now must be an integer, got {now!r}")
+            prompts.append(make_prompt(story, now, kind, context,
                                        vocabulary, model.config.context_length))
             meta.append((i, request_id, kind, top_k))
         except Exception as exc:
@@ -102,14 +103,11 @@ def _score_batch(requests: list[dict], model, vocabulary: Vocabulary,
     if prompts:
         ranked_lists = rank_batch(prompts, model)
         for (i, request_id, kind, top_k), ranked in zip(meta, ranked_lists):
-            candidates = []
-            for token_id, logit in ranked.top(top_k):
-                if vocabulary.classes[token_id] == CLASS_ITEM:
-                    ext = vocabulary.item_id_of_token[token_id]
-                else:
-                    ext = vocabulary.carousel_id_of_token.get(token_id, "")
-                candidates.append({"id": ext, "token_id": token_id,
-                                   "logit": logit})
+            names = vocabulary.item_id_of_token if kind in ITEM_KINDS \
+                else vocabulary.carousel_id_of_token
+            candidates = [{"id": names[token_id], "token_id": token_id,
+                           "logit": logit}
+                          for token_id, logit in ranked.top(top_k)]
             responses[i] = {"id": request_id, "task": kind.value,
                             "model_step": model.step, "candidates": candidates}
     return [responses[i] for i in range(len(requests))]

@@ -431,9 +431,19 @@ def story_from_dict(d: dict) -> UserStory:
     if type(sessionless) is not bool:
         raise ValidationError(
             f"sessionless: expected true or false, got {sessionless!r}")
+    if not isinstance(d["user_id"], str):
+        raise ValidationError(f"user_id: expected a string, got {d['user_id']!r}")
+    pairs = d.get("attributes", [])
+    if not isinstance(pairs, list):
+        raise ValidationError(f"attributes: expected a list, got {pairs!r}")
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, str) for x in pair)):
+            raise ValidationError(f"attributes[{i}]: expected a [key, value] "
+                                  f"pair of strings, got {pair!r}")
     return UserStory(
         user_id=d["user_id"],
-        attributes=AttributeHeader(tuple((k, v) for k, v in d.get("attributes", []))),
+        attributes=AttributeHeader(tuple(map(tuple, pairs))),
         sessions=tuple(
             Session(
                 start_time=int(s["start_time"]),

@@ -124,7 +124,8 @@ def _finish(vocab: Vocabulary) -> Vocabulary:
             text = form.decode("utf-8")
             if cls == CLASS_SURFACE:
                 vocab.surface_ids[text[len("<|surface="):-2]] = tid
-            elif cls == CLASS_CAROUSEL:
+            elif cls == CLASS_CAROUSEL and text != grammar.carousel_token(""):
+                # the empty carousel is no carousel task's target
                 cid = text[len("<|carousel("):-3]
                 vocab.carousel_id_of_token[tid] = cid
                 vocab.carousel_token_of_id[cid] = tid
@@ -481,7 +482,7 @@ def read_catalog(path) -> CatalogIndex:
     carousels: list[CarouselRef] = []
     names: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -489,7 +490,10 @@ def read_catalog(path) -> CatalogIndex:
             if "_manifest" in d:
                 continue
             if "item_id" in d:
-                items.append(ItemRef(d["item_id"], d.get("title", "")))
+                if "title" not in d:  # it would be written back as ""
+                    raise VocabularyError(f"{path}:{lineno}: catalog item "
+                                          f"{d['item_id']!r} has no title")
+                items.append(ItemRef(d["item_id"], d["title"]))
             elif "carousel_id" in d:
                 carousels.append(CarouselRef(d["carousel_id"]))
                 if "name" in d:

@@ -21,7 +21,9 @@ from storyrank.corpus import (
 )
 from storyrank.datagen import WorldConfig, generate_world
 from storyrank.grammar import serialize
-from storyrank.vocab import CLASS_ITEM, build_vocabulary, tokenize
+from storyrank.stories import ItemRef
+from storyrank.vocab import CLASS_ITEM, CatalogIndex, TokenizeError, \
+    build_vocabulary, tokenize
 
 from conftest import SAMPLE_TEXT
 from oracles import detokenize
@@ -100,6 +102,13 @@ def test_catalog_corpus_statements(sample_catalog, sample_vocab):
     for ex in corpus:
         assert len(ex.token_ids) >= 2
         assert ex.token_ids[0] >= 256  # atomic token first, then subwords
+
+
+def test_catalog_corpus_refuses_a_title_the_vocabulary_lacks(sample_vocab):
+    # each statement's token is found by its form, which holds the title
+    drifted = CatalogIndex((ItemRef("SYN201", "The Lantern at Exit 14"),), ())
+    with pytest.raises(TokenizeError, match="Exit 14"):
+        build_catalog_corpus(drifted, sample_vocab)
 
 
 def test_catalog_corpus_empty_catalog(sample_vocab):

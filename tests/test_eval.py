@@ -25,9 +25,11 @@ from storyrank.evaluate import (
 )
 from storyrank.grammar import strip_sessions
 from storyrank.model import ModelConfig, init_model
-from storyrank.prompts import TaskKind, rank_candidates
+from storyrank.prompts import TaskKind, candidate_set, rank_candidates, \
+    target_token
 from storyrank.stories import AttributeHeader, ItemRef, UserStory, search, \
     segment_sessions, validate_story, watch, Surface, EMPTY_CAROUSEL
+from storyrank.vocab import CLASS_CAROUSEL, build_vocabulary
 
 from conftest import SUNDAY, make_sample_story
 from oracles import detokenize, read_metrics
@@ -100,6 +102,53 @@ def test_story_without_watches_has_no_positions(sample_vocab):
         [search(SUNDAY, "fog"), search(SUNDAY + 60, "fog p")]))
     for kind in (TaskKind.ITEM_MASKED, TaskKind.CAROUSEL, TaskKind.SEARCH):
         assert eligible_positions(story, kind, sample_vocab) == []
+
+
+# --- the candidate rule: a task ranks exactly what its targets can be ----------
+
+@pytest.fixture(scope="module")
+def worlds(sample_catalog, sample_vocab):
+    catalog, stories, _ = generate_world(WorldConfig(
+        n_users=40, n_items=60, n_carousels=16, n_genres=5, rng_seed=5))
+    return {"generated": (catalog, stories, build_vocabulary(catalog)),
+            "sample": (sample_catalog, [make_sample_story()], sample_vocab)}
+
+
+@pytest.mark.parametrize("world", ["generated", "sample"])
+def test_every_eligible_target_is_a_candidate(worlds, world):
+    _, stories, vocab = worlds[world]
+    for kind in TaskKind:
+        candidates = set(candidate_set(kind, vocab))
+        targets = {pos.target_token for story in stories
+                   for pos in eligible_positions(story, kind, vocab)}
+        assert targets and targets <= candidates, kind
+
+
+@pytest.mark.parametrize("world", ["generated", "sample"])
+def test_every_candidate_is_the_target_of_a_home_or_browse_watch(worlds, world):
+    catalog, _, vocab = worlds[world]
+    watches = [watch(SUNDAY, surface, carousel, item, 30)
+               for surface in (Surface.HOME, Surface.BROWSE)
+               for carousel in catalog.carousels for item in catalog.items]
+    for kind in TaskKind:
+        targets = {target_token(kind, w, vocab) for w in watches} - {None}
+        assert targets == set(candidate_set(kind, vocab)), kind
+
+
+def test_carousel_ranking_is_the_old_one_without_the_empty_carousel(
+        sample_vocab):
+    # the carousel candidates when every carousel token was one
+    every = tuple(t for t, cls in enumerate(sample_vocab.classes)
+                  if cls == CLASS_CAROUSEL)
+    empty = sample_vocab.domain_to_id[b"<|carousel()|>"]
+    assert empty in every
+    rng = np.random.default_rng(0)
+    normal = rng.normal(size=sample_vocab.size)
+    for row in (normal, np.round(normal), np.zeros(sample_vocab.size)):
+        old = [t for t, _ in rank_candidates(row, every).entries if t != empty]
+        new = rank_candidates(row, candidate_set(TaskKind.CAROUSEL,
+                                                 sample_vocab))
+        assert [t for t, _ in new.entries] == old
 
 
 # --- HR / NDCG ------------------------------------------------------------------

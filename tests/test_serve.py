@@ -14,7 +14,7 @@ from storyrank.serve import LatencyHistogram, score_request, serve_lines, \
     serve_tcp
 from storyrank.stories import story_to_dict
 
-from conftest import make_sample_story
+from conftest import SAMPLE_CAROUSELS, make_sample_story
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,16 @@ def test_response_ids_are_catalog_ids(served_model, sample_vocab):
                              served_model, sample_vocab)
     ids = [c["id"] for c in response["candidates"]]
     assert set(ids) <= set(sample_vocab.carousel_token_of_id)
+
+
+@pytest.mark.parametrize("surface", ["home", "browse", "autoplay"])
+def test_carousel_reply_never_names_the_empty_carousel(served_model,
+                                                       sample_vocab, surface):
+    response = score_request(_request(1, task="carousel", top_k=100,
+                                      context={"surface": surface}),
+                             served_model, sample_vocab)
+    ids = [c["id"] for c in response["candidates"]]
+    assert sorted(ids) == [c.carousel_id for c in SAMPLE_CAROUSELS[1:]]
 
 
 def _serve(lines, model, vocab, **kw):
@@ -349,7 +359,10 @@ SPLICED_CAROUSEL = ("after_dark_detours)|><|id(SYN201|The Lantern at Exit 13)|>"
                     "<|carousel(after_dark_detours")
 
 
-@pytest.mark.parametrize("task, context, event_field, expect", [
+_FIRST_EVENT = ("story", "sessions", 0, "events", 0)  # a search event
+
+
+@pytest.mark.parametrize("task, context, field, expect", [
     pytest.param("search", {"query": "<|watch|>"}, None, "query",
                  id="reserved-query"),
     pytest.param("search", {"query": "fog  "}, None, "query",
@@ -360,22 +373,32 @@ SPLICED_CAROUSEL = ("after_dark_detours)|><|id(SYN201|The Lantern at Exit 13)|>"
     pytest.param("item_contextual",
                  {"surface": "home", "carousel": SPLICED_CAROUSEL}, None,
                  "carousel", id="spliced-carousel"),
-    pytest.param("item_masked", {}, ("query", "<|watch|>"), "invalid story",
-                 id="story-reserved-query"),
-    pytest.param("item_masked", {}, ("hour", 77), "hour 77",
+    pytest.param("item_masked", {}, (_FIRST_EVENT + ("query",), "<|watch|>"),
+                 "invalid story", id="story-reserved-query"),
+    pytest.param("item_masked", {}, (_FIRST_EVENT + ("hour",), 77), "hour 77",
                  id="story-hour-77"),
     pytest.param("item_contextual",
                  {"surface": "search", "carousel": "after_dark_detours"}, None,
                  "carousel must be empty", id="carousel-on-search-surface"),
     pytest.param("carousel", {"surface": "search"}, None, "search surface",
                  id="carousel-task-on-search-surface"),
+    # the last event is at 945000; int() would read both as 945010
+    pytest.param("item_masked", {}, (("now",), "945010"),
+                 "now must be an integer", id="string-now"),
+    pytest.param("item_masked", {}, (("now",), 945010.7),
+                 "now must be an integer", id="float-now"),
+    pytest.param("item_masked", {}, (("now",), True),
+                 "now must be an integer", id="bool-now"),
 ])
 def test_request_fields_held_to_story_rules(served_model, sample_vocab, task,
-                                            context, event_field, expect):
+                                            context, field, expect):
     bad = _request(0, task=task, context=context)
-    if event_field is not None:
-        name, value = event_field
-        bad["story"]["sessions"][0]["events"][0][name] = value  # a search event
+    if field is not None:
+        (*path, name), value = field
+        target = bad
+        for key in path:
+            target = target[key]
+        target[name] = value
     good = _request(1, task=task, context={"surface": "home",
                                            "carousel": "after_dark_detours",
                                            "query": "fog"})
@@ -385,6 +408,20 @@ def test_request_fields_held_to_story_rules(served_model, sample_vocab, task,
     assert expect in replies[0]["error"]
     assert _without_latency(replies[1]) == _alone(good, served_model,
                                                   sample_vocab)
+
+
+def test_absent_or_null_now_is_the_last_event_time(served_model, sample_vocab):
+    replies = [score_request(_request(0, **kw), served_model, sample_vocab)
+               for kw in ({}, {"now": None}, {"now": 945000})]
+    assert replies[0] == replies[1] == replies[2]
+
+
+def _user_id_5(request):
+    request["story"]["user_id"] = 5
+
+
+def _attributes_object(request):
+    request["story"]["attributes"] = {"ab": "cd"}
 
 
 def _itemless_watch(request):
@@ -415,6 +452,10 @@ def _empty_middle_session(request):
     pytest.param(_empty_middle_session,
                  "sessions[1]: only the last session may be empty",
                  id="empty-middle-session"),
+    pytest.param(_user_id_5, "user_id: expected a string", id="user-id-5"),
+    # a dict iterates as its keys: it would read as the pair ("a", "b")
+    pytest.param(_attributes_object, "attributes: expected a list",
+                 id="attributes-object"),
 ])
 def test_request_story_meets_the_stored_story_rules(served_model, sample_vocab,
                                                      spoil, expect):

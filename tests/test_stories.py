@@ -387,3 +387,24 @@ def test_watch_with_an_item_id_but_no_title_is_refused(tmp_path):
     assert story_to_dict(story_from_dict(d)) == d
     del first_watch["item_id"]  # a title alone is left to validate_story
     assert story_from_dict(d).sessions[0].events[2].item is None
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("user_id", 5, r"^user_id: expected a string, got 5$"),
+    ("user_id", None, r"^user_id: expected a string, got None$"),
+    ("attributes", {"ab": "cd"}, r"^attributes: expected a list, got \{'ab': 'cd'\}$"),
+    ("attributes", "ab", r"^attributes: expected a list, got 'ab'$"),
+    ("attributes", ["ab"], r"^attributes\[0\]: expected a \[key, value\] pair "
+                           r"of strings, got 'ab'$"),
+    ("attributes", [["country", "US"], ["device", "tv", "x"]],
+     r"^attributes\[1\]: expected a \[key, value\] pair of strings"),
+    ("attributes", [["country", 7]], r"^attributes\[0\]: expected a \[key, value\]"),
+])
+def test_user_id_and_attributes_must_have_their_json_types(field, value, message):
+    # a dict iterates as its keys: {"ab": "cd"} would read as ("a", "b")
+    d = story_to_dict(make_sample_story())
+    d[field] = value
+    with pytest.raises(ValidationError, match=message):
+        story_from_dict(d)
+    d[field] = story_to_dict(make_sample_story())[field]
+    assert story_from_dict(d) == make_sample_story()

@@ -17,8 +17,10 @@ from storyrank.vocab import (
     _learn_merges,
     _split_domain,
     build_vocabulary,
+    read_catalog,
     read_vocab,
     tokenize,
+    write_catalog,
     write_vocab,
 )
 
@@ -236,6 +238,32 @@ def test_merge_skips_a_form_that_is_already_taken():
 def test_tie_heavy_merges_equal_the_oracle(segments, merges, taken):
     assert _learn_merges(segments, merges, taken) == \
         learn_merges(segments, merges, taken)
+
+
+def test_catalog_item_without_a_title_is_refused(tmp_path):
+    # an absent title would read as "" and be written back as "title": ""
+    path = tmp_path / "catalog.jsonl"
+    write_catalog(path, small_catalog())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps({"item_id": "B2"})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(VocabularyError,
+                       match=r"catalog\.jsonl:2: catalog item 'B2' has no title"):
+        read_catalog(path)
+    lines[1] = json.dumps({"item_id": "B2", "title": ""})  # explicit "" is kept
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    again = tmp_path / "again.jsonl"
+    write_catalog(again, read_catalog(path))
+    assert again.read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
+
+
+def test_empty_carousel_is_a_token_but_no_carousel_candidate(sample_vocab):
+    empty = sample_vocab.domain_to_id[b"<|carousel()|>"]
+    assert "" not in sample_vocab.carousel_token_of_id
+    assert empty not in sample_vocab.carousel_id_of_token
+    assert empty not in sample_vocab.carousel_token_ids
+    assert len(sample_vocab.carousel_token_ids) == 5  # six catalog carousels
+    assert tokenize("<|carousel()|>", sample_vocab) == [empty]
 
 
 def test_desk_vocabulary_is_pinned():
