@@ -58,7 +58,7 @@ def cmd_gen_data(args) -> int:
     manifest.record("generate", time.perf_counter() - started)
     write_stories(out / "stories.jsonl", stories, header={"hash": manifest.hash})
     write_catalog(out / "catalog.jsonl", catalog, header={"hash": manifest.hash},
-                  item_extra={iid: {"genre": g} for iid, g in genre_of.items()})
+                  genres=genre_of)
     report = world_report(stories)
     with open(out / "world_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)

@@ -305,7 +305,7 @@ def generate_world(cfg: WorldConfig) -> tuple[CatalogIndex, list[UserStory], dic
         items=tuple(it.ref for it in items),
         carousels=tuple([CarouselRef("")]
                         + [CarouselRef(c) for c in sorted(carousels)]),
-        carousel_names={c: c.replace("_", " ") for c in carousels},
+        carousel_names={c: c.replace("_", " ") for c in ["", *carousels]},
     )
     tables = _WorldTables.build(cfg, items, carousels)
     stories = [_generate_user(cfg, i, tables) for i in range(cfg.n_users)]

@@ -27,9 +27,8 @@ from .stories import (
     SearchEvent,
     Surface,
     UserStory,
-    ValidationError,
     WatchEvent,
-    validate_story,
+    check_story,
 )
 
 BEGIN_SESSIONS = "<|begin_sessions|>"
@@ -113,11 +112,7 @@ def serialize_parts(story: UserStory) -> tuple[str, tuple[str, ...]]:
 def serialize(story: UserStory, *, validate: bool = True) -> str:
     """Render a story as one line of grammar text (deterministic, byte-exact)."""
     if validate:
-        violations = validate_story(story)
-        if violations:
-            raise ValidationError(
-                "cannot serialize invalid story: "
-                + "; ".join(str(v) for v in violations[:3]))
+        check_story(story)
     lead, texts = serialize_parts(story)
     return " ".join([lead] + [t for t in texts if t])
 

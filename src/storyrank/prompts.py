@@ -34,7 +34,7 @@ import numpy as np
 
 from . import grammar
 from .stories import Surface, UserStory, WatchEvent, _check_carousel_id, \
-    _check_query, _session_at, continues_session, hour_of_day, validate_story
+    _check_query, _session_at, check_story, continues_session, hour_of_day
 from .vocab import Vocabulary, tokenize
 
 
@@ -92,34 +92,23 @@ def open_session(story: UserStory, now: int) -> UserStory:
     return replace(story, sessions=story.sessions + (_session_at(story.sessions, now),))
 
 
-def _checked_text(field: str, value, check) -> str:
-    """`value` if it is a string that passes the stored-story rule `check`."""
-    msg = check(value) if isinstance(value, str) else "must be a string"
-    if msg is not None:
-        raise PromptError(f"context {field}: {msg}")
-    return value
-
-
 def head_text(kind: TaskKind, context: dict) -> str:
     """The task head appended after the story prefix. `context` carries hour
     plus the kind's required fields (query; surface/carousel), each held to
-    the same rules as the stored story field it stands in for."""
-    try:
-        hour = context["hour"]
-    except KeyError:
-        raise PromptError("context requires 'hour'") from None
-    if type(hour) is not int or not 0 <= hour <= 23:
-        raise PromptError(f"context hour must be an integer in 0..23, "
-                          f"got {hour!r}")
+    the same rules as the stored story field it stands in for. Their JSON
+    types are checked where a request is decoded (`serve`)."""
+    hour = context["hour"]
+    if not 0 <= hour <= 23:
+        raise PromptError(f"context hour must be in 0..23, got {hour!r}")
     if kind == TaskKind.ITEM_MASKED:
         return grammar.watch_clause(hour, Surface.HOME, grammar.MASK_CAROUSEL)
     if kind == TaskKind.ITEM_CONTEXTUAL:
         missing = [k for k in ("surface", "carousel") if k not in context]
         if missing:
             raise PromptError(f"item_contextual context requires {missing}")
-        surface = Surface(context["surface"])
-        carousel = _checked_text("carousel", context["carousel"],
-                                 _check_carousel_id)
+        surface, carousel = Surface(context["surface"]), context["carousel"]
+        if (msg := _check_carousel_id(carousel)) is not None:
+            raise PromptError(f"context carousel: {msg}")
         if surface == Surface.SEARCH and carousel:
             raise PromptError("context carousel must be empty on the search "
                               f"surface, got {carousel!r}")
@@ -133,7 +122,9 @@ def head_text(kind: TaskKind, context: dict) -> str:
     if kind == TaskKind.SEARCH:
         if "query" not in context:
             raise PromptError("search context requires a 'query'")
-        query = _checked_text("query", context["query"], _check_query)
+        query = context["query"]
+        if (msg := _check_query(query)) is not None:
+            raise PromptError(f"context query: {msg}")
         return (grammar.search_clause(hour, query) + " "
                 + grammar.watch_clause(hour, Surface.SEARCH, ""))
     raise PromptError(f"unknown task kind {kind!r}")
@@ -193,14 +184,9 @@ def make_prompt(story: UserStory, now: int, kind: TaskKind, context: dict,
     the stored-story rules first, while it is still whole: a trimmed story's
     first session no longer starts at elapsed=0. The prompt is trimmed from
     the story with the session at `now` open at its end."""
-    violations = validate_story(story)
-    if violations:
-        raise PromptError("invalid story: "
-                          + "; ".join(str(v) for v in violations[:3]))
-    ctx = dict(context)
-    ctx.setdefault("hour", hour_of_day(now))
-    return trim_story_to_context(open_session(story, now), kind, ctx,
-                                 vocabulary, context_length)
+    check_story(story, PromptError)
+    return trim_story_to_context(open_session(story, now), kind, {
+        "hour": hour_of_day(now), **context}, vocabulary, context_length)
 
 
 def rank_candidates(row: np.ndarray, candidates) -> RankedList:

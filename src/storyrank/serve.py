@@ -20,8 +20,14 @@ import time
 from collections import Counter
 
 from .prompts import ITEM_KINDS, TaskKind, make_prompt, rank_batch
-from .stories import story_from_dict
+from .stories import Surface, ValidationError, fields, story_from_dict
 from .vocab import Vocabulary
+
+# A rank request's field tables.
+_REQUEST = {"story": dict, "task": TaskKind}
+_REQUEST_OPTIONAL = {"id": object, "context": dict, "top_k": int,
+                     "now": (int, type(None))}
+_CONTEXT = {"hour": int, "surface": Surface, "carousel": str, "query": str}
 
 
 class LatencyHistogram:
@@ -78,24 +84,18 @@ def _score_batch(requests: list[dict], model, vocabulary: Vocabulary,
     for i, request in enumerate(requests):
         request_id = request.get("id") if isinstance(request, dict) else None
         try:
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object, got "
-                                 f"{type(request).__name__}")
-            top_k = request.get("top_k", 10)
-            if type(top_k) is not int or top_k < 0:
-                raise ValueError(
-                    f"top_k must be a non-negative integer, got {top_k!r}")
-            story = story_from_dict(request["story"])
-            kind = TaskKind(request["task"])
-            context = dict(request.get("context", {}))
-            now = request.get("now")
+            story, kind, _, context, top_k, now = fields(
+                request, "request", _REQUEST, _REQUEST_OPTIONAL)
+            story = story_from_dict(story)
+            fields(context or {}, "request.context", {}, _CONTEXT)
+            if top_k is not None and top_k < 0:
+                raise ValidationError(f"request.top_k: expected a non-negative "
+                                      f"integer, got {top_k}")
             if now is None:
                 now = max((e.timestamp for e in story.events()), default=0)
-            elif type(now) is not int:
-                raise ValueError(f"now must be an integer, got {now!r}")
-            prompts.append(make_prompt(story, now, kind, context,
+            prompts.append(make_prompt(story, now, kind, context or {},
                                        vocabulary, model.config.context_length))
-            meta.append((i, request_id, kind, top_k))
+            meta.append((i, request_id, kind, 10 if top_k is None else top_k))
         except Exception as exc:
             responses[i] = {"id": request_id, "error": str(exc)}
             if errors is not None:

@@ -18,8 +18,9 @@ boundaries (file loading, datagen output) are expected to validate.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, EnumMeta
 from typing import Iterable, Iterator, Union
 
 SESSION_GAP_SECONDS = 3600
@@ -359,7 +360,66 @@ def _difference(path: str, got: Session, want: Session) -> Violation:
                            "activity and 12 hours of its start")
 
 
+def check_story(story: UserStory, error=ValidationError) -> UserStory:
+    """`story`, or else `error` naming its first three `validate_story` faults."""
+    violations = validate_story(story)
+    if violations:
+        raise error("invalid story: " + "; ".join(str(v) for v in violations[:3]))
+    return story
+
+
 # --- interchange format ----------------------------------------------------
+#
+# One field table per record type; `fields` reads a record against it in one
+# pass, and the writers below write its keys in table order.
+
+_STORY = {"user_id": str, "attributes": list, "sessions": list}
+_STORY_OPTIONAL = {"sessionless": bool}
+_SESSION = {"start_time": int, "elapsed_hours": int, "day_of_week": int, "events": list}
+_WATCH = {"type": str, "timestamp": int, "hour": int, "surface": Surface, "carousel": str}
+_WATCH_OPTIONAL = {"item_id": str, "title": str, "duration_minutes": int}
+_SEARCH = {"type": str, "timestamp": int, "hour": int, "query": str}
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false", list: "a list",
+               dict: "a JSON object", (int, type(None)): "an integer or null"}
+_ABSENT = object()
+
+
+def _typed(kind, value, path: str):
+    """`value` as a field of type `kind` (see `fields`), or a ValidationError
+    that starts with `path`."""
+    if value is _ABSENT:
+        raise ValidationError(f"{path}: missing")
+    if kind is object or type(kind) is tuple and type(value) in kind:
+        return value
+    if isinstance(kind, EnumMeta) and value in kind.__members__.values():
+        return kind(value)
+    want = _JSON_TYPES.get(kind) or "one of " + ", ".join(repr(m.value) for m in kind)
+    raise ValidationError(f"{path}: expected {want}, got {reprlib.repr(value)}")
+
+
+def fields(d, path: str, required: dict, optional: dict = {}) -> list:
+    """The values of JSON object `d`'s `required` then `optional` keys, in table
+    order (None for an absent optional key), each of exactly its table's type:
+    `int` (never a bool, float or digit string), `str`, `bool`, `list`, `dict`,
+    `object` (any), `(int, type(None))`, or a str Enum (read as its member).
+    The first fault raises a ValidationError that starts with its path."""
+    if type(d) is not dict:
+        raise ValidationError(f"{path or 'record'}: expected a JSON object, "
+                              f"got {reprlib.repr(d)}")
+    at, values = f"{path}." if path else "", []
+    for key, kind in required.items():
+        value = d.get(key, _ABSENT)
+        values.append(value if type(value) is kind else _typed(kind, value, at + key))
+    for key, kind in optional.items():
+        value = d.get(key, _ABSENT)
+        values.append(None if value is _ABSENT else value if type(value) is kind
+                      else _typed(kind, value, at + key))
+    if len(d) > len(values) - values.count(None):  # an unknown key, or a null
+        for key in d:
+            if key not in required and key not in optional:
+                raise ValidationError(f"{at}{key}: unknown key")
+    return values
+
 
 def event_to_dict(event: Event) -> dict:
     if isinstance(event, WatchEvent):
@@ -384,27 +444,21 @@ def event_to_dict(event: Event) -> dict:
     }
 
 
-def event_from_dict(d: dict) -> Event:
-    kind = d.get("type")
-    if kind == "watch":
-        item = None
-        if "item_id" in d:
-            if "title" not in d:  # it would be written back as ""
-                raise ValidationError("watch event has an item_id but no title")
-            item = ItemRef(d["item_id"], d["title"])
-        return WatchEvent(
-            timestamp=int(d["timestamp"]),
-            hour=int(d["hour"]),
-            surface=Surface(d["surface"]),
-            carousel=CarouselRef(d.get("carousel", "")),
-            item=item,
-            duration_minutes=(int(d["duration_minutes"])
-                              if "duration_minutes" in d else None),
-        )
+def event_from_dict(d: dict, path: str = "event") -> Event:
+    """Decode one interchange event; its errors start with `path`."""
+    kind = d.get("type", "watch") if type(d) is dict else "watch"
     if kind == "search":
-        return SearchEvent(timestamp=int(d["timestamp"]), hour=int(d["hour"]),
-                           query=d["query"])
-    raise ValidationError(f"unknown event type {kind!r}")
+        _, timestamp, hour, query = fields(d, path, _SEARCH)
+        return SearchEvent(timestamp, hour, query)
+    if kind != "watch":
+        raise ValidationError(f"{path}.type: expected 'watch' or 'search', "
+                              f"got {reprlib.repr(kind)}")
+    _, timestamp, hour, surface, carousel, item_id, title, minutes = fields(
+        d, path, _WATCH, _WATCH_OPTIONAL)
+    if item_id is not None and title is None:  # it would be written back as ""
+        raise ValidationError(f"{path}: watch event has an item_id but no title")
+    return WatchEvent(timestamp, hour, surface, CarouselRef(carousel),
+                      None if item_id is None else ItemRef(item_id, title), minutes)
 
 
 def story_to_dict(story: UserStory) -> dict:
@@ -427,63 +481,57 @@ def story_to_dict(story: UserStory) -> dict:
 
 
 def story_from_dict(d: dict) -> UserStory:
-    sessionless = d.get("sessionless", False)
-    if type(sessionless) is not bool:
-        raise ValidationError(
-            f"sessionless: expected true or false, got {sessionless!r}")
-    if not isinstance(d["user_id"], str):
-        raise ValidationError(f"user_id: expected a string, got {d['user_id']!r}")
-    pairs = d.get("attributes", [])
-    if not isinstance(pairs, list):
-        raise ValidationError(f"attributes: expected a list, got {pairs!r}")
+    """Decode one interchange story; error paths start at the story."""
+    user_id, pairs, sessions, sessionless = fields(d, "", _STORY, _STORY_OPTIONAL)
     for i, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(x, str) for x in pair)):
+        if type(pair) is not list or list(map(type, pair)) != [str, str]:
             raise ValidationError(f"attributes[{i}]: expected a [key, value] "
-                                  f"pair of strings, got {pair!r}")
-    return UserStory(
-        user_id=d["user_id"],
-        attributes=AttributeHeader(tuple(map(tuple, pairs))),
-        sessions=tuple(
-            Session(
-                start_time=int(s["start_time"]),
-                elapsed_hours=int(s["elapsed_hours"]),
-                day_of_week=int(s["day_of_week"]),
-                events=tuple(event_from_dict(e) for e in s.get("events", [])),
-            )
-            for s in d.get("sessions", [])
-        ),
-        sessionless=sessionless,
-    )
+                                  f"pair of strings, got {reprlib.repr(pair)}")
+    return UserStory(user_id, AttributeHeader(tuple(map(tuple, pairs))), tuple([
+        _session_from_dict(s, f"sessions[{i}]") for i, s in enumerate(sessions)]),
+        sessionless is True)
 
 
-def write_stories(path, stories: Iterable[UserStory], *, header: dict | None = None) -> int:
-    """Write line-delimited interchange JSON; returns the story count."""
+def _session_from_dict(d: dict, path: str) -> Session:
+    start_time, elapsed_hours, day, events = fields(d, path, _SESSION)
+    return Session(start_time, elapsed_hours, day, tuple([
+        event_from_dict(e, f"{path}.events[{i}]") for i, e in enumerate(events)]))
+
+
+def write_records(path, records: Iterable[dict], *, header: dict | None = None) -> int:
+    """Write a JSONL file, `{"_manifest": header}` first when a header is
+    given; returns the record count."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(json.dumps({"_manifest": header}, sort_keys=True) + "\n")
-        for story in stories:
-            fh.write(json.dumps(story_to_dict(story), ensure_ascii=False) + "\n")
+        for d in records:
+            fh.write(json.dumps(d, ensure_ascii=False) + "\n")
             n += 1
     return n
 
 
-def read_stories(path) -> list[UserStory]:
-    stories: list[UserStory] = []
-    with open(path, encoding="utf-8") as fh:
+def read_records(path, decode, error=ValidationError) -> list:
+    """Each line of a JSONL file, decoded by `decode`, but blank ones and a line 1
+    holding `{"_manifest": ...}` alone; a fault raises `error` naming path:line."""
+    records = []
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            d = json.loads(line)
-            if "_manifest" in d:
-                continue
-            story = story_from_dict(d)
-            violations = validate_story(story)
-            if violations:
-                raise ValidationError(
-                    f"{path}:{lineno}: invalid story {story.user_id!r}: "
-                    + "; ".join(str(v) for v in violations[:3]))
-            stories.append(story)
-    return stories
+            try:
+                d = json.loads(line.decode("utf-8"))
+                if lineno > 1 or type(d) is not dict or d.keys() != {"_manifest"}:
+                    records.append(decode(d))
+            except (ValueError, RecursionError) as exc:  # too deeply nested
+                raise error(f"{path}:{lineno}: {exc}") from exc
+    return records
+
+
+def write_stories(path, stories: Iterable[UserStory], *, header: dict | None = None) -> int:
+    """Write line-delimited interchange JSON; returns the story count."""
+    return write_records(path, map(story_to_dict, stories), header=header)
+
+
+def read_stories(path) -> list[UserStory]:
+    return read_records(path, lambda d: check_story(story_from_dict(d)))

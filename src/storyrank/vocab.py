@@ -23,7 +23,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from . import grammar
-from .stories import CarouselRef, ItemRef, Surface
+from .stories import CarouselRef, ItemRef, Surface, fields, read_records, \
+    write_records
 
 CLASS_BYTE = "byte"
 CLASS_MERGE = "merge"
@@ -461,43 +462,33 @@ def read_vocab(path) -> Vocabulary:
 
 # --- catalog file -----------------------------------------------------------
 
+_ITEM, _ITEM_OPTIONAL = {"item_id": str, "title": str}, {"genre": str}
+_CAROUSEL, _CAROUSEL_OPTIONAL = {"carousel_id": str}, {"name": str}
+
+
 def write_catalog(path, catalog: CatalogIndex, *, header: dict | None = None,
-                  item_extra: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(json.dumps({"_manifest": header}, sort_keys=True) + "\n")
-        for item in catalog.items:
-            record = {"item_id": item.item_id, "title": item.title}
-            if item_extra and item.item_id in item_extra:
-                record.update(item_extra[item.item_id])
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-        for carousel in catalog.carousels:
-            fh.write(json.dumps({"carousel_id": carousel.carousel_id,
-                                 "name": catalog.carousel_name(carousel.carousel_id)},
-                                ensure_ascii=False) + "\n")
+                  genres: dict | None = None) -> None:
+    """Item lines (`genre` from `genres`), then carousel lines (`name` if any)."""
+    genres = genres or {}
+    lines = [{"item_id": i.item_id, "title": i.title, "genre": genres.get(i.item_id)}
+             for i in catalog.items] + [
+        {"carousel_id": c.carousel_id, "name": catalog.carousel_names.get(c.carousel_id)}
+        for c in catalog.carousels]
+    write_records(path, [{k: v for k, v in line.items() if v is not None}
+                         for line in lines], header=header)
 
 
 def read_catalog(path) -> CatalogIndex:
-    items: list[ItemRef] = []
-    carousels: list[CarouselRef] = []
-    names: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            if "_manifest" in d:
-                continue
-            if "item_id" in d:
-                if "title" not in d:  # it would be written back as ""
-                    raise VocabularyError(f"{path}:{lineno}: catalog item "
-                                          f"{d['item_id']!r} has no title")
-                items.append(ItemRef(d["item_id"], d["title"]))
-            elif "carousel_id" in d:
-                carousels.append(CarouselRef(d["carousel_id"]))
-                if "name" in d:
-                    names[d["carousel_id"]] = d["name"]
-            else:
-                raise VocabularyError(f"catalog line without item_id or carousel_id: {d}")
+    items, carousels, names = [], [], {}
+
+    def line(d) -> None:
+        if type(d) is dict and "carousel_id" in d:
+            carousel_id, name = fields(d, "", _CAROUSEL, _CAROUSEL_OPTIONAL)
+            carousels.append(CarouselRef(carousel_id))
+            if name is not None:
+                names[carousel_id] = name
+        else:
+            item_id, title, _ = fields(d, "", _ITEM, _ITEM_OPTIONAL)
+            items.append(ItemRef(item_id, title))
+    read_records(path, line, VocabularyError)
     return CatalogIndex(tuple(items), tuple(carousels), names)

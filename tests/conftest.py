@@ -1,4 +1,9 @@
+import copy
+import json
+import re
+
 import pytest
+from hypothesis import strategies as st
 
 from storyrank.stories import (
     AttributeHeader,
@@ -85,3 +90,74 @@ def sample_vocab(sample_catalog):
 @pytest.fixture()
 def sample_story():
     return make_sample_story()
+
+
+# --- mutated JSON records, for the decoder properties ------------------------
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 30), st.just(2 ** 70), st.floats(),
+    st.text(max_size=6), st.sampled_from(["1753726", "home", "tv", "watch", "search"]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "b"]), st.integers(), max_size=2))
+
+
+def _nodes(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _nodes(child, path + (index,))
+
+
+@st.composite
+def mutated(draw, record, new_keys=("extra",)):
+    """`record` with 1 to 3 changes, each at a random node: the node set to a
+    random JSON value (null, bool, small or 2**70 integer, float with NaN and
+    inf, string, list or object) or deleted, or a key from `new_keys` added
+    to it."""
+    record = copy.deepcopy(record)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_nodes(record))))
+        parent = record
+        for step in path[:-1]:
+            parent = parent[step]
+        node = parent[path[-1]] if path else record
+        action = draw(st.sampled_from(["set", "delete", "add"]))
+        if action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(new_keys))] = draw(JSON_VALUES)
+        elif action == "delete" and path:
+            del parent[path[-1]]
+        elif path:
+            parent[path[-1]] = draw(JSON_VALUES)
+        else:
+            record = draw(JSON_VALUES)
+    return record
+
+
+def assert_path_into(record, message):
+    """`message` starts with a path into `record` ('record' for the record
+    itself): every step of it exists, except a last key reported missing."""
+    path, sep, rest = message.partition(": ")
+    assert sep, message
+    if path == "record":
+        assert not isinstance(record, dict), message
+        return
+    steps = re.findall(r"\[(\d+)\]|([^.\[\]]+)", path)
+    assert "".join(f"[{i}]" if i else f".{k}" for i, k in steps).lstrip(".") == path, message
+    node = record
+    for n, (index, key) in enumerate(steps):
+        if index:
+            assert isinstance(node, list) and int(index) < len(node), message
+            node = node[int(index)]
+        elif n == len(steps) - 1 and rest == "missing":
+            assert isinstance(node, dict) and key not in node, message
+        else:
+            assert isinstance(node, dict) and key in node, message
+            node = node[key]
+
+
+def json_text(value) -> str:
+    """JSON text, so that 1, 1.0 and true compare unequal."""
+    return json.dumps(value, ensure_ascii=False)

@@ -3,6 +3,7 @@ import socket
 import struct
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storyrank.model import ModelConfig, init_model
-from storyrank.serve import LatencyHistogram, score_request, serve_lines, \
-    serve_tcp
-from storyrank.stories import story_to_dict
+from storyrank.prompts import TaskKind, candidate_set
+from storyrank.serve import LatencyHistogram, _score_batch, score_request, \
+    serve_lines, serve_tcp
+from storyrank.stories import story_from_dict, story_to_dict
 
-from conftest import SAMPLE_CAROUSELS, make_sample_story
+from conftest import SAMPLE_CAROUSELS, assert_path_into, json_text, \
+    make_sample_story, mutated
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +204,8 @@ def test_summary_counts_batches_and_errors_by_class(served_model,
     assert summary["batches"] == 3
     assert summary["batch_sizes"] == {"4": 2, "2": 1}
     # two lines that are not JSON, one empty line, two unknown tasks
-    assert summary["errors"] == {"JSONDecodeError": 2, "ValueError": 3}
+    assert summary["errors"] == {"JSONDecodeError": 2, "ValueError": 1,
+                                 "ValidationError": 2}
     replies = [json.loads(l) for l in out[:-1]]
     assert sum("error" in r for r in replies) == 5
 
@@ -384,11 +388,11 @@ _FIRST_EVENT = ("story", "sessions", 0, "events", 0)  # a search event
                  id="carousel-task-on-search-surface"),
     # the last event is at 945000; int() would read both as 945010
     pytest.param("item_masked", {}, (("now",), "945010"),
-                 "now must be an integer", id="string-now"),
+                 "request.now: expected an integer or null", id="string-now"),
     pytest.param("item_masked", {}, (("now",), 945010.7),
-                 "now must be an integer", id="float-now"),
+                 "request.now: expected an integer or null", id="float-now"),
     pytest.param("item_masked", {}, (("now",), True),
-                 "now must be an integer", id="bool-now"),
+                 "request.now: expected an integer or null", id="bool-now"),
 ])
 def test_request_fields_held_to_story_rules(served_model, sample_vocab, task,
                                             context, field, expect):
@@ -495,13 +499,29 @@ def _fuzzed_request_line(draw):
     return json.dumps(request)
 
 
+# the classes an error reply may be counted under: a request that breaks a
+# field table or a story rule, or names a token the vocabulary lacks, and a
+# line that is not UTF-8, not JSON, JSON nested too deep, or empty
+REPLY_ERRORS = {"ValidationError", "PromptError", "TokenizeError",
+                "UnicodeDecodeError", "JSONDecodeError", "RecursionError",
+                "ValueError"}
+
+
 @given(st.lists(st.one_of(_fuzzed_request_line(), st.text(max_size=16)),
                 max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_fuzzed_requests_get_one_reply_each(served_model, sample_vocab, lines):
     good = _request(99)
-    replies = _serve([*lines, json.dumps(good)], served_model, sample_vocab,
-                     batch_window_ms=200.0)
+    out = []
+    serve_lines([*lines, json.dumps(good)], served_model, sample_vocab,
+                out.append, batch_window_ms=200.0)
+    *replies, last = [json.loads(line) for line in out]
+    assert len(replies) == len(lines) + 1
+    assert last["summary"]["n"] == len(lines) + 1
+    errors = last["summary"]["errors"]
+    assert set(errors) <= REPLY_ERRORS, errors
+    # ValueError is the empty line's class only
+    assert errors.get("ValueError", 0) == sum(not line.strip() for line in lines)
     for line, reply in zip(lines, replies):
         assert ("error" in reply) != ("candidates" in reply)
         if "candidates" in reply:
@@ -509,3 +529,75 @@ def test_fuzzed_requests_get_one_reply_each(served_model, sample_vocab, lines):
                                                      served_model, sample_vocab)
     assert _without_latency(replies[-1]) == _alone(good, served_model,
                                                    sample_vocab)
+
+
+_REQUEST_KEYS = ("extra", "tpo_k", "id", "context", "top_k", "now", "hour",
+                 "surface", "carousel", "query", "sessionless")
+
+
+@given(st.sampled_from([
+    _request(0, context={"hour": 4}, now=945000),
+    _request(1, task="item_contextual",
+             context={"surface": "browse", "carousel": "after_dark_detours"}),
+    _request(2, task="search", context={"query": "fog", "surface": "search"}),
+    _request(3, task="carousel", context={"surface": "home"}),
+]).flatmap(lambda request: mutated(request, new_keys=_REQUEST_KEYS)))
+@settings(max_examples=300, deadline=None)
+def test_mutated_request_is_refused_by_path_or_read_as_written(
+        served_model, sample_vocab, request):
+    errors = Counter()
+    reply, = _score_batch([request], served_model, sample_vocab, errors)
+    if "error" in reply:
+        [name] = errors
+        assert name in {"ValidationError", "PromptError", "TokenizeError"}, \
+            (name, reply)
+        if name == "ValidationError" and reply["error"].startswith("request"):
+            assert_path_into({"request": request}, reply["error"])
+        elif name == "ValidationError":  # a path from the story, as in a file
+            assert_path_into(request["story"], reply["error"])
+        return
+    story = request["story"]
+    if story.get("sessionless") is False:  # the default, written by omission
+        story = {k: v for k, v in story.items() if k != "sessionless"}
+    assert json_text(story_to_dict(story_from_dict(story))) == json_text(story)
+    assert json_text(reply["id"]) == json_text(request.get("id"))
+    assert reply["task"] == request["task"]
+    assert len(reply["candidates"]) == min(request.get("top_k", 10), len(
+        candidate_set(TaskKind(request["task"]), sample_vocab)))
+
+
+@pytest.mark.parametrize("spoil, expect", [
+    pytest.param(lambda r: r.update(task="tv"),
+                 "request.task: expected one of 'item_masked', 'item_contextual', "
+                 "'carousel', 'search', got 'tv'", id="task"),
+    pytest.param(lambda r: r.update(tpo_k=5), "request.tpo_k: unknown key",
+                 id="misspelt-key"),
+    pytest.param(lambda r: r.update(context=[1]),
+                 "request.context: expected a JSON object, got [1]", id="context-list"),
+    pytest.param(lambda r: r.update(context={"hour": "3"}),
+                 "request.context.hour: expected an integer, got '3'",
+                 id="context-string-hour"),
+    pytest.param(lambda r: r.update(context={"surface": "tv"}),
+                 "request.context.surface: expected one of 'home', 'search', "
+                 "'browse', 'autoplay', got 'tv'", id="context-surface"),
+    pytest.param(lambda r: r.update(top_k=-(2 ** 70)),
+                 "request.top_k: expected a non-negative", id="top-k"),
+    pytest.param(lambda r: r["story"]["sessions"][0]["events"][0].update(
+        timestamp="875400"), "sessions[0].events[0].timestamp: expected an "
+        "integer, got '875400'", id="string-timestamp"),
+    pytest.param(lambda r: r["story"]["sessions"][0]["events"][2].update(
+        surface="tv"), "sessions[0].events[2].surface: expected one of",
+        id="story-surface"),
+    pytest.param(lambda r: r["story"]["sessions"][1].update(start_time="1"),
+                 "sessions[1].start_time: expected an integer, got '1'",
+                 id="string-start-time"),
+    pytest.param(lambda r: r["story"].update(extra=1), "extra: unknown key",
+                 id="story-key"),
+])
+def test_request_fields_fail_by_path(served_model, sample_vocab, spoil, expect):
+    bad = _request(1)
+    spoil(bad)
+    errors = Counter()
+    reply, = _score_batch([bad], served_model, sample_vocab, errors)
+    assert reply["id"] == 1 and reply["error"].startswith(expect)
+    assert errors == {"ValidationError": 1}

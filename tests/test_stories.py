@@ -17,6 +17,8 @@ from storyrank.stories import (
     ValidationError,
     WatchEvent,
     day_of_week,
+    event_from_dict,
+    event_to_dict,
     hour_of_day,
     read_stories,
     search,
@@ -25,11 +27,13 @@ from storyrank.stories import (
     story_to_dict,
     validate_story,
     watch,
+    write_stories,
 )
 
 from storyrank.prompts import open_session
 
-from conftest import SUNDAY, LANTERN, make_sample_story
+from conftest import SUNDAY, LANTERN, assert_path_into, json_text, \
+    make_sample_story, mutated
 
 T0 = SUNDAY + 9 * 3600  # Sunday 09:00
 
@@ -408,3 +412,106 @@ def test_user_id_and_attributes_must_have_their_json_types(field, value, message
         story_from_dict(d)
     d[field] = story_to_dict(make_sample_story())[field]
     assert story_from_dict(d) == make_sample_story()
+
+
+# --- the decoders: refused by path, or read exactly as written ---------------
+
+SAMPLE_DICT = story_to_dict(make_sample_story())
+EVENT_KEYS = ("extra", "type", "timestamp", "hour", "surface", "carousel",
+              "item_id", "title", "duration_minutes", "query")
+
+
+@given(mutated(SAMPLE_DICT, new_keys=("extra", "sessionless", "_manifest",
+                                      "user_id", "events", "start_time")))
+@settings(max_examples=400, deadline=None)
+def test_mutated_story_is_refused_by_path_or_round_trips(d):
+    try:
+        story = story_from_dict(d)
+    except ValidationError as exc:
+        assert_path_into(d, str(exc))
+        return
+    violations = validate_story(story)
+    for v in violations:  # what every reader refuses next, also by path;
+        # validate_story names a watch's item_id and title together `.item`
+        assert_path_into(d, f"{v.path.removesuffix('.item')}: {v.message}")
+    if not violations:
+        if d.get("sessionless") is False:  # the default, written by omission
+            d = {k: v for k, v in d.items() if k != "sessionless"}
+        assert json_text(story_to_dict(story)) == json_text(d)
+
+
+@given(st.sampled_from([e for s in SAMPLE_DICT["sessions"] for e in s["events"]])
+       .flatmap(lambda e: mutated(e, new_keys=EVENT_KEYS)))
+@settings(max_examples=400, deadline=None)
+def test_mutated_event_is_refused_by_path_or_round_trips(d):
+    try:
+        event = event_from_dict(d, "event")
+    except ValidationError as exc:
+        assert_path_into({"event": d}, str(exc))
+        return
+    if isinstance(event, WatchEvent) and event.item is None and "title" in d:
+        # a title without an item_id is left to validate_story, which refuses
+        # a watch without an item
+        d = {k: v for k, v in d.items() if k != "title"}
+    assert json_text(event_to_dict(event)) == json_text(d)
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def test_story_file_faults_name_the_file_and_line(tmp_path):
+    path = tmp_path / "stories.jsonl"
+    story = json.dumps(SAMPLE_DICT)
+    manifest = json.dumps({"_manifest": {"hash": "h"}})
+    cases = [
+        ([manifest, story, story[:40]], r"stories\.jsonl:3: (Unterminated|Expecting)"),
+        ([story, "[1, 2]"], r"stories\.jsonl:2: record: expected a JSON object, "
+                            r"got \[1, 2\]$"),
+        ([manifest, json.dumps(dict(SAMPLE_DICT, sessionless="no"))],
+         r"stories\.jsonl:2: sessionless: expected true or false, got 'no'$"),
+        # a manifest is line 1 alone: anywhere else, or with another key, it
+        # is a record with an unknown key
+        ([story, json.dumps(dict(SAMPLE_DICT, _manifest={}))],
+         r"stories\.jsonl:2: _manifest: unknown key$"),
+        ([json.dumps(dict(SAMPLE_DICT, _manifest={}))],
+         r"stories\.jsonl:1: _manifest: unknown key$"),
+        ([story, manifest], r"stories\.jsonl:2: user_id: missing$"),
+        ([story, json.dumps(SAMPLE_DICT)[:-1] + ', "tpo": 1}'],
+         r"stories\.jsonl:2: tpo: unknown key$"),
+        ([manifest, "[" * 100_000], r"stories\.jsonl:2: maximum recursion depth"),
+    ]
+    for lines, message in cases:
+        _write_lines(path, lines)
+        with pytest.raises(ValidationError, match=message):
+            read_stories(path)
+    path.write_bytes(manifest.encode() + b"\n" + story.encode()[:-2] + b"\xff}\n")
+    with pytest.raises(ValidationError, match=r"stories\.jsonl:2: 'utf-8' codec"):
+        read_stories(path)
+
+
+def test_story_file_round_trips_with_its_manifest(tmp_path):
+    stories = [make_sample_story("a"), make_sample_story("b")]
+    path = tmp_path / "stories.jsonl"
+    assert write_stories(path, stories, header={"hash": "h"}) == 2
+    _write_lines(path, path.read_text(encoding="utf-8").splitlines() + [""])
+    assert read_stories(path) == stories
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("timestamp", "1753726", r"^sessions\[0\]\.events\[2\]\.timestamp: expected an "
+                             r"integer, got '1753726'$"),
+    ("timestamp", 875520.0, r"\.timestamp: expected an integer, got 875520\.0$"),
+    ("hour", True, r"\.hour: expected an integer, got True$"),
+    ("duration_minutes", "87", r"\.duration_minutes: expected an integer, got '87'$"),
+    ("surface", "tv", r"^sessions\[0\]\.events\[2\]\.surface: expected one of "
+                      r"'home', 'search', 'browse', 'autoplay', got 'tv'$"),
+    ("type", "click", r"\.events\[2\]\.type: expected 'watch' or 'search', "
+                      r"got 'click'$"),
+    ("tpo", 1, r"^sessions\[0\]\.events\[2\]\.tpo: unknown key$"),
+])
+def test_event_fields_fail_by_path(field, value, message):
+    d = json.loads(json.dumps(SAMPLE_DICT))
+    d["sessions"][0]["events"][2][field] = value  # the first watch
+    with pytest.raises(ValidationError, match=message):
+        story_from_dict(d)

@@ -24,7 +24,8 @@ from storyrank.vocab import (
     write_vocab,
 )
 
-from conftest import SAMPLE_TEXT, make_sample_story
+from conftest import SAMPLE_TEXT, assert_path_into, json_text, make_sample_story, \
+    mutated
 from oracles import byte_runs, detokenize, learn_merges, \
     prefix_freedom_violations, rescan_tokenize
 
@@ -248,13 +249,72 @@ def test_catalog_item_without_a_title_is_refused(tmp_path):
     lines[1] = json.dumps({"item_id": "B2"})
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(VocabularyError,
-                       match=r"catalog\.jsonl:2: catalog item 'B2' has no title"):
+                       match=r"catalog\.jsonl:2: title: missing$"):
         read_catalog(path)
     lines[1] = json.dumps({"item_id": "B2", "title": ""})  # explicit "" is kept
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     again = tmp_path / "again.jsonl"
     write_catalog(again, read_catalog(path))
     assert again.read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
+
+
+CATALOG_LINES = [{"item_id": "A1", "title": "Fog Pier", "genre": "noir"},
+                 {"carousel_id": "top_picks", "name": "top picks"}]
+MANIFEST_LINE = json.dumps({"_manifest": {"hash": "h"}}, sort_keys=True)
+
+
+@given(st.sampled_from(CATALOG_LINES).flatmap(lambda line: mutated(
+    line, new_keys=("extra", "item_id", "title", "genre", "carousel_id", "name")))
+       .map(json_text))
+@settings(max_examples=300, deadline=None)
+def test_mutated_catalog_line_is_refused_by_path_or_round_trips(tmp_path_factory,
+                                                               text):
+    path = tmp_path_factory.mktemp("catalog") / "catalog.jsonl"
+    path.write_text(f"{MANIFEST_LINE}\n{text}\n", encoding="utf-8")
+    try:
+        catalog = read_catalog(path)
+    except VocabularyError as exc:
+        prefix = f"{path}:2: "
+        assert str(exc).startswith(prefix)
+        assert_path_into(json.loads(text), str(exc)[len(prefix):])
+        return
+    # the reader checks an item's genre but keeps no genre: hand it back
+    line = json.loads(text)
+    again = path.with_name("again.jsonl")
+    write_catalog(again, catalog, header={"hash": "h"},
+                  genres={line["item_id"]: line["genre"]} if "genre" in line else None)
+    assert again.read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("line, message", [
+    ({"item_id": 5, "title": "t"}, r"catalog\.jsonl:2: item_id: expected a string, "
+                                   r"got 5$"),
+    ({"item_id": "A", "title": 7}, r"catalog\.jsonl:2: title: expected a string, "
+                                   r"got 7$"),
+    ({"item_id": "A", "title": "t", "_manifest": {}},
+     r"catalog\.jsonl:2: _manifest: unknown key$"),
+    ({"carousel_id": "c", "item_id": "A"}, r"catalog\.jsonl:2: item_id: unknown key$"),
+    # a line without carousel_id is an item line
+    ({"name": "n"}, r"catalog\.jsonl:2: item_id: missing$"),
+    ([1, 2], r"catalog\.jsonl:2: record: expected a JSON object, got \[1, 2\]$"),
+])
+def test_catalog_line_faults_name_the_file_line_and_field(tmp_path, line, message):
+    path = tmp_path / "catalog.jsonl"
+    path.write_text(f"{MANIFEST_LINE}\n{json.dumps(line)}\n", encoding="utf-8")
+    with pytest.raises(VocabularyError, match=message):
+        read_catalog(path)
+
+
+def test_generated_catalog_file_round_trips(tmp_path):
+    catalog, _, genres = generate_world(WorldConfig(n_users=3, n_items=40))
+    path, again = tmp_path / "catalog.jsonl", tmp_path / "again.jsonl"
+    write_catalog(path, catalog, header={"hash": "h"}, genres=genres)
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert all(line["genre"] == genres[line["item_id"]]
+               for line in lines if "item_id" in line)
+    assert all("name" in line for line in lines if "carousel_id" in line)
+    write_catalog(again, read_catalog(path), header={"hash": "h"}, genres=genres)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_empty_carousel_is_a_token_but_no_carousel_candidate(sample_vocab):
