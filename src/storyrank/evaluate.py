@@ -12,7 +12,11 @@ heads, the same session trimming, the same padded batch forward and the same
 candidate sets and tie-break (`rank_candidates`), which the reference scorers
 use too; positions and popularity counts take their targets from
 `prompts.target_token`, the rule the candidate sets are made from. Offline
-metrics therefore measure the ranking that `serve` returns.
+metrics therefore measure the ranking that `serve` returns: bit for bit at
+a watch scored for one task, and within float rounding at a watch scored
+for several, whose tasks' prompts share one story pass through the model.
+Each scorer gets every task's positions at once (`target_ranks`), so the
+model scorer can group the tasks of one watch.
 """
 from __future__ import annotations
 
@@ -142,27 +146,53 @@ class ModelScorer:
         self.transform = transform or {}
         self.batch_size = batch_size
 
+    def prompts(self, story: UserStory, heads, vocabulary: Vocabulary
+                ) -> list[TaskPrompt]:
+        """The served prompts for (kind, context) heads at one position,
+        built from this scorer's view of its prefix story."""
+        # the queries are already in the prefix; reopening the watch with the
+        # contextual head gives <|surface=search|><|carousel()|>
+        heads = [(TaskKind.ITEM_CONTEXTUAL if kind == TaskKind.SEARCH
+                  else kind, context) for kind, context in heads]
+        return trim_story_to_context(
+            grammar.apply_transform(story, **self.transform), heads,
+            vocabulary, self.model.config.context_length)
+
     def prompt(self, pos: EligiblePosition, kind: TaskKind,
                vocabulary: Vocabulary) -> TaskPrompt:
-        """The served prompt for one position, built from this scorer's view
-        of the prefix story."""
-        if kind == TaskKind.SEARCH:
-            # the queries are already in the prefix; reopening the watch with
-            # the contextual head gives <|surface=search|><|carousel()|>
-            kind = TaskKind.ITEM_CONTEXTUAL
-        return trim_story_to_context(
-            grammar.apply_transform(pos.prefix_story, **self.transform), kind,
-            pos.context, vocabulary, self.model.config.context_length)
+        """The served prompt for one position and task alone."""
+        return self.prompts(pos.prefix_story, [(kind, pos.context)],
+                            vocabulary)[0]
 
-    def target_ranks(self, positions, kind: TaskKind,
-                     vocabulary: Vocabulary) -> list[int]:
-        ranks = []
-        for lo in range(0, len(positions), self.batch_size):
-            chunk = positions[lo:lo + self.batch_size]
-            ranked = rank_batch([self.prompt(p, kind, vocabulary)
-                                 for p in chunk], self.model)
-            ranks.extend(r.rank_of(p.target_token)
-                         for p, r in zip(chunk, ranked))
+    def target_ranks(self, positions_by_kind: dict,
+                     vocabulary: Vocabulary) -> dict:
+        """{kind: target ranks}. The positions that several kinds share at
+        one watch (equal prefix stories) are trimmed as one group, whose
+        prompts the model runs the story of once; a watch scored for one
+        task gets serve's prompt. A batch holds whole groups, up to
+        `batch_size` prompts unless one group alone is larger."""
+        groups: dict[UserStory, list] = {}
+        for kind, positions in positions_by_kind.items():
+            for i, pos in enumerate(positions):
+                groups.setdefault(pos.prefix_story, []).append((kind, i, pos))
+        ranks = {kind: [0] * len(p) for kind, p in positions_by_kind.items()}
+        batch, prompts = [], []
+
+        def rank():
+            for (kind, i, pos), ranked in zip(batch,
+                                              rank_batch(prompts, self.model)):
+                ranks[kind][i] = ranked.rank_of(pos.target_token)
+            batch.clear()
+            prompts.clear()
+
+        for story, group in groups.items():
+            if batch and len(batch) + len(group) > self.batch_size:
+                rank()
+            batch.extend(group)
+            prompts.extend(self.prompts(
+                story, [(kind, pos.context) for kind, _, pos in group],
+                vocabulary))
+        rank()
         return ranks
 
 
@@ -173,13 +203,17 @@ class StaticScorer:
         self.name = name
         self.token_scores = token_scores
 
-    def target_ranks(self, positions, kind: TaskKind,
-                     vocabulary: Vocabulary) -> list[int]:
+    def target_ranks(self, positions_by_kind: dict,
+                     vocabulary: Vocabulary) -> dict:
         row = np.zeros(vocabulary.size)
         for tid, score in self.token_scores.items():
             row[tid] = score
-        ranked = rank_candidates(row, candidate_set(kind, vocabulary))
-        return [ranked.rank_of(pos.target_token) for pos in positions]
+        ranks = {}
+        for kind, positions in positions_by_kind.items():
+            ranked = rank_candidates(row, candidate_set(kind, vocabulary))
+            ranks[kind] = [ranked.rank_of(pos.target_token)
+                           for pos in positions]
+        return ranks
 
 
 def popularity_scorer(train_stories, vocabulary: Vocabulary) -> StaticScorer:
@@ -258,13 +292,13 @@ class Bm25Scorer:
         self.index = index
         self.name = name
 
-    def target_ranks(self, positions, kind: TaskKind,
-                     vocabulary: Vocabulary) -> list[int]:
-        if kind != TaskKind.SEARCH:
+    def target_ranks(self, positions_by_kind: dict,
+                     vocabulary: Vocabulary) -> dict:
+        if set(positions_by_kind) - {TaskKind.SEARCH}:
             raise EvalError("BM25 scores search positions only")
-        candidates = candidate_set(kind, vocabulary)
+        candidates = candidate_set(TaskKind.SEARCH, vocabulary)
         ranks = []
-        for pos in positions:
+        for pos in positions_by_kind.get(TaskKind.SEARCH, ()):
             row = np.zeros(vocabulary.size)
             for item_id, score in zip(self.index.doc_ids,
                                       self.index.scores(pos.context["query"])):
@@ -273,7 +307,7 @@ class Bm25Scorer:
                     row[tid] = score
             ranks.append(rank_candidates(row, candidates)
                          .rank_of(pos.target_token))
-        return ranks
+        return {TaskKind.SEARCH: ranks}
 
 
 # --- the harness ----------------------------------------------------------------
@@ -286,31 +320,35 @@ def evaluate(scorers, eval_stories, kinds, cfg: EvalConfig,
     stories = sorted(eval_stories, key=lambda s: s.user_id)
     if cfg.max_eval_users is not None:
         stories = stories[:cfg.max_eval_users]
-    rows = []
-    for kind in kinds:
-        kind = TaskKind(kind)
+    positions_by_kind = {}
+    for kind in map(TaskKind, kinds):
         positions = []
         for story in stories:
             per_user = eligible_positions(story, kind, vocabulary)
             if cfg.max_positions_per_user is not None:
                 per_user = per_user[-cfg.max_positions_per_user:]
             positions.extend(per_user)
-        for scorer in scorers:
+        positions_by_kind[kind] = positions
+    ranks_by_scorer = []
+    for scorer in scorers:
+        scored = {kind: positions for kind, positions
+                  in positions_by_kind.items() if positions and (
+                      kind == TaskKind.SEARCH
+                      or not isinstance(scorer, Bm25Scorer))}
+        ranks_by_scorer.append(scorer.target_ranks(scored, vocabulary)
+                               if scored else {})
+    rows = []
+    for kind in map(TaskKind, kinds):
+        for scorer, ranks in zip(scorers, ranks_by_scorer):
             if isinstance(scorer, Bm25Scorer) and kind != TaskKind.SEARCH:
                 continue
-            if not positions:
-                for k in cfg.cutoffs:
-                    rows.append({"method": scorer.name, "task": kind.value,
-                                 "K": k, "hr": None, "ndcg": None,
-                                 "n_positions": 0, "config_hash": config_hash})
-                continue
-            ranks = scorer.target_ranks(positions, kind, vocabulary)
+            got = ranks.get(kind, [])
             for k in cfg.cutoffs:
                 rows.append({
                     "method": scorer.name, "task": kind.value, "K": k,
-                    "hr": hit_rate_at_k(ranks, k),
-                    "ndcg": ndcg_at_k(ranks, k),
-                    "n_positions": len(ranks),
+                    "hr": hit_rate_at_k(got, k) if got else None,
+                    "ndcg": ndcg_at_k(got, k) if got else None,
+                    "n_positions": len(got),
                     "config_hash": config_hash,
                 })
     return rows

@@ -17,9 +17,16 @@ including the slot only, since under the causal mask the slot row depends
 on no later row. It runs every layer but the last over all those rows, as
 keys and values need them, and the last layer's query, attention row, MLP,
 final norm and output head over the slot row alone. The bit contract of
-slot mode has two levels: a slot row is bitwise independent of the batch,
+slot mode has three levels: a slot row is bitwise independent of the batch,
 the padding and every token past the slot, and equal to the full forward's
 row at that slot within float rounding (narrower GEMMs round differently).
+Third, `Model.forward(ids, slots, splits)` runs a row with split s > 0 in
+two passes: a story pass over ids[:s], whose last layer computes keys and
+values only, and a head pass over ids[s:slot + 1] that attends to them.
+Rows with equal ids[:s] share one story pass. A split row's logits depend
+on (ids[:slot + 1], s) alone, bit for bit, whatever other rows share its
+story, and equal its unsplit slot row within float rounding; split 0 is
+the unsplit slot row itself.
 
 Each sequence is its own task in every forward: with slots, without them
 (each row padded to the context length), and in training, where a task is
@@ -192,7 +199,7 @@ class Model:
             return self.params["tok_emb"].T
         return self.params["w_out"]
 
-    def forward(self, token_ids, slots=None) -> np.ndarray:
+    def forward(self, token_ids, slots=None, splits=None) -> np.ndarray:
         """Logits for one sequence (T,) -> (T, V) or a batch (B, T) -> (B, T, V).
         With `slots`, one position per sequence, only the logits at those
         positions: (V,) for one sequence, (B, V) for a batch. Counts as
@@ -211,26 +218,81 @@ class Model:
         M=1). A slot row's logits are therefore bitwise independent of the
         batch, the padding and every token past the slot, and equal to
         `forward(ids)[slot]` within float rounding, not bit for bit: GEMMs
-        narrower than the context round differently."""
+        narrower than the context round differently.
+
+        `splits`, one per slot (default all 0), is the slot contract's third
+        level. A row with split s in 1..slot runs as a story pass over
+        ids[:s] through every layer, whose last layer computes keys and
+        values only, then a head pass over ids[s:slot + 1] with RoPE and
+        mask offset by s, attending to the story's keys and values, whose
+        last layer runs for the slot row alone. Rows with equal ids[:s] form
+        one task that runs their story pass once and their head passes in
+        row order. A split row's logits are bitwise a function of
+        (ids[:slot + 1], s) alone, so equal whether the row runs alone or
+        shares its story, and equal its split-0 row within float rounding.
+        Split 0 runs the unsplit slot row."""
         self.forward_calls += 1
         ids, squeeze = _as_batch(token_ids)
         _check_ids(ids, self.config)
         t = ids.shape[1]
-        if slots is not None:
-            slots = np.asarray(slots, dtype=np.int64).reshape(-1)
-            if slots.shape != (ids.shape[0],):
-                raise ModelError(f"{slots.size} slots for {ids.shape[0]} "
-                                 "sequences")
-            if slots.min() < 0 or slots.max() >= t:
-                raise ModelError(f"slot outside the sequence length {t}")
-            tasks = [(self, ids[r, :s + 1], True) for r, s in enumerate(slots)]
-        else:
+        if slots is None:
+            if splits is not None:
+                raise ModelError("splits need slots")
             padded = np.pad(ids, ((0, 0), (0, self.config.context_length - t)))
-            tasks = [(self, row, False) for row in padded]
-        rows = []
-        _run_tasks(_sequence_logits, tasks, rows.append)
-        logits = np.stack(rows) if slots is not None else np.stack(rows)[:, :t]
+            rows = []
+            _run_tasks(_sequence_logits, [(self, row, False) for row in padded],
+                       rows.append)
+            logits = np.stack(rows)[:, :t]
+            return logits[0] if squeeze else logits
+        slots = np.asarray(slots, dtype=np.int64).reshape(-1)
+        if slots.shape != (ids.shape[0],):
+            raise ModelError(f"{slots.size} slots for {ids.shape[0]} sequences")
+        if slots.min() < 0 or slots.max() >= t:
+            raise ModelError(f"slot outside the sequence length {t}")
+        splits = np.zeros_like(slots) if splits is None \
+            else np.asarray(splits, dtype=np.int64).reshape(-1)
+        if splits.shape != slots.shape:
+            raise ModelError(f"{splits.size} splits for {slots.size} slots")
+        if (splits < 0).any() or (splits > slots).any():
+            raise ModelError("split outside 0..slot")
+        rows = [None] * len(slots)
+
+        def fold(result):
+            for r, row in result:
+                rows[r] = row
+
+        _run_tasks(_story_and_heads, _split_tasks(self, ids, slots, splits),
+                   fold)
+        logits = np.stack(rows)
         return logits[0] if squeeze else logits
+
+
+def _split_tasks(model: Model, ids, slots, splits) -> list[tuple]:
+    """One task per split-0 row, and one per distinct story ids[:s] over the
+    rows with split s > 0, in the order of each task's first row: (model,
+    story ids, [(row, head ids), ...])."""
+    tasks, by_story = [], {}
+    for r, (slot, s) in enumerate(zip(slots.tolist(), splits.tolist())):
+        head = (r, ids[r, s:slot + 1])
+        if not s:
+            tasks.append((model, ids[r, :0], [head]))
+        elif (key := ids[r, :s].tobytes()) in by_story:
+            by_story[key][2].append(head)
+        else:
+            by_story[key] = (model, ids[r, :s], [head])
+            tasks.append(by_story[key])
+    return tasks
+
+
+def _story_and_heads(model: Model, story: np.ndarray, heads: list):
+    """[(row, (V,) logits at the head's last row)] for each head after the
+    story ids; an empty story is a split-0 row, which runs unsplit."""
+    if not len(story):
+        return [(r, _sequence_logits(model, head, True)) for r, head in heads]
+    past = []
+    _forward(model, story, need_cache=False, keys=past)
+    return [(r, _forward(model, head, need_cache=False, last_row=True,
+                         past=past)[0][0]) for r, head in heads]
 
 
 def _sequence_logits(model: Model, ids: np.ndarray, last_row: bool):
@@ -486,18 +548,27 @@ def _view(flat, shape):
 
 
 def _forward(model: Model, ids: np.ndarray, need_cache: bool,
-             last_row: bool = False):
+             last_row: bool = False, past: list | None = None,
+             keys: list | None = None):
     """One sequence's logits, ids (T,) -> (T, V), and, when `need_cache`,
     the activations backward needs. With `last_row` (inference only) the
     logits are (1, V) at the last row: the last layer computes keys and
     values for every row and everything else for the last row alone.
     Without the cache, each layer's scores, zg, zu and gate go into this
-    thread's `_inference_buffers`; the logits are a new array."""
+    thread's `_inference_buffers`; the logits are a new array.
+
+    Inference only: a story pass passes a list as `keys`, gets each layer's
+    RoPE'd keys and values, (H, T, hd) each, appended to it, and returns
+    (None, None) once the last layer's are in. A head pass passes that list
+    as `past`: its ids are then rows s.. of the sequence after the story's
+    s rows, so RoPE and the mask are offset by s and every layer attends to
+    the story's keys and values before its own."""
     cfg = model.config
     p = model.params
-    t = len(ids)
-    cos, sin = model._cos[:t], model._sin[:t]
-    future = model._future[:t, :t]
+    s = past[0][0].shape[1] if past else 0
+    t = s + len(ids)  # keys in attention
+    cos, sin = model._cos[s:t], model._sin[s:t]
+    future = model._future[s:t, :t]
     scale = np.sqrt(np.array(cfg.head_dim, dtype=cfg.np_dtype))
     scores_buf, zg_buf, zu_buf, gate_buf = \
         (None,) * 4 if need_cache else _inference_buffers(model)
@@ -511,6 +582,13 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool,
         a, inv1 = _rmsnorm_fwd(x, p[f"layers.{i}.ln1"], cfg.rms_eps)
         k = _rope_apply(_split_heads(a @ wk, cfg.heads), cos, sin)
         v = _split_heads(a @ wv, cfg.heads)
+        if past:
+            k = np.concatenate((past[i][0], k), axis=1)
+            v = np.concatenate((past[i][1], v), axis=1)
+        if keys is not None:
+            keys.append((k, v))
+            if i == cfg.layers - 1:
+                return None, None
         if last_row and i == cfg.layers - 1:
             # past the keys and values, only the last row
             x, a = x[-1:], a[-1:]

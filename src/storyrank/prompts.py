@@ -24,6 +24,14 @@ model computes its last layer and output head for that position alone.
 A task ranks exactly the tokens `target_token` can name for it. Offline
 evaluation builds and ranks its model prompts with these same functions,
 and takes its targets from `target_token`.
+
+Eval trims the heads of every task it scores at one watch in one call, and
+those prompts record the length of their story ids (`story_len`); the
+model then runs each distinct story once for all of them (the split rows of
+`Model.forward`). Serve's prompts, and eval's at a watch scored for one
+task, keep `story_len` 0 and run unsplit. So eval equals serve bit for bit
+at a watch it scores for one task, and within float rounding at a watch it
+scores for several.
 """
 from __future__ import annotations
 
@@ -58,6 +66,9 @@ class TaskPrompt:
     target_slot: int  # position whose output logits score the next token
     candidate_set: tuple[int, ...]
     kind: TaskKind
+    # 0, or the length of the story ids before the head, which the model
+    # runs once for every prompt of a batch with those story ids
+    story_len: int = 0
 
 
 @dataclass(frozen=True)
@@ -150,32 +161,47 @@ def candidate_set(kind: TaskKind, vocabulary: Vocabulary) -> tuple[int, ...]:
     return cands
 
 
-def trim_story_to_context(story: UserStory, kind: TaskKind, context: dict,
-                          vocabulary: Vocabulary,
-                          context_length: int) -> TaskPrompt:
-    """Build a prompt that fits the model context from the story's newest
-    whole sessions (never splitting an event), then the task head. The lead
-    and each session's text are tokenized once, and sessions are kept newest
-    first while their token counts fit; when not even the newest fits, the
-    prompt is the lead and the head alone."""
-    head = head_text(kind, context)
+def trim_story_to_context(story: UserStory, heads, vocabulary: Vocabulary,
+                          context_length: int) -> list[TaskPrompt]:
+    """One prompt per (kind, context) head, each fit to the model context
+    from the story's newest whole sessions (never splitting an event), then
+    its head. The lead and each session's text are rendered and tokenized
+    once for all heads, and each head keeps sessions newest first while
+    their token counts fit beside the lead and its head; when not even the
+    newest fits, its prompt is the lead and its head alone. With more than
+    one head, each prompt's `story_len` is the length of its story ids, so
+    the model runs the story once for the heads that keep the same
+    sessions; a single head's prompt keeps `story_len` 0."""
+    head_ids = [tokenize(head_text(kind, context), vocabulary)
+                for kind, context in heads]
     lead, texts = grammar.serialize_parts(story)
     lead_ids = tokenize(lead + " ", vocabulary)
-    head_ids = tokenize(head, vocabulary)
-    budget = context_length - len(lead_ids) - len(head_ids)
-    kept: list[list[int]] = []
+    room = context_length - len(lead_ids) - min(map(len, head_ids))
+    # session ids newest first, as many as fit beside the shortest head
+    pieces: list[list[int]] = []
     for text in reversed(texts):
         ids = tokenize(text + " ", vocabulary) if text else []
-        if len(ids) > budget:
+        if len(ids) > room:
             break
-        kept.append(ids)
-        budget -= len(ids)
-    if budget < 0:
-        raise PromptError(
-            f"prompt head alone exceeds context length {context_length}")
-    ids = lead_ids + [t for piece in reversed(kept) for t in piece] + head_ids
-    return TaskPrompt(token_ids=tuple(ids), target_slot=len(ids) - 1,
-                      candidate_set=candidate_set(kind, vocabulary), kind=kind)
+        pieces.append(ids)
+        room -= len(ids)
+    prompts = []
+    for (kind, _), head in zip(heads, head_ids):
+        budget, kept = context_length - len(lead_ids) - len(head), 0
+        while kept < len(pieces) and len(pieces[kept]) <= budget:
+            budget -= len(pieces[kept])
+            kept += 1
+        if budget < 0:
+            raise PromptError(
+                f"prompt head alone exceeds context length {context_length}")
+        story_ids = lead_ids + [t for piece in reversed(pieces[:kept])
+                                for t in piece]
+        ids = story_ids + head
+        prompts.append(TaskPrompt(
+            token_ids=tuple(ids), target_slot=len(ids) - 1,
+            candidate_set=candidate_set(kind, vocabulary), kind=kind,
+            story_len=len(story_ids) if len(heads) > 1 else 0))
+    return prompts
 
 
 def make_prompt(story: UserStory, now: int, kind: TaskKind, context: dict,
@@ -185,8 +211,8 @@ def make_prompt(story: UserStory, now: int, kind: TaskKind, context: dict,
     first session no longer starts at elapsed=0. The prompt is trimmed from
     the story with the session at `now` open at its end."""
     check_story(story, PromptError)
-    return trim_story_to_context(open_session(story, now), kind, {
-        "hour": hour_of_day(now), **context}, vocabulary, context_length)
+    return trim_story_to_context(open_session(story, now), [(kind, {
+        "hour": hour_of_day(now), **context})], vocabulary, context_length)[0]
 
 
 def rank_candidates(row: np.ndarray, candidates) -> RankedList:
@@ -203,9 +229,10 @@ def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
     prompt's target slot only. The ids are right-padded to the context
     length; the model runs each prompt as its own task, on a pool of one
     thread per usable core with OpenBLAS pinned to one thread, over its
-    rows up to the slot, and skips the rest. A prompt's ranking is
-    the same bit for bit whatever else is in the batch. The candidates are
-    ranked here, serially, after the forward."""
+    rows up to the slot, and skips the rest; prompts with the same story
+    ids and a nonzero `story_len` share one story pass. A prompt's ranking
+    is the same bit for bit whatever else is in the batch. The candidates
+    are ranked here, serially, after the forward."""
     if not prompts:
         return []
     if max(max(p.candidate_set) for p in prompts) >= model.config.vocab_size:
@@ -218,6 +245,7 @@ def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
             raise PromptError(f"prompt of {len(prompt.token_ids)} tokens "
                               f"exceeds context length {ctx}")
         ids[r, :len(prompt.token_ids)] = prompt.token_ids
-    logits = model.forward(ids, [p.target_slot for p in prompts])
+    logits = model.forward(ids, [p.target_slot for p in prompts],
+                           [p.story_len for p in prompts])
     return [rank_candidates(row, p.candidate_set)
             for row, p in zip(logits, prompts)]

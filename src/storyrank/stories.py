@@ -309,9 +309,9 @@ def validate_story(story: UserStory) -> list[Violation]:
                     add(epath, "watch event is missing item or duration")
                 else:
                     if (msg := _check_item_id(event.item.item_id)) is not None:
-                        add(f"{epath}.item", msg)
+                        add(f"{epath}.item_id", msg)
                     if (msg := _check_title(event.item.title)) is not None:
-                        add(f"{epath}.item", msg)
+                        add(f"{epath}.title", msg)
                     if event.duration_minutes < 0:
                         add(epath, "duration_minutes is negative")
                 if (msg := _check_carousel_id(event.carousel.carousel_id)) is not None:

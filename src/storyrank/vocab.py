@@ -479,16 +479,25 @@ def write_catalog(path, catalog: CatalogIndex, *, header: dict | None = None,
 
 
 def read_catalog(path) -> CatalogIndex:
-    items, carousels, names = [], [], {}
+    """The catalog file's items and carousels. A fault, a repeated item or
+    carousel id too, raises VocabularyError naming path:line."""
+    items, carousels, names, seen = [], [], {}, set()
+
+    def once(key: str, value: str) -> None:
+        if (key, value) in seen:
+            raise VocabularyError(f"{key}: {value!r} repeats an earlier line's")
+        seen.add((key, value))
 
     def line(d) -> None:
         if type(d) is dict and "carousel_id" in d:
             carousel_id, name = fields(d, "", _CAROUSEL, _CAROUSEL_OPTIONAL)
+            once("carousel_id", carousel_id)
             carousels.append(CarouselRef(carousel_id))
             if name is not None:
                 names[carousel_id] = name
         else:
             item_id, title, _ = fields(d, "", _ITEM, _ITEM_OPTIONAL)
+            once("item_id", item_id)
             items.append(ItemRef(item_id, title))
     read_records(path, line, VocabularyError)
     return CatalogIndex(tuple(items), tuple(carousels), names)

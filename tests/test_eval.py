@@ -24,7 +24,8 @@ from storyrank.evaluate import (
     write_metrics,
 )
 from storyrank.grammar import strip_sessions
-from storyrank.model import ModelConfig, init_model
+from storyrank import model as model_module
+from storyrank.model import Model, ModelConfig, init_model
 from storyrank.prompts import TaskKind, candidate_set, rank_candidates, \
     target_token
 from storyrank.stories import AttributeHeader, ItemRef, UserStory, search, \
@@ -296,6 +297,38 @@ def test_model_scorer_runs_and_respects_context(sample_vocab):
         assert row["n_positions"] > 0
         assert 0.0 <= row["hr"] <= 1.0
         assert row["ndcg"] <= row["hr"] + 1e-12
+
+
+def test_model_rows_equal_at_any_batch_size_and_share_stories(
+        monkeypatch, worlds):
+    # a watch scored for several tasks runs its story through the model once
+    _, stories, vocab = worlds["generated"]
+    model = init_model(ModelConfig(vocab_size=vocab.size, context_length=160,
+                                   layers=2, heads=2, model_dim=16), seed=1)
+    cfg = EvalConfig(cutoffs=(1, 8, 50), max_eval_users=3,
+                     max_positions_per_user=6)
+    kinds = [TaskKind.ITEM_MASKED, TaskKind.CAROUSEL, TaskKind.SEARCH]
+    stories = [s for s in stories
+               if eligible_positions(s, TaskKind.SEARCH, vocab)]
+    rows = {"prompt": 0, "model": 0}
+    forward, sequence_forward = Model.forward, model_module._forward
+
+    def counting_forward(self, ids, slots=None, splits=None):
+        rows["prompt"] += int(np.sum(np.asarray(slots) + 1))
+        return forward(self, ids, slots, splits)
+
+    def counting_sequence_forward(model, ids, need_cache, *args, **kwargs):
+        rows["model"] += len(ids)
+        return sequence_forward(model, ids, need_cache, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", counting_forward)
+    monkeypatch.setattr(model_module, "_forward", counting_sequence_forward)
+    want = evaluate([ModelScorer(model)], stories, kinds, cfg, vocab)
+    assert 0 < rows["model"] < rows["prompt"]
+    assert all(r["n_positions"] > 0 for r in want)
+    for batch_size in (1, 3):
+        assert evaluate([ModelScorer(model, batch_size=batch_size)], stories,
+                        kinds, cfg, vocab) == want
 
 
 def test_view_transform_strips_model_input_not_positions(sample_vocab):

@@ -266,6 +266,60 @@ def test_slot_logits_are_batch_independent_and_close_to_full(key, batch):
         assert np.abs(row - full).max() <= rtol * np.abs(full).max()
 
 
+@st.composite
+def _split_batch(draw):
+    """(ids, slots, splits) with each split in 0..slot; a row may copy an
+    earlier row's story ids[:split] and split, and draw its own head."""
+    tokens = st.integers(0, 39)
+    width = draw(st.integers(1, SLOT_CTX))
+    rows, slots, splits = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.lists(tokens, min_size=width, max_size=width))
+        if rows and draw(st.booleans()):
+            source = draw(st.integers(0, len(rows) - 1))
+            split = splits[source]
+            row[:split] = rows[source][:split]
+        else:
+            split = draw(st.integers(0, width - 1))
+        rows.append(row)
+        slots.append(draw(st.integers(split, width - 1)))
+        splits.append(split)
+    return np.array(rows), slots, splits
+
+
+@given(key=st.sampled_from(sorted(SLOT_MODELS)), batch=_split_batch(),
+       companion=st.lists(st.integers(0, 39), min_size=SLOT_CTX,
+                          max_size=SLOT_CTX))
+@settings(max_examples=80, deadline=None)
+def test_split_rows_depend_on_their_ids_and_split_alone(key, batch,
+                                                        companion):
+    model = SLOT_MODELS[key]
+    ids, slots, splits = batch
+    before = model.forward_calls
+    rows = model.forward(ids, slots, splits)
+    assert model.forward_calls == before + 1
+    unsplit = model.forward(ids, slots)
+    rtol = 1e-5 if key[0] == "float32" else 1e-12
+    for r, (seq, slot, split) in enumerate(zip(ids, slots, splits)):
+        row = rows[r]
+        assert np.array_equal(row, model.forward(seq[:slot + 1], [slot],
+                                                 [split]))
+        # after a row that shares its story and has a head of its own
+        other = np.array(companion[:len(seq)])
+        other[:split] = seq[:split]
+        shared = model.forward(np.stack([other, seq]), [len(seq) - 1, slot],
+                               [split, split])
+        assert np.array_equal(row, shared[1])
+        if split == 0:
+            assert np.array_equal(row, unsplit[r])
+        else:
+            assert np.abs(row - unsplit[r]).max() \
+                <= rtol * np.abs(unsplit[r]).max()
+        for bad in (-1, slot + 1):
+            with pytest.raises(ModelError, match="split outside"):
+                model.forward(ids, slots, splits[:r] + [bad] + splits[r + 1:])
+
+
 DESK_SHAPE = ModelConfig(vocab_size=96, context_length=256, layers=4,
                          heads=4, model_dim=128)
 # slot widths at and around multiples of 64, where BLAS kernels and numpy's
@@ -731,6 +785,10 @@ def test_slots_validated():
         model.forward([[1, 2], [3, 4]], [1])
     with pytest.raises(ModelError, match="slot outside"):
         model.forward([1, 2, 3], [3])
+    with pytest.raises(ModelError, match="splits for"):
+        model.forward([[1, 2], [3, 4]], [1, 1], [0])
+    with pytest.raises(ModelError, match="splits need slots"):
+        model.forward([1, 2, 3], splits=[1])
 
 
 def test_forward_input_validation():

@@ -19,6 +19,7 @@ from storyrank.prompts import (
     make_prompt,
     rank_batch,
     rank_candidates,
+    trim_story_to_context,
 )
 from storyrank.stories import SESSION_GAP_SECONDS, SESSION_SPAN_SECONDS, \
     AttributeHeader, EMPTY_CAROUSEL, Session, Surface, UserStory, \
@@ -455,3 +456,37 @@ def test_serve_prompt_at_an_event_equals_eval_prompt(sample_vocab,
         served = _outcome(lambda: make_prompt(history, now, kind, pos.context,
                                               vocab, context_length))
         assert served == _outcome(lambda: scorer.prompt(pos, kind, vocab))
+
+
+@given(story=journeys(), heads=st.lists(st.tuples(
+           st.sampled_from(list(TaskKind)), st.integers(0, 23),
+           st.sampled_from(["home", "browse", "autoplay", "search"]),
+           st.sampled_from(SAMPLE_CAROUSELS), st.sampled_from(QUERIES)),
+           min_size=1, max_size=4),
+       merged=st.booleans(), context_length=st.sampled_from(CONTEXT_LENGTHS))
+@settings(max_examples=300, deadline=None)
+def test_multi_head_trim_gives_each_head_its_single_head_prompt(
+        sample_vocab, merged_vocab, story, heads, merged, context_length):
+    vocab = merged_vocab if merged else sample_vocab
+    heads = [(kind, {"hour": hour, "query": query,
+                     "surface": "home" if kind == TaskKind.CAROUSEL
+                     and surface == "search" else surface,
+                     "carousel": "" if surface == "search"
+                     else carousel.carousel_id})
+             for kind, hour, surface, carousel, query in heads]
+    singles = [_outcome(lambda head=head: trim_story_to_context(
+        story, [head], vocab, context_length)) for head in heads]
+    got = _outcome(lambda: trim_story_to_context(story, heads, vocab,
+                                                 context_length))
+    if any(isinstance(one, str) for one in singles):
+        # only the context can refuse a valid head: each says the same
+        assert got == next(one for one in singles if isinstance(one, str))
+        return
+    assert [len(one) for one in singles] == [1] * len(heads)
+    assert all(one[0].story_len == 0 for one in singles)
+    assert len(got) == len(heads)
+    for prompt, (one,), (kind, context) in zip(got, singles, heads):
+        assert replace(prompt, story_len=0) == one
+        if len(heads) > 1:
+            assert prompt.token_ids[prompt.story_len:] == tuple(
+                tokenize(head_text(kind, context), vocab))

@@ -431,9 +431,8 @@ def test_mutated_story_is_refused_by_path_or_round_trips(d):
         assert_path_into(d, str(exc))
         return
     violations = validate_story(story)
-    for v in violations:  # what every reader refuses next, also by path;
-        # validate_story names a watch's item_id and title together `.item`
-        assert_path_into(d, f"{v.path.removesuffix('.item')}: {v.message}")
+    for v in violations:  # what every reader refuses next, also by path
+        assert_path_into(d, f"{v.path}: {v.message}")
     if not violations:
         if d.get("sessionless") is False:  # the default, written by omission
             d = {k: v for k, v in d.items() if k != "sessionless"}

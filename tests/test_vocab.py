@@ -305,6 +305,22 @@ def test_catalog_line_faults_name_the_file_line_and_field(tmp_path, line, messag
         read_catalog(path)
 
 
+@pytest.mark.parametrize("repeat, message", [
+    ({"item_id": "A1", "title": "Fog Pier II"},
+     r"catalog\.jsonl:5: item_id: 'A1' repeats an earlier line's$"),
+    ({"carousel_id": "top_picks"},
+     r"catalog\.jsonl:5: carousel_id: 'top_picks' repeats an earlier line's$"),
+])
+def test_repeated_catalog_id_names_the_file_and_line(tmp_path, repeat, message):
+    # an item and a carousel may share an id: only a repeat of its own kind
+    path = tmp_path / "catalog.jsonl"
+    lines = [MANIFEST_LINE, *map(json.dumps, CATALOG_LINES
+                                 + [{"carousel_id": "A1"}, repeat])]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(VocabularyError, match=message):
+        read_catalog(path)
+
+
 def test_generated_catalog_file_round_trips(tmp_path):
     catalog, _, genres = generate_world(WorldConfig(n_users=3, n_items=40))
     path, again = tmp_path / "catalog.jsonl", tmp_path / "again.jsonl"
