@@ -151,18 +151,38 @@ def _task_kinds(spec: str) -> list[TaskKind]:
         name = name.strip()
         if name not in alias:
             raise ValueError(f"unknown task {name!r}")
+        if alias[name] in kinds:
+            raise ValueError(f"--tasks: {name!r} repeats the task "
+                             f"{alias[name].value}")
         kinds.append(alias[name])
     return kinds
 
 
+def _eval_methods(args) -> list[str]:
+    """`eval`'s methods, each with the flag it needs and under a name no
+    other method's metric rows have."""
+    methods = [m.strip() for m in args.methods.split(",")]
+    names = [args.model_name if m == "model" else m for m in methods]
+    for i, (method, name) in enumerate(zip(methods, names)):
+        if method not in ("model", "popularity", "bm25"):
+            raise ValueError(f"unknown method {method!r}")
+        if name in names[:i]:
+            raise ValueError(f"--methods: the method name {name!r} repeats")
+    for method, flag in (("model", "model"), ("bm25", "catalog")):
+        if method in methods and getattr(args, flag) is None:
+            raise ValueError(f"--methods {method} needs --{flag}")
+    return methods
+
+
 def cmd_eval(args) -> int:
+    # the arguments are checked before any file is read
+    methods, kinds = _eval_methods(args), _task_kinds(args.tasks)
     cfg = load_config(args.config, args.overrides)
     vocab = read_vocab(args.vocab)
     stories = read_stories(args.stories)
     train_split, eval_split = split_users(stories, cfg.eval())
     check_split_hygiene(train_split, eval_split)
     scorers = []
-    methods = [m.strip() for m in args.methods.split(",")]
     for method in methods:
         if method == "model":
             model, _, _ = load_checkpoint(args.model,
@@ -174,12 +194,10 @@ def cmd_eval(args) -> int:
         elif method == "bm25":
             catalog = read_catalog(args.catalog)
             scorers.append(Bm25Scorer(BM25Index.build(catalog.items)))
-        else:
-            raise ValueError(f"unknown method {method!r}")
     manifest = RunManifest.build("eval", cfg.raw, {"stories": args.stories,
                                                    "vocab": args.vocab})
     started = time.perf_counter()
-    rows = evaluate(scorers, eval_split, _task_kinds(args.tasks), cfg.eval(),
+    rows = evaluate(scorers, eval_split, kinds, cfg.eval(),
                     vocab, config_hash=cfg.hash)
     seconds = time.perf_counter() - started
     manifest.record("eval", seconds)

@@ -158,12 +158,6 @@ class ModelScorer:
             grammar.apply_transform(story, **self.transform), heads,
             vocabulary, self.model.config.context_length)
 
-    def prompt(self, pos: EligiblePosition, kind: TaskKind,
-               vocabulary: Vocabulary) -> TaskPrompt:
-        """The served prompt for one position and task alone."""
-        return self.prompts(pos.prefix_story, [(kind, pos.context)],
-                            vocabulary)[0]
-
     def target_ranks(self, positions_by_kind: dict,
                      vocabulary: Vocabulary) -> dict:
         """{kind: target ranks}. The positions that several kinds share at

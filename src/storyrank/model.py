@@ -11,22 +11,22 @@ logits are bitwise identical whether it is scored alone or inside a batch,
 which serving equivalence and the prefix-consistency tests rely on. Its
 attention scales, masks, normalizes and mixes the (H, T, T) scores in place.
 
-Ranking needs the logits at one position per sequence (its slot).
-`Model.forward(ids, slots)` runs each sequence over its rows up to and
-including the slot only, since under the causal mask the slot row depends
-on no later row. It runs every layer but the last over all those rows, as
-keys and values need them, and the last layer's query, attention row, MLP,
-final norm and output head over the slot row alone. The bit contract of
-slot mode has three levels: a slot row is bitwise independent of the batch,
-the padding and every token past the slot, and equal to the full forward's
-row at that slot within float rounding (narrower GEMMs round differently).
-Third, `Model.forward(ids, slots, splits)` runs a row with split s > 0 in
-two passes: a story pass over ids[:s], whose last layer computes keys and
-values only, and a head pass over ids[s:slot + 1] that attends to them.
-Rows with equal ids[:s] share one story pass. A split row's logits depend
-on (ids[:slot + 1], s) alone, bit for bit, whatever other rows share its
-story, and equal its unsplit slot row within float rounding; split 0 is
-the unsplit slot row itself.
+Ranking needs the logits at one position per sequence (its slot), and
+`Model.forward(ids, slots, splits)` has one rule for every slot row: a head
+pass after its story's keys and values. A row with split s (default 0) has
+the story ids[:s] and the head ids[s:slot + 1]. The story pass runs every
+layer over the story, its last layer computing keys and values only. The
+head pass runs with RoPE and the mask offset by s, attends to the story's
+keys and values before its own, and runs every layer but the last over all
+its rows, as keys and values need them, and the last layer's query,
+attention row, MLP, final norm and output head over the slot row alone:
+under the causal mask the slot row depends on no later row. A split-0
+row's story is empty, so its head pass is the row up to the slot. Rows
+with equal nonempty stories share one story pass. A slot row's logits are
+bitwise a function of (ids[:slot + 1], s) alone, so independent of the
+batch, the padding, every token past the slot and the rows that share its
+story, and equal to the full forward's row at that slot within float
+rounding (narrower GEMMs round differently).
 
 Each sequence is its own task in every forward: with slots, without them
 (each row padded to the context length), and in training, where a task is
@@ -177,11 +177,8 @@ def parameter_shape(name: str, cfg: ModelConfig) -> tuple[int, ...]:
 class Model:
     """Parameter container plus a forward-call counter (used to assert the
     single-pass property of ranking). The causal mask and the RoPE tables
-    are built once, at the full context length, and sliced per call. Each
-    thread that runs an inference forward gets its own scores, zg, zu and
-    gate buffers in `_scratch` (H*ctx*ctx + 3*ctx*F values, 2.5 MB at the
-    desk shape in float32), which live as long as the model and the thread;
-    no array a forward returns is a view of them."""
+    are built once, at the full context length, and sliced per call;
+    `_scratch` holds each thread's inference buffers."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
                  step: int = 0):
@@ -212,25 +209,11 @@ class Model:
         shapes keep its logits bitwise identical across prefix lengths (BLAS
         kernel selection varies with the matrix M dimension).
 
-        Slot mode runs each sequence over its rows up to and including the
-        slot, unpadded, so the width depends on the slot alone; the last
-        layer past its keys and values runs for the slot row alone (GEMM
-        M=1). A slot row's logits are therefore bitwise independent of the
-        batch, the padding and every token past the slot, and equal to
-        `forward(ids)[slot]` within float rounding, not bit for bit: GEMMs
-        narrower than the context round differently.
-
-        `splits`, one per slot (default all 0), is the slot contract's third
-        level. A row with split s in 1..slot runs as a story pass over
-        ids[:s] through every layer, whose last layer computes keys and
-        values only, then a head pass over ids[s:slot + 1] with RoPE and
-        mask offset by s, attending to the story's keys and values, whose
-        last layer runs for the slot row alone. Rows with equal ids[:s] form
-        one task that runs their story pass once and their head passes in
-        row order. A split row's logits are bitwise a function of
-        (ids[:slot + 1], s) alone, so equal whether the row runs alone or
-        shares its story, and equal its split-0 row within float rounding.
-        Split 0 runs the unsplit slot row."""
+        With slots, `splits` (one per slot, each in 0..slot, default all 0)
+        gives each row's story length, and every row is one head pass after
+        its story, as the module docstring sets out. Rows with equal
+        nonempty stories form one task that runs their story pass once and
+        their head passes in row order."""
         self.forward_calls += 1
         ids, squeeze = _as_batch(token_ids)
         _check_ids(ids, self.config)
@@ -240,8 +223,8 @@ class Model:
                 raise ModelError("splits need slots")
             padded = np.pad(ids, ((0, 0), (0, self.config.context_length - t)))
             rows = []
-            _run_tasks(_sequence_logits, [(self, row, False) for row in padded],
-                       rows.append)
+            _run_tasks(_forward, [(self, row, False) for row in padded],
+                       lambda result: rows.append(result[0]))
             logits = np.stack(rows)[:, :t]
             return logits[0] if squeeze else logits
         slots = np.asarray(slots, dtype=np.int64).reshape(-1)
@@ -255,51 +238,34 @@ class Model:
             raise ModelError(f"{splits.size} splits for {slots.size} slots")
         if (splits < 0).any() or (splits > slots).any():
             raise ModelError("split outside 0..slot")
-        rows = [None] * len(slots)
-
-        def fold(result):
-            for r, row in result:
-                rows[r] = row
-
+        rows = {}  # row -> its (V,) logits, from each task's list of pairs
         _run_tasks(_story_and_heads, _split_tasks(self, ids, slots, splits),
-                   fold)
-        logits = np.stack(rows)
+                   rows.update)
+        logits = np.stack([rows[r] for r in range(len(slots))])
         return logits[0] if squeeze else logits
 
 
 def _split_tasks(model: Model, ids, slots, splits) -> list[tuple]:
-    """One task per split-0 row, and one per distinct story ids[:s] over the
-    rows with split s > 0, in the order of each task's first row: (model,
+    """One task per distinct story ids[:s], keyed by its bytes, or by the
+    row itself at split 0, in the order of each task's first row: (model,
     story ids, [(row, head ids), ...])."""
-    tasks, by_story = [], {}
+    tasks = {}
     for r, (slot, s) in enumerate(zip(slots.tolist(), splits.tolist())):
-        head = (r, ids[r, s:slot + 1])
-        if not s:
-            tasks.append((model, ids[r, :0], [head]))
-        elif (key := ids[r, :s].tobytes()) in by_story:
-            by_story[key][2].append(head)
-        else:
-            by_story[key] = (model, ids[r, :s], [head])
-            tasks.append(by_story[key])
-    return tasks
+        key = ids[r, :s].tobytes() if s else r
+        if key not in tasks:
+            tasks[key] = (model, ids[r, :s], [])
+        tasks[key][2].append((r, ids[r, s:slot + 1]))
+    return list(tasks.values())
 
 
 def _story_and_heads(model: Model, story: np.ndarray, heads: list):
     """[(row, (V,) logits at the head's last row)] for each head after the
-    story ids; an empty story is a split-0 row, which runs unsplit."""
-    if not len(story):
-        return [(r, _sequence_logits(model, head, True)) for r, head in heads]
-    past = []
-    _forward(model, story, need_cache=False, keys=past)
+    story ids; an empty story leaves the heads no keys and values before
+    their own."""
+    past = _forward(model, story, need_cache=False, story=True) \
+        if len(story) else None
     return [(r, _forward(model, head, need_cache=False, last_row=True,
                          past=past)[0][0]) for r, head in heads]
-
-
-def _sequence_logits(model: Model, ids: np.ndarray, last_row: bool):
-    """One sequence's logits, ids (T,): (T, V), or with `last_row` the (V,)
-    logits at its last row."""
-    logits, _ = _forward(model, ids, need_cache=False, last_row=last_row)
-    return logits[0] if last_row else logits
 
 
 # --- per-sequence task pool -----------------------------------------------
@@ -491,14 +457,6 @@ def _rope_apply(x, cos, sin):
     return out
 
 
-def _rope_backward(dy, cos, sin):
-    de_r, do_r = dy[..., 0::2], dy[..., 1::2]
-    out = np.empty_like(dy)
-    out[..., 0::2] = de_r * cos + do_r * sin
-    out[..., 1::2] = -de_r * sin + do_r * cos
-    return out
-
-
 def _split_heads(x, heads):  # (T, D) -> (H, T, hd)
     return x.reshape(len(x), heads, -1).transpose(1, 0, 2)
 
@@ -529,8 +487,8 @@ def _attention(q, k, v, future, scale, keep_probs: bool, scores=None):
 
 
 def _inference_buffers(model: Model) -> tuple[np.ndarray, ...]:
-    """This thread's flat scores, zg, zu and gate buffers for `model`,
-    allocated on the thread's first inference forward."""
+    """This thread's scores, zg, zu and gate buffers for `model` (see the
+    module docstring), allocated on the thread's first inference forward."""
     local = model._scratch
     if not hasattr(local, "buffers"):
         cfg = model.config
@@ -549,20 +507,19 @@ def _view(flat, shape):
 
 def _forward(model: Model, ids: np.ndarray, need_cache: bool,
              last_row: bool = False, past: list | None = None,
-             keys: list | None = None):
+             story: bool = False):
     """One sequence's logits, ids (T,) -> (T, V), and, when `need_cache`,
     the activations backward needs. With `last_row` (inference only) the
     logits are (1, V) at the last row: the last layer computes keys and
     values for every row and everything else for the last row alone.
-    Without the cache, each layer's scores, zg, zu and gate go into this
-    thread's `_inference_buffers`; the logits are a new array.
+    Without the cache the temporaries go into `_inference_buffers`; the
+    logits are a new array.
 
-    Inference only: a story pass passes a list as `keys`, gets each layer's
-    RoPE'd keys and values, (H, T, hd) each, appended to it, and returns
-    (None, None) once the last layer's are in. A head pass passes that list
-    as `past`: its ids are then rows s.. of the sequence after the story's
-    s rows, so RoPE and the mask are offset by s and every layer attends to
-    the story's keys and values before its own."""
+    Inference only: a story pass (`story`) returns, instead of logits, each
+    layer's RoPE'd keys and values, (H, T, hd) each. A head pass passes
+    them as `past`: its ids are then rows s.. of the sequence after the
+    story's s rows, so RoPE and the mask are offset by s and every layer
+    attends to the story's keys and values before its own."""
     cfg = model.config
     p = model.params
     s = past[0][0].shape[1] if past else 0
@@ -575,7 +532,7 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool,
 
     x = p["tok_emb"][ids]
     q_cos, q_sin, mask = cos, sin, future
-    layer_caches = []
+    layer_caches, keys = [], []
     for i in range(cfg.layers):
         x_in = x
         wq, wk, wv, wo = (p[f"layers.{i}.{n}"] for n in ("wq", "wk", "wv", "wo"))
@@ -585,10 +542,10 @@ def _forward(model: Model, ids: np.ndarray, need_cache: bool,
         if past:
             k = np.concatenate((past[i][0], k), axis=1)
             v = np.concatenate((past[i][1], v), axis=1)
-        if keys is not None:
+        if story:
             keys.append((k, v))
             if i == cfg.layers - 1:
-                return None, None
+                return keys
         if last_row and i == cfg.layers - 1:
             # past the keys and values, only the last row
             x, a = x[-1:], a[-1:]
@@ -752,8 +709,9 @@ def _layer_backward(model: Model, i: int, lc: dict, dx, grads: dict,
     np.divide(dscores, scale, out=dscores)
     dq = np.matmul(dscores, lc["k"])
     dk = np.matmul(dscores.swapaxes(-1, -2), lc["q"])
-    dq = _merge_heads(_rope_backward(dq, cos, sin))
-    dk = _merge_heads(_rope_backward(dk, cos, sin))
+    # the rotation by -sin is the transpose of the forward's
+    dq = _merge_heads(_rope_apply(dq, cos, -sin))
+    dk = _merge_heads(_rope_apply(dk, cos, -sin))
     dv = _merge_heads(dv)
     a = _rmsnorm_apply(lc["x_in"], lc["inv1"], p[pre + "ln1"])
     da_q, grads[pre + "wq"] = _matmul_bwd(a, p[pre + "wq"], dq)

@@ -29,9 +29,9 @@ Eval trims the heads of every task it scores at one watch in one call, and
 those prompts record the length of their story ids (`story_len`); the
 model then runs each distinct story once for all of them (the split rows of
 `Model.forward`). Serve's prompts, and eval's at a watch scored for one
-task, keep `story_len` 0 and run unsplit. So eval equals serve bit for bit
-at a watch it scores for one task, and within float rounding at a watch it
-scores for several.
+task, keep `story_len` 0, an empty story, so their head pass is the whole
+prompt. So eval equals serve bit for bit at a watch it scores for one
+task, and within float rounding at a watch it scores for several.
 """
 from __future__ import annotations
 
@@ -62,8 +62,7 @@ ITEM_KINDS = (TaskKind.ITEM_MASKED, TaskKind.ITEM_CONTEXTUAL, TaskKind.SEARCH)
 
 @dataclass(frozen=True)
 class TaskPrompt:
-    token_ids: tuple[int, ...]
-    target_slot: int  # position whose output logits score the next token
+    token_ids: tuple[int, ...]  # the last one's logits rank the candidates
     candidate_set: tuple[int, ...]
     kind: TaskKind
     # 0, or the length of the story ids before the head, which the model
@@ -198,7 +197,7 @@ def trim_story_to_context(story: UserStory, heads, vocabulary: Vocabulary,
                                 for t in piece]
         ids = story_ids + head
         prompts.append(TaskPrompt(
-            token_ids=tuple(ids), target_slot=len(ids) - 1,
+            token_ids=tuple(ids),
             candidate_set=candidate_set(kind, vocabulary), kind=kind,
             story_len=len(story_ids) if len(heads) > 1 else 0))
     return prompts
@@ -226,10 +225,10 @@ def rank_candidates(row: np.ndarray, candidates) -> RankedList:
 
 def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
     """Rank many prompts in one forward pass from the logits at each
-    prompt's target slot only. The ids are right-padded to the context
-    length; the model runs each prompt as its own task, on a pool of one
-    thread per usable core with OpenBLAS pinned to one thread, over its
-    rows up to the slot, and skips the rest; prompts with the same story
+    prompt's last token, its slot, only. The ids are right-padded to the
+    context length; the model runs each prompt as its own task, on a pool
+    of one thread per usable core with OpenBLAS pinned to one thread, over
+    its rows up to the slot, and skips the rest; prompts with the same story
     ids and a nonzero `story_len` share one story pass. A prompt's ranking
     is the same bit for bit whatever else is in the batch. The candidates
     are ranked here, serially, after the forward."""
@@ -245,7 +244,7 @@ def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
             raise PromptError(f"prompt of {len(prompt.token_ids)} tokens "
                               f"exceeds context length {ctx}")
         ids[r, :len(prompt.token_ids)] = prompt.token_ids
-    logits = model.forward(ids, [p.target_slot for p in prompts],
+    logits = model.forward(ids, [len(p.token_ids) - 1 for p in prompts],
                            [p.story_len for p in prompts])
     return [rank_candidates(row, p.candidate_set)
             for row, p in zip(logits, prompts)]

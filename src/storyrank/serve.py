@@ -65,12 +65,39 @@ class LatencyHistogram:
 
 
 def score_request(request: dict, model, vocabulary: Vocabulary) -> dict:
-    """One rank request -> response payload (no latency fields). Raises on a
-    malformed request; the batch path converts that into an error response."""
-    response = _score_batch([request], model, vocabulary)[0]
-    if "error" in response:
-        raise ValueError(response["error"])
-    return response
+    """One rank request -> response payload (no latency fields). A refused
+    request raises its own error (ValidationError, PromptError, ...), whose
+    text is the batch path's error reply."""
+    prompt, top_k = _request_prompt(request, model, vocabulary)
+    return _reply(request, prompt, top_k, rank_batch([prompt], model)[0],
+                  model, vocabulary)
+
+
+def _request_prompt(request, model, vocabulary: Vocabulary):
+    """A rank request's prompt and top_k; raises on a malformed request."""
+    story, kind, _, context, top_k, now = fields(
+        request, "request", _REQUEST, _REQUEST_OPTIONAL)
+    story = story_from_dict(story)
+    fields(context or {}, "request.context", {}, _CONTEXT)
+    if top_k is not None and top_k < 0:
+        raise ValidationError(f"request.top_k: expected a non-negative "
+                              f"integer, got {top_k}")
+    if now is None:
+        now = max((e.timestamp for e in story.events()), default=0)
+    prompt = make_prompt(story, now, kind, context or {}, vocabulary,
+                         model.config.context_length)
+    return prompt, 10 if top_k is None else top_k
+
+
+def _reply(request: dict, prompt, top_k: int, ranked, model,
+           vocabulary: Vocabulary) -> dict:
+    """The response payload of a request ranked with its prompt."""
+    names = vocabulary.item_id_of_token if prompt.kind in ITEM_KINDS \
+        else vocabulary.carousel_id_of_token
+    candidates = [{"id": names[token_id], "token_id": token_id,
+                   "logit": logit} for token_id, logit in ranked.top(top_k)]
+    return {"id": request.get("id"), "task": prompt.kind.value,
+            "model_step": model.step, "candidates": candidates}
 
 
 def _score_batch(requests: list[dict], model, vocabulary: Vocabulary,
@@ -78,38 +105,20 @@ def _score_batch(requests: list[dict], model, vocabulary: Vocabulary,
     """Score several parsed requests with one forward pass; requests that
     fail prompt construction get error responses without poisoning the batch.
     Each failure's exception class name is counted in `errors`, if given."""
-    prompts = []
-    meta = []
-    responses: dict[int, dict] = {}
+    scored, responses = {}, {}
     for i, request in enumerate(requests):
-        request_id = request.get("id") if isinstance(request, dict) else None
         try:
-            story, kind, _, context, top_k, now = fields(
-                request, "request", _REQUEST, _REQUEST_OPTIONAL)
-            story = story_from_dict(story)
-            fields(context or {}, "request.context", {}, _CONTEXT)
-            if top_k is not None and top_k < 0:
-                raise ValidationError(f"request.top_k: expected a non-negative "
-                                      f"integer, got {top_k}")
-            if now is None:
-                now = max((e.timestamp for e in story.events()), default=0)
-            prompts.append(make_prompt(story, now, kind, context or {},
-                                       vocabulary, model.config.context_length))
-            meta.append((i, request_id, kind, 10 if top_k is None else top_k))
+            scored[i] = _request_prompt(request, model, vocabulary)
         except Exception as exc:
+            request_id = request.get("id") if isinstance(request, dict) \
+                else None
             responses[i] = {"id": request_id, "error": str(exc)}
             if errors is not None:
                 errors[type(exc).__name__] += 1
-    if prompts:
-        ranked_lists = rank_batch(prompts, model)
-        for (i, request_id, kind, top_k), ranked in zip(meta, ranked_lists):
-            names = vocabulary.item_id_of_token if kind in ITEM_KINDS \
-                else vocabulary.carousel_id_of_token
-            candidates = [{"id": names[token_id], "token_id": token_id,
-                           "logit": logit}
-                          for token_id, logit in ranked.top(top_k)]
-            responses[i] = {"id": request_id, "task": kind.value,
-                            "model_step": model.step, "candidates": candidates}
+    ranked = rank_batch([prompt for prompt, _ in scored.values()], model)
+    for (i, (prompt, top_k)), row in zip(scored.items(), ranked):
+        responses[i] = _reply(requests[i], prompt, top_k, row, model,
+                              vocabulary)
     return [responses[i] for i in range(len(requests))]
 
 

@@ -23,7 +23,9 @@ independent reading of it:
   loss and within rounding in the gradients. It stacks the per-sequence
   `_forward` caches on a batch axis and runs its backward with the batched
   `_split_heads`, `_merge_heads`, `_matmul_bwd` and `_rmsnorm_bwd` defined
-  here (the library's versions take one sequence);
+  here (the library's versions take one sequence), and with
+  `_rope_backward`, the RoPE backward written out pair by pair, where the
+  library rotates by -sin with the forward's `_rope_apply`;
 - `listed_forward_backward` is `model.forward_backward` as first written on
   the task pool: it collects every row's NLL row and gradients, then sums
   the gradients in row order. The library folds each row in as it finishes;
@@ -32,6 +34,8 @@ independent reading of it:
   padded to the full context length, which slot mode's `Model.forward`,
   cut at each slot, matches within rounding;
 - `read_metrics` reads `eval`'s metrics file;
+- `position_prompt` is a `ModelScorer`'s prompt for one position and task
+  alone; eval builds the prompts of every task at a watch together;
 - `extend_story_for_now` is serve's prompt prefix as one string;
 - `rank_candidates` is the candidate ranking built entry by entry, which
   `prompts.rank_candidates` builds from whole arrays;
@@ -57,7 +61,7 @@ from storyrank.datagen import GENRE_POOL, WorldConfig, WorldItem, _COUNTRIES, \
 from storyrank.grammar import BEGIN_SESSIONS, SEARCH_MARKER, SESSION_MARKER, \
     WATCH_MARKER
 from storyrank.model import Model, ModelError, _as_batch, _check_ids, \
-    _forward, _rope_backward, _run_tasks, _sequence_forward_backward
+    _forward, _run_tasks, _sequence_forward_backward
 from storyrank.prompts import RankedList, open_session
 from storyrank.stories import AttributeHeader, CarouselRef, EMPTY_CAROUSEL, \
     Surface, UserStory, ValidationError, WatchEvent, search, \
@@ -457,6 +461,14 @@ def _matmul_bwd(x, w, dy):
     return dx, dw
 
 
+def _rope_backward(dy, cos, sin):
+    de_r, do_r = dy[..., 0::2], dy[..., 1::2]
+    out = np.empty_like(dy)
+    out[..., 0::2] = de_r * cos + do_r * sin
+    out[..., 1::2] = -de_r * sin + do_r * cos
+    return out
+
+
 def _rmsnorm_bwd(dy, x, inv, gain):
     xhat = x * inv
     dgain = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
@@ -615,6 +627,12 @@ def read_metrics(path) -> list[dict]:
             if "_manifest" not in d:
                 rows.append(d)
     return rows
+
+
+def position_prompt(scorer, pos, kind, vocabulary):
+    """A `ModelScorer`'s served prompt for one position and task alone."""
+    return scorer.prompts(pos.prefix_story, [(kind, pos.context)],
+                          vocabulary)[0]
 
 
 # --- prompts ------------------------------------------------------------------

@@ -89,6 +89,48 @@ def test_rank_subcommand(tmp_path, capsys):
     assert response["latency_us"] >= 1
 
 
+def test_rank_refusal_names_its_own_exception_class(tmp_path, capsys):
+    # serve counts this fault as a ValidationError; rank names it so too
+    d = run_pipeline(tmp_path)
+    story = story_to_dict(read_stories(d / "data/stories.jsonl")[0])
+    first = story["sessions"][0]["events"][0]
+    first["timestamp"] = str(first["timestamp"])
+    req_path = d / "request.json"
+    req_path.write_text(json.dumps({"id": 9, "story": story,
+                                    "task": "item_masked"}))
+    capsys.readouterr()  # drain pipeline chatter
+    assert main(["rank", "--model", str(d / "model.ckpt"),
+                 "--vocab", str(d / "vocab.tsv"),
+                 "--request", str(req_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("storyrank-error: ValidationError: "
+                          "sessions[0].events[0].timestamp: expected an "
+                          "integer"), err
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "--methods model needs --model"),
+    (["--methods", "popularity,bm25"], "--methods bm25 needs --catalog"),
+    (["--methods", "popularity", "--tasks", "item,item_masked"],
+     "--tasks: 'item_masked' repeats the task item_masked"),
+    (["--methods", "popularity,popularity"],
+     "--methods: the method name 'popularity' repeats"),
+    (["--methods", "model,popularity", "--model", "m.ckpt",
+      "--model-name", "popularity"],
+     "--methods: the method name 'popularity' repeats"),
+])
+def test_eval_refuses_bad_arguments_before_reading_a_file(tmp_path, capsys,
+                                                          flags, message):
+    # none of the named files exists: reading one would fail otherwise
+    gone = tmp_path / "gone"
+    assert main(["eval", "--stories", str(gone / "stories.jsonl"),
+                 "--vocab", str(gone / "vocab.tsv"),
+                 "--config", str(gone / "config.json"), *flags]) == 1
+    assert capsys.readouterr().err == \
+        f"storyrank-error: ValueError: {message}\n"
+
+
 def test_serve_subcommand_on_stdio(tmp_path, capsys, monkeypatch):
     d = run_pipeline(tmp_path)
     stories = read_stories(d / "data/stories.jsonl")

@@ -33,7 +33,7 @@ from storyrank.stories import AttributeHeader, ItemRef, UserStory, search, \
 from storyrank.vocab import CLASS_CAROUSEL, build_vocabulary
 
 from conftest import SUNDAY, make_sample_story
-from oracles import detokenize, read_metrics
+from oracles import detokenize, position_prompt, read_metrics
 
 
 def many_users(n=1000):
@@ -340,7 +340,8 @@ def test_view_transform_strips_model_input_not_positions(sample_vocab):
     scorer = ModelScorer(model, name="item_view", transform={"view": "item"})
     story = make_sample_story()
     positions = eligible_positions(story, TaskKind.SEARCH, sample_vocab)
-    prompt = scorer.prompt(positions[0], TaskKind.SEARCH, sample_vocab)
+    prompt = position_prompt(scorer, positions[0], TaskKind.SEARCH,
+                             sample_vocab)
     text = detokenize(prompt.token_ids, sample_vocab)
     assert "<|search|>" not in text.rsplit("<|watch|>", 1)[0]
     assert text.endswith("<|surface=search|><|carousel()|>")
@@ -355,15 +356,16 @@ def test_item_task_kind_picks_the_prompt_head(sample_vocab):
     scorer = ModelScorer(init_model(cfg, seed=1))
     story = make_sample_story()
     for pos in eligible_positions(story, TaskKind.ITEM_CONTEXTUAL, sample_vocab):
-        text = detokenize(scorer.prompt(pos, TaskKind.ITEM_CONTEXTUAL,
-                                        sample_vocab).token_ids, sample_vocab)
+        prompt = position_prompt(scorer, pos, TaskKind.ITEM_CONTEXTUAL,
+                                 sample_vocab)
+        text = detokenize(prompt.token_ids, sample_vocab)
         assert text.endswith(
             f" <|watch|> hour={pos.context['hour']} "
             f"<|surface={pos.context['surface']}|>"
             f"<|carousel({pos.context['carousel']})|>")
     pos = eligible_positions(story, TaskKind.ITEM_MASKED, sample_vocab)[0]
-    text = detokenize(scorer.prompt(pos, TaskKind.ITEM_MASKED,
-                                    sample_vocab).token_ids, sample_vocab)
+    prompt = position_prompt(scorer, pos, TaskKind.ITEM_MASKED, sample_vocab)
+    text = detokenize(prompt.token_ids, sample_vocab)
     assert text.endswith("<|surface=home|><|carousel(MASK)|>")
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from storyrank.model import (
     CHECKPOINT_MAGIC,
@@ -35,9 +36,9 @@ from storyrank.model import (
 from storyrank import model as model_module
 from storyrank.training import make_batch
 
-from oracles import _loss_and_dlogits, _merge_heads, _split_heads, \
-    batched_forward_backward, cross_entropy, listed_forward_backward, \
-    padded_slot_forward
+from oracles import _loss_and_dlogits, _merge_heads, _rope_backward, \
+    _split_heads, batched_forward_backward, cross_entropy, \
+    listed_forward_backward, padded_slot_forward
 
 
 def tiny_model(layers=2, dim=8, heads=2, vocab=40, ctx=16, dtype="float64",
@@ -452,10 +453,10 @@ def test_failing_slot_task_reaches_the_caller_and_restores_blas(
     get_threads, set_threads = blas_threads
     real_forward = model_module._forward
 
-    def failing_forward(model, ids, need_cache, last_row=False):
+    def failing_forward(model, ids, need_cache, **flags):
         if ids.shape[0] == 6:  # the task of slot 5
             raise RuntimeError("slot task failed")
-        return real_forward(model, ids, need_cache, last_row)
+        return real_forward(model, ids, need_cache, **flags)
 
     monkeypatch.setattr(model_module, "_forward", failing_forward)
     model = tiny_model(ctx=SLOT_CTX)
@@ -845,6 +846,35 @@ def test_loss_shape_mismatch():
 
 
 # --- gradients ----------------------------------------------------------------
+
+@st.composite
+def rope_operands(draw):
+    """dy (H, T, hd) and the cos and sin tables (T, hd / 2), all of one
+    dtype, with +-0.0 among their values. cos and sin lie in [-1, 1], so no
+    sum of two products is inf - inf."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 8 * np.dtype(dtype).itemsize
+    h, t, half = (draw(st.integers(1, n)) for n in (3, 6, 4))
+
+    def values(shape, bound=None):
+        finite = st.floats(None if bound is None else -bound, bound,
+                           width=width, allow_nan=False, allow_infinity=False)
+        return draw(arrays(dtype, shape, elements=st.one_of(
+            st.sampled_from([0.0, -0.0]), finite)))
+
+    return values((h, t, 2 * half)), values((t, half), 1), values((t, half), 1)
+
+
+@given(operands=rope_operands())
+@settings(max_examples=200, deadline=None)
+def test_rope_backward_is_the_forward_rotation_by_minus_sin(operands):
+    # a - b * (-s) rounds as a + b * s, and a * (-s) as (-a) * s, signed
+    # zeros included, so the backward rotates with the forward's function
+    dy, cos, sin = operands
+    got, want = _rope_apply(dy, cos, -sin), _rope_backward(dy, cos, sin)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
 
 def test_gradients_match_central_finite_differences():
     model = tiny_model(layers=2, dim=8, heads=2, vocab=24, dtype="float64")

@@ -29,7 +29,8 @@ from storyrank.vocab import CLASS_CAROUSEL, CLASS_ITEM, build_vocabulary, \
 
 from conftest import SAMPLE_CAROUSELS, SAMPLE_ITEMS, SAMPLE_TEXT, SUNDAY, \
     make_sample_story
-from oracles import detokenize, extend_story_for_now, parse_prompt
+from oracles import detokenize, extend_story_for_now, parse_prompt, \
+    position_prompt
 from oracles import rank_candidates as oracle_rank_candidates
 
 
@@ -94,7 +95,6 @@ def test_search_head_form(sample_vocab):
     assert text.endswith("<|search|> hour=23 fog "
                          "<|watch|> hour=23 <|surface=search|><|carousel()|>")
     assert prompt.candidate_set == sample_vocab.item_token_ids
-    assert prompt.target_slot == len(prompt.token_ids) - 1
 
 
 def test_carousel_head_ends_at_surface(sample_vocab):
@@ -168,7 +168,7 @@ def test_rank_orders_by_logit_with_constructed_head(sample_vocab, toy_model):
     probe = init_model(toy_model.config, seed=0)
     probe.params["w_out"][:] = 0.0
     probe.params["w_out"][:dim, :dim] = np.eye(dim)
-    hidden = probe.forward(np.asarray(prompt.token_ids))[prompt.target_slot][:dim]
+    hidden = probe.forward(np.asarray(prompt.token_ids))[-1][:dim]
     model = init_model(toy_model.config, seed=0)
     model.params["w_out"][:] = 0.0
     model.params["w_out"][:, target] = 10.0 * hidden / (hidden @ hidden)
@@ -230,7 +230,7 @@ def test_rank_matches_softmax_sort_oracle(sample_vocab, toy_model):
             {"surface": "home"}
         context["hour"] = int(rng.integers(0, 24))
         prompt = make_prompt(story, now, kind, context, sample_vocab, 256)
-        logits = toy_model.forward(np.asarray(prompt.token_ids))[prompt.target_slot]
+        logits = toy_model.forward(np.asarray(prompt.token_ids))[-1]
         # oracle: full softmax, sort by probability (monotone in logit)
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
@@ -293,7 +293,7 @@ def whole_text_trim(story, render_text, kind, context, vocabulary,
     while True:
         ids = tokenize(render_text(current) + " " + head, vocabulary)
         if len(ids) <= context_length:
-            return TaskPrompt(token_ids=tuple(ids), target_slot=len(ids) - 1,
+            return TaskPrompt(token_ids=tuple(ids),
                               candidate_set=candidate_set(kind, vocabulary),
                               kind=kind)
         if not current.sessions:
@@ -418,7 +418,7 @@ def test_eval_prompt_equals_whole_text_oracle(sample_vocab, merged_vocab,
     model = SimpleNamespace(config=SimpleNamespace(
         context_length=context_length))
     scorer = ModelScorer(model, transform=transform)
-    got = _outcome(lambda: scorer.prompt(pos, kind, vocab))
+    got = _outcome(lambda: position_prompt(scorer, pos, kind, vocab))
     head_kind = TaskKind.ITEM_CONTEXTUAL if kind == TaskKind.SEARCH else kind
     want = _outcome(lambda: whole_text_trim(
         pos.prefix_story,
@@ -455,7 +455,8 @@ def test_serve_prompt_at_an_event_equals_eval_prompt(sample_vocab,
             history = strip_sessions(history)
         served = _outcome(lambda: make_prompt(history, now, kind, pos.context,
                                               vocab, context_length))
-        assert served == _outcome(lambda: scorer.prompt(pos, kind, vocab))
+        assert served == _outcome(
+            lambda: position_prompt(scorer, pos, kind, vocab))
 
 
 @given(story=journeys(), heads=st.lists(st.tuples(
