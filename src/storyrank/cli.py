@@ -71,14 +71,18 @@ def cmd_gen_data(args) -> int:
 
 def cmd_build_vocab(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    catalog = read_catalog(args.catalog)
-    merge_text = None
     merges = cfg.merges()
+    if merges > 0 and not args.stories:
+        raise ValueError(f"vocab.merges={merges} needs --stories")
+    catalog = read_catalog(args.catalog)
+    inputs = {"catalog": args.catalog}
+    merge_text = None
     if merges > 0:
-        stories = read_stories(args.stories) if args.stories else []
+        # merges are learned from the train split's stories only
+        stories = split_users(read_stories(args.stories), cfg.eval())[0]
         merge_text = "\n".join(grammar.serialize(s) for s in stories)
-    manifest = RunManifest.build("build-vocab", cfg.raw,
-                                 {"catalog": args.catalog})
+        inputs["stories"] = args.stories
+    manifest = RunManifest.build("build-vocab", cfg.raw, inputs)
     started = time.perf_counter()
     vocab = build_vocabulary(catalog, merges=merges,
                              merge_training_text=merge_text)
@@ -94,7 +98,8 @@ def cmd_build_corpus(args) -> int:
     cfg = load_config(args.config, args.overrides)
     vocab = read_vocab(args.vocab)
     catalog = read_catalog(args.catalog)
-    stories = read_stories(args.stories)
+    # the users eval holds out are not trained on
+    stories = split_users(read_stories(args.stories), cfg.eval())[0]
     transform = cfg.transform()
     manifest = RunManifest.build(
         "build-corpus", cfg.raw,
@@ -194,8 +199,10 @@ def cmd_eval(args) -> int:
         elif method == "bm25":
             catalog = read_catalog(args.catalog)
             scorers.append(Bm25Scorer(BM25Index.build(catalog.items)))
-    manifest = RunManifest.build("eval", cfg.raw, {"stories": args.stories,
-                                                   "vocab": args.vocab})
+    given = {"stories": args.stories, "vocab": args.vocab,
+             "model": args.model, "catalog": args.catalog}
+    manifest = RunManifest.build(
+        "eval", cfg.raw, {name: path for name, path in given.items() if path})
     started = time.perf_counter()
     rows = evaluate(scorers, eval_split, kinds, cfg.eval(),
                     vocab, config_hash=cfg.hash)
@@ -264,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", help="mint the mixed vocabulary")
     _add_config_args(p)
     p.add_argument("--catalog", required=True)
-    p.add_argument("--stories", help="merge-training text when vocab.merges > 0")
+    p.add_argument("--stories", help="merge-training text (its train split), "
+                   "required when vocab.merges > 0")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build_vocab)
 

@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +54,10 @@ class EvalConfig:
             raise EvalError("cutoffs must be positive and sorted")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise EvalError("holdout_fraction must be in (0, 1)")
+        for key in ("max_eval_users", "max_positions_per_user"):
+            cap = getattr(self, key)
+            if cap is not None and cap < 1:
+                raise EvalError(f"{key} must be null or at least 1, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -202,11 +207,12 @@ class StaticScorer:
         row = np.zeros(vocabulary.size)
         for tid, score in self.token_scores.items():
             row[tid] = score
-        ranks = {}
+        ranks = {kind: [] for kind in positions_by_kind}
         for kind, positions in positions_by_kind.items():
-            ranked = rank_candidates(row, candidate_set(kind, vocabulary))
-            ranks[kind] = [ranked.rank_of(pos.target_token)
-                           for pos in positions]
+            if positions:
+                ranked = rank_candidates(row, candidate_set(kind, vocabulary))
+                ranks[kind] = [ranked.rank_of(pos.target_token)
+                               for pos in positions]
         return ranks
 
 
@@ -236,48 +242,35 @@ def bm25_terms(text: str) -> list[str]:
 
 @dataclass
 class BM25Index:
-    """Okapi BM25 over catalog titles with the +1-smoothed IDF variant."""
-    doc_ids: list[str]
-    doc_terms: list[dict[str, int]]
-    doc_len: list[int]
-    avg_len: float
-    df: dict[str, int]
+    """Okapi BM25 over catalog titles with the +1-smoothed IDF variant, from
+    postings: term -> [(item_id, tf, length norm)] over the titles with it."""
+    n_docs: int
+    postings: dict[str, list[tuple[str, int, float]]]
 
     @classmethod
     def build(cls, items) -> "BM25Index":
-        items = sorted(items, key=lambda i: i.item_id)
-        if not items:
+        terms_of = {item.item_id: bm25_terms(item.title) for item in items}
+        if not terms_of:
             raise EvalError("cannot build BM25 index over an empty catalog")
-        doc_ids, doc_terms, doc_len = [], [], []
-        df: dict[str, int] = {}
-        for item in items:
-            terms = bm25_terms(item.title)
-            counts: dict[str, int] = {}
-            for t in terms:
-                counts[t] = counts.get(t, 0) + 1
-            for t in counts:
-                df[t] = df.get(t, 0) + 1
-            doc_ids.append(item.item_id)
-            doc_terms.append(counts)
-            doc_len.append(len(terms))
-        avg = sum(doc_len) / len(doc_len)
-        return cls(doc_ids, doc_terms, doc_len, avg, df)
-
-    def scores(self, query: str) -> list[float]:
-        n = len(self.doc_ids)
-        out = [0.0] * n
-        for term in bm25_terms(query):
-            d_f = self.df.get(term)
-            if not d_f:
-                continue
-            idf = math.log((n - d_f + 0.5) / (d_f + 0.5) + 1.0)
-            for i in range(n):
-                tf = self.doc_terms[i].get(term, 0)
-                if tf == 0:
-                    continue
+        avg_len = sum(map(len, terms_of.values())) / len(terms_of)
+        postings: dict[str, list[tuple[str, int, float]]] = {}
+        for item_id, terms in terms_of.items():
+            for term, tf in Counter(terms).items():
                 norm = BM25_K1 * (1.0 - BM25_B
-                                  + BM25_B * self.doc_len[i] / self.avg_len)
-                out[i] += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
+                                  + BM25_B * len(terms) / avg_len)
+                postings.setdefault(term, []).append((item_id, tf, norm))
+        return cls(len(terms_of), postings)
+
+    def scores(self, query: str) -> dict[str, float]:
+        """{item_id: score} for the titles that hold a query term."""
+        out: dict[str, float] = {}
+        for term in bm25_terms(query):
+            posting = self.postings.get(term, ())
+            d_f = len(posting)
+            idf = math.log((self.n_docs - d_f + 0.5) / (d_f + 0.5) + 1.0)
+            for item_id, tf, norm in posting:
+                out[item_id] = out.get(item_id, 0.0) \
+                    + idf * tf * (BM25_K1 + 1.0) / (tf + norm)
         return out
 
 
@@ -288,19 +281,19 @@ class Bm25Scorer:
 
     def target_ranks(self, positions_by_kind: dict,
                      vocabulary: Vocabulary) -> dict:
-        if set(positions_by_kind) - {TaskKind.SEARCH}:
-            raise EvalError("BM25 scores search positions only")
-        candidates = candidate_set(TaskKind.SEARCH, vocabulary)
+        if TaskKind.SEARCH not in positions_by_kind:
+            return {}
         ranks = []
-        for pos in positions_by_kind.get(TaskKind.SEARCH, ()):
+        for pos in positions_by_kind[TaskKind.SEARCH]:
             row = np.zeros(vocabulary.size)
-            for item_id, score in zip(self.index.doc_ids,
-                                      self.index.scores(pos.context["query"])):
+            for item_id, score in self.index.scores(
+                    pos.context["query"]).items():
                 tid = vocabulary.item_token_to_id.get(item_id)
                 if tid is not None:
                     row[tid] = score
-            ranks.append(rank_candidates(row, candidates)
-                         .rank_of(pos.target_token))
+            ranks.append(rank_candidates(
+                row, candidate_set(TaskKind.SEARCH, vocabulary))
+                .rank_of(pos.target_token))
         return {TaskKind.SEARCH: ranks}
 
 
@@ -308,12 +301,10 @@ class Bm25Scorer:
 
 def evaluate(scorers, eval_stories, kinds, cfg: EvalConfig,
              vocabulary: Vocabulary, config_hash: str = "") -> list[dict]:
-    """Metric rows for every (method, task, K): {method, task, K, hr, ndcg,
-    n_positions, config_hash}. A kind with zero eligible positions yields an
-    explicit row with n_positions 0 and null metrics."""
-    stories = sorted(eval_stories, key=lambda s: s.user_id)
-    if cfg.max_eval_users is not None:
-        stories = stories[:cfg.max_eval_users]
+    """Metric rows {method, task, K, hr, ndcg, n_positions, config_hash} for
+    every K and every task a scorer's answer holds (BM25's: search alone). A
+    task with zero eligible positions has n_positions 0 and null metrics."""
+    stories = sorted(eval_stories, key=lambda s: s.user_id)[:cfg.max_eval_users]
     positions_by_kind = {}
     for kind in map(TaskKind, kinds):
         positions = []
@@ -323,20 +314,14 @@ def evaluate(scorers, eval_stories, kinds, cfg: EvalConfig,
                 per_user = per_user[-cfg.max_positions_per_user:]
             positions.extend(per_user)
         positions_by_kind[kind] = positions
-    ranks_by_scorer = []
-    for scorer in scorers:
-        scored = {kind: positions for kind, positions
-                  in positions_by_kind.items() if positions and (
-                      kind == TaskKind.SEARCH
-                      or not isinstance(scorer, Bm25Scorer))}
-        ranks_by_scorer.append(scorer.target_ranks(scored, vocabulary)
-                               if scored else {})
+    ranks_by_scorer = [scorer.target_ranks(positions_by_kind, vocabulary)
+                       for scorer in scorers]
     rows = []
-    for kind in map(TaskKind, kinds):
+    for kind in positions_by_kind:
         for scorer, ranks in zip(scorers, ranks_by_scorer):
-            if isinstance(scorer, Bm25Scorer) and kind != TaskKind.SEARCH:
+            if kind not in ranks:
                 continue
-            got = ranks.get(kind, [])
+            got = ranks[kind]
             for k in cfg.cutoffs:
                 rows.append({
                     "method": scorer.name, "task": kind.value, "K": k,

@@ -103,11 +103,19 @@ class ModelConfig:
     tie_embeddings: bool = False
 
     def __post_init__(self):
-        if self.heads <= 0:
-            raise ModelError(f"heads must be positive, got {self.heads}")
+        for key in ("layers", "heads", "model_dim"):
+            if getattr(self, key) <= 0:
+                raise ModelError(f"{key} must be positive, got "
+                                 f"{getattr(self, key)}")
+        if self.mlp_hidden_dim < 0:
+            raise ModelError(f"mlp_hidden_dim must be 0 (4 * model_dim) or "
+                             f"positive, got {self.mlp_hidden_dim}")
         if self.model_dim % self.heads != 0:
             raise ModelError(f"model_dim {self.model_dim} not divisible by "
                              f"heads {self.heads}")
+        if self.head_dim % 2:  # RoPE rotates pairs of dimensions
+            raise ModelError(f"model_dim / heads must be even, got "
+                             f"{self.model_dim} / {self.heads} = {self.head_dim}")
         if self.context_length < 2:
             raise ModelError("context_length must be at least 2")
         if self.dtype not in ("float32", "float64"):

@@ -395,69 +395,77 @@ def write_vocab(path, vocabulary: Vocabulary, *, manifest_hash: str | None = Non
             fh.write(line + "\n")
 
 
-def _merge_pairs(meta_text: str, lineno: int) -> list[tuple[int, int]]:
-    """The merge pairs of a `# ` metadata line, which must be line 1 and
-    name the format."""
+def _merge_pairs(meta_text: str, where: str, lineno: int
+                 ) -> list[tuple[int, int]]:
+    """The merge pairs of a `# ` metadata line at `where` (path:line), which
+    must be line 1 and name the format."""
     try:
         meta = json.loads(meta_text)
     except json.JSONDecodeError as exc:
-        raise VocabularyError(f"line {lineno}: metadata is not JSON: {exc}") \
+        raise VocabularyError(f"{where}: metadata is not JSON: {exc}") \
             from None
     if lineno != 1:
-        raise VocabularyError(f"line {lineno}: a metadata line after line 1; "
+        raise VocabularyError(f"{where}: a metadata line after line 1; "
                               "a vocabulary file has one, as its first line")
     fmt = meta.get("format") if isinstance(meta, dict) else None
     if fmt != VOCAB_FORMAT:
-        raise VocabularyError(f"line {lineno}: metadata format {fmt!r} is not "
+        raise VocabularyError(f"{where}: metadata format {fmt!r} is not "
                               f"{VOCAB_FORMAT!r}")
     pairs = meta.get("merge_pairs", [])
     if not isinstance(pairs, list):
-        raise VocabularyError(f"line {lineno}: metadata has no merge_pairs list")
+        raise VocabularyError(f"{where}: metadata has no merge_pairs list")
     for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(type(i) is int for i in pair)):
-            raise VocabularyError(f"line {lineno}: merge pair {pair!r} is not "
+            raise VocabularyError(f"{where}: merge pair {pair!r} is not "
                                   "two integers")
     return [tuple(pair) for pair in pairs]
 
 
 def read_vocab(path) -> Vocabulary:
+    """The vocabulary file `write_vocab` writes. A fault raises
+    VocabularyError naming path:line, or the path alone for a fault of the
+    token table as a whole."""
     classes: list[str] = []
     forms: list[bytes] = []
     merge_pairs: list[tuple[int, int]] | None = None
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
+            where = f"{path}:{lineno}"
             try:
                 line = raw.decode("utf-8").rstrip("\r\n")
             except UnicodeDecodeError as exc:
-                raise VocabularyError(f"line {lineno}: not UTF-8: {exc}") from None
+                raise VocabularyError(f"{where}: not UTF-8: {exc}") from None
             if not line:
                 continue
             if line.startswith("# "):
-                merge_pairs = _merge_pairs(line[2:], lineno)
+                merge_pairs = _merge_pairs(line[2:], where, lineno)
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
-                raise VocabularyError(f"line {lineno}: {len(fields)} tab-separated "
+                raise VocabularyError(f"{where}: {len(fields)} tab-separated "
                                       "fields, not 3 (id, class, form)")
             tid_s, cls, escaped = fields
             if not (tid_s.isascii() and tid_s.isdigit()):
-                raise VocabularyError(f"line {lineno}: token id {tid_s!r} is "
+                raise VocabularyError(f"{where}: token id {tid_s!r} is "
                                       "not an integer")
             if int(tid_s) != len(classes):
-                raise VocabularyError(f"line {lineno}: non-contiguous token id "
+                raise VocabularyError(f"{where}: non-contiguous token id "
                                       f"{tid_s} at position {len(classes)}")
             form = _unescape(escaped)
             if form is None:
-                raise VocabularyError(f"line {lineno}: malformed \\x escape "
+                raise VocabularyError(f"{where}: malformed \\x escape "
                                       f"or non-ASCII character in {escaped!r}")
             classes.append(cls)
             forms.append(form)
     if merge_pairs is None:
-        raise VocabularyError("line 1: no '# ' metadata line; a vocabulary "
-                              "file starts with one")
+        raise VocabularyError(f"{path}:1: no '# ' metadata line; a "
+                              "vocabulary file starts with one")
     vocab = Vocabulary(tuple(classes), tuple(forms), tuple(merge_pairs))
-    return _finish(vocab)
+    try:
+        return _finish(vocab)
+    except VocabularyError as exc:  # a fault of the whole file
+        raise VocabularyError(f"{path}: {exc}") from None
 
 
 # --- catalog file -----------------------------------------------------------

@@ -159,5 +159,7 @@ def assert_path_into(record, message):
 
 
 def json_text(value) -> str:
-    """JSON text, so that 1, 1.0 and true compare unequal."""
-    return json.dumps(value, ensure_ascii=False)
+    """JSON text, so that 1, 1.0 and true compare unequal, with sorted keys,
+    so that two objects with the same members compare equal whatever order
+    their keys were added in."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True)

@@ -36,6 +36,10 @@ independent reading of it:
 - `read_metrics` reads `eval`'s metrics file;
 - `position_prompt` is a `ModelScorer`'s prompt for one position and task
   alone; eval builds the prompts of every task at a watch together;
+- `bm25_scan_scores` is `evaluate.BM25Index.scores` as first written: it
+  walks every title once per query term. The library walks the postings of
+  each query term, with the same float operations in the same order, so
+  both give the same scores bit for bit;
 - `extend_story_for_now` is serve's prompt prefix as one string;
 - `rank_candidates` is the candidate ranking built entry by entry, which
   `prompts.rank_candidates` builds from whole arrays;
@@ -52,6 +56,7 @@ independent reading of it:
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -60,6 +65,7 @@ from storyrank.datagen import GENRE_POOL, WorldConfig, WorldItem, _COUNTRIES, \
     _DEVICES, _PLANS, _rng, build_catalog
 from storyrank.grammar import BEGIN_SESSIONS, SEARCH_MARKER, SESSION_MARKER, \
     WATCH_MARKER
+from storyrank.evaluate import BM25_B, BM25_K1, bm25_terms
 from storyrank.model import Model, ModelError, _as_batch, _check_ids, \
     _forward, _run_tasks, _sequence_forward_backward
 from storyrank.prompts import RankedList, open_session
@@ -633,6 +639,37 @@ def position_prompt(scorer, pos, kind, vocabulary):
     """A `ModelScorer`'s served prompt for one position and task alone."""
     return scorer.prompts(pos.prefix_story, [(kind, pos.context)],
                           vocabulary)[0]
+
+
+def bm25_scan_scores(items, query: str) -> dict[str, float]:
+    """{item_id: BM25 score} of every title, 0.0 where it holds no query
+    term, each title scanned once per query term."""
+    items = sorted(items, key=lambda i: i.item_id)
+    doc_terms, doc_len, df = [], [], {}
+    for item in items:
+        terms = bm25_terms(item.title)
+        counts: dict[str, int] = {}
+        for t in terms:
+            counts[t] = counts.get(t, 0) + 1
+        for t in counts:
+            df[t] = df.get(t, 0) + 1
+        doc_terms.append(counts)
+        doc_len.append(len(terms))
+    avg_len = sum(doc_len) / len(doc_len)
+    n = len(items)
+    out = [0.0] * n
+    for term in bm25_terms(query):
+        d_f = df.get(term)
+        if not d_f:
+            continue
+        idf = math.log((n - d_f + 0.5) / (d_f + 0.5) + 1.0)
+        for i in range(n):
+            tf = doc_terms[i].get(term, 0)
+            if tf == 0:
+                continue
+            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len[i] / avg_len)
+            out[i] += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
+    return {item.item_id: score for item, score in zip(items, out)}
 
 
 # --- prompts ------------------------------------------------------------------

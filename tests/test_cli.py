@@ -6,10 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from storyrank import grammar
 from storyrank.cli import main
 from storyrank.config import DEFAULTS, load_config
-from storyrank.corpus import read_examples
+from storyrank.corpus import ORIGIN_STORY, read_examples, tokenize_stories
+from storyrank.evaluate import EvalError, split_users
+from storyrank.model import ModelError
 from storyrank.stories import read_stories, story_to_dict
+from storyrank.vocab import build_vocabulary, read_catalog, read_vocab
 
 from oracles import detokenize, read_metrics
 
@@ -70,6 +74,72 @@ def test_full_tiny_pipeline(tmp_path, capsys):
     for row in rows:
         if row["hr"] is not None:
             assert 0 <= row["ndcg"] <= row["hr"] <= 1
+
+
+def test_corpus_is_the_train_split_and_holds_no_held_out_story(tmp_path):
+    d = run_pipeline(tmp_path)
+    train, held = split_users(read_stories(d / "data/stories.jsonl"),
+                              load_config().eval())
+    vocab = read_vocab(d / "vocab.tsv")
+
+    def story_ids(stories):
+        return [list(e.token_ids) for e in tokenize_stories(
+            (grammar.serialize(s, validate=False) for s in stories), vocab)]
+
+    examples, _ = read_examples(d / "corpus.bin")
+    corpus = [list(e.token_ids) for e in examples if e.origin == ORIGIN_STORY]
+    assert corpus == story_ids(train)
+    assert held and not {tuple(ids) for ids in story_ids(held)} & \
+        {tuple(ids) for ids in corpus}
+
+
+def test_build_vocab_learns_merges_from_the_train_split(tmp_path, capsys):
+    # merges without --stories are refused before any file is read
+    gone = tmp_path / "gone"
+    assert main(["build-vocab", "--catalog", str(gone / "catalog.jsonl"),
+                 "--out", str(tmp_path / "v.tsv"),
+                 "--set", "vocab.merges=64"]) == 1
+    assert capsys.readouterr().err == \
+        "storyrank-error: ValueError: vocab.merges=64 needs --stories\n"
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out-dir", str(data), *TINY]) == 0
+    assert main(["build-vocab", "--catalog", str(data / "catalog.jsonl"),
+                 "--stories", str(data / "stories.jsonl"),
+                 "--out", str(tmp_path / "v.tsv"), *TINY,
+                 "--set", "vocab.merges=16"]) == 0
+    train, _ = split_users(read_stories(data / "stories.jsonl"),
+                           load_config().eval())
+    want = build_vocabulary(read_catalog(data / "catalog.jsonl"), merges=16,
+                            merge_training_text="\n".join(
+                                grammar.serialize(s) for s in train))
+    assert read_vocab(tmp_path / "v.tsv").merge_pairs == want.merge_pairs
+    manifest = json.loads((tmp_path / "v.manifest.json").read_text())
+    assert set(manifest["inputs"]) == {"catalog", "stories"}
+
+
+MISREAD_VALUES = [
+    ("eval.max_positions_per_user=0",
+     "max_positions_per_user must be null or at least 1, got 0"),
+    ("eval.max_positions_per_user=-2",
+     "max_positions_per_user must be null or at least 1, got -2"),
+    ("eval.max_eval_users=-1", "max_eval_users must be null or at least 1, "
+                               "got -1"),
+    ("model.model_dim=12", r"model_dim / heads must be even, got 12 / 4 = 3"),
+    ("model.layers=0", "layers must be positive, got 0"),
+    ("model.model_dim=0", "model_dim must be positive, got 0"),
+    ("model.mlp_hidden_dim=-4", r"mlp_hidden_dim must be 0 \(4 \* model_dim\) "
+                                "or positive, got -4"),
+]
+
+
+@pytest.mark.parametrize("override, message", MISREAD_VALUES,
+                         ids=[override for override, _ in MISREAD_VALUES])
+def test_config_value_the_code_would_misread_is_refused_by_key(override,
+                                                               message):
+    cfg = load_config(None, [override])
+    with pytest.raises((EvalError, ModelError), match=f"^{message}$"):
+        cfg.eval() if override.startswith("eval.") \
+            else cfg.model(vocab_size=300)
 
 
 def test_rank_subcommand(tmp_path, capsys):
@@ -227,6 +297,27 @@ def test_eval_and_build_vocab_time_themselves_outside_hashed_files(
             r"\(\d+\.\d positions/s\)")
     assert [bool(re.fullmatch(line, got)) for got in err.splitlines()] == \
         [True, True], err
+
+
+def test_evals_of_two_checkpoints_write_different_manifests(tmp_path):
+    d = run_pipeline(tmp_path)
+    assert main(["train", "--corpus", str(d / "corpus.bin"),
+                 "--vocab", str(d / "vocab.tsv"),
+                 "--out", str(d / "other.ckpt"), "--log-every", "0",
+                 *TINY_MODEL, "--set", "train.macro_steps=4"]) == 0
+    manifests = []
+    for name in ("model", "other"):
+        assert main(["eval", "--stories", str(d / "data/stories.jsonl"),
+                     "--vocab", str(d / "vocab.tsv"),
+                     "--model", str(d / f"{name}.ckpt"),
+                     "--tasks", "item", "--methods", "model",
+                     "--out", str(d / f"{name}.jsonl"), *TINY_MODEL,
+                     "--set", "eval.max_eval_users=1",
+                     "--set", "eval.max_positions_per_user=1"]) == 0
+        manifests.append((d / f"{name}.jsonl").read_text().splitlines()[0])
+        inputs = json.loads((d / f"{name}.manifest.json").read_text())["inputs"]
+        assert set(inputs) == {"stories", "vocab", "model"}
+    assert manifests[0] != manifests[1]
 
 
 def test_train_writes_its_history_as_jsonl(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from storyrank.datagen import WorldConfig, generate_world
 from storyrank.evaluate import (
@@ -13,6 +14,7 @@ from storyrank.evaluate import (
     ModelScorer,
     StaticScorer,
     _prefix_story,
+    bm25_terms,
     check_split_hygiene,
     eligible_positions,
     evaluate,
@@ -30,10 +32,11 @@ from storyrank.prompts import TaskKind, candidate_set, rank_candidates, \
     target_token
 from storyrank.stories import AttributeHeader, ItemRef, UserStory, search, \
     segment_sessions, validate_story, watch, Surface, EMPTY_CAROUSEL
-from storyrank.vocab import CLASS_CAROUSEL, build_vocabulary
+from storyrank.vocab import CLASS_CAROUSEL, CatalogIndex, build_vocabulary
 
-from conftest import SUNDAY, make_sample_story
-from oracles import detokenize, position_prompt, read_metrics
+from conftest import LANTERN, SUNDAY, make_sample_story
+from oracles import bm25_scan_scores, detokenize, position_prompt, \
+    read_metrics
 
 
 def many_users(n=1000):
@@ -224,20 +227,44 @@ def test_bm25_hand_computed_fixture(bm25_fixture):
     idf = math.log(1.6)
     tf1 = 1 * 2.2 / (1 + 1.2 * (0.25 + 0.75 * 2 / (7 / 3)))
     tf2 = 2 * 2.2 / (2 + 1.2 * (0.25 + 0.75 * 3 / (7 / 3)))
-    expected = {"doc1": idf * tf1, "doc2": idf * tf2, "doc3": 0.0}
-    scores = dict(zip(bm25_fixture.doc_ids, bm25_fixture.scores("fog")))
+    # doc3 holds no query term, so it scores 0.0 and has no entry
+    expected = {"doc1": idf * tf1, "doc2": idf * tf2}
+    scores = bm25_fixture.scores("fog")
     assert scores == pytest.approx(expected, rel=1e-9)
-    assert scores["doc2"] > scores["doc1"] > scores["doc3"]
+    assert scores["doc2"] > scores["doc1"]
 
 
 def test_bm25_absent_terms_score_zero(bm25_fixture):
-    assert bm25_fixture.scores("zeppelin") == [0.0, 0.0, 0.0]
+    assert bm25_fixture.scores("zeppelin") == {}
 
 
 def test_bm25_query_normalization(bm25_fixture):
     normalized = bm25_fixture.scores("FOG!  pier?")
     assert normalized == bm25_fixture.scores("fog pier")
-    assert normalized[0] == max(normalized) > normalized[1]  # doc1 matches both
+    # doc1 matches both
+    assert normalized["doc1"] == max(normalized.values()) > normalized["doc2"]
+
+
+BM25_WORDS = ["fog", "pier", "night", "clockwork", "a1", "7"]
+
+
+@given(titles=st.lists(st.lists(st.sampled_from(BM25_WORDS + ["!", "FOG"]),
+                                max_size=6).map(" ".join),
+                       min_size=1, max_size=12),
+       query=st.lists(st.sampled_from(BM25_WORDS + ["zeppelin", "Pier?"]),
+                      max_size=6).map(" ".join))
+@settings(max_examples=300, deadline=None)
+def test_bm25_postings_equal_the_title_scan_bit_for_bit(titles, query):
+    # repeated query terms add their share again; absent ones add nothing
+    items = [ItemRef(f"i{n}", title) for n, title in enumerate(titles)]
+    want = bm25_scan_scores(items, query)
+    got = BM25Index.build(reversed(items)).scores(query)
+    query_terms = set(bm25_terms(query))
+    assert set(got) == {item.item_id for item in items
+                        if query_terms & set(bm25_terms(item.title))}
+    assert {k: v.hex() for k, v in got.items()} == \
+        {k: want[k].hex() for k in got}
+    assert all(want[k] == 0.0 for k in set(want) - set(got))
 
 
 def test_bm25_empty_catalog_rejected():
@@ -376,6 +403,40 @@ def test_empty_kind_reports_explicitly(sample_vocab):
                     EvalConfig(cutoffs=(8, 50)), sample_vocab)
     assert len(rows) == 2
     assert all(r["n_positions"] == 0 and r["hr"] is None for r in rows)
+
+
+def test_rows_hold_the_tasks_each_scorer_answers_for(monkeypatch,
+                                                     sample_catalog):
+    # no carousel but the empty one: the carousel task has neither
+    # positions nor candidates, and still gets null rows; BM25 answers for
+    # search alone
+    catalog = CatalogIndex(sample_catalog.items, (EMPTY_CAROUSEL,))
+    vocab = build_vocabulary(catalog)
+    story = UserStory("u", AttributeHeader(), segment_sessions(
+        [search(SUNDAY, "lantern"),
+         watch(SUNDAY + 60, Surface.SEARCH, EMPTY_CAROUSEL, LANTERN, 87)]))
+    model = init_model(ModelConfig(vocab_size=vocab.size, context_length=96,
+                                   layers=1, heads=2, model_dim=16), seed=1)
+    scorers = [ModelScorer(model), popularity_scorer([story], vocab),
+               Bm25Scorer(BM25Index.build(catalog.items))]
+    kinds = [TaskKind.CAROUSEL, TaskKind.ITEM_MASKED, TaskKind.SEARCH]
+    rows = evaluate(scorers, [story], kinds, EvalConfig(cutoffs=(8,)), vocab)
+    assert [(r["method"], r["task"], r["n_positions"], r["hr"] is None)
+            for r in rows] == [
+        ("model", "carousel", 0, True), ("popularity", "carousel", 0, True),
+        ("model", "item_masked", 1, False),
+        ("popularity", "item_masked", 1, False),
+        ("model", "search", 1, False), ("popularity", "search", 1, False),
+        ("bm25", "search", 1, False)]
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("the model ran for a task with no positions")
+
+    monkeypatch.setattr(Model, "forward", no_forward)
+    rows = evaluate(scorers, [story], [TaskKind.CAROUSEL],
+                    EvalConfig(cutoffs=(8,)), vocab)
+    assert [(r["method"], r["n_positions"]) for r in rows] == \
+        [("model", 0), ("popularity", 0)]
 
 
 def test_metrics_file_roundtrip(tmp_path, sample_vocab):

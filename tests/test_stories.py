@@ -2,7 +2,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from storyrank.stories import (
@@ -441,6 +441,7 @@ def test_mutated_story_is_refused_by_path_or_round_trips(d):
 
 @given(st.sampled_from([e for s in SAMPLE_DICT["sessions"] for e in s["events"]])
        .flatmap(lambda e: mutated(e, new_keys=EVENT_KEYS)))
+@example(d={"type": "search", "timestamp": 3600, "query": "fog", "hour": 1})
 @settings(max_examples=400, deadline=None)
 def test_mutated_event_is_refused_by_path_or_round_trips(d):
     try:
