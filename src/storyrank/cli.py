@@ -35,7 +35,7 @@ from .evaluate import (
 from .manifest import RunManifest
 from .model import AdamState, init_model, load_checkpoint, save_checkpoint
 from .prompts import TaskKind
-from .serve import score_request, serve_lines, serve_tcp
+from .serve import check_batching, score_request, serve_lines, serve_tcp
 from .stories import read_stories, write_stories
 from .training import train as run_training
 from .vocab import build_vocabulary, read_catalog, read_vocab, write_catalog, \
@@ -236,6 +236,9 @@ def cmd_rank(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    # the batching settings are checked before any file is read
+    check_batching(args.batch_window_ms, args.max_batch,
+                   names=("--batch-window-ms", "--max-batch"))
     vocab = read_vocab(args.vocab)
     model, _, _ = load_checkpoint(args.model,
                                   expect_vocab_hash=vocab.vocab_hash())

@@ -99,7 +99,11 @@ class RunConfig:
         return out
 
     def merges(self) -> int:
-        return int(self.raw["vocab"]["merges"])
+        merges = self.raw["vocab"]["merges"]
+        if type(merges) is not int or merges < 0:  # never a bool or float
+            raise ConfigError(f"vocab.merges must be a non-negative integer, "
+                              f"got {merges!r}")
+        return merges
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None

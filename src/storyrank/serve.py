@@ -100,26 +100,48 @@ def _reply(request: dict, prompt, top_k: int, ranked, model,
             "model_step": model.step, "candidates": candidates}
 
 
-def _score_batch(requests: list[dict], model, vocabulary: Vocabulary,
-                 errors: Counter | None = None) -> list[dict]:
-    """Score several parsed requests with one forward pass; requests that
-    fail prompt construction get error responses without poisoning the batch.
-    Each failure's exception class name is counted in `errors`, if given."""
-    scored, responses = {}, {}
-    for i, request in enumerate(requests):
+def _score_batch(lines, model, vocabulary: Vocabulary,
+                 errors: Counter) -> list[dict]:
+    """One reply per request line (`str` or UTF-8 `bytes`), in line order,
+    with one forward pass for the prompts built. `errors` counts refusals by
+    class; one before the JSON is read replies "malformed request: ..."."""
+    replies, built = {}, {}
+    for i, line in enumerate(lines):
+        request = unread = object()  # `unread` until the JSON is read
         try:
-            scored[i] = _request_prompt(request, model, vocabulary)
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            line = line.strip()
+            if not line:
+                raise ValueError("empty request line")
+            request = json.loads(line)
+            built[i] = (request, *_request_prompt(request, model, vocabulary))
         except Exception as exc:
-            request_id = request.get("id") if isinstance(request, dict) \
-                else None
-            responses[i] = {"id": request_id, "error": str(exc)}
-            if errors is not None:
-                errors[type(exc).__name__] += 1
-    ranked = rank_batch([prompt for prompt, _ in scored.values()], model)
-    for (i, (prompt, top_k)), row in zip(scored.items(), ranked):
-        responses[i] = _reply(requests[i], prompt, top_k, row, model,
-                              vocabulary)
-    return [responses[i] for i in range(len(requests))]
+            errors[type(exc).__name__] += 1
+            if request is unread:
+                replies[i] = {"error": f"malformed request: {exc}"}
+                continue
+            request_id = request.get("id") if type(request) is dict else None
+            replies[i] = {"id": request_id, "error": str(exc)}
+    if built:
+        ranked = rank_batch([prompt for _, prompt, _ in built.values()], model)
+        for (i, (request, prompt, top_k)), row in zip(built.items(), ranked):
+            replies[i] = _reply(request, prompt, top_k, row, model, vocabulary)
+    return [replies[i] for i in range(len(lines))]
+
+
+def check_batching(batch_window_ms: float, max_batch: int,
+                   names=("batch_window_ms", "max_batch")) -> None:
+    """Refuse (ValueError, naming the setting by `names`) a batching window
+    that is NaN, negative or longer than a thread can wait, and a batch
+    bound below 1."""
+    window_max = threading.TIMEOUT_MAX * 1000.0
+    if not 0.0 <= batch_window_ms <= window_max:
+        raise ValueError(f"{names[0]}: expected milliseconds from 0 to "
+                         f"{window_max:.0f}, got {batch_window_ms}")
+    if max_batch < 1:
+        raise ValueError(f"{names[1]}: expected an integer of at least 1, "
+                         f"got {max_batch}")
 
 
 def serve_lines(lines, model, vocabulary: Vocabulary, write,
@@ -131,13 +153,15 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
     batching window counts. The final record written is the summary: the
     latency histogram's percentiles, the number of batches, a batch size ->
     count map and an exception class name -> count map of the error
-    replies. Lines may be `str` or UTF-8 `bytes`; a line that does not
-    decode gets its own error reply. Raises ValueError before reading any
-    line when the vocabulary has candidates the model cannot score. When
-    `lines` itself raises, the lines read before are answered, the summary
-    is written and the exception is raised again. When the loop itself
-    raises (a reply write to a client that reset), the queued lines are
-    dropped and the reader thread reads no further line and ends."""
+    replies. Lines may be `str` or UTF-8 `bytes`; `_score_batch` turns each
+    into its reply. Raises ValueError before reading any line when
+    `check_batching` refuses the batching settings or the vocabulary has
+    candidates the model cannot score. When `lines` itself raises, the
+    lines read before are answered, the summary is written and the
+    exception is raised again. When the loop itself raises (a reply write
+    to a client that reset), the queued lines are dropped and the reader
+    thread reads no further line and ends."""
+    check_batching(batch_window_ms, max_batch)
     largest = max(vocabulary.item_token_ids + vocabulary.carousel_token_ids,
                   default=-1)
     if largest >= model.config.vocab_size:
@@ -169,45 +193,25 @@ def serve_lines(lines, model, vocabulary: Vocabulary, write,
                               daemon=True)
     thread.start()
     try:
-        finished = False
-        while not finished:
-            item = feed.get()
-            if item is done:
-                break
+        while (item := feed.get()) is not done:
             batch = [item]
-            if batch_window_ms > 0:
-                deadline = time.perf_counter() + batch_window_ms / 1000.0
-                while len(batch) < max_batch:
-                    remaining = deadline - time.perf_counter()
-                    try:
-                        nxt = feed.get(timeout=max(0.0, remaining))
-                    except queue.Empty:
-                        break
-                    if nxt is done:
-                        finished = True
-                        break
-                    batch.append(nxt)
-            batch_sizes[len(batch)] += 1
-            responses: dict[int, dict] = {}
-            valid: list[tuple[int, dict]] = []
-            for i, (_, raw) in enumerate(batch):
+            deadline = time.perf_counter() + batch_window_ms / 1000.0
+            while batch_window_ms > 0 and len(batch) < max_batch:
                 try:
-                    if isinstance(raw, bytes):
-                        raw = raw.decode("utf-8")
-                    raw = raw.strip()
-                    if not raw:
-                        raise ValueError("empty request line")
-                    valid.append((i, json.loads(raw)))
-                except Exception as exc:
-                    responses[i] = {"error": f"malformed request: {exc}"}
-                    errors[type(exc).__name__] += 1
-            if valid:
-                for (i, _), response in zip(valid, _score_batch(
-                        [r for _, r in valid], model, vocabulary, errors)):
-                    responses[i] = response
-            for i, (arrived, _) in enumerate(batch):
+                    item = feed.get(
+                        timeout=max(0.0, deadline - time.perf_counter()))
+                except queue.Empty:
+                    break
+                if item is done:
+                    feed.put(done)  # the outer loop ends after this batch
+                    break
+                batch.append(item)
+            batch_sizes[len(batch)] += 1
+            replies = _score_batch([line for _, line in batch], model,
+                                   vocabulary, errors)
+            for (arrived, _), reply in zip(batch, replies):
                 latency_us = int(max(1, (clock() - arrived) // 1000))
-                write(json.dumps(dict(responses[i], latency_us=latency_us),
+                write(json.dumps(dict(reply, latency_us=latency_us),
                                  sort_keys=True) + "\n")
                 histogram.add(latency_us)
         summary = dict(histogram.summary(), batches=batch_sizes.total(),
@@ -235,7 +239,9 @@ def serve_tcp(model, vocabulary: Vocabulary, port: int,
     newline-delimited requests and receives newline-delimited responses.
     Lines are read as bytes, so a line that is not UTF-8 gets its own error
     reply. A socket error, such as a client that resets its connection,
-    ends that connection only; the server goes on accepting."""
+    ends that connection only; the server goes on accepting. The batching
+    settings are checked before the port is opened."""
+    check_batching(batch_window_ms, max_batch)
     server = socket.create_server(("127.0.0.1", port))
     served = 0
     try:

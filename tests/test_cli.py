@@ -8,7 +8,7 @@ import pytest
 
 from storyrank import grammar
 from storyrank.cli import main
-from storyrank.config import DEFAULTS, load_config
+from storyrank.config import DEFAULTS, ConfigError, load_config
 from storyrank.corpus import ORIGIN_STORY, read_examples, tokenize_stories
 from storyrank.evaluate import EvalError, split_users
 from storyrank.model import ModelError
@@ -129,6 +129,11 @@ MISREAD_VALUES = [
     ("model.model_dim=0", "model_dim must be positive, got 0"),
     ("model.mlp_hidden_dim=-4", r"mlp_hidden_dim must be 0 \(4 \* model_dim\) "
                                 "or positive, got -4"),
+    ("vocab.merges=-5", "vocab.merges must be a non-negative integer, got -5"),
+    ("vocab.merges=2.9", "vocab.merges must be a non-negative integer, "
+                         "got 2.9"),
+    ("vocab.merges=true", "vocab.merges must be a non-negative integer, "
+                          "got True"),
 ]
 
 
@@ -137,9 +142,11 @@ MISREAD_VALUES = [
 def test_config_value_the_code_would_misread_is_refused_by_key(override,
                                                                message):
     cfg = load_config(None, [override])
-    with pytest.raises((EvalError, ModelError), match=f"^{message}$"):
-        cfg.eval() if override.startswith("eval.") \
-            else cfg.model(vocab_size=300)
+    read = {"eval": cfg.eval, "vocab": cfg.merges,
+            "model": lambda: cfg.model(vocab_size=300)}
+    with pytest.raises((EvalError, ModelError, ConfigError),
+                       match=f"^{message}$"):
+        read[override.partition(".")[0]]()
 
 
 def test_rank_subcommand(tmp_path, capsys):
@@ -197,6 +204,30 @@ def test_eval_refuses_bad_arguments_before_reading_a_file(tmp_path, capsys,
     assert main(["eval", "--stories", str(gone / "stories.jsonl"),
                  "--vocab", str(gone / "vocab.tsv"),
                  "--config", str(gone / "config.json"), *flags]) == 1
+    assert capsys.readouterr().err == \
+        f"storyrank-error: ValueError: {message}\n"
+
+
+_WINDOW_MAX = f"{threading.TIMEOUT_MAX * 1000:.0f}"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-batch", "0"],
+     "--max-batch: expected an integer of at least 1, got 0"),
+    (["--batch-window-ms", "nan"], "--batch-window-ms: expected milliseconds "
+                                   f"from 0 to {_WINDOW_MAX}, got nan"),
+    (["--batch-window-ms", "-5"], "--batch-window-ms: expected milliseconds "
+                                  f"from 0 to {_WINDOW_MAX}, got -5.0"),
+    (["--batch-window-ms", "inf", "--port", "1"],
+     f"--batch-window-ms: expected milliseconds from 0 to {_WINDOW_MAX}, "
+     "got inf"),
+])
+def test_serve_refuses_batching_settings_before_reading_a_file(
+        tmp_path, capsys, flags, message):
+    # neither named file exists: reading one would fail otherwise
+    gone = tmp_path / "gone"
+    assert main(["serve", "--model", str(gone / "model.ckpt"),
+                 "--vocab", str(gone / "vocab.tsv"), *flags]) == 1
     assert capsys.readouterr().err == \
         f"storyrank-error: ValueError: {message}\n"
 

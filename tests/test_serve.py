@@ -210,6 +210,68 @@ def test_summary_counts_batches_and_errors_by_class(served_model,
     assert sum("error" in r for r in replies) == 5
 
 
+def test_batch_of_refused_lines_runs_no_forward(served_model, sample_vocab):
+    story_rule = _request(5)
+    _empty_middle_session(story_rule)
+    lines = [b"\xff\xfe", "", '{"id": 7', "[1, 2]",
+             json.dumps(_request(4, task="bogus")), json.dumps(story_rule)]
+    out = []
+    before = served_model.forward_calls
+    serve_lines(lines, served_model, sample_vocab, out.append,
+                batch_window_ms=200.0)
+    assert served_model.forward_calls == before
+    *replies, last = [json.loads(line) for line in out]
+    assert [_without_latency(reply) for reply in replies] == [
+        {"error": "malformed request: 'utf-8' codec can't decode byte 0xff "
+                  "in position 0: invalid start byte"},
+        {"error": "malformed request: empty request line"},
+        {"error": "malformed request: Expecting ',' delimiter: line 1 column "
+                  "9 (char 8)"},
+        {"id": None, "error": "request: expected a JSON object, got [1, 2]"},
+        {"id": 4, "error": "request.task: expected one of 'item_masked', "
+                           "'item_contextual', 'carousel', 'search', got "
+                           "'bogus'"},
+        {"id": 5, "error": "invalid story: sessions[1]: only the last "
+                           "session may be empty"}]
+    assert last["summary"]["batch_sizes"] == {"6": 1}
+    assert last["summary"]["errors"] == {
+        "UnicodeDecodeError": 1, "ValueError": 1, "JSONDecodeError": 1,
+        "ValidationError": 2, "PromptError": 1}
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"max_batch": 0}, "max_batch: expected an integer of at least 1, got 0"),
+    ({"max_batch": -3}, "max_batch: expected an integer of at least 1, got -3"),
+    ({"batch_window_ms": float("nan")}, "batch_window_ms: .* got nan"),
+    ({"batch_window_ms": -1.0}, "batch_window_ms: .* got -1.0"),
+    ({"batch_window_ms": float("inf")}, "batch_window_ms: .* got inf"),
+    ({"batch_window_ms": threading.TIMEOUT_MAX * 2000.0},
+     "batch_window_ms: expected milliseconds from 0 to "
+     f"{threading.TIMEOUT_MAX * 1000:.0f}, got"),
+])
+def test_batching_setting_that_would_crash_or_change_the_loop_is_refused(
+        served_model, sample_vocab, setting, message):
+    # an infinite window reaches queue.get(timeout=inf) once a line is
+    # queued, which raises OverflowError and leaves that line unanswered:
+    # the source stalls after its first line, and no line may be read
+    read = []
+
+    def stalling():
+        read.append(0)
+        yield json.dumps(_request(0))
+        time.sleep(0.5)
+        read.append(1)
+        yield json.dumps(_request(1))
+
+    out = []
+    with pytest.raises(ValueError, match=f"^{message}"):
+        serve_lines(stalling(), served_model, sample_vocab, out.append,
+                    **setting)
+    assert read == [] and out == []
+    with pytest.raises(ValueError, match=f"^{message}"):
+        serve_tcp(served_model, sample_vocab, _free_port(), **setting)
+
+
 def test_model_vocabulary_smaller_than_vocabulary_is_refused(sample_vocab):
     cfg = ModelConfig(vocab_size=sample_vocab.size - 5, context_length=192,
                       layers=1, heads=2, model_dim=16, dtype="float64")
@@ -546,7 +608,8 @@ _REQUEST_KEYS = ("extra", "tpo_k", "id", "context", "top_k", "now", "hour",
 def test_mutated_request_is_refused_by_path_or_read_as_written(
         served_model, sample_vocab, request):
     errors = Counter()
-    reply, = _score_batch([request], served_model, sample_vocab, errors)
+    reply, = _score_batch([json.dumps(request)], served_model, sample_vocab,
+                          errors)
     if "error" in reply:
         [name] = errors
         assert name in {"ValidationError", "PromptError", "TokenizeError"}, \
@@ -598,6 +661,6 @@ def test_request_fields_fail_by_path(served_model, sample_vocab, spoil, expect):
     bad = _request(1)
     spoil(bad)
     errors = Counter()
-    reply, = _score_batch([bad], served_model, sample_vocab, errors)
+    reply, = _score_batch([json.dumps(bad)], served_model, sample_vocab, errors)
     assert reply["id"] == 1 and reply["error"].startswith(expect)
     assert errors == {"ValidationError": 1}

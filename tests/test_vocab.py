@@ -267,6 +267,8 @@ MANIFEST_LINE = json.dumps({"_manifest": {"hash": "h"}}, sort_keys=True)
     line, new_keys=("extra", "item_id", "title", "genre", "carousel_id", "name")))
        .map(json_text))
 @example(text=json_text({"name": "top picks", "carousel_id": ""}))
+# U+0085 is written raw, and str.splitlines() splits a line at it
+@example(text=json_text({"genre": "noir", "item_id": "\x85", "title": "Fog Pier"}))
 @settings(max_examples=300, deadline=None)
 def test_mutated_catalog_line_is_refused_by_path_or_round_trips(tmp_path_factory,
                                                                text):
@@ -284,8 +286,9 @@ def test_mutated_catalog_line_is_refused_by_path_or_round_trips(tmp_path_factory
     again = path.with_name("again.jsonl")
     write_catalog(again, catalog, header={"hash": "h"},
                   genres={line["item_id"]: line["genre"]} if "genre" in line else None)
+    # a record ends at "\n" only, as read_records splits
     assert [json_text(json.loads(line)) for line in
-            again.read_text(encoding="utf-8").splitlines()] == \
+            again.read_text(encoding="utf-8").split("\n")[:-1]] == \
         [json_text(json.loads(MANIFEST_LINE)), text]
 
 
