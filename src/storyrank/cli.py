@@ -25,7 +25,6 @@ from .evaluate import (
     BM25Index,
     Bm25Scorer,
     ModelScorer,
-    check_split_hygiene,
     evaluate,
     format_table,
     popularity_scorer,
@@ -35,7 +34,8 @@ from .evaluate import (
 from .manifest import RunManifest
 from .model import AdamState, init_model, load_checkpoint, save_checkpoint
 from .prompts import TaskKind
-from .serve import check_batching, score_request, serve_lines, serve_tcp
+from .serve import check_batching, check_connections, score_request, \
+    serve_lines, serve_tcp
 from .stories import read_stories, write_stories
 from .training import train as run_training
 from .vocab import build_vocabulary, read_catalog, read_vocab, write_catalog, \
@@ -80,7 +80,8 @@ def cmd_build_vocab(args) -> int:
     if merges > 0:
         # merges are learned from the train split's stories only
         stories = split_users(read_stories(args.stories), cfg.eval())[0]
-        merge_text = "\n".join(grammar.serialize(s) for s in stories)
+        merge_text = "\n".join(grammar.serialize(s, validate=False)
+                                for s in stories)
         inputs["stories"] = args.stories
     manifest = RunManifest.build("build-vocab", cfg.raw, inputs)
     started = time.perf_counter()
@@ -96,11 +97,11 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_build_corpus(args) -> int:
     cfg = load_config(args.config, args.overrides)
+    transform = cfg.transform()  # checked before any file is read
     vocab = read_vocab(args.vocab)
     catalog = read_catalog(args.catalog)
     # the users eval holds out are not trained on
     stories = split_users(read_stories(args.stories), cfg.eval())[0]
-    transform = cfg.transform()
     manifest = RunManifest.build(
         "build-corpus", cfg.raw,
         {"stories": args.stories, "vocab": args.vocab, "catalog": args.catalog})
@@ -180,20 +181,20 @@ def _eval_methods(args) -> list[str]:
 
 
 def cmd_eval(args) -> int:
-    # the arguments are checked before any file is read
+    # the arguments and the transform are checked before any file is read
     methods, kinds = _eval_methods(args), _task_kinds(args.tasks)
     cfg = load_config(args.config, args.overrides)
+    transform = cfg.transform()
     vocab = read_vocab(args.vocab)
     stories = read_stories(args.stories)
     train_split, eval_split = split_users(stories, cfg.eval())
-    check_split_hygiene(train_split, eval_split)
     scorers = []
     for method in methods:
         if method == "model":
             model, _, _ = load_checkpoint(args.model,
                                           expect_vocab_hash=vocab.vocab_hash())
             scorers.append(ModelScorer(model, name=args.model_name,
-                                       transform=cfg.transform()))
+                                       transform=transform))
         elif method == "popularity":
             scorers.append(popularity_scorer(train_split, vocab))
         elif method == "bm25":
@@ -236,9 +237,11 @@ def cmd_rank(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    # the batching settings are checked before any file is read
+    # the batching settings and the connection count are checked before
+    # any file is read
     check_batching(args.batch_window_ms, args.max_batch,
                    names=("--batch-window-ms", "--max-batch"))
+    check_connections(args.max_connections, name="--max-connections")
     vocab = read_vocab(args.vocab)
     model, _, _ = load_checkpoint(args.model,
                                   expect_vocab_hash=vocab.vocab_hash())

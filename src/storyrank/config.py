@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 from .corpus import MaskingConfig, MixtureConfig
 from .datagen import WorldConfig
 from .evaluate import EvalConfig
+from .grammar import ATTRIBUTE_SUBSETS, VIEWS
 from .manifest import stable_hash
 from .model import ModelConfig, TrainConfig
 
@@ -58,6 +59,16 @@ def _coerce(text: str):
     return text
 
 
+def _one_of(key: str, value, allowed: tuple):
+    """`value` when it is one of `allowed`, of the same type too (0 is not
+    false); refused by `key` otherwise."""
+    if not any(type(value) is type(a) and value == a for a in allowed):
+        names = ["null" if a is None else json.dumps(a) for a in allowed]
+        raise ConfigError(f"{key} must be {', '.join(names[:-1])} or "
+                          f"{names[-1]}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     raw: dict
@@ -88,15 +99,15 @@ class RunConfig:
         return EvalConfig(**section)
 
     def transform(self) -> dict:
+        """`grammar.apply_transform`'s keywords; a value the transforms
+        would misread (`strip_sessions` "no", `view` false) is refused."""
         t = self.raw["transform"]
-        out = {}
-        if t.get("view"):
-            out["view"] = t["view"]
-        if t.get("strip_sessions"):
-            out["drop_sessions"] = True
-        if t.get("strip_attributes"):
-            out["drop_attributes"] = t["strip_attributes"]
-        return out
+        return {"view": _one_of("transform.view", t["view"], (None, *VIEWS)),
+                "drop_sessions": _one_of("transform.strip_sessions",
+                                         t["strip_sessions"], (False, True)),
+                "drop_attributes": _one_of("transform.strip_attributes",
+                                           t["strip_attributes"],
+                                           (None, *ATTRIBUTE_SUBSETS))}
 
     def merges(self) -> int:
         merges = self.raw["vocab"]["merges"]
@@ -109,28 +120,28 @@ class RunConfig:
 def load_config(path: str | None = None, overrides: list[str] | None = None
                 ) -> RunConfig:
     """Defaults, optionally overlaid with a JSON file, then with
-    section.key=value override strings."""
+    section.key=value override strings, each section checked by one loop."""
     raw = copy.deepcopy(DEFAULTS)
+    sections = []  # (section, {key: value}): the file's, then the flags'
     if path:
         with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
-        for section, values in user.items():
-            if section not in raw:
-                raise ConfigError(f"unknown config section {section!r}")
-            if not isinstance(values, dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            for key, value in values.items():
-                if key not in raw[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                raw[section][key] = value
+        if not isinstance(user, dict):
+            raise ConfigError(f"config file {path}: expected one JSON object")
+        sections.extend(user.items())
     for item in overrides or []:
-        if "=" not in item:
+        dotted, eq, value = item.partition("=")
+        section, dot, key = dotted.partition(".")
+        if not (eq and dot):
             raise ConfigError(f"override {item!r} is not section.key=value")
-        dotted, _, value = item.partition("=")
-        if "." not in dotted:
-            raise ConfigError(f"override key {dotted!r} is not section.key")
-        section, _, key = dotted.partition(".")
-        if section not in raw or key not in raw[section]:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        raw[section][key] = _coerce(value)
+        sections.append((section, {key: _coerce(value)}))
+    for section, values in sections:
+        if section not in raw:
+            raise ConfigError(f"unknown config section {section!r}")
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        for key, value in values.items():
+            if key not in raw[section]:
+                raise ConfigError(f"unknown config key '{section}.{key}'")
+            raw[section][key] = value
     return RunConfig(raw)

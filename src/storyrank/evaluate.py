@@ -82,12 +82,6 @@ def split_users(stories, cfg: EvalConfig):
     return train, held
 
 
-def check_split_hygiene(train, held) -> None:
-    overlap = {s.user_id for s in train} & {s.user_id for s in held}
-    if overlap:
-        raise EvalError(f"users in both splits: {sorted(overlap)[:5]}")
-
-
 def _prefix_story(story: UserStory, si: int, ei: int) -> UserStory:
     """The story up to (not including) event ei of session si; the current
     session clause and its earlier events stay in the prefix."""

@@ -224,25 +224,22 @@ def rank_candidates(row: np.ndarray, candidates) -> RankedList:
 
 
 def rank_batch(prompts: list[TaskPrompt], model) -> list[RankedList]:
-    """Rank many prompts in one forward pass from the logits at each
-    prompt's last token, its slot, only. The ids are right-padded to the
-    context length; the model runs each prompt as its own task, on a pool
-    of one thread per usable core with OpenBLAS pinned to one thread, over
-    its rows up to the slot, and skips the rest; prompts with the same story
-    ids and a nonzero `story_len` share one story pass. A prompt's ranking
-    is the same bit for bit whatever else is in the batch. The candidates
-    are ranked here, serially, after the forward."""
+    """Rank many prompts in one forward pass from the logits at each prompt's
+    last token, its slot, only. The ids are right-padded to the longest prompt;
+    `Model.forward` refuses one wider than the context. The model runs each
+    prompt as its own task, on a pool of one thread per usable core with
+    OpenBLAS pinned to one thread, over its rows up to the slot, and skips the
+    rest; prompts with the same story ids and a nonzero `story_len` share one
+    story pass. A prompt's ranking is the same bit for bit whatever else is in
+    the batch. The candidates are ranked here, serially, after the forward."""
     if not prompts:
         return []
     if max(max(p.candidate_set) for p in prompts) >= model.config.vocab_size:
         raise PromptError("candidate token outside the model vocabulary: "
                           "the model and vocabulary do not match")
-    ctx = model.config.context_length
-    ids = np.zeros((len(prompts), ctx), dtype=np.int64)
+    ids = np.zeros((len(prompts), max(len(p.token_ids) for p in prompts)),
+                   dtype=np.int64)
     for r, prompt in enumerate(prompts):
-        if len(prompt.token_ids) > ctx:
-            raise PromptError(f"prompt of {len(prompt.token_ids)} tokens "
-                              f"exceeds context length {ctx}")
         ids[r, :len(prompt.token_ids)] = prompt.token_ids
     logits = model.forward(ids, [len(p.token_ids) - 1 for p in prompts],
                            [p.story_len for p in prompts])

@@ -134,6 +134,17 @@ MISREAD_VALUES = [
                          "got 2.9"),
     ("vocab.merges=true", "vocab.merges must be a non-negative integer, "
                           "got True"),
+    ("transform.strip_sessions=no", "transform.strip_sessions must be false "
+                                    "or true, got 'no'"),
+    ("transform.strip_sessions=1", "transform.strip_sessions must be false "
+                                   "or true, got 1"),
+    ("transform.view=false", 'transform.view must be null, "item", '
+                             '"carousel" or "search", got False'),
+    ("transform.view=bogus", 'transform.view must be null, "item", '
+                             '"carousel" or "search", got \'bogus\''),
+    ("transform.strip_attributes=true", 'transform.strip_attributes must be '
+                                        'null, "all", "profile" or '
+                                        '"location", got True'),
 ]
 
 
@@ -143,10 +154,38 @@ def test_config_value_the_code_would_misread_is_refused_by_key(override,
                                                                message):
     cfg = load_config(None, [override])
     read = {"eval": cfg.eval, "vocab": cfg.merges,
-            "model": lambda: cfg.model(vocab_size=300)}
+            "model": lambda: cfg.model(vocab_size=300),
+            "transform": cfg.transform}
     with pytest.raises((EvalError, ModelError, ConfigError),
                        match=f"^{message}$"):
         read[override.partition(".")[0]]()
+
+
+@pytest.mark.parametrize("command", ["build-corpus", "eval"])
+def test_transform_is_refused_by_key_before_reading_a_file(tmp_path, capsys,
+                                                           command):
+    # the string "false" is true to Python: it built a sessionless corpus
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"transform": {"strip_sessions": "false"}}))
+    gone = tmp_path / "gone"
+    inputs = {"build-corpus": ["--catalog", str(gone / "catalog.jsonl"),
+                               "--out", str(tmp_path / "corpus.bin")],
+              "eval": ["--methods", "popularity"]}[command]
+    assert main([command, "--stories", str(gone / "stories.jsonl"),
+                 "--vocab", str(gone / "vocab.tsv"), "--config", str(config),
+                 *inputs]) == 1
+    assert capsys.readouterr().err == (
+        "storyrank-error: ConfigError: transform.strip_sessions must be "
+        "false or true, got 'false'\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_config_file_that_is_not_an_object_is_refused_by_name(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text("[1]")
+    message = f"config file {config}: expected one JSON object"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(str(config))
 
 
 def test_rank_subcommand(tmp_path, capsys):
@@ -221,6 +260,10 @@ _WINDOW_MAX = f"{threading.TIMEOUT_MAX * 1000:.0f}"
     (["--batch-window-ms", "inf", "--port", "1"],
      f"--batch-window-ms: expected milliseconds from 0 to {_WINDOW_MAX}, "
      "got inf"),
+    (["--max-connections", "0", "--port", "1"],
+     "--max-connections: expected an integer of at least 1, got 0"),
+    (["--max-connections", "-2", "--port", "1"],
+     "--max-connections: expected an integer of at least 1, got -2"),
 ])
 def test_serve_refuses_batching_settings_before_reading_a_file(
         tmp_path, capsys, flags, message):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from storyrank.evaluate import ModelScorer, eligible_positions
 from storyrank.grammar import apply_transform, serialize, strip_sessions
-from storyrank.model import ModelConfig, init_model
+from storyrank.model import ModelConfig, ModelError, init_model
 from storyrank.prompts import (
     PromptError,
     RankedList,
@@ -269,6 +269,40 @@ def test_batched_rank_equals_single_rank(sample_vocab, toy_model):
     batched = rank_batch(prompts, toy_model)
     for one, many in zip(singles, batched):
         assert one.entries == many.entries  # bitwise, float64
+
+
+def test_rank_batch_pads_to_the_longest_prompt(sample_vocab, toy_model,
+                                               monkeypatch):
+    story = make_sample_story()
+    now = last_event_time(story) + 1800
+    prompts = [make_prompt(story, now, TaskKind.ITEM_MASKED, {}, sample_vocab,
+                           256),
+               make_prompt(story, now, TaskKind.SEARCH, {"query": "lante"},
+                           sample_vocab, 256)]
+    widths = [len(p.token_ids) for p in prompts]
+    assert widths[0] != widths[1] and max(widths) < 256
+    shapes = []
+    forward = toy_model.forward
+
+    def spy(ids, *args):
+        shapes.append(ids.shape)
+        return forward(ids, *args)
+
+    monkeypatch.setattr(toy_model, "forward", spy)
+    rank_batch(prompts, toy_model)
+    assert shapes == [(2, max(widths))]
+
+
+def test_prompt_wider_than_the_context_is_refused_by_the_model(sample_vocab,
+                                                               toy_model):
+    story = make_sample_story()
+    prompt = make_prompt(story, last_event_time(story) + 1800,
+                         TaskKind.ITEM_MASKED, {}, sample_vocab, 256)
+    width = len(prompt.token_ids)
+    cfg = replace(toy_model.config, context_length=width - 1)
+    with pytest.raises(ModelError, match=f"^sequence length {width} exceeds "
+                                         f"context length {width - 1}$"):
+        rank_batch([prompt], init_model(cfg))
 
 
 def test_candidate_beyond_vocab_rejected(sample_vocab, toy_model):

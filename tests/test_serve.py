@@ -272,6 +272,20 @@ def test_batching_setting_that_would_crash_or_change_the_loop_is_refused(
         serve_tcp(served_model, sample_vocab, _free_port(), **setting)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_connection_count_below_one_is_refused_before_the_port_is_bound(
+        served_model, sample_vocab, monkeypatch, count):
+    # a count below 1 served nothing and returned, as if it had served
+    bound = []
+    monkeypatch.setattr(socket, "create_server",
+                        lambda *a, **kw: bound.append(a))
+    with pytest.raises(ValueError, match="^max_connections: expected an "
+                                         f"integer of at least 1, got {count}$"):
+        serve_tcp(served_model, sample_vocab, _free_port(),
+                  max_connections=count)
+    assert bound == []
+
+
 def test_model_vocabulary_smaller_than_vocabulary_is_refused(sample_vocab):
     cfg = ModelConfig(vocab_size=sample_vocab.size - 5, context_length=192,
                       layers=1, heads=2, model_dim=16, dtype="float64")
