@@ -36,7 +36,7 @@ from .model import AdamState, init_model, load_checkpoint, save_checkpoint
 from .prompts import TaskKind
 from .serve import check_batching, check_connections, score_request, \
     serve_lines, serve_tcp
-from .stories import read_stories, write_stories
+from .stories import ValidationError, read_stories, write_stories
 from .training import train as run_training
 from .vocab import build_vocabulary, read_catalog, read_vocab, write_catalog, \
     write_vocab
@@ -50,11 +50,12 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.overrides)
+    world = cfg.world()  # checked before the out dir is made
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.build("gen-data", cfg.raw)
     started = time.perf_counter()
-    catalog, stories, genre_of = generate_world(cfg.world())
+    catalog, stories, genre_of = generate_world(world)
     manifest.record("generate", time.perf_counter() - started)
     write_stories(out / "stories.jsonl", stories, header={"hash": manifest.hash})
     write_catalog(out / "catalog.jsonl", catalog, header={"hash": manifest.hash},
@@ -123,26 +124,26 @@ def cmd_build_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.overrides)
+    # these sections are checked before any file is read; the model's needs
+    # the vocabulary's size
+    train, mixture, masking = cfg.train(), cfg.mixture(), cfg.masking()
     vocab = read_vocab(args.vocab)
     examples, meta = read_examples(args.corpus, vocab)
     story_examples = [e for e in examples if e.origin == ORIGIN_STORY]
     catalog_examples = [e for e in examples if e.origin == ORIGIN_CATALOG]
     manifest = RunManifest.build(
         "train", cfg.raw, {"corpus": args.corpus, "vocab": args.vocab})
-    model = init_model(cfg.model(vocab.size), seed=cfg.train().rng_seed)
+    model = init_model(cfg.model(vocab.size), seed=train.rng_seed)
     opt = AdamState.for_model(model)
     started = time.perf_counter()
     history = run_training(model, opt, story_examples, catalog_examples,
-                           cfg.mixture(), cfg.masking(), vocab, cfg.train(),
+                           mixture, masking, vocab, train,
                            log_every=args.log_every)
     manifest.record("train", time.perf_counter() - started)
     save_checkpoint(args.out, model, opt if args.save_optimizer else None,
                     vocab_hash=vocab.vocab_hash(), manifest_hash=manifest.hash)
     manifest.write(Path(args.out).with_suffix(".manifest.json"))
-    with open(Path(args.out).with_suffix(".train.jsonl"), "w",
-              encoding="utf-8") as fh:
-        for record in history:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_metrics(Path(args.out).with_suffix(".train.jsonl"), history)
     print(f"trained {model.step} steps -> {args.out}")
     return 0
 
@@ -222,12 +223,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    raw = Path(args.request).read_text(encoding="utf-8") if args.request \
+        else sys.stdin.read()
+    try:  # before the model is loaded
+        request = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"request {args.request or '<stdin>'}: not "
+                              f"JSON: {exc}") from None
     vocab = read_vocab(args.vocab)
     model, _, _ = load_checkpoint(args.model,
                                   expect_vocab_hash=vocab.vocab_hash())
-    raw = Path(args.request).read_text(encoding="utf-8") if args.request \
-        else sys.stdin.read()
-    request = json.loads(raw)
     started = time.perf_counter_ns()
     response = score_request(request, model, vocab)
     latency_us = max(1, (time.perf_counter_ns() - started) // 1000)

@@ -43,22 +43,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _coerce(text: str):
-    lowered = text.lower()
-    if lowered in ("null", "none"):
-        return None
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    if text.startswith("["):
-        return json.loads(text)
-    return text
-
-
 def _one_of(key: str, value, allowed: tuple):
     """`value` when it is one of `allowed`, of the same type too (0 is not
     false); refused by `key` otherwise."""
@@ -120,12 +104,18 @@ class RunConfig:
 def load_config(path: str | None = None, overrides: list[str] | None = None
                 ) -> RunConfig:
     """Defaults, optionally overlaid with a JSON file, then with
-    section.key=value override strings, each section checked by one loop."""
+    section.key=value override strings, each section checked by one loop.
+    An override's value is read as the file's values are, as JSON, or is
+    the text itself when the text is not JSON (`transform.view=item`)."""
     raw = copy.deepcopy(DEFAULTS)
     sections = []  # (section, {key: value}): the file's, then the flags'
     if path:
         with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
+            try:
+                user = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config file {path}: not JSON: {exc}") \
+                    from None
         if not isinstance(user, dict):
             raise ConfigError(f"config file {path}: expected one JSON object")
         sections.extend(user.items())
@@ -134,7 +124,11 @@ def load_config(path: str | None = None, overrides: list[str] | None = None
         section, dot, key = dotted.partition(".")
         if not (eq and dot):
             raise ConfigError(f"override {item!r} is not section.key=value")
-        sections.append((section, {key: _coerce(value)}))
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError:
+            pass
+        sections.append((section, {key: value}))
     for section, values in sections:
         if section not in raw:
             raise ConfigError(f"unknown config section {section!r}")

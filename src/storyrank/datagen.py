@@ -96,19 +96,21 @@ class WorldConfig:
     epoch: int = 4 * 86400          # Monday 1970-01-05, matching the grammar
 
     def __post_init__(self):
-        if self.n_items < 1 or self.n_users < 1 or self.n_carousels < 1:
-            raise DatagenError("users, items, and carousels must be positive")
+        for name in ("n_users", "n_items", "n_carousels", "n_genres",
+                     "keystroke_prefix_depth"):
+            count = getattr(self, name)
+            if type(count) is not int or count < 1:  # never a bool or float
+                raise DatagenError(f"{name} must be a positive integer, got "
+                                   f"{count!r}")
         if self.n_items > TITLE_SPACE:
             raise DatagenError(f"n_items {self.n_items} exceeds the "
                                f"{TITLE_SPACE} distinct item titles")
-        if not 1 <= self.n_genres <= min(self.n_items, len(GENRE_POOL)):
+        if self.n_genres > min(self.n_items, len(GENRE_POOL)):
             raise DatagenError(
                 f"n_genres must be in 1..{min(self.n_items, len(GENRE_POOL))}")
         for name in ("rewatch_prob", "search_before_watch_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise DatagenError(f"{name} must be a probability")
-        if self.keystroke_prefix_depth < 1:
-            raise DatagenError("keystroke_prefix_depth must be >= 1")
         if self.mean_events_per_user < self.mean_sessions_per_user * 0.5:
             raise DatagenError("mean_events_per_user too low for the "
                                "configured session rate")

@@ -23,8 +23,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from . import grammar
-from .stories import CarouselRef, ItemRef, Surface, fields, read_records, \
-    write_records
+from .stories import CarouselRef, ItemRef, Surface, _check_carousel_id, \
+    _check_item_id, _check_title, fields, read_records, write_records
 
 CLASS_BYTE = "byte"
 CLASS_MERGE = "merge"
@@ -54,16 +54,6 @@ class CatalogIndex:
     items: tuple[ItemRef, ...]
     carousels: tuple[CarouselRef, ...]
     carousel_names: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        item_ids = [i.item_id for i in self.items]
-        if len(set(item_ids)) != len(item_ids):
-            dup = sorted({x for x in item_ids if item_ids.count(x) > 1})
-            raise VocabularyError(f"duplicate item ids in catalog: {dup[:5]}")
-        car_ids = [c.carousel_id for c in self.carousels]
-        if len(set(car_ids)) != len(car_ids):
-            dup = sorted({x for x in car_ids if car_ids.count(x) > 1})
-            raise VocabularyError(f"duplicate carousel ids in catalog: {dup[:5]}")
 
     def carousel_name(self, carousel_id: str) -> str:
         return self.carousel_names.get(carousel_id, carousel_id)
@@ -114,26 +104,28 @@ class Vocabulary:
 
 def _finish(vocab: Vocabulary) -> Vocabulary:
     _check_base(vocab)
-    for tid, (cls, form) in enumerate(zip(vocab.classes, vocab.forms)):
-        if cls in (CLASS_MARKER, CLASS_SURFACE, CLASS_CAROUSEL, CLASS_ITEM,
-                   CLASS_SPECIAL):
-            if form in vocab.domain_to_id:
+    for tid in range(vocab.base_size, vocab.size):
+        cls, form = vocab.classes[tid], vocab.forms[tid]
+        if form in vocab.domain_to_id:
+            raise VocabularyError(
+                f"duplicate surface form {form.decode('utf-8', 'replace')!r}")
+        _check_domain_form(form)
+        vocab.domain_to_id[form] = tid
+        key = _domain_key(tid, cls, form)
+        if cls == CLASS_SURFACE:
+            vocab.surface_ids[key] = tid
+        elif cls == CLASS_CAROUSEL and key:
+            # the empty carousel is no carousel task's target
+            vocab.carousel_id_of_token[tid] = key
+            vocab.carousel_token_of_id[key] = tid
+        elif cls == CLASS_ITEM:
+            item_id = key.split("|", 1)[0]
+            if item_id in vocab.item_token_to_id:
                 raise VocabularyError(
-                    f"duplicate surface form {form.decode('utf-8', 'replace')!r}")
-            _check_domain_form(form)
-            vocab.domain_to_id[form] = tid
-            text = form.decode("utf-8")
-            if cls == CLASS_SURFACE:
-                vocab.surface_ids[text[len("<|surface="):-2]] = tid
-            elif cls == CLASS_CAROUSEL and text != grammar.carousel_token(""):
-                # the empty carousel is no carousel task's target
-                cid = text[len("<|carousel("):-3]
-                vocab.carousel_id_of_token[tid] = cid
-                vocab.carousel_token_of_id[cid] = tid
-            elif cls == CLASS_ITEM:
-                item_id = text[len("<|id("):].split("|", 1)[0]
-                vocab.item_id_of_token[tid] = item_id
-                vocab.item_token_to_id[item_id] = tid
+                    f"token {tid}: item id {item_id!r} already has token "
+                    f"{vocab.item_token_to_id[item_id]}")
+            vocab.item_id_of_token[tid] = item_id
+            vocab.item_token_to_id[item_id] = tid
     # token ids were added in ascending order, so these are sorted
     object.__setattr__(vocab, "item_token_ids", tuple(vocab.item_id_of_token))
     object.__setattr__(vocab, "carousel_token_ids",
@@ -169,6 +161,36 @@ def _check_base(vocab: Vocabulary) -> None:
     if vocab.classes.count(CLASS_MERGE) != len(vocab.merge_pairs):
         raise VocabularyError(f"{len(vocab.merge_pairs)} merge pairs need as many "
                               "merge tokens")
+
+
+# The opening and closing of each domain class's form around its key (a
+# surface name, a carousel id, an item's id|title); a marker or special form
+# is one of a fixed few.
+_DOMAIN_FORMS = {CLASS_SURFACE: ("<|surface=", "|>"),
+                 CLASS_CAROUSEL: ("<|carousel(", ")|>"),
+                 CLASS_ITEM: ("<|id(", ")|>"),
+                 CLASS_MARKER: grammar.MARKERS,
+                 CLASS_SPECIAL: (MASK_CAROUSEL_FORM, UNK_ITEM_FORM)}
+
+
+def _domain_key(tid: int, cls: str, form: bytes) -> str:
+    """The key of domain token `tid`'s form, "" for a marker or special;
+    refuses a class the form is not of."""
+    try:
+        text = form.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise VocabularyError(f"token {tid}: form is not UTF-8: {exc}") \
+            from None
+    if cls in (CLASS_MARKER, CLASS_SPECIAL):
+        if text in _DOMAIN_FORMS[cls]:
+            return ""
+    elif cls in _DOMAIN_FORMS:
+        opening, closing = _DOMAIN_FORMS[cls]
+        if text.startswith(opening) and text.endswith(closing) \
+                and text not in _DOMAIN_FORMS[CLASS_SPECIAL]:
+            return text[len(opening):-len(closing)]
+    raise VocabularyError(f"token {tid}: class {cls!r} does not match the "
+                          f"form {text!r}")
 
 
 def _check_domain_form(form: bytes) -> None:
@@ -488,10 +510,14 @@ def write_catalog(path, catalog: CatalogIndex, *, header: dict | None = None,
 
 def read_catalog(path) -> CatalogIndex:
     """The catalog file's items and carousels. A fault, a repeated item or
-    carousel id too, raises VocabularyError naming path:line."""
+    carousel id or a character GRAMMAR.md reserves too, raises
+    VocabularyError naming path:line."""
     items, carousels, names, seen = [], [], {}, set()
 
-    def once(key: str, value: str) -> None:
+    def held(key: str, value: str, rule) -> None:
+        # GRAMMAR.md's character table, then no earlier line's id
+        if (message := rule(value)) is not None:
+            raise VocabularyError(f"{key}: {message}")
         if (key, value) in seen:
             raise VocabularyError(f"{key}: {value!r} repeats an earlier line's")
         seen.add((key, value))
@@ -499,13 +525,15 @@ def read_catalog(path) -> CatalogIndex:
     def line(d) -> None:
         if type(d) is dict and "carousel_id" in d:
             carousel_id, name = fields(d, "", _CAROUSEL, _CAROUSEL_OPTIONAL)
-            once("carousel_id", carousel_id)
+            held("carousel_id", carousel_id, _check_carousel_id)
             carousels.append(CarouselRef(carousel_id))
             if name is not None:
                 names[carousel_id] = name
         else:
             item_id, title, _ = fields(d, "", _ITEM, _ITEM_OPTIONAL)
-            once("item_id", item_id)
+            held("item_id", item_id, _check_item_id)
+            if (message := _check_title(title)) is not None:
+                raise VocabularyError(f"title: {message}")
             items.append(ItemRef(item_id, title))
     read_records(path, line, VocabularyError)
     return CatalogIndex(tuple(items), tuple(carousels), names)

@@ -188,6 +188,108 @@ def test_config_file_that_is_not_an_object_is_refused_by_name(tmp_path):
         load_config(str(config))
 
 
+# (--set text, the value): JSON, or the text itself when it is not JSON
+SET_VALUES = [("12", 12), ("-3", -3), ("2.5", 2.5), ("1e-4", 1e-4),
+              ("Infinity", float("inf")), ("null", None), ("true", True),
+              ("false", False), ("[8, 50]", [8, 50]), ('"item"', "item"),
+              ("item", "item"), ("none", "none"), ("None", "None"),
+              ("True", "True"), ("inf", "inf"), ("007", "007"),
+              ("1_000", "1_000"), ("", "")]
+
+
+@pytest.mark.parametrize("text, value", SET_VALUES,
+                         ids=[text or "empty" for text, _ in SET_VALUES])
+def test_set_value_reads_as_a_config_file_holding_it(tmp_path, text, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"transform": {"view": value}}))
+    from_file = load_config(str(config)).raw["transform"]["view"]
+    from_flag = load_config(None, [f"transform.view={text}"]).raw[
+        "transform"]["view"]
+    for read in (from_file, from_flag):
+        assert type(read) is type(value) and read == value, (text, read)
+
+
+def test_config_file_that_is_not_json_is_refused_by_name(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"world": ')
+    assert main(["gen-data", "--config", str(config),
+                 "--out-dir", str(tmp_path / "data")]) == 1
+    assert capsys.readouterr() == ("", (
+        f"storyrank-error: ConfigError: config file {config}: not JSON: "
+        "Expecting value: line 1 column 11 (char 10)\n"))
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("from_stdin", [False, True],
+                         ids=["request-file", "stdin"])
+def test_rank_request_that_is_not_json_is_refused_by_name(tmp_path, capsys,
+                                                          monkeypatch,
+                                                          from_stdin):
+    # neither the vocabulary nor the model exists: the request is read first
+    gone = tmp_path / "gone"
+    argv = ["rank", "--model", str(gone / "model.ckpt"),
+            "--vocab", str(gone / "vocab.tsv")]
+    request = tmp_path / "request.json"
+    if from_stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"id": 1,'))
+    else:
+        request.write_text('{"id": 1,')
+        argv += ["--request", str(request)]
+    assert main(argv) == 1
+    where = "<stdin>" if from_stdin else request
+    assert capsys.readouterr() == ("", (
+        f"storyrank-error: ValidationError: request {where}: not JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 10 "
+        "(char 9)\n"))
+
+
+WORLD_COUNTS = [
+    ("world.n_users=2.5", "n_users must be a positive integer, got 2.5"),
+    ("world.n_users=0", "n_users must be a positive integer, got 0"),
+    ("world.n_users=none", "n_users must be a positive integer, got 'none'"),
+    ("world.n_items=true", "n_items must be a positive integer, got True"),
+    ("world.n_carousels=-1", "n_carousels must be a positive integer, "
+                             "got -1"),
+    ("world.n_genres=0", "n_genres must be a positive integer, got 0"),
+    ("world.keystroke_prefix_depth=1.0", "keystroke_prefix_depth must be a "
+                                         "positive integer, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("override, message", WORLD_COUNTS,
+                         ids=[override for override, _ in WORLD_COUNTS])
+def test_world_count_is_refused_by_key_before_the_out_dir_is_made(
+        tmp_path, capsys, override, message):
+    assert main(["gen-data", "--out-dir", str(tmp_path / "data"),
+                 "--set", "world.n_users=2", "--set", override]) == 1
+    assert capsys.readouterr() == ("", f"storyrank-error: DatagenError: "
+                                       f"{message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+TRAIN_SETTINGS = [
+    ("train.batch_size=0", "ModelError: batch_size must be positive"),
+    ("mixture.story_weight=0",
+     "CorpusError: mixture weights must be positive integers"),
+    ("masking.p_item_unk=2", "CorpusError: p_item_unk must be in [0, 1], "
+                             "got 2"),
+]
+
+
+@pytest.mark.parametrize("override, error", TRAIN_SETTINGS,
+                         ids=[override for override, _ in TRAIN_SETTINGS])
+def test_train_refuses_its_settings_before_reading_a_file(tmp_path, capsys,
+                                                          override, error):
+    # none of the named inputs exists: reading one would fail otherwise
+    gone = tmp_path / "gone"
+    assert main(["train", "--corpus", str(gone / "corpus.bin"),
+                 "--vocab", str(gone / "vocab.tsv"),
+                 "--out", str(tmp_path / "model.ckpt"),
+                 "--set", override]) == 1
+    assert capsys.readouterr() == ("", f"storyrank-error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rank_subcommand(tmp_path, capsys):
     d = run_pipeline(tmp_path)
     stories = read_stories(d / "data/stories.jsonl")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -66,10 +67,17 @@ def test_build_is_deterministic(tmp_path):
 
 
 def test_duplicate_catalog_ids_rejected():
-    with pytest.raises(VocabularyError, match="duplicate item ids"):
-        CatalogIndex((ItemRef("A1", "x"), ItemRef("A1", "y")), ())
-    with pytest.raises(VocabularyError, match="duplicate carousel ids"):
-        CatalogIndex((), (CarouselRef("r"), CarouselRef("r")))
+    # read_catalog refuses a repeated id by path:line; a catalog built in
+    # memory is refused by build_vocabulary
+    with pytest.raises(VocabularyError,
+                       match="item id 'A1' already has token"):
+        build_vocabulary(CatalogIndex(
+            (ItemRef("A1", "x"), ItemRef("A1", "y")), ()))
+    with pytest.raises(VocabularyError,
+                       match=re.escape("duplicate surface form "
+                                       "'<|carousel(r)|>'")):
+        build_vocabulary(CatalogIndex(
+            (), (CarouselRef("r"), CarouselRef("r"))))
 
 
 def test_tokenize_mixes_domain_and_byte_tokens(sample_vocab):
@@ -303,6 +311,16 @@ def test_mutated_catalog_line_is_refused_by_path_or_round_trips(tmp_path_factory
     # a line without carousel_id is an item line
     ({"name": "n"}, r"catalog\.jsonl:2: item_id: missing$"),
     ([1, 2], r"catalog\.jsonl:2: record: expected a JSON object, got \[1, 2\]$"),
+    # GRAMMAR.md's character table: this item's token would name item "A"
+    ({"item_id": "A|B", "title": "Fog Pier"},
+     r"catalog\.jsonl:2: item_id: item_id contains reserved character '\|'$"),
+    ({"item_id": "", "title": "Fog Pier"},
+     r"catalog\.jsonl:2: item_id: item_id is empty$"),
+    ({"item_id": "A1", "title": "Fog <|watch|> Pier"},
+     r"catalog\.jsonl:2: title: title contains reserved sequence '<\|'$"),
+    ({"carousel_id": "top(picks)"},
+     r"catalog\.jsonl:2: carousel_id: carousel_id contains reserved "
+     r"character '\('$"),
 ])
 def test_catalog_line_faults_name_the_file_line_and_field(tmp_path, line, message):
     path = tmp_path / "catalog.jsonl"
@@ -499,6 +517,37 @@ def _late_metadata(meta, lines):
     lines.append('# {"format": "other", "merge_pairs": []}')
 
 
+def _tokens(lines, cls):
+    """(token id, form) of each token of class `cls`."""
+    return [(tid, form) for tid, (_, c, form) in
+            enumerate(line.split("\t") for line in lines) if c == cls]
+
+
+def _marker_as_item(meta, lines):  # it loaded as a candidate named "ch"
+    tid, form = _tokens(lines, "marker")[2]
+    lines[tid] = f"{tid}\titem\t{form}"
+
+
+def _item_as_marker(meta, lines):  # it left the candidates
+    tid, form = _tokens(lines, "item")[0]
+    lines[tid] = f"{tid}\tmarker\t{form}"
+
+
+def _unk_as_item(meta, lines):
+    tid, form = _tokens(lines, "special")[1]
+    lines[tid] = f"{tid}\titem\t{form}"
+
+
+def _item_id_twice(meta, lines):  # both candidates, only the second a target
+    (_, first), *_, (tid, last) = _tokens(lines, "item")
+    lines[tid] = f"{tid}\titem\t<|{first.split('|')[1]}|{last.split('|')[2]}|>"
+
+
+def _non_utf8_item(meta, lines):
+    tid, form = _tokens(lines, "item")[0]
+    lines[tid] = f"{tid}\titem\t{form[:-3]}\\xff)|>"
+
+
 @pytest.mark.parametrize("edit, message", [
     pytest.param(edit, message, id=edit.__name__.lstrip("_")) for edit, message in [
         (_forward_pair, r"vocab\.tsv: merge 256 joins \(\d+, 257\): both ids must be below 256"),
@@ -520,6 +569,15 @@ def _late_metadata(meta, lines):
                         "'storyrank-vocab-v1'"),
         (_no_metadata, r"vocab\.tsv:1: no '# ' metadata line"),
         (_late_metadata, r"vocab\.tsv:\d+: a metadata line after line 1"),
+        (_marker_as_item, r"vocab\.tsv: token 306: class 'item' does not match "
+                          r"the form '<\|watch\|>'$"),
+        (_item_as_marker, r"vocab\.tsv: token \d+: class 'marker' does not "
+                          r"match the form '<\|id\("),
+        (_unk_as_item, r"vocab\.tsv: token 313: class 'item' does not match the "
+                       r"form '<\|id\(UNK\)\|>'$"),
+        (_item_id_twice, r"vocab\.tsv: token \d+: item id '\w+' already has "
+                         r"token \d+$"),
+        (_non_utf8_item, r"vocab\.tsv: token \d+: form is not UTF-8: "),
     ]])
 def test_vocab_file_that_would_tokenize_wrongly_is_refused(tmp_path, edit, message):
     catalog, text = _world_text(12)
