@@ -56,8 +56,9 @@ class EvalConfig:
             raise EvalError("holdout_fraction must be in (0, 1)")
         for key in ("max_eval_users", "max_positions_per_user"):
             cap = getattr(self, key)
-            if cap is not None and cap < 1:
-                raise EvalError(f"{key} must be null or at least 1, got {cap}")
+            if cap is not None and (type(cap) is not int or cap < 1):
+                raise EvalError(f"{key} must be null or at least 1, "
+                                f"got {cap!r}")
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,14 @@ class ModelConfig:
             raise ModelError("context_length must be at least 2")
         if self.dtype not in ("float32", "float64"):
             raise ModelError(f"dtype must be float32 or float64, got {self.dtype}")
+        for key in ("rope_base", "rms_eps"):
+            if type(getattr(self, key)) not in (int, float):  # never a bool
+                raise ModelError(f"{key} must be a number, got "
+                                 f"{getattr(self, key)!r}")
+        # a string such as "False" would be true in `if cfg.tie_embeddings`
+        if type(self.tie_embeddings) is not bool:
+            raise ModelError(f"tie_embeddings must be false or true, got "
+                             f"{self.tie_embeddings!r}")
 
     @property
     def hidden_dim(self) -> int:

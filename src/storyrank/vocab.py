@@ -163,14 +163,14 @@ def _check_base(vocab: Vocabulary) -> None:
                               "merge tokens")
 
 
-# The opening and closing of each domain class's form around its key (a
-# surface name, a carousel id, an item's id|title); a marker or special form
-# is one of a fixed few.
-_DOMAIN_FORMS = {CLASS_SURFACE: ("<|surface=", "|>"),
-                 CLASS_CAROUSEL: ("<|carousel(", ")|>"),
-                 CLASS_ITEM: ("<|id(", ")|>"),
-                 CLASS_MARKER: grammar.MARKERS,
-                 CLASS_SPECIAL: (MASK_CAROUSEL_FORM, UNK_ITEM_FORM)}
+# The class of each domain form that is one of a fixed few (a marker or a
+# special), and the opening and closing of each other domain class's form
+# around its key (a surface name, a carousel id, an item's id|title).
+_FIXED_FORMS = {**dict.fromkeys(grammar.MARKERS, CLASS_MARKER),
+                MASK_CAROUSEL_FORM: CLASS_SPECIAL, UNK_ITEM_FORM: CLASS_SPECIAL}
+_KEYED_FORMS = {CLASS_SURFACE: ("<|surface=", "|>"),
+                CLASS_CAROUSEL: ("<|carousel(", ")|>"),
+                CLASS_ITEM: ("<|id(", ")|>")}
 
 
 def _domain_key(tid: int, cls: str, form: bytes) -> str:
@@ -181,13 +181,12 @@ def _domain_key(tid: int, cls: str, form: bytes) -> str:
     except UnicodeDecodeError as exc:
         raise VocabularyError(f"token {tid}: form is not UTF-8: {exc}") \
             from None
-    if cls in (CLASS_MARKER, CLASS_SPECIAL):
-        if text in _DOMAIN_FORMS[cls]:
+    if text in _FIXED_FORMS:
+        if _FIXED_FORMS[text] == cls:
             return ""
-    elif cls in _DOMAIN_FORMS:
-        opening, closing = _DOMAIN_FORMS[cls]
-        if text.startswith(opening) and text.endswith(closing) \
-                and text not in _DOMAIN_FORMS[CLASS_SPECIAL]:
+    elif cls in _KEYED_FORMS:
+        opening, closing = _KEYED_FORMS[cls]
+        if text.startswith(opening) and text.endswith(closing):
             return text[len(opening):-len(closing)]
     raise VocabularyError(f"token {tid}: class {cls!r} does not match the "
                           f"form {text!r}")

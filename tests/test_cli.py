@@ -124,6 +124,15 @@ MISREAD_VALUES = [
      "max_positions_per_user must be null or at least 1, got -2"),
     ("eval.max_eval_users=-1", "max_eval_users must be null or at least 1, "
                                "got -1"),
+    ("eval.max_eval_users=none", "max_eval_users must be null or at least "
+                                 "1, got 'none'"),
+    ("eval.max_positions_per_user=2.5", "max_positions_per_user must be null "
+                                        "or at least 1, got 2.5"),
+    ("model.tie_embeddings=False", "tie_embeddings must be false or true, "
+                                   "got 'False'"),
+    ("model.tie_embeddings=no", "tie_embeddings must be false or true, "
+                                "got 'no'"),
+    ("model.rope_base=inf", "rope_base must be a number, got 'inf'"),
     ("model.model_dim=12", r"model_dim / heads must be even, got 12 / 4 = 3"),
     ("model.layers=0", "layers must be positive, got 0"),
     ("model.model_dim=0", "model_dim must be positive, got 0"),
