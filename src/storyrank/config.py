@@ -14,6 +14,7 @@ from .evaluate import EvalConfig
 from .grammar import ATTRIBUTE_SUBSETS, VIEWS
 from .manifest import stable_hash
 from .model import ModelConfig, TrainConfig
+from .stories import ValidationError, fields as read_fields, table_of
 
 
 def _section(cls, *unset: str, **overrides) -> dict:
@@ -43,16 +44,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _one_of(key: str, value, allowed: tuple):
-    """`value` when it is one of `allowed`, of the same type too (0 is not
-    false); refused by `key` otherwise."""
-    if not any(type(value) is type(a) and value == a for a in allowed):
-        names = ["null" if a is None else json.dumps(a) for a in allowed]
-        raise ConfigError(f"{key} must be {', '.join(names[:-1])} or "
-                          f"{names[-1]}, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class RunConfig:
     raw: dict
@@ -61,41 +52,57 @@ class RunConfig:
     def hash(self) -> str:
         return stable_hash(self.raw)
 
+    def _read(self, section: str, table: dict) -> dict:
+        """The section's values, read by `stories.fields` against `table`: a
+        fault is refused as `section.key: expected ..., got ...`."""
+        values = self.raw[section]
+        try:
+            read_fields(values, section, {key: table[key] for key in values})
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
+        return values
+
     def world(self) -> WorldConfig:
-        return WorldConfig(**self.raw["world"])
+        return WorldConfig(**self._read("world", table_of(WorldConfig)))
 
     def masking(self) -> MaskingConfig:
-        return MaskingConfig(**self.raw["masking"])
+        return MaskingConfig(**self._read("masking", table_of(MaskingConfig)))
 
     def mixture(self) -> MixtureConfig:
-        return MixtureConfig(context_length=self.raw["model"]["context_length"],
-                             **self.raw["mixture"])
+        model = self._read("model", table_of(ModelConfig))
+        return MixtureConfig(context_length=model["context_length"],
+                             **self._read("mixture", table_of(MixtureConfig)))
 
     def model(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(vocab_size=vocab_size, **self.raw["model"])
+        return ModelConfig(vocab_size=vocab_size,
+                           **self._read("model", table_of(ModelConfig)))
 
     def train(self) -> TrainConfig:
-        return TrainConfig(**self.raw["train"])
+        return TrainConfig(**self._read("train", table_of(TrainConfig)))
 
     def eval(self) -> EvalConfig:
-        section = dict(self.raw["eval"])
+        section = dict(self._read("eval", table_of(EvalConfig)))
         section["cutoffs"] = tuple(section["cutoffs"])
         return EvalConfig(**section)
 
     def transform(self) -> dict:
-        """`grammar.apply_transform`'s keywords; a value the transforms
-        would misread (`strip_sessions` "no", `view` false) is refused."""
-        t = self.raw["transform"]
-        return {"view": _one_of("transform.view", t["view"], (None, *VIEWS)),
-                "drop_sessions": _one_of("transform.strip_sessions",
-                                         t["strip_sessions"], (False, True)),
-                "drop_attributes": _one_of("transform.strip_attributes",
-                                           t["strip_attributes"],
-                                           (None, *ATTRIBUTE_SUBSETS))}
+        """`grammar.apply_transform`'s keywords; a view or attribute subset
+        the transforms do not know is refused."""
+        t = self._read("transform", {"view": (str, type(None)),
+                                     "strip_sessions": bool,
+                                     "strip_attributes": (str, type(None))})
+        for key, allowed in (("view", VIEWS),
+                             ("strip_attributes", ATTRIBUTE_SUBSETS)):
+            if t[key] is not None and t[key] not in allowed:
+                names = ", ".join(map(json.dumps, allowed[:-1]))
+                raise ConfigError(f"transform.{key} must be null, {names} or "
+                                  f"{json.dumps(allowed[-1])}, got {t[key]!r}")
+        return {"view": t["view"], "drop_sessions": t["strip_sessions"],
+                "drop_attributes": t["strip_attributes"]}
 
     def merges(self) -> int:
-        merges = self.raw["vocab"]["merges"]
-        if type(merges) is not int or merges < 0:  # never a bool or float
+        merges = self._read("vocab", {"merges": int})["merges"]
+        if merges < 0:
             raise ConfigError(f"vocab.merges must be a non-negative integer, "
                               f"got {merges!r}")
         return merges

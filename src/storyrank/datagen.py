@@ -98,10 +98,9 @@ class WorldConfig:
     def __post_init__(self):
         for name in ("n_users", "n_items", "n_carousels", "n_genres",
                      "keystroke_prefix_depth"):
-            count = getattr(self, name)
-            if type(count) is not int or count < 1:  # never a bool or float
+            if getattr(self, name) < 1:
                 raise DatagenError(f"{name} must be a positive integer, got "
-                                   f"{count!r}")
+                                   f"{getattr(self, name)!r}")
         if self.n_items > TITLE_SPACE:
             raise DatagenError(f"n_items {self.n_items} exceeds the "
                                f"{TITLE_SPACE} distinct item titles")

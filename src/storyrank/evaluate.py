@@ -49,14 +49,17 @@ class EvalConfig:
     max_positions_per_user: int | None = None
 
     def __post_init__(self):
-        if not self.cutoffs or list(self.cutoffs) != sorted(self.cutoffs) \
-                or self.cutoffs[0] <= 0:
-            raise EvalError("cutoffs must be positive and sorted")
+        # each cutoff becomes a metric row's "K": never a bool or float
+        if not self.cutoffs or any(type(k) is not int or k < 1
+                                   for k in self.cutoffs) \
+                or list(self.cutoffs) != sorted(self.cutoffs):
+            raise EvalError(f"cutoffs must be sorted integers of at least 1, "
+                            f"got {list(self.cutoffs)!r}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise EvalError("holdout_fraction must be in (0, 1)")
         for key in ("max_eval_users", "max_positions_per_user"):
             cap = getattr(self, key)
-            if cap is not None and (type(cap) is not int or cap < 1):
+            if cap is not None and cap < 1:
                 raise EvalError(f"{key} must be null or at least 1, "
                                 f"got {cap!r}")
 

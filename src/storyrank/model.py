@@ -73,6 +73,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .manifest import read_header
+from .stories import ValidationError, fields, table_of
 
 CHECKPOINT_MAGIC = b"SRCKPT1\n"
 
@@ -120,14 +121,6 @@ class ModelConfig:
             raise ModelError("context_length must be at least 2")
         if self.dtype not in ("float32", "float64"):
             raise ModelError(f"dtype must be float32 or float64, got {self.dtype}")
-        for key in ("rope_base", "rms_eps"):
-            if type(getattr(self, key)) not in (int, float):  # never a bool
-                raise ModelError(f"{key} must be a number, got "
-                                 f"{getattr(self, key)!r}")
-        # a string such as "False" would be true in `if cfg.tie_embeddings`
-        if type(self.tie_embeddings) is not bool:
-            raise ModelError(f"tie_embeddings must be false or true, got "
-                             f"{self.tie_embeddings!r}")
 
     @property
     def hidden_dim(self) -> int:
@@ -900,17 +893,16 @@ def _meta_config(meta: dict, path) -> tuple[ModelConfig, list[str]]:
     """The meta line's model config and its parameter names in file order.
     The step and every dim the config implies must be u64 values."""
     at = f"{path}: the metadata line at byte {len(CHECKPOINT_MAGIC)}"
-    if not isinstance(meta.get("config"), dict):
-        raise ModelError(f"{at} is not an object with a model config")
     step = meta.get("step")
     if type(step) is not int or not 0 <= step < 2 ** 64:
         raise ModelError(f"{at} has step {step!r}, not an integer in [0, 2**64)")
     try:
-        cfg = ModelConfig(**meta["config"])
+        cfg = ModelConfig(*fields(meta.get("config"), "config",
+                                  table_of(ModelConfig)))
         names = sorted(parameter_names(cfg))
         for name in names:
             _record_header(name, cfg.dtype, parameter_shape(name, cfg))
-    except (TypeError, ModelError, struct.error) as exc:  # a key, value, dim
+    except (ValidationError, ModelError, struct.error) as exc:  # key, value, dim
         raise ModelError(f"{at} has a bad model config: {exc}") from None
     return cfg, names
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum, EnumMeta
 from typing import Iterable, Iterator, Union
 
@@ -214,10 +214,10 @@ def _check_item_id(item_id: str) -> str | None:
     return None
 
 
-def _check_title(title: str) -> str | None:
+def _check_title(title: str, key: str = "title") -> str | None:
     for bad in ("\n", "|)", ")|>", "<|"):
         if bad in title:
-            return f"title contains reserved sequence {bad!r}"
+            return f"{key} contains reserved sequence {bad!r}"
     return None
 
 
@@ -380,7 +380,11 @@ _WATCH = {"type": str, "timestamp": int, "hour": int, "surface": Surface, "carou
 _WATCH_OPTIONAL = {"item_id": str, "title": str, "duration_minutes": int}
 _SEARCH = {"type": str, "timestamp": int, "hour": int, "query": str}
 _JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false", list: "a list",
-               dict: "a JSON object", (int, type(None)): "an integer or null"}
+               dict: "a JSON object", (int, type(None)): "an integer or null",
+               (int, float): "a number", (str, type(None)): "a string or null"}
+# each kind a config dataclass annotates, by its (postponed) annotation string
+_ANNOTATION_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
+                     "int | None": (int, type(None)), "tuple[int, ...]": list}
 _ABSENT = object()
 
 
@@ -401,7 +405,7 @@ def fields(d, path: str, required: dict, optional: dict = {}) -> list:
     """The values of JSON object `d`'s `required` then `optional` keys, in table
     order (None for an absent optional key), each of exactly its table's type:
     `int` (never a bool, float or digit string), `str`, `bool`, `list`, `dict`,
-    `object` (any), `(int, type(None))`, or a str Enum (read as its member).
+    `object` (any), a tuple of these (any one of them), or a str Enum (read as its member).
     The first fault raises a ValidationError that starts with its path."""
     if type(d) is not dict:
         raise ValidationError(f"{path or 'record'}: expected a JSON object, "
@@ -419,6 +423,11 @@ def fields(d, path: str, required: dict, optional: dict = {}) -> list:
             if key not in required and key not in optional:
                 raise ValidationError(f"{at}{key}: unknown key")
     return values
+
+
+def table_of(cls) -> dict:
+    """`fields`' table for config dataclass `cls`, read off its annotations."""
+    return {f.name: _ANNOTATION_KINDS[f.type] for f in dataclass_fields(cls)}
 
 
 def event_to_dict(event: Event) -> dict:

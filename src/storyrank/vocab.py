@@ -509,8 +509,8 @@ def write_catalog(path, catalog: CatalogIndex, *, header: dict | None = None,
 
 def read_catalog(path) -> CatalogIndex:
     """The catalog file's items and carousels. A fault, a repeated item or
-    carousel id or a character GRAMMAR.md reserves too, raises
-    VocabularyError naming path:line."""
+    carousel id or a character GRAMMAR.md reserves too (a carousel name is
+    held to the title rule), raises VocabularyError naming path:line."""
     items, carousels, names, seen = [], [], {}, set()
 
     def held(key: str, value: str, rule) -> None:
@@ -527,6 +527,8 @@ def read_catalog(path) -> CatalogIndex:
             held("carousel_id", carousel_id, _check_carousel_id)
             carousels.append(CarouselRef(carousel_id))
             if name is not None:
+                if (message := _check_title(name, "name")) is not None:
+                    raise VocabularyError(f"name: {message}")
                 names[carousel_id] = name
         else:
             item_id, title, _ = fields(d, "", _ITEM, _ITEM_OPTIONAL)

@@ -124,50 +124,76 @@ MISREAD_VALUES = [
      "max_positions_per_user must be null or at least 1, got -2"),
     ("eval.max_eval_users=-1", "max_eval_users must be null or at least 1, "
                                "got -1"),
-    ("eval.max_eval_users=none", "max_eval_users must be null or at least "
-                                 "1, got 'none'"),
-    ("eval.max_positions_per_user=2.5", "max_positions_per_user must be null "
-                                        "or at least 1, got 2.5"),
-    ("model.tie_embeddings=False", "tie_embeddings must be false or true, "
-                                   "got 'False'"),
-    ("model.tie_embeddings=no", "tie_embeddings must be false or true, "
-                                "got 'no'"),
-    ("model.rope_base=inf", "rope_base must be a number, got 'inf'"),
+    ("eval.max_eval_users=none", "eval.max_eval_users: expected an integer "
+                                 "or null, got 'none'"),
+    ("eval.max_positions_per_user=2.5", "eval.max_positions_per_user: "
+                                        "expected an integer or null, got 2.5"),
+    # "07" is not JSON: the string would split the users as no seed does
+    ("eval.rng_seed=07", "eval.rng_seed: expected an integer, got '07'"),
+    # a cutoff is a metric row's "K"
+    ("eval.cutoffs=[1.5]", r"cutoffs must be sorted integers of at least 1, "
+                           r"got \[1\.5\]"),
+    ("eval.cutoffs=[true]", r"cutoffs must be sorted integers of at least 1, "
+                            r"got \[True\]"),
+    ('eval.cutoffs=["a"]', r"cutoffs must be sorted integers of at least 1, "
+                           r"got \['a'\]"),
+    ("model.tie_embeddings=False", "model.tie_embeddings: expected true or "
+                                   "false, got 'False'"),
+    ("model.tie_embeddings=no", "model.tie_embeddings: expected true or "
+                                "false, got 'no'"),
+    ("model.rope_base=inf", "model.rope_base: expected a number, got 'inf'"),
     ("model.model_dim=12", r"model_dim / heads must be even, got 12 / 4 = 3"),
     ("model.layers=0", "layers must be positive, got 0"),
     ("model.model_dim=0", "model_dim must be positive, got 0"),
     ("model.mlp_hidden_dim=-4", r"mlp_hidden_dim must be 0 \(4 \* model_dim\) "
                                 "or positive, got -4"),
     ("vocab.merges=-5", "vocab.merges must be a non-negative integer, got -5"),
-    ("vocab.merges=2.9", "vocab.merges must be a non-negative integer, "
-                         "got 2.9"),
-    ("vocab.merges=true", "vocab.merges must be a non-negative integer, "
-                          "got True"),
-    ("transform.strip_sessions=no", "transform.strip_sessions must be false "
-                                    "or true, got 'no'"),
-    ("transform.strip_sessions=1", "transform.strip_sessions must be false "
-                                   "or true, got 1"),
-    ("transform.view=false", 'transform.view must be null, "item", '
-                             '"carousel" or "search", got False'),
+    ("vocab.merges=2.9", "vocab.merges: expected an integer, got 2.9"),
+    ("vocab.merges=true", "vocab.merges: expected an integer, got True"),
+    ("transform.strip_sessions=no", "transform.strip_sessions: expected true "
+                                    "or false, got 'no'"),
+    ("transform.strip_sessions=1", "transform.strip_sessions: expected true "
+                                   "or false, got 1"),
+    ("transform.view=false", "transform.view: expected a string or null, "
+                             "got False"),
     ("transform.view=bogus", 'transform.view must be null, "item", '
                              '"carousel" or "search", got \'bogus\''),
-    ("transform.strip_attributes=true", 'transform.strip_attributes must be '
-                                        'null, "all", "profile" or '
-                                        '"location", got True'),
+    ("transform.strip_attributes=true", "transform.strip_attributes: "
+                                        "expected a string or null, got True"),
 ]
+
+
+def read_section(override: str):
+    """Load the config with one override and read its section as the stage
+    that uses it does."""
+    cfg = load_config(None, [override])
+    return {"world": cfg.world, "vocab": cfg.merges, "masking": cfg.masking,
+            "mixture": cfg.mixture, "model": lambda: cfg.model(vocab_size=300),
+            "train": cfg.train, "eval": cfg.eval,
+            "transform": cfg.transform}[override.partition(".")[0]]()
 
 
 @pytest.mark.parametrize("override, message", MISREAD_VALUES,
                          ids=[override for override, _ in MISREAD_VALUES])
 def test_config_value_the_code_would_misread_is_refused_by_key(override,
                                                                message):
-    cfg = load_config(None, [override])
-    read = {"eval": cfg.eval, "vocab": cfg.merges,
-            "model": lambda: cfg.model(vocab_size=300),
-            "transform": cfg.transform}
     with pytest.raises((EvalError, ModelError, ConfigError),
                        match=f"^{message}$"):
-        read[override.partition(".")[0]]()
+        read_section(override)
+
+
+STRING_KEYS = {"model.dtype", "transform.view", "transform.strip_attributes"}
+EVERY_KEY = [f"{section}.{key}" for section in DEFAULTS
+             for key in DEFAULTS[section]]
+
+
+@pytest.mark.parametrize("dotted", EVERY_KEY)
+def test_every_config_key_refuses_a_value_of_another_kind(dotted):
+    # a key whose field has no kind in the table fails here too
+    wrong = 7 if dotted in STRING_KEYS else "x"
+    with pytest.raises(ConfigError, match=f"^{re.escape(dotted)}: expected "
+                                          f"[a-z ]+, got {wrong!r}$"):
+        read_section(f"{dotted}={json.dumps(wrong)}")
 
 
 @pytest.mark.parametrize("command", ["build-corpus", "eval"])
@@ -184,8 +210,8 @@ def test_transform_is_refused_by_key_before_reading_a_file(tmp_path, capsys,
                  "--vocab", str(gone / "vocab.tsv"), "--config", str(config),
                  *inputs]) == 1
     assert capsys.readouterr().err == (
-        "storyrank-error: ConfigError: transform.strip_sessions must be "
-        "false or true, got 'false'\n")
+        "storyrank-error: ConfigError: transform.strip_sessions: expected "
+        "true or false, got 'false'\n")
     assert list(tmp_path.iterdir()) == [config]
 
 
@@ -253,15 +279,23 @@ def test_rank_request_that_is_not_json_is_refused_by_name(tmp_path, capsys,
 
 
 WORLD_COUNTS = [
-    ("world.n_users=2.5", "n_users must be a positive integer, got 2.5"),
-    ("world.n_users=0", "n_users must be a positive integer, got 0"),
-    ("world.n_users=none", "n_users must be a positive integer, got 'none'"),
-    ("world.n_items=true", "n_items must be a positive integer, got True"),
-    ("world.n_carousels=-1", "n_carousels must be a positive integer, "
-                             "got -1"),
-    ("world.n_genres=0", "n_genres must be a positive integer, got 0"),
-    ("world.keystroke_prefix_depth=1.0", "keystroke_prefix_depth must be a "
-                                         "positive integer, got 1.0"),
+    ("world.n_users=2.5", "ConfigError: world.n_users: expected an integer, "
+                          "got 2.5"),
+    ("world.n_users=0", "DatagenError: n_users must be a positive integer, "
+                        "got 0"),
+    ("world.n_users=none", "ConfigError: world.n_users: expected an integer, "
+                           "got 'none'"),
+    ("world.n_items=true", "ConfigError: world.n_items: expected an integer, "
+                           "got True"),
+    ("world.n_carousels=-1", "DatagenError: n_carousels must be a positive "
+                             "integer, got -1"),
+    ("world.n_genres=0", "DatagenError: n_genres must be a positive integer, "
+                         "got 0"),
+    ("world.keystroke_prefix_depth=1.0", "ConfigError: "
+     "world.keystroke_prefix_depth: expected an integer, got 1.0"),
+    # a bare TypeError, naming no key, came from the probability check
+    ("world.rewatch_prob=none", "ConfigError: world.rewatch_prob: expected a "
+                                "number, got 'none'"),
 ]
 
 
@@ -271,8 +305,7 @@ def test_world_count_is_refused_by_key_before_the_out_dir_is_made(
         tmp_path, capsys, override, message):
     assert main(["gen-data", "--out-dir", str(tmp_path / "data"),
                  "--set", "world.n_users=2", "--set", override]) == 1
-    assert capsys.readouterr() == ("", f"storyrank-error: DatagenError: "
-                                       f"{message}\n")
+    assert capsys.readouterr() == ("", f"storyrank-error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -282,6 +315,13 @@ TRAIN_SETTINGS = [
      "CorpusError: mixture weights must be positive integers"),
     ("masking.p_item_unk=2", "CorpusError: p_item_unk must be in [0, 1], "
                              "got 2"),
+    ("train.batch_size=2.5", "ConfigError: train.batch_size: expected an "
+                             "integer, got 2.5"),
+    ("mixture.story_weight=1.5", "ConfigError: mixture.story_weight: "
+                                 "expected an integer, got 1.5"),
+    # true would read as 1: every item token would become UNK
+    ("masking.p_item_unk=true", "ConfigError: masking.p_item_unk: expected "
+                                "a number, got True"),
 ]
 
 

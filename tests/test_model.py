@@ -1296,14 +1296,21 @@ def test_save_refuses_an_optimizer_at_another_step_than_the_model(tmp_path):
 
 @pytest.mark.parametrize("old, new, match", [
     (b'{"adam"', b'{"adam\xff', r"metadata line at byte 8 is not JSON"),
-    (b'"config"', b'"conFig"', "at byte 8 is not an object with a model"),
-    (b'"rope_base"', b'"rope_bas%"', "unexpected keyword argument 'rope_bas%'"),
+    (b'"config"', b'"conFig"', "at byte 8 has a bad model config: config: "
+                               "expected a JSON object, got None$"),
+    (b'"rope_base"', b'"rope_bas%"', r"config\.rope_base: missing$"),
+    # a string would be true to `if cfg.tie_embeddings`
+    (b'"tie_embeddings": false', b'"tie_embeddings": "False"',
+     r"config\.tie_embeddings: expected true or false, got 'False'$"),
+    (b'"rope_base": 10000.0', b'"rope_base": "inf"',
+     r"config\.rope_base: expected a number, got 'inf'$"),
     (b'"heads": 2', b'"heads": 0', "heads must be positive"),
     *((b'"step": 0', b'"step": ' + step, r"at byte 8 has step .*, not an "
        r"integer in \[0, 2\*\*64\)")
       for step in (b"-1", b"18446744073709551616", b"1.0", b'"1"', b"true",
                    b"null")),
-], ids=["utf8", "no-config", "config-key", "heads", "step-negative",
+], ids=["utf8", "no-config", "config-key", "tie-string", "rope-string",
+        "heads", "step-negative",
         "step-2**64", "step-float", "step-string", "step-bool", "step-null"])
 def test_corrupt_checkpoint_meta_line_is_refused(tmp_path, old, new, match):
     model = tiny_model()

@@ -321,6 +321,9 @@ def test_mutated_catalog_line_is_refused_by_path_or_round_trips(tmp_path_factory
     ({"carousel_id": "top(picks)"},
      r"catalog\.jsonl:2: carousel_id: carousel_id contains reserved "
      r"character '\('$"),
+    # the catalog corpus tokenizes a name into its `has name` statement
+    ({"carousel_id": "top", "name": "top <|watch|> picks"},
+     r"catalog\.jsonl:2: name: name contains reserved sequence '<\|'$"),
 ])
 def test_catalog_line_faults_name_the_file_line_and_field(tmp_path, line, message):
     path = tmp_path / "catalog.jsonl"
