@@ -34,7 +34,7 @@ from .evaluate import (
 from .manifest import RunManifest
 from .model import AdamState, init_model, load_checkpoint, save_checkpoint
 from .prompts import TaskKind
-from .serve import check_batching, check_connections, score_request, \
+from .serve import check_batching, check_tcp, score_request, \
     serve_lines, serve_tcp
 from .stories import ValidationError, read_stories, write_stories
 from .training import train as run_training
@@ -46,6 +46,12 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (defaults when omitted)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="SECTION.KEY=VALUE", help="override a config key")
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an `--out` whose directory does not exist, before any work."""
+    if out is not None and not Path(out).parent.is_dir():
+        raise ValueError(f"--out: directory {Path(out).parent} does not exist")
 
 
 def cmd_gen_data(args) -> int:
@@ -71,6 +77,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
+    _check_out(args.out)
     cfg = load_config(args.config, args.overrides)
     merges = cfg.merges()
     if merges > 0 and not args.stories:
@@ -97,6 +104,7 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_build_corpus(args) -> int:
+    _check_out(args.out)
     cfg = load_config(args.config, args.overrides)
     transform = cfg.transform()  # checked before any file is read
     vocab = read_vocab(args.vocab)
@@ -123,6 +131,7 @@ def cmd_build_corpus(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out(args.out)
     cfg = load_config(args.config, args.overrides)
     # these sections are checked before any file is read; the model's needs
     # the vocabulary's size
@@ -184,6 +193,7 @@ def _eval_methods(args) -> list[str]:
 def cmd_eval(args) -> int:
     # the arguments and the transform are checked before any file is read
     methods, kinds = _eval_methods(args), _task_kinds(args.tasks)
+    _check_out(args.out)
     cfg = load_config(args.config, args.overrides)
     transform = cfg.transform()
     vocab = read_vocab(args.vocab)
@@ -242,15 +252,16 @@ def cmd_rank(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    # the batching settings and the connection count are checked before
-    # any file is read
+    # the batching settings, the port and the connection count are checked
+    # before any file is read
     check_batching(args.batch_window_ms, args.max_batch,
                    names=("--batch-window-ms", "--max-batch"))
-    check_connections(args.max_connections, name="--max-connections")
+    check_tcp(args.port, args.max_connections,
+              names=("--port", "--max-connections"))
     vocab = read_vocab(args.vocab)
     model, _, _ = load_checkpoint(args.model,
                                   expect_vocab_hash=vocab.vocab_hash())
-    if args.port:
+    if args.port is not None:
         serve_tcp(model, vocab, args.port, batch_window_ms=args.batch_window_ms,
                   max_batch=args.max_batch,
                   max_connections=args.max_connections)

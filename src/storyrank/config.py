@@ -14,7 +14,7 @@ from .evaluate import EvalConfig
 from .grammar import ATTRIBUTE_SUBSETS, VIEWS
 from .manifest import stable_hash
 from .model import ModelConfig, TrainConfig
-from .stories import ValidationError, fields as read_fields, table_of
+from .stories import ValidationError, check_range, fields as read_fields, table_of
 
 
 def _section(cls, *unset: str, **overrides) -> dict:
@@ -102,9 +102,7 @@ class RunConfig:
 
     def merges(self) -> int:
         merges = self._read("vocab", {"merges": int})["merges"]
-        if merges < 0:
-            raise ConfigError(f"vocab.merges must be a non-negative integer, "
-                              f"got {merges!r}")
+        check_range("Size", "vocab.merges", merges, ConfigError)
         return merges
 
 

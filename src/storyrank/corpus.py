@@ -20,6 +20,7 @@ import numpy as np
 
 from . import grammar
 from .manifest import read_header
+from .stories import Count, Probability, Width, check_ranges
 from .vocab import CLASS_CAROUSEL, CLASS_ITEM, CLASS_SURFACE, \
     CatalogIndex, Vocabulary, tokenize
 
@@ -35,29 +36,23 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class MaskingConfig:
-    p_carousel_mask: float = 0.1
-    p_item_unk: float = 0.001
+    p_carousel_mask: Probability = 0.1
+    p_item_unk: Probability = 0.001
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("p_carousel_mask", "p_item_unk"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise CorpusError(f"{name} must be in [0, 1], got {p}")
+        check_ranges(self, CorpusError)
 
 
 @dataclass(frozen=True)
 class MixtureConfig:
-    story_weight: int = 20
-    catalog_weight: int = 1
-    context_length: int = 256
+    story_weight: Count = 20
+    catalog_weight: Count = 1
+    context_length: Width = 256
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.story_weight <= 0 or self.catalog_weight <= 0:
-            raise CorpusError("mixture weights must be positive integers")
-        if self.context_length < 2:
-            raise CorpusError("context_length must be at least 2")
+        check_ranges(self, CorpusError)
 
 
 @dataclass(frozen=True)

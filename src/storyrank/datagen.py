@@ -27,12 +27,17 @@ import numpy as np
 from .stories import (
     AttributeHeader,
     CarouselRef,
+    Count,
     EMPTY_CAROUSEL,
     ItemRef,
+    NonNegative,
+    Positive,
+    Probability,
     SearchEvent,
     Surface,
     UserStory,
     WatchEvent,
+    check_ranges,
     search,
     segment_sessions,
     watch,
@@ -80,36 +85,29 @@ class DatagenError(ValueError):
 
 @dataclass(frozen=True)
 class WorldConfig:
-    n_users: int = 1000
-    n_items: int = 400
-    n_carousels: int = 40
-    n_genres: int = 10
+    n_users: Count = 1000
+    n_items: Count = 400
+    n_carousels: Count = 40
+    n_genres: Count = 10
     rng_seed: int = 0
-    mean_sessions_per_user: float = 24.0
-    mean_events_per_user: float = 44.0
-    rewatch_prob: float = 0.25
-    search_before_watch_prob: float = 0.30
-    keystroke_prefix_depth: int = 3
-    genre_sharpness: float = 0.12   # Dirichlet concentration of user tastes
-    zipf_exponent: float = 1.05     # within-genre popularity skew
-    mean_session_gap_hours: float = 10.0
-    epoch: int = 4 * 86400          # Monday 1970-01-05, matching the grammar
+    mean_sessions_per_user: Positive = 24.0
+    mean_events_per_user: Positive = 44.0
+    rewatch_prob: Probability = 0.25
+    search_before_watch_prob: Probability = 0.30
+    keystroke_prefix_depth: Count = 3
+    genre_sharpness: Positive = 0.12   # Dirichlet concentration of user tastes
+    zipf_exponent: NonNegative = 1.05  # within-genre popularity skew
+    mean_session_gap_hours: NonNegative = 10.0
+    epoch: int = 4 * 86400             # Monday 1970-01-05, matching the grammar
 
     def __post_init__(self):
-        for name in ("n_users", "n_items", "n_carousels", "n_genres",
-                     "keystroke_prefix_depth"):
-            if getattr(self, name) < 1:
-                raise DatagenError(f"{name} must be a positive integer, got "
-                                   f"{getattr(self, name)!r}")
+        check_ranges(self, DatagenError)
         if self.n_items > TITLE_SPACE:
             raise DatagenError(f"n_items {self.n_items} exceeds the "
                                f"{TITLE_SPACE} distinct item titles")
         if self.n_genres > min(self.n_items, len(GENRE_POOL)):
             raise DatagenError(
                 f"n_genres must be in 1..{min(self.n_items, len(GENRE_POOL))}")
-        for name in ("rewatch_prob", "search_before_watch_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise DatagenError(f"{name} must be a probability")
         if self.mean_events_per_user < self.mean_sessions_per_user * 0.5:
             raise DatagenError("mean_events_per_user too low for the "
                                "configured session rate")

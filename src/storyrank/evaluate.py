@@ -32,7 +32,7 @@ import numpy as np
 from . import grammar
 from .prompts import TaskKind, TaskPrompt, candidate_set, rank_batch, \
     rank_candidates, target_token, trim_story_to_context
-from .stories import SearchEvent, Surface, UserStory
+from .stories import Count, Fraction, SearchEvent, Surface, UserStory, check_ranges
 from .vocab import Vocabulary
 
 
@@ -43,25 +43,19 @@ class EvalError(ValueError):
 @dataclass(frozen=True)
 class EvalConfig:
     cutoffs: tuple[int, ...] = (8, 50, 100)
-    holdout_fraction: float = 0.1
+    holdout_fraction: Fraction = 0.1
     rng_seed: int = 0
-    max_eval_users: int | None = None
-    max_positions_per_user: int | None = None
+    max_eval_users: Count | None = None
+    max_positions_per_user: Count | None = None
 
     def __post_init__(self):
+        check_ranges(self, EvalError)
         # each cutoff becomes a metric row's "K": never a bool or float
         if not self.cutoffs or any(type(k) is not int or k < 1
                                    for k in self.cutoffs) \
                 or list(self.cutoffs) != sorted(self.cutoffs):
             raise EvalError(f"cutoffs must be sorted integers of at least 1, "
                             f"got {list(self.cutoffs)!r}")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise EvalError("holdout_fraction must be in (0, 1)")
-        for key in ("max_eval_users", "max_positions_per_user"):
-            cap = getattr(self, key)
-            if cap is not None and cap < 1:
-                raise EvalError(f"{key} must be null or at least 1, "
-                                f"got {cap!r}")
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .manifest import read_header
-from .stories import ValidationError, fields, table_of
+from .stories import Count, NonNegative, Positive, Size, ValidationError, \
+    Width, check_ranges, fields, table_of
 
 CHECKPOINT_MAGIC = b"SRCKPT1\n"
 
@@ -93,32 +94,24 @@ class NonFiniteLossError(RuntimeError):
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
-    context_length: int = 256
-    layers: int = 4
-    heads: int = 4
-    model_dim: int = 128
-    mlp_hidden_dim: int = 0  # 0 -> 4 * model_dim
-    rope_base: float = 10000.0
-    rms_eps: float = 1e-6
+    context_length: Width = 256
+    layers: Count = 4
+    heads: Count = 4
+    model_dim: Count = 128
+    mlp_hidden_dim: Size = 0  # 0 -> 4 * model_dim
+    rope_base: Positive = 10000.0
+    rms_eps: Positive = 1e-6
     dtype: str = "float32"
     tie_embeddings: bool = False
 
     def __post_init__(self):
-        for key in ("layers", "heads", "model_dim"):
-            if getattr(self, key) <= 0:
-                raise ModelError(f"{key} must be positive, got "
-                                 f"{getattr(self, key)}")
-        if self.mlp_hidden_dim < 0:
-            raise ModelError(f"mlp_hidden_dim must be 0 (4 * model_dim) or "
-                             f"positive, got {self.mlp_hidden_dim}")
+        check_ranges(self, ModelError)
         if self.model_dim % self.heads != 0:
             raise ModelError(f"model_dim {self.model_dim} not divisible by "
                              f"heads {self.heads}")
         if self.head_dim % 2:  # RoPE rotates pairs of dimensions
             raise ModelError(f"model_dim / heads must be even, got "
                              f"{self.model_dim} / {self.heads} = {self.head_dim}")
-        if self.context_length < 2:
-            raise ModelError("context_length must be at least 2")
         if self.dtype not in ("float32", "float64"):
             raise ModelError(f"dtype must be float32 or float64, got {self.dtype}")
 
@@ -137,21 +130,16 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 3e-4
-    warmup_steps: int = 100
-    weight_decay: float = 0.033
-    grad_clip_norm: float = 1.0
-    batch_size: int = 8
-    macro_steps: int = 1000
+    learning_rate: NonNegative = 3e-4  # 0 makes the update a provable no-op
+    warmup_steps: Count = 100
+    weight_decay: NonNegative = 0.033
+    grad_clip_norm: Positive = 1.0     # inf: no clipping
+    batch_size: Count = 8
+    macro_steps: Count = 1000
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("warmup_steps", "grad_clip_norm", "batch_size", "macro_steps"):
-            if getattr(self, name) <= 0:
-                raise ModelError(f"{name} must be positive")
-        # learning_rate 0 is allowed: it makes the update a provable no-op
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ModelError("learning_rate and weight_decay must be non-negative")
+        check_ranges(self, ModelError)
         if self.warmup_steps > self.macro_steps:
             raise ModelError("warmup_steps exceeds macro_steps")
 

@@ -144,12 +144,15 @@ def check_batching(batch_window_ms: float, max_batch: int,
                          f"got {max_batch}")
 
 
-def check_connections(max_connections: int | None,
-                      name: str = "max_connections") -> None:
-    """Refuse (ValueError, naming the setting by `name`) a connection count
-    below 1; None means no count."""
+def check_tcp(port: int | None, max_connections: int | None,
+              names=("port", "max_connections")) -> None:
+    """Refuse (ValueError, naming the setting by `names`) a port outside
+    1..65535 and a connection count below 1; None means stdio, or no count."""
+    if port is not None and not 1 <= port <= 65535:
+        raise ValueError(f"{names[0]}: expected a port from 1 to 65535, "
+                         f"got {port}")
     if max_connections is not None and max_connections < 1:
-        raise ValueError(f"{name}: expected an integer of at least 1, "
+        raise ValueError(f"{names[1]}: expected an integer of at least 1, "
                          f"got {max_connections}")
 
 
@@ -249,10 +252,10 @@ def serve_tcp(model, vocabulary: Vocabulary, port: int,
     Lines are read as bytes, so a line that is not UTF-8 gets its own error
     reply. A socket error, such as a client that resets its connection,
     ends that connection only; the server goes on accepting. The batching
-    settings and the connection count are checked before the port is
-    opened."""
+    settings, the port and the connection count are checked before the port
+    is opened."""
     check_batching(batch_window_ms, max_batch)
-    check_connections(max_connections)
+    check_tcp(port, max_connections)
     server = socket.create_server(("127.0.0.1", port))
     served = 0
     try:

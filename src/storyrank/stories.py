@@ -382,9 +382,23 @@ _SEARCH = {"type": str, "timestamp": int, "hour": int, "query": str}
 _JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false", list: "a list",
                dict: "a JSON object", (int, type(None)): "an integer or null",
                (int, float): "a number", (str, type(None)): "a string or null"}
-# each kind a config dataclass annotates, by its (postponed) annotation string
-_ANNOTATION_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
-                     "int | None": (int, type(None)), "tuple[int, ...]": list}
+# The kinds a config dataclass annotates a number field with, each naming a range.
+Count = Width = Size = int
+Probability = Fraction = Positive = NonNegative = float
+# each annotation, by its postponed string: the JSON types `fields` reads, and
+# the range `check_range` holds a value to, as a test and its text (NaN passes none)
+_ANNOTATION_KINDS = {
+    "int": (int,), "bool": (bool,), "str": (str,), "tuple[int, ...]": (list,),
+    "Count": (int, lambda v: v >= 1, "at least 1"),
+    "Count | None": ((int, type(None)), lambda v: v is None or v >= 1,
+                     "null or at least 1"),
+    "Width": (int, lambda v: v >= 2, "at least 2"),
+    "Size": (int, lambda v: v >= 0, "at least 0"),
+    "Probability": ((int, float), lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "Fraction": ((int, float), lambda v: 0 < v < 1, "in (0, 1)"),
+    "Positive": ((int, float), lambda v: v > 0, "above 0"),  # inf too
+    "NonNegative": ((int, float), lambda v: v >= 0, "at least 0"),
+}
 _ABSENT = object()
 
 
@@ -427,7 +441,20 @@ def fields(d, path: str, required: dict, optional: dict = {}) -> list:
 
 def table_of(cls) -> dict:
     """`fields`' table for config dataclass `cls`, read off its annotations."""
-    return {f.name: _ANNOTATION_KINDS[f.type] for f in dataclass_fields(cls)}
+    return {f.name: _ANNOTATION_KINDS[f.type][0] for f in dataclass_fields(cls)}
+
+
+def check_range(kind: str, key: str, value, error) -> None:
+    """Refuse, as `error`, a `value` outside annotation `kind`'s range."""
+    _, *rule = _ANNOTATION_KINDS[kind]
+    if rule and not rule[0](value):
+        raise error(f"{key} must be {rule[1]}, got {value!r}")
+
+
+def check_ranges(config, error) -> None:
+    """Hold each field of config dataclass `config` to its range (`check_range`)."""
+    for f in dataclass_fields(config):
+        check_range(f.type, f.name, getattr(config, f.name), error)
 
 
 def event_to_dict(event: Event) -> dict:

@@ -2,6 +2,7 @@ import io
 import json
 import re
 import threading
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,11 @@ import pytest
 from storyrank import grammar
 from storyrank.cli import main
 from storyrank.config import DEFAULTS, ConfigError, load_config
-from storyrank.corpus import ORIGIN_STORY, read_examples, tokenize_stories
-from storyrank.evaluate import EvalError, split_users
-from storyrank.model import ModelError
+from storyrank.corpus import ORIGIN_STORY, CorpusError, MaskingConfig, \
+    MixtureConfig, read_examples, tokenize_stories
+from storyrank.datagen import DatagenError, WorldConfig
+from storyrank.evaluate import EvalConfig, EvalError, split_users
+from storyrank.model import ModelConfig, ModelError, TrainConfig
 from storyrank.stories import read_stories, story_to_dict
 from storyrank.vocab import build_vocabulary, read_catalog, read_vocab
 
@@ -143,11 +146,10 @@ MISREAD_VALUES = [
                                 "false, got 'no'"),
     ("model.rope_base=inf", "model.rope_base: expected a number, got 'inf'"),
     ("model.model_dim=12", r"model_dim / heads must be even, got 12 / 4 = 3"),
-    ("model.layers=0", "layers must be positive, got 0"),
-    ("model.model_dim=0", "model_dim must be positive, got 0"),
-    ("model.mlp_hidden_dim=-4", r"mlp_hidden_dim must be 0 \(4 \* model_dim\) "
-                                "or positive, got -4"),
-    ("vocab.merges=-5", "vocab.merges must be a non-negative integer, got -5"),
+    ("model.layers=0", "layers must be at least 1, got 0"),
+    ("model.model_dim=0", "model_dim must be at least 1, got 0"),
+    ("model.mlp_hidden_dim=-4", "mlp_hidden_dim must be at least 0, got -4"),
+    ("vocab.merges=-5", "vocab.merges must be at least 0, got -5"),
     ("vocab.merges=2.9", "vocab.merges: expected an integer, got 2.9"),
     ("vocab.merges=true", "vocab.merges: expected an integer, got True"),
     ("transform.strip_sessions=no", "transform.strip_sessions: expected true "
@@ -163,14 +165,14 @@ MISREAD_VALUES = [
 ]
 
 
-def read_section(override: str):
-    """Load the config with one override and read its section as the stage
-    that uses it does."""
+def read_section(override: str, section: str | None = None):
+    """Load the config with one override and read its section (or
+    `section`) as the stage that uses it does."""
     cfg = load_config(None, [override])
     return {"world": cfg.world, "vocab": cfg.merges, "masking": cfg.masking,
             "mixture": cfg.mixture, "model": lambda: cfg.model(vocab_size=300),
-            "train": cfg.train, "eval": cfg.eval,
-            "transform": cfg.transform}[override.partition(".")[0]]()
+            "train": cfg.train, "eval": cfg.eval, "transform": cfg.transform}[
+        section or override.partition(".")[0]]()
 
 
 @pytest.mark.parametrize("override, message", MISREAD_VALUES,
@@ -180,6 +182,59 @@ def test_config_value_the_code_would_misread_is_refused_by_key(override,
     with pytest.raises((EvalError, ModelError, ConfigError),
                        match=f"^{message}$"):
         read_section(override)
+
+
+# each stage's config class, by its section, and the error it refuses with
+STAGES = {"world": (WorldConfig, DatagenError),
+          "masking": (MaskingConfig, CorpusError),
+          "mixture": (MixtureConfig, CorpusError),
+          "model": (ModelConfig, ModelError), "train": (TrainConfig, ModelError),
+          "eval": (EvalConfig, EvalError)}
+RANGE_KINDS = {  # kind: (its range as refused, a value just outside it)
+    "Count": ("at least 1", 0), "Count | None": ("null or at least 1", 0),
+    "Width": ("at least 2", 1), "Size": ("at least 0", -1),
+    "Probability": ("in [0, 1]", 1.001), "Fraction": ("in (0, 1)", 1),
+    "Positive": ("above 0", 0), "NonNegative": ("at least 0", -0.001)}
+NUMBER_KINDS = {"Probability", "Fraction", "Positive", "NonNegative"}
+# (section, key, kind) of every field with a range, vocab.merges included
+RANGED = [(section, f.name, f.type) for section, (cls, _) in STAGES.items()
+          for f in dataclass_fields(cls) if f.type in RANGE_KINDS] + \
+    [("vocab", "merges", "Size")]
+OUTSIDE = [(section, key, kind, value) for section, key, kind in RANGED
+           for value in (RANGE_KINDS[kind][1], float("nan"))
+           if value == value or kind in NUMBER_KINDS]
+
+
+@pytest.mark.parametrize("section, key, kind, value", OUTSIDE,
+                         ids=[f"{s}.{k}={v}" for s, k, _, v in OUTSIDE])
+def test_value_outside_its_fields_range_is_refused_by_key(section, key, kind,
+                                                          value):
+    # NaN passed every `x < 0` test: a NaN learning rate trained one step
+    message = f"{key} must be {RANGE_KINDS[kind][0]}, got {value!r}"
+    if section == "vocab":  # no stage class: the reader refuses it
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(f'vocab.{message}')}$"):
+            read_section(f"vocab.{key}={json.dumps(value)}")
+        return
+    cls, error = STAGES[section]
+    # the mixture's context length is read from the model section
+    dotted = "model.context_length" if key not in DEFAULTS[section] \
+        else f"{section}.{key}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        read_section(f"{dotted}={json.dumps(value)}", section)
+    sized = {"vocab_size": 300} if cls is ModelConfig else {}
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        cls(**{key: value}, **sized)
+
+
+def test_every_config_number_field_names_its_range():
+    # a field annotated bare `float` would be held to no range
+    assert {f.type for cls, _ in STAGES.values()
+            for f in dataclass_fields(cls)} <= {*RANGE_KINDS, "int", "bool",
+                                                "str", "tuple[int, ...]"}
+    # an infinite clip norm (1e400 reads as inf) means no clipping
+    assert read_section("train.grad_clip_norm=1e400").grad_clip_norm == \
+        float("inf")
 
 
 STRING_KEYS = {"model.dtype", "transform.view", "transform.strip_attributes"}
@@ -281,21 +336,30 @@ def test_rank_request_that_is_not_json_is_refused_by_name(tmp_path, capsys,
 WORLD_COUNTS = [
     ("world.n_users=2.5", "ConfigError: world.n_users: expected an integer, "
                           "got 2.5"),
-    ("world.n_users=0", "DatagenError: n_users must be a positive integer, "
-                        "got 0"),
+    ("world.n_users=0", "DatagenError: n_users must be at least 1, got 0"),
     ("world.n_users=none", "ConfigError: world.n_users: expected an integer, "
                            "got 'none'"),
     ("world.n_items=true", "ConfigError: world.n_items: expected an integer, "
                            "got True"),
-    ("world.n_carousels=-1", "DatagenError: n_carousels must be a positive "
-                             "integer, got -1"),
-    ("world.n_genres=0", "DatagenError: n_genres must be a positive integer, "
-                         "got 0"),
+    ("world.n_carousels=-1", "DatagenError: n_carousels must be at least 1, "
+                             "got -1"),
+    ("world.n_genres=0", "DatagenError: n_genres must be at least 1, got 0"),
     ("world.keystroke_prefix_depth=1.0", "ConfigError: "
      "world.keystroke_prefix_depth: expected an integer, got 1.0"),
     # a bare TypeError, naming no key, came from the probability check
     ("world.rewatch_prob=none", "ConfigError: world.rewatch_prob: expected a "
                                 "number, got 'none'"),
+    # each crashed generation, naming no key, after the out dir was made
+    ("world.mean_session_gap_hours=-1", "DatagenError: mean_session_gap_hours "
+                                        "must be at least 0, got -1"),
+    ("world.genre_sharpness=0", "DatagenError: genre_sharpness must be above "
+                                "0, got 0"),
+    ("world.mean_sessions_per_user=0", "DatagenError: mean_sessions_per_user "
+                                       "must be above 0, got 0"),
+    ("world.genre_sharpness=NaN", "DatagenError: genre_sharpness must be "
+                                  "above 0, got nan"),
+    ("world.zipf_exponent=NaN", "DatagenError: zipf_exponent must be at "
+                                "least 0, got nan"),
 ]
 
 
@@ -310,9 +374,10 @@ def test_world_count_is_refused_by_key_before_the_out_dir_is_made(
 
 
 TRAIN_SETTINGS = [
-    ("train.batch_size=0", "ModelError: batch_size must be positive"),
+    ("train.batch_size=0", "ModelError: batch_size must be at least 1, "
+                           "got 0"),
     ("mixture.story_weight=0",
-     "CorpusError: mixture weights must be positive integers"),
+     "CorpusError: story_weight must be at least 1, got 0"),
     ("masking.p_item_unk=2", "CorpusError: p_item_unk must be in [0, 1], "
                              "got 2"),
     ("train.batch_size=2.5", "ConfigError: train.batch_size: expected an "
@@ -322,6 +387,13 @@ TRAIN_SETTINGS = [
     # true would read as 1: every item token would become UNK
     ("masking.p_item_unk=true", "ConfigError: masking.p_item_unk: expected "
                                 "a number, got True"),
+    # a NaN rate trained a step; NaN decay and clipping turned them off
+    ("train.learning_rate=NaN", "ModelError: learning_rate must be at least "
+                                "0, got nan"),
+    ("train.weight_decay=NaN", "ModelError: weight_decay must be at least 0, "
+                               "got nan"),
+    ("train.grad_clip_norm=NaN", "ModelError: grad_clip_norm must be above "
+                                 "0, got nan"),
 ]
 
 
@@ -336,6 +408,25 @@ def test_train_refuses_its_settings_before_reading_a_file(tmp_path, capsys,
                  "--out", str(tmp_path / "model.ckpt"),
                  "--set", override]) == 1
     assert capsys.readouterr() == ("", f"storyrank-error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "build-corpus", "train",
+                                     "eval"])
+def test_out_in_a_missing_directory_is_refused_before_reading_a_file(
+        tmp_path, capsys, command):
+    # the output was written last: the stage's whole work was lost
+    gone = tmp_path / "gone"
+    inputs = {"build-vocab": ["--catalog"],
+              "build-corpus": ["--stories", "--catalog", "--vocab"],
+              "train": ["--corpus", "--vocab"],
+              "eval": ["--stories", "--vocab"]}[command]
+    argv = [arg for flag in inputs for arg in (flag, str(gone / flag[2:]))]
+    if command == "eval":
+        argv += ["--methods", "popularity"]
+    assert main([command, *argv, "--out", str(gone / "out")]) == 1
+    assert capsys.readouterr() == ("", "storyrank-error: ValueError: --out: "
+                                       f"directory {gone} does not exist\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -415,6 +506,11 @@ _WINDOW_MAX = f"{threading.TIMEOUT_MAX * 1000:.0f}"
      "--max-connections: expected an integer of at least 1, got 0"),
     (["--max-connections", "-2", "--port", "1"],
      "--max-connections: expected an integer of at least 1, got -2"),
+    # 0 served stdio instead; the others failed in bind() once loaded
+    (["--port", "0"], "--port: expected a port from 1 to 65535, got 0"),
+    (["--port", "70000"], "--port: expected a port from 1 to 65535, "
+                          "got 70000"),
+    (["--port", "-1"], "--port: expected a port from 1 to 65535, got -1"),
 ])
 def test_serve_refuses_batching_settings_before_reading_a_file(
         tmp_path, capsys, flags, message):

@@ -141,7 +141,8 @@ def test_mixture_is_deterministic(sample_vocab, sample_ids, sample_catalog):
 
 
 def test_mixture_guards():
-    with pytest.raises(CorpusError, match="positive"):
+    with pytest.raises(CorpusError,
+                       match="^catalog_weight must be at least 1, got 0$"):
         MixtureConfig(story_weight=1, catalog_weight=0)
     stories = [TrainingExample((1, 2, 3), ORIGIN_STORY)]
     catalog = [TrainingExample((4, 5), ORIGIN_CATALOG)]

@@ -1304,13 +1304,17 @@ def test_save_refuses_an_optimizer_at_another_step_than_the_model(tmp_path):
      r"config\.tie_embeddings: expected true or false, got 'False'$"),
     (b'"rope_base": 10000.0', b'"rope_base": "inf"',
      r"config\.rope_base: expected a number, got 'inf'$"),
-    (b'"heads": 2', b'"heads": 0', "heads must be positive"),
+    (b'"heads": 2', b'"heads": 0', "heads must be at least 1, got 0$"),
+    # each ran a full training step to a NaN loss that named no key
+    (b'"rope_base": 10000.0', b'"rope_base": 0',
+     "rope_base must be above 0, got 0$"),
+    (b'"rms_eps": 1e-06', b'"rms_eps": -1', "rms_eps must be above 0, got -1$"),
     *((b'"step": 0', b'"step": ' + step, r"at byte 8 has step .*, not an "
        r"integer in \[0, 2\*\*64\)")
       for step in (b"-1", b"18446744073709551616", b"1.0", b'"1"', b"true",
                    b"null")),
 ], ids=["utf8", "no-config", "config-key", "tie-string", "rope-string",
-        "heads", "step-negative",
+        "heads", "rope-zero", "rms-eps-negative", "step-negative",
         "step-2**64", "step-float", "step-string", "step-bool", "step-null"])
 def test_corrupt_checkpoint_meta_line_is_refused(tmp_path, old, new, match):
     model = tiny_model()

@@ -286,6 +286,19 @@ def test_connection_count_below_one_is_refused_before_the_port_is_bound(
     assert bound == []
 
 
+@pytest.mark.parametrize("port", [0, -1, 65536])
+def test_port_outside_1_to_65535_is_refused_before_it_is_bound(
+        served_model, sample_vocab, monkeypatch, port):
+    # bind() refused these only after the model was loaded, naming no setting
+    bound = []
+    monkeypatch.setattr(socket, "create_server",
+                        lambda *a, **kw: bound.append(a))
+    with pytest.raises(ValueError, match="^port: expected a port from 1 to "
+                                         f"65535, got {port}$"):
+        serve_tcp(served_model, sample_vocab, port)
+    assert bound == []
+
+
 def test_model_vocabulary_smaller_than_vocabulary_is_refused(sample_vocab):
     cfg = ModelConfig(vocab_size=sample_vocab.size - 5, context_length=192,
                       layers=1, heads=2, model_dim=16, dtype="float64")
