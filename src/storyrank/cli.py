@@ -56,13 +56,13 @@ def _check_out(out: str | None) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    world = cfg.world()  # checked before the out dir is made
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    world = cfg.read("world")  # checked before any work
     manifest = RunManifest.build("gen-data", cfg.raw)
     started = time.perf_counter()
     catalog, stories, genre_of = generate_world(world)
     manifest.record("generate", time.perf_counter() - started)
+    out = Path(args.out_dir)  # made only now: a failed generation leaves none
+    out.mkdir(parents=True, exist_ok=True)
     write_stories(out / "stories.jsonl", stories, header={"hash": manifest.hash})
     write_catalog(out / "catalog.jsonl", catalog, header={"hash": manifest.hash},
                   genres=genre_of)
@@ -79,7 +79,7 @@ def cmd_gen_data(args) -> int:
 def cmd_build_vocab(args) -> int:
     _check_out(args.out)
     cfg = load_config(args.config, args.overrides)
-    merges = cfg.merges()
+    merges, split = cfg.read("vocab").merges, cfg.read("eval")  # before any file
     if merges > 0 and not args.stories:
         raise ValueError(f"vocab.merges={merges} needs --stories")
     catalog = read_catalog(args.catalog)
@@ -87,7 +87,7 @@ def cmd_build_vocab(args) -> int:
     merge_text = None
     if merges > 0:
         # merges are learned from the train split's stories only
-        stories = split_users(read_stories(args.stories), cfg.eval())[0]
+        stories = split_users(read_stories(args.stories), split)[0]
         merge_text = "\n".join(grammar.serialize(s, validate=False)
                                 for s in stories)
         inputs["stories"] = args.stories
@@ -106,16 +106,16 @@ def cmd_build_vocab(args) -> int:
 def cmd_build_corpus(args) -> int:
     _check_out(args.out)
     cfg = load_config(args.config, args.overrides)
-    transform = cfg.transform()  # checked before any file is read
+    transform, split = cfg.read("transform"), cfg.read("eval")  # before any file
     vocab = read_vocab(args.vocab)
     catalog = read_catalog(args.catalog)
     # the users eval holds out are not trained on
-    stories = split_users(read_stories(args.stories), cfg.eval())[0]
+    stories = split_users(read_stories(args.stories), split)[0]
     manifest = RunManifest.build(
         "build-corpus", cfg.raw,
         {"stories": args.stories, "vocab": args.vocab, "catalog": args.catalog})
     started = time.perf_counter()
-    texts = (grammar.serialize(grammar.apply_transform(s, **transform),
+    texts = (grammar.serialize(grammar.apply_transform(s, transform),
                                validate=False)
              for s in stories)
     examples = tokenize_stories(texts, vocab)
@@ -135,14 +135,14 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.overrides)
     # these sections are checked before any file is read; the model's needs
     # the vocabulary's size
-    train, mixture, masking = cfg.train(), cfg.mixture(), cfg.masking()
+    train, mixture, masking = map(cfg.read, ("train", "mixture", "masking"))
     vocab = read_vocab(args.vocab)
     examples, meta = read_examples(args.corpus, vocab)
     story_examples = [e for e in examples if e.origin == ORIGIN_STORY]
     catalog_examples = [e for e in examples if e.origin == ORIGIN_CATALOG]
     manifest = RunManifest.build(
         "train", cfg.raw, {"corpus": args.corpus, "vocab": args.vocab})
-    model = init_model(cfg.model(vocab.size), seed=train.rng_seed)
+    model = init_model(cfg.read("model", vocab_size=vocab.size), seed=train.rng_seed)
     opt = AdamState.for_model(model)
     started = time.perf_counter()
     history = run_training(model, opt, story_examples, catalog_examples,
@@ -191,14 +191,14 @@ def _eval_methods(args) -> list[str]:
 
 
 def cmd_eval(args) -> int:
-    # the arguments and the transform are checked before any file is read
+    # the arguments and the sections are checked before any file is read
     methods, kinds = _eval_methods(args), _task_kinds(args.tasks)
     _check_out(args.out)
     cfg = load_config(args.config, args.overrides)
-    transform = cfg.transform()
+    transform, eval_cfg = cfg.read("transform"), cfg.read("eval")
     vocab = read_vocab(args.vocab)
     stories = read_stories(args.stories)
-    train_split, eval_split = split_users(stories, cfg.eval())
+    train_split, eval_split = split_users(stories, eval_cfg)
     scorers = []
     for method in methods:
         if method == "model":
@@ -216,13 +216,13 @@ def cmd_eval(args) -> int:
     manifest = RunManifest.build(
         "eval", cfg.raw, {name: path for name, path in given.items() if path})
     started = time.perf_counter()
-    rows = evaluate(scorers, eval_split, kinds, cfg.eval(),
+    rows = evaluate(scorers, eval_split, kinds, eval_cfg,
                     vocab, config_hash=cfg.hash)
     seconds = time.perf_counter() - started
     manifest.record("eval", seconds)
     model_names = {s.name for s in scorers if isinstance(s, ModelScorer)}
     positions = sum(r["n_positions"] for r in rows if r["method"] in model_names
-                    and r["K"] == cfg.eval().cutoffs[0])
+                    and r["K"] == eval_cfg.cutoffs[0])
     print(f"eval: {positions} model-scored positions in {seconds:.3f} s "
           f"({positions / seconds:.1f} positions/s)", file=sys.stderr)
     if args.out:

@@ -11,10 +11,11 @@ from dataclasses import dataclass, fields
 from .corpus import MaskingConfig, MixtureConfig
 from .datagen import WorldConfig
 from .evaluate import EvalConfig
-from .grammar import ATTRIBUTE_SUBSETS, VIEWS
+from .grammar import TransformConfig
 from .manifest import stable_hash
 from .model import ModelConfig, TrainConfig
-from .stories import ValidationError, check_range, fields as read_fields, table_of
+from .stories import ValidationError, fields as read_fields, table_of
+from .vocab import VocabConfig
 
 
 def _section(cls, *unset: str, **overrides) -> dict:
@@ -25,18 +26,21 @@ def _section(cls, *unset: str, **overrides) -> dict:
     return {**section, **overrides}
 
 
+# Each section is read into its stage's config class.
+STAGES = {"world": WorldConfig, "vocab": VocabConfig, "masking": MaskingConfig,
+          "mixture": MixtureConfig, "model": ModelConfig, "train": TrainConfig,
+          "eval": EvalConfig, "transform": TransformConfig}
 # Each stage draws from its own seed. The world's epoch and the model's
 # vocabulary size have no key; training cuts stories at model.context_length.
 DEFAULTS: dict = {
     "world": _section(WorldConfig, "epoch", rng_seed=11),
-    "vocab": {"merges": 0},
+    "vocab": _section(VocabConfig),
     "masking": _section(MaskingConfig, rng_seed=12),
     "mixture": _section(MixtureConfig, "context_length", rng_seed=13),
     "model": _section(ModelConfig, "vocab_size"),
     "train": _section(TrainConfig, rng_seed=14),
     "eval": _section(EvalConfig, rng_seed=15),
-    "transform": {"view": None, "strip_sessions": False,
-                  "strip_attributes": None},
+    "transform": _section(TransformConfig),
 }
 
 
@@ -52,58 +56,24 @@ class RunConfig:
     def hash(self) -> str:
         return stable_hash(self.raw)
 
-    def _read(self, section: str, table: dict) -> dict:
-        """The section's values, read by `stories.fields` against `table`: a
-        fault is refused as `section.key: expected ..., got ...`."""
-        values = self.raw[section]
+    def _values(self, section: str) -> dict:
+        """The section's values, read by `stories.fields` against its stage
+        class's field table (a fault is refused as `section.key: expected
+        ..., got ...`), lists as tuples."""
+        values, table = self.raw[section], table_of(STAGES[section])
         try:
-            read_fields(values, section, {key: table[key] for key in values})
+            read = read_fields(values, section, {k: table[k] for k in values})
         except ValidationError as exc:
             raise ConfigError(str(exc)) from None
-        return values
+        return {k: tuple(v) if type(v) is list else v for k, v in zip(values, read)}
 
-    def world(self) -> WorldConfig:
-        return WorldConfig(**self._read("world", table_of(WorldConfig)))
-
-    def masking(self) -> MaskingConfig:
-        return MaskingConfig(**self._read("masking", table_of(MaskingConfig)))
-
-    def mixture(self) -> MixtureConfig:
-        model = self._read("model", table_of(ModelConfig))
-        return MixtureConfig(context_length=model["context_length"],
-                             **self._read("mixture", table_of(MixtureConfig)))
-
-    def model(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(vocab_size=vocab_size,
-                           **self._read("model", table_of(ModelConfig)))
-
-    def train(self) -> TrainConfig:
-        return TrainConfig(**self._read("train", table_of(TrainConfig)))
-
-    def eval(self) -> EvalConfig:
-        section = dict(self._read("eval", table_of(EvalConfig)))
-        section["cutoffs"] = tuple(section["cutoffs"])
-        return EvalConfig(**section)
-
-    def transform(self) -> dict:
-        """`grammar.apply_transform`'s keywords; a view or attribute subset
-        the transforms do not know is refused."""
-        t = self._read("transform", {"view": (str, type(None)),
-                                     "strip_sessions": bool,
-                                     "strip_attributes": (str, type(None))})
-        for key, allowed in (("view", VIEWS),
-                             ("strip_attributes", ATTRIBUTE_SUBSETS)):
-            if t[key] is not None and t[key] not in allowed:
-                names = ", ".join(map(json.dumps, allowed[:-1]))
-                raise ConfigError(f"transform.{key} must be null, {names} or "
-                                  f"{json.dumps(allowed[-1])}, got {t[key]!r}")
-        return {"view": t["view"], "drop_sessions": t["strip_sessions"],
-                "drop_attributes": t["strip_attributes"]}
-
-    def merges(self) -> int:
-        merges = self._read("vocab", {"merges": int})["merges"]
-        check_range("Size", "vocab.merges", merges, ConfigError)
-        return merges
+    def read(self, section: str, **given):
+        """The section as its stage's config class, which holds each value
+        to its range; `given` holds the class's fields that have no key. The
+        mixture's context length is the model section's."""
+        if section == "mixture":
+            given["context_length"] = self._values("model")["context_length"]
+        return STAGES[section](**given, **self._values(section))
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None

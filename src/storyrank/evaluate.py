@@ -136,11 +136,12 @@ class ModelScorer:
     """Ranks positions with the language model; `transform` strips the story
     prefix to this variant's view before serialization."""
 
-    def __init__(self, model, name: str = "model", transform: dict | None = None,
+    def __init__(self, model, name: str = "model",
+                 transform: grammar.TransformConfig = grammar.TransformConfig(),
                  batch_size: int = 32):
         self.model = model
         self.name = name
-        self.transform = transform or {}
+        self.transform = transform
         self.batch_size = batch_size
 
     def prompts(self, story: UserStory, heads, vocabulary: Vocabulary
@@ -152,7 +153,7 @@ class ModelScorer:
         heads = [(TaskKind.ITEM_CONTEXTUAL if kind == TaskKind.SEARCH
                   else kind, context) for kind, context in heads]
         return trim_story_to_context(
-            grammar.apply_transform(story, **self.transform), heads,
+            grammar.apply_transform(story, self.transform), heads,
             vocabulary, self.model.config.context_length)
 
     def target_ranks(self, positions_by_kind: dict,

@@ -17,16 +17,18 @@ See GRAMMAR.md for the full production list.
 """
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from .stories import (
     AttributeHeader,
+    AttributeSubset,
     EMPTY_CAROUSEL,
     Event,
     ItemRef,
     SearchEvent,
     Surface,
     UserStory,
+    View,
     WatchEvent,
     check_story,
 )
@@ -37,9 +39,6 @@ WATCH_MARKER = "<|watch|>"
 SEARCH_MARKER = "<|search|>"
 MARKERS = (BEGIN_SESSIONS, SESSION_MARKER, WATCH_MARKER, SEARCH_MARKER)
 MASK_CAROUSEL = "MASK"  # a masked watch's carousel (corpus, item_masked)
-
-VIEWS = ("item", "carousel", "search")
-ATTRIBUTE_SUBSETS = ("all", "profile", "location")
 
 # Header keys understood as location context; any other key counts as a
 # profile attribute. Used by strip_attributes(profile|location).
@@ -127,19 +126,20 @@ def strip_view(story: UserStory, view: str) -> UserStory:
     search: keep search events and search-surface watches only.
     Session structure and the attribute header are preserved in all views.
     """
-    if view not in VIEWS:
-        raise ValueError(f"unknown view {view!r}; expected one of {VIEWS}")
+    if view not in View.__members__.values():  # `in View` raises before 3.12
+        raise ValueError(f"unknown view {view!r}; expected one of "
+                         f"{tuple(v.value for v in View)}")
     sessions = []
     for sess in story.sessions:
         events: list[Event] = []
         for e in sess.events:
-            if view == "item":
+            if view == View.ITEM:
                 if isinstance(e, WatchEvent):
                     events.append(replace(e, carousel=EMPTY_CAROUSEL))
-            elif view == "carousel":
+            elif view == View.CAROUSEL:
                 if isinstance(e, WatchEvent):
                     events.append(replace(e, item=None, duration_minutes=None))
-            elif view == "search":
+            elif view == View.SEARCH:
                 if isinstance(e, SearchEvent) or \
                         (isinstance(e, WatchEvent) and e.surface == Surface.SEARCH):
                     events.append(e)
@@ -155,27 +155,34 @@ def strip_sessions(story: UserStory) -> UserStory:
 
 def strip_attributes(story: UserStory, which: str) -> UserStory:
     """Remove an attribute subset from the header: all, profile, or location."""
-    if which not in ATTRIBUTE_SUBSETS:
-        raise ValueError(f"unknown attribute subset {which!r}; "
-                         f"expected one of {ATTRIBUTE_SUBSETS}")
-    if which == "all":
+    if which not in AttributeSubset.__members__.values():
+        raise ValueError(f"unknown attribute subset {which!r}; expected one "
+                         f"of {tuple(a.value for a in AttributeSubset)}")
+    if which == AttributeSubset.ALL:
         pairs: tuple[tuple[str, str], ...] = ()
-    elif which == "location":
+    elif which == AttributeSubset.LOCATION:
         pairs = tuple(p for p in story.attributes.pairs if p[0] not in LOCATION_KEYS)
     else:  # profile: keep only location keys
         pairs = tuple(p for p in story.attributes.pairs if p[0] in LOCATION_KEYS)
     return replace(story, attributes=AttributeHeader(pairs))
 
 
-def apply_transform(story: UserStory, *, view: str | None = None,
-                    drop_sessions: bool = False,
-                    drop_attributes: str | None = None) -> UserStory:
+@dataclass(frozen=True)
+class TransformConfig:
+    """An ablation variant: the `transform` config section."""
+    view: View | None = None
+    strip_sessions: bool = False
+    strip_attributes: AttributeSubset | None = None
+
+
+def apply_transform(story: UserStory,
+                    transform: TransformConfig = TransformConfig()) -> UserStory:
     """Compose the ablation transforms in a fixed order (view, attrs, sessions)."""
     out = story
-    if view:
-        out = strip_view(out, view)
-    if drop_attributes:
-        out = strip_attributes(out, drop_attributes)
-    if drop_sessions:
+    if transform.view:
+        out = strip_view(out, transform.view)
+    if transform.strip_attributes:
+        out = strip_attributes(out, transform.strip_attributes)
+    if transform.strip_sessions:
         out = strip_sessions(out)
     return out

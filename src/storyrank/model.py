@@ -73,8 +73,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .manifest import read_header
-from .stories import Count, NonNegative, Positive, Size, ValidationError, \
-    Width, check_ranges, fields, table_of
+from .stories import Ceiling, Count, NonNegative, Positive, Size, \
+    ValidationError, Width, check_ranges, fields, table_of
 
 CHECKPOINT_MAGIC = b"SRCKPT1\n"
 
@@ -133,7 +133,7 @@ class TrainConfig:
     learning_rate: NonNegative = 3e-4  # 0 makes the update a provable no-op
     warmup_steps: Count = 100
     weight_decay: NonNegative = 0.033
-    grad_clip_norm: Positive = 1.0     # inf: no clipping
+    grad_clip_norm: Ceiling = 1.0      # inf: no clipping
     batch_size: Count = 8
     macro_steps: Count = 1000
     rng_seed: int = 0

@@ -18,6 +18,7 @@ boundaries (file loading, datagen output) are expected to validate.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum, EnumMeta
@@ -44,6 +45,14 @@ class Surface(str, Enum):
     SEARCH = "search"
     BROWSE = "browse"
     AUTOPLAY = "autoplay"
+
+
+class View(str, Enum):  # a story's task view (grammar.TransformConfig)
+    ITEM, CAROUSEL, SEARCH = "item", "carousel", "search"
+
+
+class AttributeSubset(str, Enum):  # a subset of a story's header
+    ALL, PROFILE, LOCATION = "all", "profile", "location"
 
 
 class ValidationError(ValueError):
@@ -381,14 +390,16 @@ _WATCH_OPTIONAL = {"item_id": str, "title": str, "duration_minutes": int}
 _SEARCH = {"type": str, "timestamp": int, "hour": int, "query": str}
 _JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false", list: "a list",
                dict: "a JSON object", (int, type(None)): "an integer or null",
-               (int, float): "a number", (str, type(None)): "a string or null"}
+               (int, float): "a number"}
 # The kinds a config dataclass annotates a number field with, each naming a range.
 Count = Width = Size = int
-Probability = Fraction = Positive = NonNegative = float
-# each annotation, by its postponed string: the JSON types `fields` reads, and
-# the range `check_range` holds a value to, as a test and its text (NaN passes none)
+Probability = Fraction = Positive = NonNegative = Ceiling = float
+# each annotation, by its postponed string: the JSON types `fields` reads, and the
+# range `check_ranges` holds a value to, as a test and its text (NaN passes none)
 _ANNOTATION_KINDS = {
     "int": (int,), "bool": (bool,), "str": (str,), "tuple[int, ...]": (list,),
+    "View | None": ((type(None), View),),
+    "AttributeSubset | None": ((type(None), AttributeSubset),),
     "Count": (int, lambda v: v >= 1, "at least 1"),
     "Count | None": ((int, type(None)), lambda v: v is None or v >= 1,
                      "null or at least 1"),
@@ -396,8 +407,9 @@ _ANNOTATION_KINDS = {
     "Size": (int, lambda v: v >= 0, "at least 0"),
     "Probability": ((int, float), lambda v: 0 <= v <= 1, "in [0, 1]"),
     "Fraction": ((int, float), lambda v: 0 < v < 1, "in (0, 1)"),
-    "Positive": ((int, float), lambda v: v > 0, "above 0"),  # inf too
-    "NonNegative": ((int, float), lambda v: v >= 0, "at least 0"),
+    "Positive": ((int, float), lambda v: 0 < v < math.inf, "finite and above 0"),
+    "NonNegative": ((int, float), lambda v: 0 <= v < math.inf, "finite and at least 0"),
+    "Ceiling": ((int, float), lambda v: v > 0, "above 0"),  # Infinity: no ceiling
 }
 _ABSENT = object()
 
@@ -409,9 +421,11 @@ def _typed(kind, value, path: str):
         raise ValidationError(f"{path}: missing")
     if kind is object or type(kind) is tuple and type(value) in kind:
         return value
-    if isinstance(kind, EnumMeta) and value in kind.__members__.values():
-        return kind(value)
-    want = _JSON_TYPES.get(kind) or "one of " + ", ".join(repr(m.value) for m in kind)
+    *null, enum = kind if type(kind) is tuple else (kind,)  # (None, Enum)
+    if isinstance(enum, EnumMeta) and value in enum.__members__.values():
+        return enum(value)
+    want = _JSON_TYPES.get(kind) or "null or " * len(null) + "one of " + \
+        ", ".join(repr(m.value) for m in enum)
     raise ValidationError(f"{path}: expected {want}, got {reprlib.repr(value)}")
 
 
@@ -419,8 +433,9 @@ def fields(d, path: str, required: dict, optional: dict = {}) -> list:
     """The values of JSON object `d`'s `required` then `optional` keys, in table
     order (None for an absent optional key), each of exactly its table's type:
     `int` (never a bool, float or digit string), `str`, `bool`, `list`, `dict`,
-    `object` (any), a tuple of these (any one of them), or a str Enum (read as its member).
-    The first fault raises a ValidationError that starts with its path."""
+    `object` (any), a tuple of these (any one of them), or a str Enum (read as its
+    member; `(type(None), Enum)` takes null too). The first fault raises a
+    ValidationError that starts with its path."""
     if type(d) is not dict:
         raise ValidationError(f"{path or 'record'}: expected a JSON object, "
                               f"got {reprlib.repr(d)}")
@@ -444,17 +459,13 @@ def table_of(cls) -> dict:
     return {f.name: _ANNOTATION_KINDS[f.type][0] for f in dataclass_fields(cls)}
 
 
-def check_range(kind: str, key: str, value, error) -> None:
-    """Refuse, as `error`, a `value` outside annotation `kind`'s range."""
-    _, *rule = _ANNOTATION_KINDS[kind]
-    if rule and not rule[0](value):
-        raise error(f"{key} must be {rule[1]}, got {value!r}")
-
-
 def check_ranges(config, error) -> None:
-    """Hold each field of config dataclass `config` to its range (`check_range`)."""
+    """Refuse, as `error`, a field of config dataclass `config` outside its range."""
     for f in dataclass_fields(config):
-        check_range(f.type, f.name, getattr(config, f.name), error)
+        _, *rule = _ANNOTATION_KINDS[f.type]
+        value = getattr(config, f.name)
+        if rule and not rule[0](value):
+            raise error(f"{f.name} must be {rule[1]}, got {value!r}")
 
 
 def event_to_dict(event: Event) -> dict:

@@ -23,8 +23,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from . import grammar
-from .stories import CarouselRef, ItemRef, Surface, _check_carousel_id, \
-    _check_item_id, _check_title, fields, read_records, write_records
+from .stories import CarouselRef, ItemRef, Size, Surface, _check_carousel_id, \
+    _check_item_id, _check_title, check_ranges, fields, read_records, write_records
 
 CLASS_BYTE = "byte"
 CLASS_MERGE = "merge"
@@ -46,6 +46,14 @@ class VocabularyError(ValueError):
 
 class TokenizeError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class VocabConfig:
+    merges: Size = 0  # learned byte-pair merges over the base layer
+
+    def __post_init__(self):
+        check_ranges(self, VocabularyError)
 
 
 @dataclass(frozen=True)

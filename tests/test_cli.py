@@ -16,7 +16,8 @@ from storyrank.datagen import DatagenError, WorldConfig
 from storyrank.evaluate import EvalConfig, EvalError, split_users
 from storyrank.model import ModelConfig, ModelError, TrainConfig
 from storyrank.stories import read_stories, story_to_dict
-from storyrank.vocab import build_vocabulary, read_catalog, read_vocab
+from storyrank.vocab import VocabConfig, VocabularyError, build_vocabulary, \
+    read_catalog, read_vocab
 
 from oracles import detokenize, read_metrics
 
@@ -82,7 +83,7 @@ def test_full_tiny_pipeline(tmp_path, capsys):
 def test_corpus_is_the_train_split_and_holds_no_held_out_story(tmp_path):
     d = run_pipeline(tmp_path)
     train, held = split_users(read_stories(d / "data/stories.jsonl"),
-                              load_config().eval())
+                              load_config().read("eval"))
     vocab = read_vocab(d / "vocab.tsv")
 
     def story_ids(stories):
@@ -111,7 +112,7 @@ def test_build_vocab_learns_merges_from_the_train_split(tmp_path, capsys):
                  "--out", str(tmp_path / "v.tsv"), *TINY,
                  "--set", "vocab.merges=16"]) == 0
     train, _ = split_users(read_stories(data / "stories.jsonl"),
-                           load_config().eval())
+                           load_config().read("eval"))
     want = build_vocabulary(read_catalog(data / "catalog.jsonl"), merges=16,
                             merge_training_text="\n".join(
                                 grammar.serialize(s) for s in train))
@@ -149,43 +150,43 @@ MISREAD_VALUES = [
     ("model.layers=0", "layers must be at least 1, got 0"),
     ("model.model_dim=0", "model_dim must be at least 1, got 0"),
     ("model.mlp_hidden_dim=-4", "mlp_hidden_dim must be at least 0, got -4"),
-    ("vocab.merges=-5", "vocab.merges must be at least 0, got -5"),
+    ("vocab.merges=-5", "merges must be at least 0, got -5"),
     ("vocab.merges=2.9", "vocab.merges: expected an integer, got 2.9"),
     ("vocab.merges=true", "vocab.merges: expected an integer, got True"),
     ("transform.strip_sessions=no", "transform.strip_sessions: expected true "
                                     "or false, got 'no'"),
     ("transform.strip_sessions=1", "transform.strip_sessions: expected true "
                                    "or false, got 1"),
-    ("transform.view=false", "transform.view: expected a string or null, "
-                             "got False"),
-    ("transform.view=bogus", 'transform.view must be null, "item", '
-                             '"carousel" or "search", got \'bogus\''),
+    ("transform.view=false", "transform.view: expected null or one of "
+                             "'item', 'carousel', 'search', got False"),
+    ("transform.view=bogus", "transform.view: expected null or one of "
+                             "'item', 'carousel', 'search', got 'bogus'"),
     ("transform.strip_attributes=true", "transform.strip_attributes: "
-                                        "expected a string or null, got True"),
+                                        "expected null or one of 'all', "
+                                        "'profile', 'location', got True"),
 ]
 
 
 def read_section(override: str, section: str | None = None):
     """Load the config with one override and read its section (or
     `section`) as the stage that uses it does."""
-    cfg = load_config(None, [override])
-    return {"world": cfg.world, "vocab": cfg.merges, "masking": cfg.masking,
-            "mixture": cfg.mixture, "model": lambda: cfg.model(vocab_size=300),
-            "train": cfg.train, "eval": cfg.eval, "transform": cfg.transform}[
-        section or override.partition(".")[0]]()
+    section = section or override.partition(".")[0]
+    return load_config(None, [override]).read(
+        section, **({"vocab_size": 300} if section == "model" else {}))
 
 
 @pytest.mark.parametrize("override, message", MISREAD_VALUES,
                          ids=[override for override, _ in MISREAD_VALUES])
 def test_config_value_the_code_would_misread_is_refused_by_key(override,
                                                                message):
-    with pytest.raises((EvalError, ModelError, ConfigError),
+    with pytest.raises((EvalError, ModelError, VocabularyError, ConfigError),
                        match=f"^{message}$"):
         read_section(override)
 
 
 # each stage's config class, by its section, and the error it refuses with
 STAGES = {"world": (WorldConfig, DatagenError),
+          "vocab": (VocabConfig, VocabularyError),
           "masking": (MaskingConfig, CorpusError),
           "mixture": (MixtureConfig, CorpusError),
           "model": (ModelConfig, ModelError), "train": (TrainConfig, ModelError),
@@ -194,28 +195,29 @@ RANGE_KINDS = {  # kind: (its range as refused, a value just outside it)
     "Count": ("at least 1", 0), "Count | None": ("null or at least 1", 0),
     "Width": ("at least 2", 1), "Size": ("at least 0", -1),
     "Probability": ("in [0, 1]", 1.001), "Fraction": ("in (0, 1)", 1),
-    "Positive": ("above 0", 0), "NonNegative": ("at least 0", -0.001)}
-NUMBER_KINDS = {"Probability", "Fraction", "Positive", "NonNegative"}
-# (section, key, kind) of every field with a range, vocab.merges included
+    "Positive": ("finite and above 0", 0),
+    "NonNegative": ("finite and at least 0", -0.001),
+    "Ceiling": ("above 0", 0)}
+NUMBER_KINDS = {"Probability", "Fraction", "Positive", "NonNegative",
+                "Ceiling"}
+# (section, key, kind) of every field with a range
 RANGED = [(section, f.name, f.type) for section, (cls, _) in STAGES.items()
-          for f in dataclass_fields(cls) if f.type in RANGE_KINDS] + \
-    [("vocab", "merges", "Size")]
+          for f in dataclass_fields(cls) if f.type in RANGE_KINDS]
+# a number kind is also held to refuse NaN and an infinity: a Ceiling takes
+# Infinity (no ceiling), so it is held to refuse -Infinity
 OUTSIDE = [(section, key, kind, value) for section, key, kind in RANGED
-           for value in (RANGE_KINDS[kind][1], float("nan"))
-           if value == value or kind in NUMBER_KINDS]
+           for value in (RANGE_KINDS[kind][1], *(
+               [float("nan"), float("-inf" if kind == "Ceiling" else "inf")]
+               if kind in NUMBER_KINDS else []))]
 
 
 @pytest.mark.parametrize("section, key, kind, value", OUTSIDE,
                          ids=[f"{s}.{k}={v}" for s, k, _, v in OUTSIDE])
 def test_value_outside_its_fields_range_is_refused_by_key(section, key, kind,
                                                           value):
-    # NaN passed every `x < 0` test: a NaN learning rate trained one step
+    # NaN passed every `x < 0` test: a NaN learning rate trained one step;
+    # an infinite rms_eps trained and saved a checkpoint
     message = f"{key} must be {RANGE_KINDS[kind][0]}, got {value!r}"
-    if section == "vocab":  # no stage class: the reader refuses it
-        with pytest.raises(ConfigError,
-                           match=f"^{re.escape(f'vocab.{message}')}$"):
-            read_section(f"vocab.{key}={json.dumps(value)}")
-        return
     cls, error = STAGES[section]
     # the mixture's context length is read from the model section
     dotted = "model.context_length" if key not in DEFAULTS[section] \
@@ -247,26 +249,43 @@ def test_every_config_key_refuses_a_value_of_another_kind(dotted):
     # a key whose field has no kind in the table fails here too
     wrong = 7 if dotted in STRING_KEYS else "x"
     with pytest.raises(ConfigError, match=f"^{re.escape(dotted)}: expected "
-                                          f"[a-z ]+, got {wrong!r}$"):
+                                          f"[a-z ',]+, got {wrong!r}$"):
         read_section(f"{dotted}={json.dumps(wrong)}")
 
 
-@pytest.mark.parametrize("command", ["build-corpus", "eval"])
+# the string "false" is true to Python: it built a sessionless corpus
+FALSE_STRING = ({"transform": {"strip_sessions": "false"}},
+                "ConfigError: transform.strip_sessions: expected true or "
+                "false, got 'false'")
+# the eval section splits the users: it was read only after the inputs
+BAD_SPLIT = ({"vocab": {"merges": 4}, "eval": {"holdout_fraction": 2}},
+             "EvalError: holdout_fraction must be in (0, 1), got 2")
+BEFORE_A_FILE = [
+    pytest.param("build-corpus", *FALSE_STRING, id="build-corpus"),
+    pytest.param("eval", *FALSE_STRING, id="eval"),
+    pytest.param("build-vocab", *BAD_SPLIT, id="build-vocab-eval-section"),
+    pytest.param("build-corpus", *BAD_SPLIT, id="build-corpus-eval-section"),
+    pytest.param("eval", *BAD_SPLIT, id="eval-eval-section")]
+
+
+@pytest.mark.parametrize("command, sections, error", BEFORE_A_FILE)
 def test_transform_is_refused_by_key_before_reading_a_file(tmp_path, capsys,
-                                                           command):
-    # the string "false" is true to Python: it built a sessionless corpus
+                                                           command, sections,
+                                                           error):
+    # each stage reads its config sections before any input file
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"transform": {"strip_sessions": "false"}}))
+    config.write_text(json.dumps(sections))
     gone = tmp_path / "gone"
-    inputs = {"build-corpus": ["--catalog", str(gone / "catalog.jsonl"),
-                               "--out", str(tmp_path / "corpus.bin")],
-              "eval": ["--methods", "popularity"]}[command]
-    assert main([command, "--stories", str(gone / "stories.jsonl"),
-                 "--vocab", str(gone / "vocab.tsv"), "--config", str(config),
-                 *inputs]) == 1
-    assert capsys.readouterr().err == (
-        "storyrank-error: ConfigError: transform.strip_sessions: expected "
-        "true or false, got 'false'\n")
+    stories, vocab = str(gone / "stories.jsonl"), str(gone / "vocab.tsv")
+    inputs = {"build-vocab": ["--stories", stories],
+              "build-corpus": ["--stories", stories, "--vocab", vocab],
+              "eval": ["--stories", stories, "--vocab", vocab,
+                       "--methods", "popularity"]}[command]
+    if command != "eval":
+        inputs += ["--catalog", str(gone / "catalog.jsonl"),
+                   "--out", str(tmp_path / "out")]
+    assert main([command, "--config", str(config), *inputs]) == 1
+    assert capsys.readouterr().err == f"storyrank-error: {error}\n"
     assert list(tmp_path.iterdir()) == [config]
 
 
@@ -351,15 +370,22 @@ WORLD_COUNTS = [
                                 "number, got 'none'"),
     # each crashed generation, naming no key, after the out dir was made
     ("world.mean_session_gap_hours=-1", "DatagenError: mean_session_gap_hours "
-                                        "must be at least 0, got -1"),
-    ("world.genre_sharpness=0", "DatagenError: genre_sharpness must be above "
-                                "0, got 0"),
+                                        "must be finite and at least 0, got -1"),
+    ("world.genre_sharpness=0", "DatagenError: genre_sharpness must be finite "
+                                "and above 0, got 0"),
     ("world.mean_sessions_per_user=0", "DatagenError: mean_sessions_per_user "
-                                       "must be above 0, got 0"),
+                                       "must be finite and above 0, got 0"),
     ("world.genre_sharpness=NaN", "DatagenError: genre_sharpness must be "
-                                  "above 0, got nan"),
-    ("world.zipf_exponent=NaN", "DatagenError: zipf_exponent must be at "
-                                "least 0, got nan"),
+                                  "finite and above 0, got nan"),
+    ("world.zipf_exponent=NaN", "DatagenError: zipf_exponent must be finite "
+                                "and at least 0, got nan"),
+    ("world.genre_sharpness=Infinity", "DatagenError: genre_sharpness must "
+                                       "be finite and above 0, got inf"),
+    ("world.mean_session_gap_hours=Infinity", "DatagenError: "
+     "mean_session_gap_hours must be finite and at least 0, got inf"),
+    # finite and in range, but too large for the generator's Poisson draw:
+    # the error names no key, and no out dir is left behind
+    ("world.mean_events_per_user=1e300", "ValueError: lam value too large"),
 ]
 
 
@@ -388,10 +414,12 @@ TRAIN_SETTINGS = [
     ("masking.p_item_unk=true", "ConfigError: masking.p_item_unk: expected "
                                 "a number, got True"),
     # a NaN rate trained a step; NaN decay and clipping turned them off
-    ("train.learning_rate=NaN", "ModelError: learning_rate must be at least "
-                                "0, got nan"),
-    ("train.weight_decay=NaN", "ModelError: weight_decay must be at least 0, "
-                               "got nan"),
+    ("train.learning_rate=NaN", "ModelError: learning_rate must be finite "
+                                "and at least 0, got nan"),
+    ("train.weight_decay=NaN", "ModelError: weight_decay must be finite and "
+                               "at least 0, got nan"),
+    ("train.learning_rate=Infinity", "ModelError: learning_rate must be "
+                                     "finite and at least 0, got inf"),
     ("train.grad_clip_norm=NaN", "ModelError: grad_clip_norm must be above "
                                  "0, got nan"),
 ]
@@ -695,12 +723,20 @@ def test_mixture_context_length_is_not_a_key(tmp_path, capsys):
     p.name for p in (ROOT / "configs").glob("*.json")))
 def test_shipped_config_builds_every_stage(name):
     cfg = load_config(str(ROOT / "configs" / name))
-    cfg.world()
-    cfg.masking()
-    cfg.train()
-    cfg.eval()
-    model = cfg.model(vocab_size=300)
-    assert cfg.mixture().context_length == model.context_length
+    for section in DEFAULTS.keys() - {"model"}:
+        cfg.read(section)
+    model = cfg.read("model", vocab_size=300)
+    assert cfg.read("mixture").context_length == model.context_length
+
+
+def test_config_hashes_are_pinned():
+    # every artifact's manifest hash is built over one of these configs, so
+    # a change to a default, a key or a shipped value moves one of them
+    assert load_config().hash == "ef53af44ddb3dc70"
+    assert load_config(str(ROOT / "configs/desk.json")).hash == \
+        "b3f9382aea422711"
+    assert load_config(str(ROOT / "configs/paper.json")).hash == \
+        "9a78cafd6043e91b"
 
 
 def test_formats_config_table_lists_every_key():

@@ -24,13 +24,13 @@ from storyrank.evaluate import (
     split_users,
     write_metrics,
 )
-from storyrank.grammar import strip_sessions
+from storyrank.grammar import TransformConfig, strip_sessions
 from storyrank import model as model_module
 from storyrank.model import Model, ModelConfig, init_model
 from storyrank.prompts import TaskKind, candidate_set, rank_candidates, \
     target_token
 from storyrank.stories import AttributeHeader, ItemRef, UserStory, search, \
-    segment_sessions, validate_story, watch, Surface, EMPTY_CAROUSEL
+    segment_sessions, validate_story, watch, Surface, View, EMPTY_CAROUSEL
 from storyrank.vocab import CLASS_CAROUSEL, CatalogIndex, build_vocabulary
 
 from conftest import LANTERN, SUNDAY, make_sample_story
@@ -357,7 +357,7 @@ def test_view_transform_strips_model_input_not_positions(sample_vocab):
     cfg = ModelConfig(vocab_size=sample_vocab.size, context_length=128,
                       layers=1, heads=2, model_dim=16, dtype="float64")
     model = init_model(cfg, seed=1)
-    scorer = ModelScorer(model, name="item_view", transform={"view": "item"})
+    scorer = ModelScorer(model, name="item_view", transform=TransformConfig(view=View.ITEM))
     story = make_sample_story()
     positions = eligible_positions(story, TaskKind.SEARCH, sample_vocab)
     prompt = position_prompt(scorer, positions[0], TaskKind.SEARCH,

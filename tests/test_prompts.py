@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from storyrank.evaluate import ModelScorer, eligible_positions
-from storyrank.grammar import apply_transform, serialize, strip_sessions
+from storyrank.grammar import TransformConfig, apply_transform, serialize, \
+    strip_sessions
 from storyrank.model import ModelConfig, ModelError, init_model
 from storyrank.prompts import (
     PromptError,
@@ -22,8 +23,8 @@ from storyrank.prompts import (
     trim_story_to_context,
 )
 from storyrank.stories import SESSION_GAP_SECONDS, SESSION_SPAN_SECONDS, \
-    AttributeHeader, EMPTY_CAROUSEL, Session, Surface, UserStory, \
-    day_of_week, hour_of_day, search, segment_sessions, watch
+    AttributeHeader, AttributeSubset, EMPTY_CAROUSEL, Session, Surface, \
+    UserStory, View, day_of_week, hour_of_day, search, segment_sessions, watch
 from storyrank.vocab import CLASS_CAROUSEL, CLASS_ITEM, build_vocabulary, \
     tokenize
 
@@ -375,10 +376,10 @@ def merged_vocab(sample_catalog):
 
 # context lengths from "the head alone does not fit" up to the desk config
 CONTEXT_LENGTHS = [12, 20, 32, 48, 64, 128, 256]
-TRANSFORMS = [{}, {"view": "item"}, {"view": "carousel"}, {"view": "search"},
-              {"drop_attributes": "all"}, {"drop_attributes": "profile"},
-              {"drop_attributes": "location"}, {"drop_sessions": True},
-              {"view": "search", "drop_sessions": True}]
+TRANSFORMS = [TransformConfig(), *(TransformConfig(view=v) for v in View),
+              *(TransformConfig(strip_attributes=a) for a in AttributeSubset),
+              TransformConfig(strip_sessions=True),
+              TransformConfig(view=View.SEARCH, strip_sessions=True)]
 QUERIES = ["fog", "lan", "lantern", "static motel"]
 
 
@@ -456,7 +457,7 @@ def test_eval_prompt_equals_whole_text_oracle(sample_vocab, merged_vocab,
     head_kind = TaskKind.ITEM_CONTEXTUAL if kind == TaskKind.SEARCH else kind
     want = _outcome(lambda: whole_text_trim(
         pos.prefix_story,
-        lambda s: serialize(apply_transform(s, **transform), validate=False),
+        lambda s: serialize(apply_transform(s, transform), validate=False),
         head_kind, pos.context, vocab, context_length))
     assert got == want
 
@@ -476,8 +477,7 @@ def test_serve_prompt_at_an_event_equals_eval_prompt(sample_vocab,
     vocab = merged_vocab if merged else sample_vocab
     model = SimpleNamespace(config=SimpleNamespace(
         context_length=context_length))
-    scorer = ModelScorer(model, transform={"drop_sessions": True} if flat
-                         else {})
+    scorer = ModelScorer(model, transform=TransformConfig(strip_sessions=flat))
     for pos in eligible_positions(story, kind, vocab):
         history = pos.prefix_story
         si = len(history.sessions) - 1
